@@ -22,14 +22,11 @@
 use super::{build_strategy, capacity_from, CliError};
 use crate::args::{ArgError, Args};
 use mcp_core::{SimConfig, Workload};
+use mcp_policies::{FAMILIES, OFFLINE_ONLY};
 use mcp_serve::{serve_connection, Discipline, ServeConfig, ServeError, ServeReport, Server};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
-
-/// Strategies whose `begin` reads the full future trace — they cannot
-/// serve a live stream (`mcp_core::online` module docs).
-const OFFLINE_ONLY: &[&str] = &["fitf", "mimic", "partition-opt", "sacrifice"];
 
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -52,10 +49,16 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     let spec = args.get("strategy").unwrap_or("lru");
     let head = spec.split_once(':').map(|(h, _)| h).unwrap_or(spec);
     if OFFLINE_ONLY.contains(&head) {
+        let online: Vec<&str> = FAMILIES
+            .iter()
+            .copied()
+            .filter(|f| !OFFLINE_ONLY.contains(f))
+            .collect();
         return Err(CliError::Other(format!(
             "strategy {spec:?} is offline-only (its begin reads the full future trace) and \
-             cannot serve a live stream; online-safe strategies: lru, fifo, clock, lfu, mru, \
-             fwf, lru2, rand, mark, mark-rand, partition[:sizes]"
+             cannot serve a live stream; online-safe strategies: {} (partition takes \
+             [:sizes])",
+            online.join(", ")
         )));
     }
     // Online strategies ignore the sequences in `begin`, so building

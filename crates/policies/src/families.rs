@@ -34,6 +34,12 @@ pub const FAMILIES: &[&str] = &[
     "sacrifice",
 ];
 
+/// The families whose [`CacheStrategy::begin`] reads the full future
+/// trace. They cannot serve a live stream, where `begin` sees `p` empty
+/// sequences (`mcp_core::online`); every other family in [`FAMILIES`]
+/// ignores the sequences in `begin` and is safe to run online.
+pub const OFFLINE_ONLY: &[&str] = &["fitf", "mimic", "partition-opt", "sacrifice"];
+
 /// Build a fresh strategy of family `name` for `workload` under `cfg`
 /// (each engine run needs its own instance — strategies are stateful).
 /// Returns `None` for unknown names. `seed` drives the randomized

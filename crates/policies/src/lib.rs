@@ -29,7 +29,7 @@ pub mod static_partition;
 
 pub use dynamic_partition::{LruMimicPartition, StagedPartition};
 pub use eviction::EvictionPolicy;
-pub use families::{build_family, family_applicable, FAMILIES};
+pub use families::{build_family, family_applicable, FAMILIES, OFFLINE_ONLY};
 pub use partition::{Partition, PartitionError};
 pub use policies::{
     Belady, Clock, Fifo, Fwf, Lfu, Lru, LruK, Marking, MarkingTie, Mru, RandomEvict,
