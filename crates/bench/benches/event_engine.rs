@@ -1,22 +1,26 @@
-//! Event engine vs. the scan-based tick engine, on the regimes that
-//! motivated the rebuild.
+//! The event engine, offline and fed incrementally, on the regimes that
+//! motivated it.
 //!
-//! The sparse large-τ rows use `staggered_thrash`: after warm-up every
-//! core faults with period `τ + 1` and the cores occupy distinct phases,
-//! so each timestep serves ≈ 1 core — the tick engine still pays three
-//! `O(p)` scans per step while the event engine pays `O(log p)` heap
-//! traffic. Target: ≥ 10× on the τ ≥ 64 rows. The dense small-τ rows are
-//! the parity guard: with every core due almost every step the event
-//! queue must cost no more than the scans it replaced.
+//! Each row runs the same (workload, config) twice: `event` is the offline
+//! [`simulate`] over a borrowed workload; `online` pushes the whole
+//! workload into an [`OnlineSimulator`], closes every core and drains it
+//! with `advance` — the same engine behind the safe-horizon gate, so the
+//! gap between the two is the cost of owning a growing workload plus the
+//! gate. The sparse large-τ rows use `staggered_thrash`: after warm-up
+//! every core faults with period `τ + 1` and the cores occupy distinct
+//! phases, so each timestep serves ≈ 1 core: the engine pays `O(log p)`
+//! heap traffic per step where a per-step core scan would pay `O(p)`. The
+//! dense small-τ rows are the parity guard: with every core due almost
+//! every step the event queue stays cheap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcp_bench::throughput_workload;
-use mcp_core::{simulate, simulate_tick, SimConfig, Workload};
+use mcp_core::{simulate, OnlineSimulator, SimConfig, Workload};
 use mcp_policies::shared_lru;
 use mcp_workloads::{bursty, staggered_thrash};
 use std::hint::black_box;
 
-/// Bench both engines on the same (workload, config) row.
+/// Bench the offline and the incremental run on the same row.
 fn engine_pair(group: &mut criterion::BenchmarkGroup<'_>, row: &str, w: &Workload, cfg: SimConfig) {
     group.throughput(Throughput::Elements(w.total_len() as u64));
     group.bench_with_input(BenchmarkId::new(row, "event"), &cfg, |b, &cfg| {
@@ -25,10 +29,18 @@ fn engine_pair(group: &mut criterion::BenchmarkGroup<'_>, row: &str, w: &Workloa
             black_box(r.total_faults())
         })
     });
-    group.bench_with_input(BenchmarkId::new(row, "tick"), &cfg, |b, &cfg| {
+    group.bench_with_input(BenchmarkId::new(row, "online"), &cfg, |b, &cfg| {
         b.iter(|| {
-            let r = simulate_tick(black_box(w), cfg, shared_lru()).unwrap();
-            black_box(r.total_faults())
+            let w = black_box(w);
+            let mut engine = OnlineSimulator::new(w.num_cores(), cfg, shared_lru()).unwrap();
+            for core in 0..w.num_cores() {
+                for &page in w.sequence(core) {
+                    engine.push(core, page).unwrap();
+                }
+            }
+            engine.close_all();
+            engine.advance().unwrap();
+            black_box(engine.faults().iter().sum::<u64>())
         })
     });
 }
@@ -36,11 +48,9 @@ fn engine_pair(group: &mut criterion::BenchmarkGroup<'_>, row: &str, w: &Workloa
 fn bench_sparse_large_tau(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_engine/sparse");
     // p ≤ τ + 1 keeps the staggered phases distinct: ≈ 1 due core/step.
-    // The rows use large p because that is where the asymptotic gap
-    // lives: the per-request work both engines share (cache + policy
-    // bookkeeping, ~100ns) bounds the achievable ratio by
-    // (shared + 3p·scan) / (shared + heap), so small p caps the ratio
-    // below 10× regardless of scheduler quality.
+    // The rows use large p because that is where a per-step core scan
+    // would cost the most; the event engine's per-request heap traffic
+    // grows only as log p.
     for (p, tau, n) in [
         (512usize, 512u64, 600usize),
         (768, 1_024, 850),
@@ -55,9 +65,8 @@ fn bench_sparse_large_tau(c: &mut Criterion) {
 
 fn bench_bursty(c: &mut Criterion) {
     // Hit runs are dense (every core due each step); cold bursts park a
-    // core for `burst · (τ + 1)` ticks — the mixed regime. At p = 8 the
-    // tick engine's scans are cheap, so this row (like the dense group)
-    // is a no-regression guard, not a speedup showcase.
+    // core for `burst · (τ + 1)` ticks — the mixed regime. A
+    // no-regression guard, like the dense group.
     let mut group = c.benchmark_group("event_engine/bursty");
     let p = 8;
     let w = bursty(p, 20_000, 4, 8, 7);
@@ -66,12 +75,8 @@ fn bench_bursty(c: &mut Criterion) {
 }
 
 fn bench_dense_parity(c: &mut Criterion) {
-    // Dense small-τ Zipf traffic: the event queue must not regress where
-    // the old scans were already cheap and every core is usually due.
-    // Measured floor: at τ = 0 (every core due every step, the scans
-    // perfectly amortized) the event engine's deferred-list bookkeeping
-    // costs within ~5% of the tick engine; any τ ≥ 1 staggers the cores
-    // and the event engine pulls ahead.
+    // Dense small-τ Zipf traffic, where every core is usually due: the
+    // deferred-list fast path keeps the event queue off the heap.
     let mut group = c.benchmark_group("event_engine/dense");
     let w = throughput_workload(4, 20_000, 9);
     engine_pair(&mut group, "zipf_p4_tau0", &w, SimConfig::new(64, 0));

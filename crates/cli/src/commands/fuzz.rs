@@ -1,7 +1,9 @@
-//! `mcp fuzz` — the seeded differential fuzz harness: the event engine
-//! vs. the scan-based tick engine (result + step-trace equality) vs. the
-//! naive reference over every strategy family, plus metamorphic
-//! invariants and exhaustive-oracle cross-checks of the offline DPs.
+//! `mcp fuzz` — the seeded differential fuzz harness: event vs. online
+//! vs. naive over every strategy family — the event engine against the
+//! naive reference (result + step-trace equality), and every family safe
+//! to run online streamed through the online engine under a seeded
+//! arrival interleaving — plus metamorphic invariants and
+//! exhaustive-oracle cross-checks of the offline DPs.
 //!
 //! ```text
 //! mcp fuzz --instances 256 [--seed 0xC5_2011_12] [--jobs 4]

@@ -46,7 +46,7 @@ commands:
                  [--deadline DUR] [--checkpoint FILE]
   pif          fairness feasibility    --trace F --k K --at T --bounds a,b,…
                  [--deadline DUR] [--checkpoint FILE]
-  fuzz         differential fuzz: event vs. tick vs. naive reference
+  fuzz         differential fuzz: event vs. online vs. naive reference
                  [--instances N] [--seed S] [--corpus DIR]
                  [--families a,b,…] [--profile mixed|large-tau|batch]
                  [--chaos] [--chaos-seed S];

@@ -10,12 +10,11 @@
 //! * [`types`] — pages, workloads, configuration.
 //! * [`cache`] — the `K`-cell cache with fetch-in-progress cells.
 //! * [`strategy`] — the [`CacheStrategy`] decision trait.
-//! * [`sim`] — the discrete-event engine, step-wise or run-to-completion.
-//! * [`tick`] — the scan-based engine it replaced, kept as a
-//!   differential-verification tier.
-//! * [`online`] — the incremental engine behind `mcp serve`: requests
-//!   arrive one at a time and timesteps commit under a safe-horizon rule
-//!   that keeps results bit-identical to the offline run.
+//! * [`sim`] — the discrete-event engine, step-wise or run-to-completion,
+//!   over a fixed workload or a growing one.
+//! * [`online`] — the incremental front behind `mcp serve`: requests
+//!   arrive one at a time and the engine commits timesteps under a
+//!   safe-horizon rule that keeps results bit-identical to the offline run.
 //! * [`events`] — analytics over event traces (effective partitions,
 //!   eviction pressure, outcome tallies).
 //! * [`hash`] — the deterministic fast hasher behind the hot-path
@@ -52,7 +51,6 @@ pub mod hash;
 pub mod online;
 pub mod sim;
 pub mod strategy;
-pub mod tick;
 pub mod types;
 
 pub use budget::{Budget, TripReason};
@@ -67,5 +65,4 @@ pub use sim::{
     simulate, simulate_with_capacity, Outcome, Served, SimError, SimResult, Simulator, StepReport,
 };
 pub use strategy::CacheStrategy;
-pub use tick::{simulate_tick, simulate_tick_with_capacity, TickSimulator};
 pub use types::{ModelError, PageId, SimConfig, Time, Workload};

@@ -111,8 +111,8 @@ pub trait CacheStrategy {
     ///
     /// # Boundary contract
     ///
-    /// Both engines ([`Simulator`] and [`TickSimulator`]) implement exactly
-    /// these semantics, with `last_time` the last served timestep (0 before
+    /// The engine ([`Simulator`]) and the oracle crate's naive reference
+    /// implement exactly these semantics, with `last_time` the last served timestep (0 before
     /// the first step) and `next_request` the minimum ready time over
     /// unfinished cores:
     ///
@@ -139,7 +139,6 @@ pub trait CacheStrategy {
     /// engine samples it once per step boundary.
     ///
     /// [`Simulator`]: crate::sim::Simulator
-    /// [`TickSimulator`]: crate::tick::TickSimulator
     /// [`StepReport::served`]: crate::sim::StepReport
     fn next_voluntary_time(&self) -> Option<Time> {
         None

@@ -184,6 +184,16 @@ impl Workload {
         self.sequences.len()
     }
 
+    /// Append `page` at the tail of core `core`'s sequence — how the
+    /// incremental engine admits a request. Returns the sequence's length
+    /// before the push, i.e. the new request's index.
+    #[inline]
+    pub(crate) fn push(&mut self, core: usize, page: PageId) -> usize {
+        let seq = &mut self.sequences[core];
+        seq.push(page);
+        seq.len() - 1
+    }
+
     /// The per-core sequences.
     pub fn sequences(&self) -> &[Vec<PageId>] {
         &self.sequences

@@ -6,8 +6,8 @@
 
 use mcp_core::online::OnlineSimulator;
 use mcp_core::{
-    simulate_tick_with_capacity, simulate_with_capacity, Cache, CacheStrategy, CapacitySchedule,
-    ModelError, PageId, SimConfig, SimError, Time, Workload,
+    simulate_with_capacity, Cache, CacheStrategy, CapacitySchedule, ModelError, PageId, SimConfig,
+    SimError, Time, Workload,
 };
 use proptest::prelude::*;
 
@@ -103,10 +103,6 @@ proptest! {
         let expected = SimError::Model(ModelError::CapacityBelowCores { min_k: dip, cores });
         prop_assert_eq!(
             simulate_with_capacity(&w, cfg, schedule.clone(), FirstFit).unwrap_err(),
-            expected.clone()
-        );
-        prop_assert_eq!(
-            simulate_tick_with_capacity(&w, cfg, schedule.clone(), FirstFit).unwrap_err(),
             expected.clone()
         );
         prop_assert_eq!(

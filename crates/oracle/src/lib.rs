@@ -32,4 +32,6 @@ pub use exhaustive::{
 };
 pub use fuzz::{run_fuzz, Divergence, FuzzOptions, FuzzProfile, FuzzReport};
 pub use instance::{build_family, family_applicable, Fixture, FixtureError, Instance, FAMILIES};
-pub use reference::{reference_simulate, reference_simulate_with_capacity, SKEW_ENV};
+pub use reference::{
+    reference_simulate, reference_simulate_traced, reference_simulate_with_capacity, SKEW_ENV,
+};

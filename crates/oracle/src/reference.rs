@@ -32,8 +32,8 @@
 //!    nothing can change and the tick is skipped.
 
 use mcp_core::{
-    Cache, CacheError, CacheStrategy, CapacitySchedule, CellState, Lookup, ModelError, PageId,
-    SimConfig, SimError, SimResult, Time, Workload,
+    Cache, CacheError, CacheStrategy, CapacitySchedule, CellState, Lookup, ModelError, Outcome,
+    PageId, Served, SimConfig, SimError, SimResult, StepReport, Time, Workload,
 };
 use std::collections::HashMap;
 
@@ -90,13 +90,27 @@ pub fn reference_simulate<S: CacheStrategy>(
 /// more occupied cells than the limit allows — the strategy's shrink
 /// victims (or, failing that, the lowest-index evictable cells) are
 /// evicted before any request of that tick is served. Requested pages are
-/// pinned *before* the shrink, exactly as in the optimized engines.
+/// pinned *before* the shrink, exactly as in the optimized engine.
 pub fn reference_simulate_with_capacity<S: CacheStrategy>(
     workload: &Workload,
     cfg: SimConfig,
     capacity: CapacitySchedule,
-    mut strategy: S,
+    strategy: S,
 ) -> Result<SimResult, SimError> {
+    reference_simulate_traced(workload, cfg, capacity, strategy).map(|(result, _)| result)
+}
+
+/// [`reference_simulate_with_capacity`], additionally returning one
+/// [`StepReport`] per served tick — the same trace
+/// [`mcp_core::Simulator::run_with_trace`] produces: shrink and voluntary
+/// evictions in the order they happened, then the served requests in core
+/// order.
+pub fn reference_simulate_traced<S: CacheStrategy>(
+    workload: &Workload,
+    cfg: SimConfig,
+    capacity: CapacitySchedule,
+    mut strategy: S,
+) -> Result<(SimResult, Vec<StepReport>), SimError> {
     cfg.validate(workload)?;
     let p = workload.num_cores();
     if capacity.initial_k() != cfg.cache_size {
@@ -127,6 +141,7 @@ pub fn reference_simulate_with_capacity<S: CacheStrategy>(
     let mut hits = vec![0u64; p];
     let mut fault_times = vec![Vec::<Time>::new(); p];
     let mut makespan: Time = 0;
+    let mut trace: Vec<StepReport> = Vec::new();
 
     let mut t: Time = 1;
     while !(0..p).all(|c| pos[c] >= workload.len(c)) {
@@ -164,6 +179,11 @@ pub fn reference_simulate_with_capacity<S: CacheStrategy>(
             continue;
         }
 
+        // This tick's trace entry: evictions (shrink, then voluntary) in
+        // the order they happen, and the served requests.
+        let mut evicted: Vec<(usize, PageId)> = Vec::new();
+        let mut served: Vec<Served> = Vec::new();
+
         // Rule 6: pin every page requested this parallel step before the
         // strategy may evict voluntarily.
         for &core in &due {
@@ -196,6 +216,7 @@ pub fn reference_simulate_with_capacity<S: CacheStrategy>(
                 let page = cache.evict(cell)?;
                 strategy.on_evict(page, cell);
                 shadow.remove(&page);
+                evicted.push((cell, page));
                 progress = true;
             }
             if !progress {
@@ -208,6 +229,7 @@ pub fn reference_simulate_with_capacity<S: CacheStrategy>(
                 let page = cache.evict(cell)?;
                 strategy.on_evict(page, cell);
                 shadow.remove(&page);
+                evicted.push((cell, page));
             }
         }
 
@@ -218,18 +240,20 @@ pub fn reference_simulate_with_capacity<S: CacheStrategy>(
             let page = cache.evict(cell)?;
             strategy.on_evict(page, cell);
             shadow.remove(&page);
+            evicted.push((cell, page));
         }
 
         // Rule 2: serve due cores in increasing core order.
         for &core in &due {
             let page = workload.sequence(core)[pos[core]];
-            match cache.lookup(page) {
+            let outcome = match cache.lookup(page) {
                 Lookup::Present { .. } => {
                     // Rule 3: a hit completes at t.
                     hits[core] += 1;
                     strategy.on_hit(core, page, t, &cache);
                     ready[core] = t + 1;
                     makespan = makespan.max(t);
+                    Outcome::Hit
                 }
                 Lookup::Fetching { .. } => {
                     // Rule 5: mid-fetch for another core — fault, no cell.
@@ -238,23 +262,25 @@ pub fn reference_simulate_with_capacity<S: CacheStrategy>(
                     strategy.on_shared_fetch_miss(core, page, t, &cache);
                     ready[core] = t + cfg.tau + 1;
                     makespan = makespan.max(t + cfg.tau);
+                    Outcome::SharedFetchMiss
                 }
                 Lookup::Absent => {
                     // Rule 4: fault — evict a victim now, fetch until t + τ.
                     faults[core] += 1;
                     fault_times[core].push(t);
                     let cell = strategy.choose_cell(core, page, t, &cache);
-                    match cache.cell(cell) {
+                    let victim = match cache.cell(cell) {
                         CellState::Present(_) => {
                             let victim = cache.evict(cell)?;
                             strategy.on_evict(victim, cell);
                             shadow.remove(&victim);
+                            Some(victim)
                         }
-                        CellState::Empty => {}
+                        CellState::Empty => None,
                         CellState::Fetching { .. } => {
                             return Err(SimError::Cache(CacheError::EvictFetching { cell }));
                         }
-                    }
+                    };
                     cache.start_fetch(cell, page, core, t + cfg.tau + 1)?;
                     strategy.on_fault(core, page, t, cell, &cache);
                     shadow.insert(
@@ -267,12 +293,27 @@ pub fn reference_simulate_with_capacity<S: CacheStrategy>(
                     );
                     ready[core] = t + cfg.tau + 1;
                     makespan = makespan.max(t + cfg.tau);
+                    Outcome::Fault {
+                        cell,
+                        evicted: victim,
+                    }
                 }
-            }
+            };
+            served.push(Served {
+                core,
+                index: pos[core],
+                page,
+                outcome,
+            });
             pos[core] += 1;
         }
         cache.clear_pins();
         cross_check(&cache, &shadow);
+        trace.push(StepReport {
+            time: t,
+            voluntary: evicted,
+            served,
+        });
         t += 1;
     }
 
@@ -281,13 +322,14 @@ pub fn reference_simulate_with_capacity<S: CacheStrategy>(
         fault_times[0].push(makespan + 1);
     }
 
-    Ok(SimResult {
+    let result = SimResult {
         faults,
         hits,
         makespan,
         fault_times,
         config: cfg,
-    })
+    };
+    Ok((result, trace))
 }
 
 /// Assert that the naive shadow map and the real cache describe the same

@@ -57,9 +57,9 @@ pub use mcp_workloads as workloads;
 
 // The most common entry points, flattened for convenience.
 pub use mcp_core::{
-    simulate, simulate_tick, simulate_with_capacity, Cache, CacheStrategy, CapacitySchedule,
-    CellState, Lookup, ModelError, Outcome, PageId, Served, SimConfig, SimError, SimResult,
-    Simulator, StepReport, TickSimulator, Time, Workload,
+    simulate, simulate_with_capacity, Cache, CacheStrategy, CapacitySchedule, CellState, Lookup,
+    ModelError, Outcome, PageId, Served, SimConfig, SimError, SimResult, Simulator, StepReport,
+    Time, Workload,
 };
 pub use mcp_offline::{ftf_dp, ftf_min_faults, max_pif, pif_decide, FtfOptions, PifOptions};
 pub use mcp_policies::{

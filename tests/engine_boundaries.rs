@@ -2,15 +2,16 @@
 //! for fetch-completion ordering under fast-forward.
 //!
 //! The contract (documented on `CacheStrategy::next_voluntary_time`) has
-//! four boundary cases — stale, quiet, coincident, post-final — and both
-//! engines must implement all four identically. Each test drives the
-//! event engine ([`Simulator`]) and the scan engine ([`TickSimulator`])
-//! and asserts full `StepReport`-level trace equality in addition to the
-//! behavior being pinned.
+//! four boundary cases — stale, quiet, coincident, post-final — and the
+//! engine and the naive reference must implement all four identically.
+//! Each test drives the event engine ([`Simulator`]) and the reference
+//! ([`reference_simulate_traced`]) and asserts full `StepReport`-level
+//! trace equality in addition to the behavior being pinned.
 
+use multicore_paging::oracle::reference_simulate_traced;
 use multicore_paging::{
-    simulate, simulate_tick, Cache, CacheStrategy, Outcome, PageId, SimConfig, SimResult,
-    Simulator, StepReport, TickSimulator, Time, Workload,
+    simulate, Cache, CacheStrategy, CapacitySchedule, Outcome, PageId, SimConfig, SimResult,
+    Simulator, StepReport, Time, Workload,
 };
 use std::collections::BTreeMap;
 
@@ -94,8 +95,8 @@ fn w(seqs: &[&[u32]]) -> Workload {
     Workload::from_u32(seqs.iter().map(|s| s.to_vec())).unwrap()
 }
 
-/// Run both engines with traces and assert they agree exactly; returns the
-/// (shared) result and trace.
+/// Run the engine and the reference with traces and assert they agree
+/// exactly; returns the (shared) result and trace.
 fn both_engines<S: CacheStrategy + Clone>(
     wl: &Workload,
     cfg: SimConfig,
@@ -105,19 +106,21 @@ fn both_engines<S: CacheStrategy + Clone>(
         .unwrap()
         .run_with_trace()
         .unwrap();
-    let (tr, tt) = TickSimulator::new(wl, cfg, strategy)
-        .unwrap()
-        .run_with_trace()
-        .unwrap();
-    assert_eq!(er, tr, "engines disagree on the aggregate result");
-    assert_eq!(et, tt, "engines disagree on the step trace");
+    let (rr, rt) =
+        reference_simulate_traced(wl, cfg, CapacitySchedule::fixed(cfg.cache_size), strategy)
+            .unwrap();
+    assert_eq!(
+        er, rr,
+        "engine and reference disagree on the aggregate result"
+    );
+    assert_eq!(et, rt, "engine and reference disagree on the step trace");
     (er, et)
 }
 
 #[test]
 fn stale_declaration_is_ignored() {
     // vt = 0 is stale from the very start (last_time starts at 0): the run
-    // must be identical to one with no declaration at all, on both engines.
+    // must be identical to one with no declaration at all, on both sides.
     let wl = w(&[&[1, 2, 1], &[3, 1]]);
     let cfg = SimConfig::new(3, 2);
     let baseline = both_engines(&wl, cfg, Declare::none());
@@ -189,7 +192,7 @@ fn coincident_declaration_cannot_evict_pinned_page() {
     // eviction silently fails (cell_of still finds it, but the cache
     // refuses… Declare filters by residency only, so the engine's pin is
     // what must protect it). Pinning happens before voluntary evictions on
-    // both engines; a strategy returning a pinned cell is an error, so
+    // both sides; a strategy returning a pinned cell is an error, so
     // Declare would panic the run if pins were not applied first. Here we
     // avoid the error path and just pin down that the request is a hit.
     let wl = w(&[&[1, 1, 1]]);
@@ -207,7 +210,7 @@ fn coincident_declaration_cannot_evict_pinned_page() {
 fn post_final_declaration_is_silently_dropped() {
     // Declarations after the final request must not extend the run: no
     // trailing steps, no makespan change, identical traces to an
-    // undeclared run — on both engines.
+    // undeclared run — on both sides.
     let wl = w(&[&[1, 2], &[3]]);
     let cfg = SimConfig::new(3, 2);
     let baseline = both_engines(&wl, cfg, Declare::none());
@@ -265,7 +268,7 @@ fn completions_inside_skipped_gaps_are_drained() {
     // the next served steps are hits of core 1 at t = 6..=8 (after its own
     // fault's τ window) — the event engine must drain the stale completion
     // event when fast-forwarding past it, keeping the cache (and any
-    // strategy observing it) identical to the scan engine's lazy
+    // strategy observing it) identical to the reference's lazy
     // promote_due. Core 1 then re-requests page 1 and must hit.
     let wl = w(&[&[1], &[2, 2, 2, 1]]);
     let cfg = SimConfig::new(3, 3);
@@ -279,7 +282,7 @@ fn completions_inside_skipped_gaps_are_drained() {
     assert_eq!(result.hits, vec![0, 3]);
 
     // Larger battery: uneven lengths, shared pages, τ from 0 to large —
-    // trace equality between the engines is the real assertion.
+    // trace equality with the reference is the real assertion.
     for tau in [0u64, 1, 2, 7, 64, 1000] {
         for wl in [
             w(&[&[1, 2, 1, 2, 3], &[2, 3, 2], &[1]]),
@@ -287,10 +290,9 @@ fn completions_inside_skipped_gaps_are_drained() {
             w(&[&[1, 2, 3, 4, 1, 2, 3, 4], &[4, 3, 2, 1]]),
         ] {
             let cfg = SimConfig::new(4, tau);
-            both_engines(&wl, cfg, Declare::none());
-            let a = simulate(&wl, cfg, Declare::none()).unwrap();
-            let b = simulate_tick(&wl, cfg, Declare::none()).unwrap();
-            assert_eq!(a, b, "tau = {tau}");
+            let (traced, _) = both_engines(&wl, cfg, Declare::none());
+            let plain = simulate(&wl, cfg, Declare::none()).unwrap();
+            assert_eq!(traced, plain, "tau = {tau}");
         }
     }
 }

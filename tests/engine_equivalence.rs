@@ -1,17 +1,19 @@
-//! Property test: the event engine and the scan-based tick engine are
-//! bit-identical — full `SimResult` *and* step-trace equality — across
-//! every registered strategy family, τ ∈ {0, 1, large}, and both disjoint
-//! and non-disjoint workloads.
+//! Property test: the event engine and the oracle crate's naive
+//! tick-by-tick reference are bit-identical — full `SimResult` *and*
+//! step-trace equality — across every registered strategy family,
+//! τ ∈ {0, 1, large}, and both disjoint and non-disjoint workloads.
 //!
-//! This is the blanket guarantee behind replacing the hot loop: whatever a
-//! policy does (voluntary evictions, randomized tie-breaks, per-core
-//! partitions, offline sacrifice schedules), the discrete-event scheduler
-//! must serve exactly the same timesteps in exactly the same within-step
-//! order as the `O(p)`-scan engine it replaced.
+//! This is the blanket guarantee behind the hot loop: whatever a policy
+//! does (voluntary evictions, randomized tie-breaks, per-core partitions,
+//! offline sacrifice schedules), the discrete-event scheduler must serve
+//! exactly the same timesteps in exactly the same within-step order as a
+//! literal transcription of the model.
 
-use multicore_paging::oracle::{build_family, family_applicable, Instance, FAMILIES};
+use multicore_paging::oracle::{
+    build_family, family_applicable, reference_simulate_traced, Instance, FAMILIES,
+};
 use multicore_paging::workloads::staggered_thrash;
-use multicore_paging::{PageId, SimConfig, Simulator, TickSimulator, Workload};
+use multicore_paging::{CapacitySchedule, PageId, SimConfig, Simulator, Workload};
 use proptest::prelude::*;
 
 /// Raw per-core sequences over a small shared universe, offset into
@@ -35,7 +37,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn event_engine_is_bit_identical_to_tick_engine(
+    fn event_engine_is_bit_identical_to_reference(
         raw in prop::collection::vec(prop::collection::vec(0u32..8, 0..14), 1..=3),
         family_idx in 0usize..FAMILIES.len(),
         extra_k in 0usize..3,
@@ -67,13 +69,16 @@ proptest! {
             .unwrap()
             .run_with_trace()
             .unwrap();
-        let (tick_result, tick_trace) = TickSimulator::new(&instance.workload, cfg, mk())
-            .unwrap()
-            .run_with_trace()
-            .unwrap();
+        let (ref_result, ref_trace) = reference_simulate_traced(
+            &instance.workload,
+            cfg,
+            CapacitySchedule::fixed(cfg.cache_size),
+            mk(),
+        )
+        .unwrap();
 
-        prop_assert_eq!(&event_result, &tick_result, "family {}", family);
-        prop_assert_eq!(&event_trace, &tick_trace, "family {}", family);
+        prop_assert_eq!(&event_result, &ref_result, "family {}", family);
+        prop_assert_eq!(&event_trace, &ref_trace, "family {}", family);
 
         // Trace sanity: every request is served exactly once, in step-time
         // order, with cores ascending within each step.
@@ -87,8 +92,8 @@ proptest! {
 }
 
 /// The point of the event engine: on sparse large-τ workloads the number
-/// of served steps is a small fraction of the makespan, and the engines
-/// still agree exactly.
+/// of served steps is a small fraction of the makespan, and it still
+/// agrees exactly with the reference, which walks every tick.
 #[test]
 fn skip_path_serves_few_steps_and_stays_identical() {
     let w = staggered_thrash(8, 50, 10, 8, 3);
@@ -98,12 +103,10 @@ fn skip_path_serves_few_steps_and_stays_identical() {
         .unwrap()
         .run_with_trace()
         .unwrap();
-    let (tick_result, tick_trace) = TickSimulator::new(&w, cfg, mk())
-        .unwrap()
-        .run_with_trace()
-        .unwrap();
-    assert_eq!(event_result, tick_result);
-    assert_eq!(event_trace, tick_trace);
+    let (ref_result, ref_trace) =
+        reference_simulate_traced(&w, cfg, CapacitySchedule::fixed(cfg.cache_size), mk()).unwrap();
+    assert_eq!(event_result, ref_result);
+    assert_eq!(event_trace, ref_trace);
     assert!(
         (event_trace.len() as u64) * 10 < event_result.makespan,
         "{} steps over a makespan of {} — the workload is not sparse",
