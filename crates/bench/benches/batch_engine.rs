@@ -6,9 +6,10 @@
 //! workload materialization plus a fresh `Simulator` with a boxed
 //! strategy — while the batch row materializes each workload once per
 //! grid and advances cells through the dense structure-of-arrays engine
-//! with thread-local reusable scratch. Target (the PR gate): ≥ 3×
-//! cells/sec on a ≥ 1000-cell mixed-family grid, at bit-identical
-//! results (spot-checked here; proven cell-by-cell in
+//! with thread-local reusable scratch. The batch engine was built to a
+//! ≥ 3× cells/sec target on a ≥ 1000-cell mixed-family grid; the ratio
+//! shrinks as the per-run victim path gets faster. Results are
+//! bit-identical (spot-checked here; proven cell-by-cell in
 //! `crates/batch/tests/batch_differential.rs` and by `mcp fuzz
 //! --profile batch`).
 

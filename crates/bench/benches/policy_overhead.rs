@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mcp_bench::{large_k_workload, throughput_workload};
 use mcp_core::{simulate, SimConfig};
 use mcp_policies::{
-    static_partition_belady, static_partition_lru, Clock, Fifo, Lfu, LruMimicPartition, Marking,
-    MarkingTie, Mru, Partition, RandomEvict, Shared, SharedFitf,
+    static_partition_belady, static_partition_lru, Clock, Fifo, Fwf, Lfu, LruK, LruMimicPartition,
+    Marking, MarkingTie, Mru, Partition, RandomEvict, SacrificeOffline, Shared, SharedFitf,
 };
 use std::hint::black_box;
 
@@ -78,6 +78,33 @@ fn bench_policies(c: &mut Criterion) {
             )
         })
     });
+    group.bench_function("fwf", |b| {
+        b.iter(|| {
+            black_box(
+                simulate(&w, cfg, Shared::new(Fwf::new()))
+                    .unwrap()
+                    .total_faults(),
+            )
+        })
+    });
+    group.bench_function("lru2", |b| {
+        b.iter(|| {
+            black_box(
+                simulate(&w, cfg, Shared::new(LruK::new(2)))
+                    .unwrap()
+                    .total_faults(),
+            )
+        })
+    });
+    group.bench_function("mark_rand", |b| {
+        b.iter(|| {
+            black_box(
+                simulate(&w, cfg, Shared::new(Marking::new(MarkingTie::Random(1))))
+                    .unwrap()
+                    .total_faults(),
+            )
+        })
+    });
     group.bench_function("fitf_offline", |b| {
         b.iter(|| black_box(simulate(&w, cfg, SharedFitf::new()).unwrap().total_faults()))
     });
@@ -120,6 +147,17 @@ fn bench_strategies(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 simulate(&w, cfg, LruMimicPartition::new())
+                    .unwrap()
+                    .total_faults(),
+            )
+        })
+    });
+    // Lemma 4's offline S_OFF; the Zipf fixture is disjoint, as it needs.
+    assert!(w.is_disjoint());
+    group.bench_function("sacrifice", |b| {
+        b.iter(|| {
+            black_box(
+                simulate(&w, cfg, SacrificeOffline::new(3))
                     .unwrap()
                     .total_faults(),
             )

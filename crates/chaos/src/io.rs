@@ -160,7 +160,7 @@ pub fn read(path: &Path, site: &str) -> io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{arm_scoped, FaultPlan};
+    use crate::{arm_scoped, disarmed_scoped, FaultPlan};
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mcp-chaos-{name}-{}", std::process::id()));
@@ -171,6 +171,7 @@ mod tests {
 
     #[test]
     fn plain_round_trip() {
+        let _guard = disarmed_scoped();
         let dir = tmp_dir("plain");
         let p = dir.join("file.bin");
         atomic_write(&p, b"hello", "test.write").unwrap();
@@ -198,7 +199,10 @@ mod tests {
     fn crash_plan_never_tears_the_target() {
         let dir = tmp_dir("crash");
         let p = dir.join("ck.bin");
-        atomic_write(&p, b"old complete contents", "test.write").unwrap();
+        {
+            let _guard = disarmed_scoped();
+            atomic_write(&p, b"old complete contents", "test.write").unwrap();
+        }
         {
             let _guard = arm_scoped(FaultPlan::write_crash(11));
             let err = atomic_write(&p, b"new contents", "test.write").unwrap_err();
@@ -214,6 +218,7 @@ mod tests {
             "no staging litter after giving up"
         );
         // Disarmed, the same write goes through.
+        let _guard = disarmed_scoped();
         atomic_write(&p, b"new contents", "test.write").unwrap();
         assert_eq!(fs::read(&p).unwrap(), b"new contents");
         let _ = fs::remove_dir_all(&dir);
@@ -224,7 +229,10 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let p = dir.join("data.bin");
         let payload: Vec<u8> = (0..=255).collect();
-        atomic_write(&p, &payload, "test.write").unwrap();
+        {
+            let _guard = disarmed_scoped();
+            atomic_write(&p, &payload, "test.write").unwrap();
+        }
         let plan = FaultPlan {
             read_per_mille: 1000,
             write_per_mille: 0,

@@ -240,6 +240,22 @@ pub fn arm_scoped(plan: FaultPlan) -> ArmGuard {
     ArmGuard { _lock: lock }
 }
 
+/// RAII guard from [`disarmed_scoped`]: holds the global arm lock for its
+/// lifetime, so no [`arm_scoped`] plan can be armed while it lives.
+pub struct DisarmedGuard {
+    _lock: MutexGuard<'static, ()>,
+}
+
+/// Hold "no plan armed" for a lexical scope: takes the same global arm
+/// lock as [`arm_scoped`] and disarms. Tests that rely on running
+/// unfaulted take this guard, so a concurrently running test's armed plan
+/// waits for them instead of leaking into them.
+pub fn disarmed_scoped() -> DisarmedGuard {
+    let lock = ARM_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    disarm();
+    DisarmedGuard { _lock: lock }
+}
+
 /// Arm from the `MCP_CHAOS` environment variable (format:
 /// [`FaultPlan::parse`]) if it is set and valid. Returns the armed plan.
 /// Binaries call this at startup so end-to-end tests can inject faults
@@ -374,6 +390,7 @@ mod tests {
 
     #[test]
     fn disarmed_probes_are_none() {
+        let _guard = disarmed_scoped();
         assert!(!armed());
         assert!(write_fault("t", 0, 0).is_none());
         assert!(read_fault("t", 0, 0).is_none());

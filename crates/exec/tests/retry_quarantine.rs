@@ -3,7 +3,7 @@
 //! work-stealing chunk, and the retry/quarantine layer under injected
 //! chaos faults — identical results at every worker count.
 
-use mcp_chaos::{arm_scoped, FaultPlan};
+use mcp_chaos::{arm_scoped, disarmed_scoped, FaultPlan};
 use mcp_exec::{Pool, Quarantined};
 use std::panic;
 use std::sync::Mutex;
@@ -71,6 +71,7 @@ fn emit_streams_every_slot_in_order_despite_same_chunk_panics() {
 
 #[test]
 fn deterministic_failures_are_quarantined_while_the_rest_complete() {
+    let _guard = disarmed_scoped();
     let items: Vec<usize> = (0..24).collect();
     quietly(|| {
         let pool = Pool::new(3);
@@ -122,6 +123,7 @@ fn injected_faults_are_retried_to_identical_results_at_every_worker_count() {
 
 #[test]
 fn retry_emit_observes_every_slot_once_in_input_order() {
+    let _guard = disarmed_scoped();
     let items: Vec<usize> = (0..20).collect();
     quietly(|| {
         let pool = Pool::new(2);

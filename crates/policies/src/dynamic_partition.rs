@@ -11,10 +11,10 @@
 //! * [`StagedPartition`] — a partition that changes only at prescribed
 //!   times (the `o(n)`-stage strategies of Theorem 1.3).
 
-use crate::eviction::EvictionPolicy;
+use crate::eviction::{shed_victims, stream_victim, EvictionPolicy};
 use crate::partition::Partition;
-use mcp_core::{Cache, CacheStrategy, PageId, SimConfig, Time, Workload};
-use std::collections::HashMap;
+use crate::policies::lru::Lru;
+use mcp_core::{Cache, CacheStrategy, FxHashMap, PageId, SimConfig, Time, Workload};
 
 /// Lemma 3's dynamic partition: start with an equal split; on each fault,
 /// if the cache is full, shrink the part of the core owning the globally
@@ -24,9 +24,12 @@ use std::collections::HashMap;
 /// On disjoint workloads this serves every request exactly as `S_LRU`
 /// does (Lemma 3) — the partition is pure bookkeeping. The experiment E07
 /// and a property test assert bitwise-equal fault sequences.
+///
+/// Recency is kept by the intrusive [`Lru`] itself, so the globally
+/// least-recently-used evictable page is a walk from its least-recent end.
 #[derive(Clone, Debug, Default)]
 pub struct LruMimicPartition {
-    last_use: HashMap<PageId, u64>,
+    recency: Lru,
     stamp: u64,
     /// Number of times a cell moved between parts (partition changes).
     pub reassignments: u64,
@@ -56,23 +59,19 @@ impl CacheStrategy for LruMimicPartition {
 
     fn on_hit(&mut self, _core: usize, page: PageId, _time: Time, _cache: &Cache) {
         let stamp = self.next_stamp();
-        self.last_use.insert(page, stamp);
+        self.recency.on_access(page, stamp);
     }
 
     fn choose_cell(&mut self, core: usize, _page: PageId, _time: Time, cache: &Cache) -> usize {
         if let Some(cell) = cache.empty_cell() {
             return cell;
         }
-        let (cell, _, owner) = cache
-            .evictable_cells()
-            .min_by_key(|(_, p, _)| {
-                self.last_use
-                    .get(p)
-                    .copied()
-                    .expect("resident page stamped")
-            })
+        let victim = self
+            .recency
+            .oldest_where(&|p| cache.is_evictable_page(p))
             .expect("full cache has a resident page");
-        if owner != Some(core) {
+        let cell = cache.cell_of(victim).expect("victim is resident");
+        if cache.owner(cell) != Some(core) {
             self.reassignments += 1;
         }
         cell
@@ -80,11 +79,11 @@ impl CacheStrategy for LruMimicPartition {
 
     fn on_fault(&mut self, _core: usize, page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
         let stamp = self.next_stamp();
-        self.last_use.insert(page, stamp);
+        self.recency.on_insert(page, stamp);
     }
 
     fn on_evict(&mut self, page: PageId, _cell: usize) {
-        self.last_use.remove(&page);
+        self.recency.on_remove(page);
     }
 }
 
@@ -103,7 +102,7 @@ pub struct StagedPartition<P> {
     base_stages: Vec<(Time, Partition)>,
     factory: crate::static_partition::PolicyFactory<P>,
     policies: Vec<P>,
-    page_part: HashMap<PageId, usize>,
+    page_part: FxHashMap<PageId, usize>,
     stamp: u64,
     label: String,
 }
@@ -122,7 +121,7 @@ impl<P: EvictionPolicy> StagedPartition<P> {
             stages,
             factory: Box::new(move |_, _, _| make()),
             policies: Vec::new(),
-            page_part: HashMap::new(),
+            page_part: FxHashMap::default(),
             stamp: 0,
             label: String::new(),
         }
@@ -181,15 +180,14 @@ impl<P: EvictionPolicy> CacheStrategy for StagedPartition<P> {
             if owned <= target.size(core) {
                 continue;
             }
-            let mut excess = owned - target.size(core);
-            let mut candidates: Vec<PageId> =
-                cache.evictable_cells_of(core).map(|(_, p)| p).collect();
-            while excess > 0 && !candidates.is_empty() {
-                let victim = self.policies[core].choose_victim(&candidates);
-                candidates.retain(|&p| p != victim);
-                evictions.push(cache.cell_of(victim).expect("victim resident"));
-                excess -= 1;
-            }
+            let excess = owned - target.size(core);
+            shed_victims(
+                &mut self.policies[core],
+                cache,
+                Some(core),
+                excess,
+                &mut evictions,
+            );
             // Any remaining excess is held by in-flight fetches or pages
             // pinned by this step's requests; it will be collected on a
             // later timestep.
@@ -219,20 +217,14 @@ impl<P: EvictionPolicy> CacheStrategy for StagedPartition<P> {
             .filter(|&j| j != core && cache.owned_count(j) > target.size(j))
             .max_by_key(|&j| cache.owned_count(j) - target.size(j));
         let part = over.unwrap_or(core);
-        let mut candidates: Vec<PageId> = cache.evictable_cells_of(part).map(|(_, p)| p).collect();
-        let part = if candidates.is_empty() && part != core {
+        let victim = match stream_victim(&mut self.policies[part], cache, Some(part), &[]) {
+            Some(victim) => Some(victim),
             // The over-quota part is fully pinned or in flight: fall back
             // to the faulting core's own part.
-            candidates = cache.evictable_cells_of(core).map(|(_, p)| p).collect();
-            core
-        } else {
-            part
-        };
-        assert!(
-            !candidates.is_empty(),
-            "full part must have an evictable page"
-        );
-        let victim = self.policies[part].choose_victim(&candidates);
+            None if part != core => stream_victim(&mut self.policies[core], cache, Some(core), &[]),
+            None => None,
+        }
+        .expect("full part must have an evictable page");
         cache.cell_of(victim).expect("victim resident")
     }
 
@@ -274,15 +266,14 @@ impl<P: EvictionPolicy> CacheStrategy for StagedPartition<P> {
             if owned <= quota {
                 continue;
             }
-            let mut excess = (owned - quota).min(need - cells.len());
-            let mut candidates: Vec<PageId> =
-                cache.evictable_cells_of(core).map(|(_, p)| p).collect();
-            while excess > 0 && !candidates.is_empty() {
-                let victim = self.policies[core].choose_victim(&candidates);
-                candidates.retain(|&p| p != victim);
-                cells.push(cache.cell_of(victim).expect("victim resident"));
-                excess -= 1;
-            }
+            let excess = (owned - quota).min(need - cells.len());
+            shed_victims(
+                &mut self.policies[core],
+                cache,
+                Some(core),
+                excess,
+                &mut cells,
+            );
         }
         cells
     }

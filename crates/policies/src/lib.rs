@@ -21,6 +21,7 @@
 pub mod dynamic_partition;
 pub mod eviction;
 pub mod families;
+mod next_use;
 pub mod partition;
 pub mod policies;
 pub mod scripted;

@@ -5,54 +5,41 @@
 //! notwithstanding).
 
 use crate::eviction::EvictionPolicy;
+use crate::next_use::NextUse;
 use mcp_core::PageId;
-use std::collections::HashMap;
 
 /// Furthest-in-the-future eviction over one core's request sequence.
 ///
 /// The policy tracks how many of the core's requests it has witnessed
 /// (every `on_insert`/`on_access` corresponds to one served request of the
 /// owning core, in order) and resolves next-use positions against the full
-/// sequence supplied at construction.
+/// sequence supplied at construction, through next-occurrence tables that
+/// each served request advances in O(1).
 ///
 /// Only meaningful when the policy observes exactly the owning core's
 /// requests in order — i.e. per-part use on disjoint workloads, or p = 1.
 #[derive(Clone, Debug)]
 pub struct Belady {
-    /// occurrences[page] = ascending positions of `page` in the sequence.
-    occurrences: HashMap<PageId, Vec<usize>>,
-    /// Number of requests of the owning core served so far.
-    cursor: usize,
+    next: NextUse,
 }
 
 impl Belady {
     /// Build from the owning core's full request sequence.
     pub fn for_sequence(seq: &[PageId]) -> Self {
-        let mut occurrences: HashMap<PageId, Vec<usize>> = HashMap::new();
-        for (i, &page) in seq.iter().enumerate() {
-            occurrences.entry(page).or_default().push(i);
-        }
         Belady {
-            occurrences,
-            cursor: 0,
+            next: NextUse::new(&[seq]),
         }
     }
 
     /// Position of the first use of `page` at or after the next unserved
     /// request; `usize::MAX` if never used again.
     pub fn next_use(&self, page: PageId) -> usize {
-        match self.occurrences.get(&page) {
-            None => usize::MAX,
-            Some(positions) => {
-                let i = positions.partition_point(|&pos| pos < self.cursor);
-                positions.get(i).copied().unwrap_or(usize::MAX)
-            }
-        }
+        self.next.next_use(0, page)
     }
 
     /// Requests of the owning core served so far.
     pub fn served(&self) -> usize {
-        self.cursor
+        self.next.cursor(0)
     }
 }
 
@@ -62,23 +49,26 @@ impl EvictionPolicy for Belady {
     }
 
     fn on_insert(&mut self, _page: PageId, _stamp: u64) {
-        self.cursor += 1;
+        self.next.advance(0);
     }
 
     fn on_access(&mut self, _page: PageId, _stamp: u64) {
-        self.cursor += 1;
+        self.next.advance(0);
     }
 
     fn on_remove(&mut self, _page: PageId) {}
 
-    fn choose_victim(&mut self, candidates: &[PageId]) -> PageId {
+    fn choose_victim_from(
+        &mut self,
+        candidates: &mut dyn Iterator<Item = PageId>,
+        _eligible: &dyn Fn(PageId) -> bool,
+    ) -> PageId {
         // Called while serving request `cursor` (a fault): a candidate's
         // next use is its first occurrence strictly after `cursor`; the
         // faulting page itself is never a candidate, so `> cursor` and
         // `>= cursor` coincide — we use the current cursor as the bound.
-        *candidates
-            .iter()
-            .max_by_key(|p| (self.next_use(**p), p.0))
+        candidates
+            .max_by_key(|p| (self.next_use(*p), p.0))
             .expect("candidates nonempty")
     }
 }

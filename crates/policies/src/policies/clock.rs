@@ -1,8 +1,7 @@
 //! CLOCK (second-chance) eviction: a one-bit LRU approximation.
 
 use crate::eviction::EvictionPolicy;
-use mcp_core::PageId;
-use std::collections::HashMap;
+use mcp_core::{FxHashMap, PageId};
 
 /// Pages sit on a circular list; each carries a reference bit set on
 /// access. The hand sweeps: a set bit is cleared (second chance), a clear
@@ -10,7 +9,7 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default)]
 pub struct Clock {
     ring: Vec<PageId>,
-    refbit: HashMap<PageId, bool>,
+    refbit: FxHashMap<PageId, bool>,
     hand: usize,
 }
 
@@ -18,29 +17,6 @@ impl Clock {
     /// New, empty CLOCK state.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The hand sweep, parameterised over the candidate-membership test so
-    /// the slice and streamed entry points behave identically. Returns
-    /// `None` only in the (unreachable with a sequential driver) case that
-    /// two sweeps find no clear-bit candidate.
-    fn sweep(&mut self, is_candidate: &dyn Fn(PageId) -> bool) -> Option<PageId> {
-        // Two full sweeps suffice: the first clears every set bit we pass,
-        // so by the second every candidate we reach has a clear bit.
-        for _ in 0..2 * self.ring.len().max(1) {
-            let page = self.ring[self.hand];
-            let bit = self.refbit.get_mut(&page).expect("ring page has a bit");
-            if *bit {
-                *bit = false;
-                self.hand = (self.hand + 1) % self.ring.len();
-            } else if is_candidate(page) {
-                self.hand = (self.hand + 1) % self.ring.len();
-                return Some(page);
-            } else {
-                self.hand = (self.hand + 1) % self.ring.len();
-            }
-        }
-        None
     }
 }
 
@@ -75,26 +51,28 @@ impl EvictionPolicy for Clock {
         self.refbit.remove(&page);
     }
 
-    fn choose_victim(&mut self, candidates: &[PageId]) -> PageId {
-        debug_assert!(!candidates.is_empty());
-        // All candidates keeping their bits would require accesses racing
-        // the sweep — cannot happen with the sequential driver, but fall
-        // back safely.
-        self.sweep(&|p| candidates.contains(&p))
-            .unwrap_or(candidates[0])
-    }
-
     fn choose_victim_from(
         &mut self,
         candidates: &mut dyn Iterator<Item = PageId>,
         eligible: &dyn Fn(PageId) -> bool,
     ) -> PageId {
-        // The sweep probes `eligible` per ring entry — O(1) per step
-        // instead of a scan of a collected candidate slice.
-        match self.sweep(eligible) {
-            Some(page) => page,
-            None => candidates.next().expect("candidates nonempty"),
+        // Two full sweeps suffice: the first clears every set bit we pass,
+        // so by the second every eligible page we reach has a clear bit.
+        // Each step probes `eligible` once — O(1).
+        for _ in 0..2 * self.ring.len().max(1) {
+            let page = self.ring[self.hand];
+            let bit = self.refbit.get_mut(&page).expect("ring page has a bit");
+            self.hand = (self.hand + 1) % self.ring.len();
+            if *bit {
+                *bit = false;
+            } else if eligible(page) {
+                return page;
+            }
         }
+        // All candidates keeping their bits would need accesses racing
+        // the sweep, which the sequential driver never does; fall back to
+        // the first candidate.
+        candidates.next().expect("candidates nonempty")
     }
 }
 

@@ -1,8 +1,8 @@
 //! First-In-First-Out eviction.
 
 use crate::eviction::EvictionPolicy;
-use mcp_core::PageId;
-use std::collections::{BTreeSet, HashMap};
+use mcp_core::{FxHashMap, PageId};
+use std::collections::BTreeSet;
 
 /// Evicts the candidate that entered the managed set earliest.
 ///
@@ -14,7 +14,7 @@ use std::collections::{BTreeSet, HashMap};
 /// with no per-fault candidate collection.
 #[derive(Clone, Debug, Default)]
 pub struct Fifo {
-    inserted: HashMap<PageId, u64>,
+    inserted: FxHashMap<PageId, u64>,
     by_stamp: BTreeSet<(u64, PageId)>,
 }
 
@@ -47,25 +47,13 @@ impl EvictionPolicy for Fifo {
         }
     }
 
-    fn choose_victim(&mut self, candidates: &[PageId]) -> PageId {
-        *candidates
-            .iter()
-            .min_by_key(|p| {
-                self.inserted
-                    .get(p)
-                    .copied()
-                    .expect("candidate must be managed")
-            })
-            .expect("candidates nonempty")
-    }
-
     fn choose_victim_from(
         &mut self,
         _candidates: &mut dyn Iterator<Item = PageId>,
         eligible: &dyn Fn(PageId) -> bool,
     ) -> PageId {
         // Insert stamps are unique: the first eligible entry in stamp
-        // order is the minimum `choose_victim` would report.
+        // order is the eligible page that entered earliest.
         self.by_stamp
             .iter()
             .map(|&(_, page)| page)

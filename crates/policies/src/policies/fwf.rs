@@ -10,14 +10,19 @@
 //! without needing bulk eviction.
 
 use crate::eviction::EvictionPolicy;
-use mcp_core::PageId;
-use std::collections::HashMap;
+use mcp_core::{FxHashMap, PageId};
 
 /// Flush-When-Full, epoch-based.
+///
+/// A page is *touched* when it was inserted or accessed during the current
+/// epoch: each page records the epoch of its last touch, so a flush is one
+/// counter increment instead of a sweep over every managed page.
 #[derive(Clone, Debug, Default)]
 pub struct Fwf {
-    touched: HashMap<PageId, bool>,
-    /// Completed epochs (flushes), observable for phase tests.
+    /// Managed page → the epoch of its last touch.
+    touched_in: FxHashMap<PageId, u64>,
+    /// Completed epochs (flushes), observable for phase tests. It doubles
+    /// as the current epoch's number.
     pub flushes: u64,
 }
 
@@ -25,6 +30,14 @@ impl Fwf {
     /// New, empty FWF state.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn touch(&mut self, page: PageId) {
+        self.touched_in.insert(page, self.flushes);
+    }
+
+    fn is_touched(&self, page: PageId) -> bool {
+        self.touched_in.get(&page) == Some(&self.flushes)
     }
 }
 
@@ -34,30 +47,35 @@ impl EvictionPolicy for Fwf {
     }
 
     fn on_insert(&mut self, page: PageId, _stamp: u64) {
-        self.touched.insert(page, true);
+        self.touch(page);
     }
 
     fn on_access(&mut self, page: PageId, _stamp: u64) {
-        self.touched.insert(page, true);
+        self.touch(page);
     }
 
     fn on_remove(&mut self, page: PageId) {
-        self.touched.remove(&page);
+        self.touched_in.remove(&page);
     }
 
-    fn choose_victim(&mut self, candidates: &[PageId]) -> PageId {
-        if let Some(&victim) = candidates
-            .iter()
-            .find(|p| !self.touched.get(p).copied().unwrap_or(false))
-        {
-            return victim;
+    fn choose_victim_from(
+        &mut self,
+        candidates: &mut dyn Iterator<Item = PageId>,
+        _eligible: &dyn Fn(PageId) -> bool,
+    ) -> PageId {
+        // The first untouched candidate in candidate order goes.
+        let first = candidates.next().expect("candidates nonempty");
+        if !self.is_touched(first) {
+            return first;
         }
-        // Everything touched: flush (new epoch).
+        for page in candidates {
+            if !self.is_touched(page) {
+                return page;
+            }
+        }
+        // Everything touched: flush (new epoch), evict the first candidate.
         self.flushes += 1;
-        for bit in self.touched.values_mut() {
-            *bit = false;
-        }
-        candidates[0]
+        first
     }
 }
 

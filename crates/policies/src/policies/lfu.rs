@@ -1,8 +1,8 @@
 //! Least-Frequently-Used eviction.
 
 use crate::eviction::EvictionPolicy;
-use mcp_core::PageId;
-use std::collections::{BTreeSet, HashMap};
+use mcp_core::{FxHashMap, PageId};
+use std::collections::BTreeSet;
 
 /// Evicts the candidate with the fewest recorded uses; ties broken by the
 /// older insertion.
@@ -12,7 +12,7 @@ use std::collections::{BTreeSet, HashMap};
 /// walks from the frequency-minimal end instead of scanning candidates.
 #[derive(Clone, Debug, Default)]
 pub struct Lfu {
-    uses: HashMap<PageId, (u64, u64)>, // (count, insert stamp)
+    uses: FxHashMap<PageId, (u64, u64)>, // (count, insert stamp)
     by_rank: BTreeSet<(u64, u64, PageId)>,
 }
 
@@ -49,25 +49,13 @@ impl EvictionPolicy for Lfu {
         }
     }
 
-    fn choose_victim(&mut self, candidates: &[PageId]) -> PageId {
-        *candidates
-            .iter()
-            .min_by_key(|p| {
-                self.uses
-                    .get(p)
-                    .copied()
-                    .expect("candidate must be managed")
-            })
-            .expect("candidates nonempty")
-    }
-
     fn choose_victim_from(
         &mut self,
         _candidates: &mut dyn Iterator<Item = PageId>,
         eligible: &dyn Fn(PageId) -> bool,
     ) -> PageId {
         // `(count, insert stamp)` pairs are unique (stamps are), so the
-        // first eligible entry in rank order matches `choose_victim`.
+        // first eligible entry in rank order is the eligible minimum.
         self.by_rank
             .iter()
             .map(|&(_, _, page)| page)

@@ -66,6 +66,42 @@ impl Lru {
         self.index.get(&page).map(|&n| self.nodes[n as usize].stamp)
     }
 
+    /// The least recently used page satisfying `pred`: a walk from the
+    /// least-recent end of the list.
+    pub(crate) fn oldest_where(&self, pred: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+        let mut n = self.tail;
+        while n != NIL {
+            let node = &self.nodes[n as usize];
+            if pred(node.page) {
+                return Some(node.page);
+            }
+            n = node.newer;
+        }
+        None
+    }
+
+    /// The most recently used page satisfying `pred`: a walk from the
+    /// most-recent end of the list.
+    pub(crate) fn newest_where(&self, pred: &dyn Fn(PageId) -> bool) -> Option<PageId> {
+        let mut n = self.head;
+        while n != NIL {
+            let node = &self.nodes[n as usize];
+            if pred(node.page) {
+                return Some(node.page);
+            }
+            n = node.older;
+        }
+        None
+    }
+
+    /// The newest stamp among managed pages (`None` when empty).
+    pub(crate) fn newest_stamp(&self) -> Option<u64> {
+        match self.head {
+            NIL => None,
+            n => Some(self.nodes[n as usize].stamp),
+        }
+    }
+
     fn unlink(&mut self, n: u32) {
         let Node { newer, older, .. } = self.nodes[n as usize];
         match newer {
@@ -141,30 +177,15 @@ impl EvictionPolicy for Lru {
         }
     }
 
-    fn choose_victim(&mut self, candidates: &[PageId]) -> PageId {
-        *candidates
-            .iter()
-            .min_by_key(|p| self.last_use(**p).expect("candidate must be managed"))
-            .expect("candidates nonempty")
-    }
-
     fn choose_victim_from(
         &mut self,
         _candidates: &mut dyn Iterator<Item = PageId>,
         eligible: &dyn Fn(PageId) -> bool,
     ) -> PageId {
         // Stamps are unique and increasing, so the first eligible entry
-        // from the least-recent end is exactly the minimum
-        // `choose_victim` would report.
-        let mut n = self.tail;
-        while n != NIL {
-            let node = &self.nodes[n as usize];
-            if eligible(node.page) {
-                return node.page;
-            }
-            n = node.newer;
-        }
-        panic!("candidates nonempty")
+        // from the least-recent end is the eligible page with the oldest
+        // last use.
+        self.oldest_where(eligible).expect("candidates nonempty")
     }
 }
 
@@ -205,9 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn streamed_walk_agrees_with_slice_minimum() {
-        // Interleave inserts, touches, and removals, then compare both
-        // entry points over a restricted eligible set.
+    fn streamed_walk_finds_the_oldest_eligible_page() {
+        // Interleave inserts, touches, and removals, then compare the walk
+        // with the stamp minimum over a restricted eligible set.
         let mut lru = Lru::new();
         let mut stamp = 0;
         for v in [5, 2, 9, 4, 7, 1] {
@@ -220,11 +241,16 @@ mod tests {
         }
         lru.on_remove(p(2));
         let eligible = [p(5), p(9), p(7), p(1)];
-        let from_slice = lru.choose_victim(&eligible);
+        let oldest = *eligible
+            .iter()
+            .min_by_key(|&&q| lru.last_use(q).unwrap())
+            .unwrap();
         let from_walk =
             lru.choose_victim_from(&mut eligible.iter().copied(), &|q| eligible.contains(&q));
-        assert_eq!(from_slice, from_walk);
-        assert_eq!(from_slice, p(7)); // oldest untouched eligible page
+        assert_eq!(from_walk, oldest);
+        assert_eq!(from_walk, p(7)); // oldest untouched eligible page
+        assert_eq!(lru.newest_where(&|q| eligible.contains(&q)), Some(p(5)));
+        assert_eq!(lru.newest_stamp(), Some(stamp));
     }
 
     #[test]

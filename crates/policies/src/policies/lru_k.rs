@@ -4,14 +4,22 @@
 //! recency; `K = 2` is the classic scan-resistant configuration.
 
 use crate::eviction::EvictionPolicy;
-use mcp_core::PageId;
-use std::collections::{HashMap, VecDeque};
+use mcp_core::{FxHashMap, PageId};
 
 /// LRU-K with per-page reference history.
+///
+/// Histories live in one flat stamp array, `k` slots per page, oldest
+/// first; a page's map entry holds its slot and how many references it
+/// has (at most `k`). Victim choice is one pass over the candidates with
+/// one map probe each.
 #[derive(Clone, Debug)]
 pub struct LruK {
     k: usize,
-    history: HashMap<PageId, VecDeque<u64>>,
+    /// Page → (history slot, references recorded, capped at `k`).
+    history: FxHashMap<PageId, (u32, u32)>,
+    /// Slot `s` holds its page's last references in
+    /// `stamps[s * k..s * k + len]`, oldest first.
+    stamps: Vec<u64>,
 }
 
 impl LruK {
@@ -20,34 +28,26 @@ impl LruK {
         assert!(k >= 1, "history depth must be at least 1");
         LruK {
             k,
-            history: HashMap::new(),
+            history: FxHashMap::default(),
+            stamps: Vec::new(),
         }
     }
 
     fn record(&mut self, page: PageId, stamp: u64) {
-        let h = self.history.entry(page).or_default();
-        h.push_back(stamp);
-        while h.len() > self.k {
-            h.pop_front();
+        let k = self.k;
+        let next_slot = (self.stamps.len() / k) as u32;
+        let (slot, len) = self.history.entry(page).or_insert((next_slot, 0));
+        if *slot == next_slot {
+            self.stamps.resize(self.stamps.len() + k, 0);
         }
-    }
-
-    /// The page's K-th most recent reference stamp, or `None` if it has
-    /// fewer than K references.
-    fn kth_recent(&self, page: PageId) -> Option<u64> {
-        let h = self.history.get(&page)?;
-        if h.len() < self.k {
-            None
+        let h = &mut self.stamps[*slot as usize * k..][..k];
+        if (*len as usize) < k {
+            h[*len as usize] = stamp;
+            *len += 1;
         } else {
-            h.front().copied()
+            h.copy_within(1.., 0);
+            h[k - 1] = stamp;
         }
-    }
-
-    fn last(&self, page: PageId) -> u64 {
-        self.history
-            .get(&page)
-            .and_then(|h| h.back().copied())
-            .unwrap_or(0)
     }
 }
 
@@ -70,29 +70,31 @@ impl EvictionPolicy for LruK {
         // keeps its frequency signal.
     }
 
-    fn choose_victim(&mut self, candidates: &[PageId]) -> PageId {
+    fn choose_victim_from(
+        &mut self,
+        candidates: &mut dyn Iterator<Item = PageId>,
+        _eligible: &dyn Fn(PageId) -> bool,
+    ) -> PageId {
         // Pages lacking K references (infinite backward K-distance) are
         // evicted first, oldest last-reference first; otherwise the page
-        // with the oldest K-th reference goes.
+        // with the oldest K-th reference goes. One pass, one history
+        // probe per candidate; `(key, page)` ties break on the page.
         let mut infinite: Option<(u64, PageId)> = None;
         let mut finite: Option<(u64, PageId)> = None;
-        for &p in candidates {
-            match self.kth_recent(p) {
-                None => {
-                    let key = (self.last(p), p);
-                    if infinite
-                        .map(|(l, q)| (key.0, key.1) < (l, q))
-                        .unwrap_or(true)
-                    {
-                        infinite = Some(key);
+        for p in candidates {
+            let (slot, stamp) = match self.history.get(&p) {
+                Some(&(slot, len)) => {
+                    let h = &self.stamps[slot as usize * self.k..][..len as usize];
+                    if h.len() == self.k {
+                        (&mut finite, h[0])
+                    } else {
+                        (&mut infinite, h[h.len() - 1])
                     }
                 }
-                Some(kth) => {
-                    let key = (kth, p);
-                    if finite.map(|(l, q)| (key.0, key.1) < (l, q)).unwrap_or(true) {
-                        finite = Some(key);
-                    }
-                }
+                None => (&mut infinite, 0),
+            };
+            if !matches!(*slot, Some(best) if best <= (stamp, p)) {
+                *slot = Some((stamp, p));
             }
         }
         infinite.or(finite).expect("candidates nonempty").1

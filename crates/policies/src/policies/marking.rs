@@ -7,10 +7,10 @@
 //! unmarked candidates, with a pluggable tie-break.
 
 use crate::eviction::EvictionPolicy;
+use crate::policies::lru::Lru;
 use mcp_core::PageId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Rule used to pick among unmarked candidates.
 #[derive(Clone, Debug)]
@@ -23,11 +23,23 @@ pub enum MarkingTie {
 }
 
 /// Phase-based marking policy.
+///
+/// Recency lives in [`Lru`]'s intrusive list, and marks are implied by
+/// it: a page is marked iff its last use is at or after `mark_from`, the
+/// first stamp of the current phase. Ending a phase moves `mark_from`
+/// past every stamp seen, which clears every mark at once. Because
+/// stamps increase, the unmarked pages are exactly the least-recent end
+/// of the list, so the LRU tie rule's victim is the first eligible page
+/// from that end whether or not a phase ends.
 #[derive(Clone, Debug)]
 pub struct Marking {
-    marked: HashMap<PageId, bool>,
-    last_use: HashMap<PageId, u64>,
+    recency: Lru,
+    /// Pages last used at a stamp `>= mark_from` are marked.
+    mark_from: u64,
     rng: Option<StdRng>,
+    /// Reused draw buffers of the random tie rule, in candidate order.
+    unmarked: Vec<PageId>,
+    marked: Vec<PageId>,
     tie_name: &'static str,
     /// Completed phases, observable for phase-counting tests.
     pub phases: u64,
@@ -41,9 +53,11 @@ impl Marking {
             MarkingTie::Random(seed) => (Some(StdRng::seed_from_u64(seed)), "RAND"),
         };
         Marking {
-            marked: HashMap::new(),
-            last_use: HashMap::new(),
+            recency: Lru::new(),
+            mark_from: 0,
             rng,
+            unmarked: Vec::new(),
+            marked: Vec::new(),
             tie_name,
             phases: 0,
         }
@@ -51,7 +65,15 @@ impl Marking {
 
     /// Whether `page` is currently marked.
     pub fn is_marked(&self, page: PageId) -> bool {
-        self.marked.get(&page).copied().unwrap_or(false)
+        self.recency
+            .last_use(page)
+            .is_some_and(|stamp| stamp >= self.mark_from)
+    }
+
+    /// Phase ends: clear every mark in the managed set.
+    fn end_phase(&mut self) {
+        self.phases += 1;
+        self.mark_from = self.recency.newest_stamp().map_or(0, |s| s + 1);
     }
 }
 
@@ -61,41 +83,58 @@ impl EvictionPolicy for Marking {
     }
 
     fn on_insert(&mut self, page: PageId, stamp: u64) {
-        self.marked.insert(page, true);
-        self.last_use.insert(page, stamp);
+        self.recency.on_insert(page, stamp);
     }
 
     fn on_access(&mut self, page: PageId, stamp: u64) {
-        self.marked.insert(page, true);
-        self.last_use.insert(page, stamp);
+        self.recency.on_access(page, stamp);
     }
 
     fn on_remove(&mut self, page: PageId) {
-        self.marked.remove(&page);
-        self.last_use.remove(&page);
+        self.recency.on_remove(page);
     }
 
-    fn choose_victim(&mut self, candidates: &[PageId]) -> PageId {
-        let mut unmarked: Vec<PageId> = candidates
-            .iter()
-            .copied()
-            .filter(|p| !self.is_marked(*p))
-            .collect();
-        if unmarked.is_empty() {
-            // Phase ends: clear every mark in the managed set.
-            self.phases += 1;
-            for bit in self.marked.values_mut() {
-                *bit = false;
+    fn choose_victim_from(
+        &mut self,
+        candidates: &mut dyn Iterator<Item = PageId>,
+        eligible: &dyn Fn(PageId) -> bool,
+    ) -> PageId {
+        if self.rng.is_none() {
+            // The least recent eligible page is unmarked iff any eligible
+            // page is; if it is marked the phase ends and it is still the
+            // least recent of the (now all unmarked) candidates.
+            let victim = self
+                .recency
+                .oldest_where(eligible)
+                .expect("candidates nonempty");
+            if self.is_marked(victim) {
+                self.end_phase();
             }
-            unmarked = candidates.to_vec();
+            return victim;
         }
-        match &mut self.rng {
-            Some(rng) => unmarked[rng.gen_range(0..unmarked.len())],
-            None => *unmarked
-                .iter()
-                .min_by_key(|p| self.last_use.get(p).copied().unwrap_or(0))
-                .expect("unmarked nonempty"),
+        let (mut unmarked, mut marked) = (
+            std::mem::take(&mut self.unmarked),
+            std::mem::take(&mut self.marked),
+        );
+        unmarked.clear();
+        marked.clear();
+        for page in candidates {
+            if self.is_marked(page) {
+                marked.push(page);
+            } else {
+                unmarked.push(page);
+            }
         }
+        if unmarked.is_empty() {
+            // Every candidate was marked, so `marked` is all of them, in
+            // candidate order.
+            self.end_phase();
+            std::mem::swap(&mut unmarked, &mut marked);
+        }
+        let rng = self.rng.as_mut().expect("random tie rule");
+        let victim = unmarked[rng.gen_range(0..unmarked.len())];
+        (self.unmarked, self.marked) = (unmarked, marked);
+        victim
     }
 }
 

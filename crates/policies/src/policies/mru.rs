@@ -2,13 +2,17 @@
 //! for single-core cyclic scans, terrible for temporal locality).
 
 use crate::eviction::EvictionPolicy;
+use crate::policies::lru::Lru;
 use mcp_core::PageId;
-use std::collections::HashMap;
 
 /// Evicts the candidate whose last access is newest.
+///
+/// Recency lives in [`Lru`]'s intrusive list; the victim is the first
+/// eligible page walking from its most-recent end. Stamps are unique and
+/// increasing, so that is exactly the stamp maximum over the candidates.
 #[derive(Clone, Debug, Default)]
 pub struct Mru {
-    last_use: HashMap<PageId, u64>,
+    recency: Lru,
 }
 
 impl Mru {
@@ -24,26 +28,24 @@ impl EvictionPolicy for Mru {
     }
 
     fn on_insert(&mut self, page: PageId, stamp: u64) {
-        self.last_use.insert(page, stamp);
+        self.recency.on_insert(page, stamp);
     }
 
     fn on_access(&mut self, page: PageId, stamp: u64) {
-        self.last_use.insert(page, stamp);
+        self.recency.on_access(page, stamp);
     }
 
     fn on_remove(&mut self, page: PageId) {
-        self.last_use.remove(&page);
+        self.recency.on_remove(page);
     }
 
-    fn choose_victim(&mut self, candidates: &[PageId]) -> PageId {
-        *candidates
-            .iter()
-            .max_by_key(|p| {
-                self.last_use
-                    .get(p)
-                    .copied()
-                    .expect("candidate must be managed")
-            })
+    fn choose_victim_from(
+        &mut self,
+        _candidates: &mut dyn Iterator<Item = PageId>,
+        eligible: &dyn Fn(PageId) -> bool,
+    ) -> PageId {
+        self.recency
+            .newest_where(eligible)
             .expect("candidates nonempty")
     }
 }
@@ -63,5 +65,14 @@ mod tests {
         mru.on_insert(p(2), 2);
         mru.on_access(p(1), 3);
         assert_eq!(mru.choose_victim(&[p(1), p(2)]), p(1));
+    }
+
+    #[test]
+    fn skips_ineligible_recent_pages() {
+        let mut mru = Mru::new();
+        mru.on_insert(p(1), 1);
+        mru.on_insert(p(2), 2);
+        mru.on_insert(p(3), 3);
+        assert_eq!(mru.choose_victim(&[p(1), p(2)]), p(2));
     }
 }

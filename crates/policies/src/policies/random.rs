@@ -9,6 +9,8 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, Debug)]
 pub struct RandomEvict {
     rng: StdRng,
+    /// Reused draw buffer: the candidates, in candidate order.
+    buf: Vec<PageId>,
 }
 
 impl RandomEvict {
@@ -16,6 +18,7 @@ impl RandomEvict {
     pub fn new(seed: u64) -> Self {
         RandomEvict {
             rng: StdRng::seed_from_u64(seed),
+            buf: Vec::new(),
         }
     }
 }
@@ -31,8 +34,14 @@ impl EvictionPolicy for RandomEvict {
 
     fn on_remove(&mut self, _page: PageId) {}
 
-    fn choose_victim(&mut self, candidates: &[PageId]) -> PageId {
-        candidates[self.rng.gen_range(0..candidates.len())]
+    fn choose_victim_from(
+        &mut self,
+        candidates: &mut dyn Iterator<Item = PageId>,
+        _eligible: &dyn Fn(PageId) -> bool,
+    ) -> PageId {
+        self.buf.clear();
+        self.buf.extend(candidates);
+        self.buf[self.rng.gen_range(0..self.buf.len())]
     }
 }
 

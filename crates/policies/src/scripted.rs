@@ -2,6 +2,7 @@
 //! paper's proofs, plus a deterministic replay harness for schedules
 //! reconstructed by the offline dynamic programs.
 
+use crate::next_use::NextUse;
 use mcp_core::{Cache, CacheStrategy, PageId, SimConfig, Time, Workload};
 use std::collections::{BTreeMap, HashMap};
 
@@ -20,9 +21,9 @@ use std::collections::{BTreeMap, HashMap};
 /// `Ω(p(τ+1))` competitive-ratio lower bound.
 pub struct SacrificeOffline {
     victim_core: usize,
-    /// occurrences[core][page] = ascending positions in that core's sequence.
-    occurrences: Vec<HashMap<PageId, Vec<usize>>>,
-    cursor: Vec<usize>,
+    /// One sequence per core, captured in [`CacheStrategy::begin`]; its
+    /// cursors count each core's served requests.
+    next: NextUse,
     seq_len: Vec<usize>,
 }
 
@@ -31,25 +32,13 @@ impl SacrificeOffline {
     pub fn new(victim_core: usize) -> Self {
         SacrificeOffline {
             victim_core,
-            occurrences: Vec::new(),
-            cursor: Vec::new(),
+            next: NextUse::default(),
             seq_len: Vec::new(),
         }
     }
 
     fn finished(&self, core: usize) -> bool {
-        self.cursor[core] >= self.seq_len[core]
-    }
-
-    /// First use of `page` by `core` at or after its cursor.
-    fn next_use(&self, core: usize, page: PageId) -> usize {
-        match self.occurrences[core].get(&page) {
-            None => usize::MAX,
-            Some(positions) => {
-                let i = positions.partition_point(|&pos| pos < self.cursor[core]);
-                positions.get(i).copied().unwrap_or(usize::MAX)
-            }
-        }
+        self.next.cursor(core) >= self.seq_len[core]
     }
 }
 
@@ -67,62 +56,60 @@ impl CacheStrategy for SacrificeOffline {
             workload.is_disjoint(),
             "SacrificeOffline assumes disjoint sequences"
         );
-        self.occurrences = workload
-            .sequences()
-            .iter()
-            .map(|seq| {
-                let mut occ: HashMap<PageId, Vec<usize>> = HashMap::new();
-                for (i, &p) in seq.iter().enumerate() {
-                    occ.entry(p).or_default().push(i);
-                }
-                occ
-            })
-            .collect();
-        self.cursor = vec![0; workload.num_cores()];
+        self.next = NextUse::new(workload.sequences());
         self.seq_len = workload.sequences().iter().map(Vec::len).collect();
     }
 
     fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
-        self.cursor[core] += 1;
+        self.next.advance(core);
     }
 
     fn choose_cell(&mut self, _core: usize, _page: PageId, _time: Time, cache: &Cache) -> usize {
         if let Some(cell) = cache.empty_cell() {
             return cell;
         }
-        // 1. Dead pages of finished cores are free real estate.
-        let dead = cache
-            .evictable_cells()
-            .find(|(_, _, owner)| owner.map(|o| self.finished(o)).unwrap_or(false));
-        if let Some((cell, _, _)) = dead {
-            return cell;
+        // One pass in cell order serves rules 1 and 2:
+        // 1. Dead pages of finished cores are free real estate: the first
+        //    one wins outright.
+        // 2. Otherwise evict the sacrificed core's next-to-be-requested
+        //    page (the first on ties). While serving the sacrificed core's
+        //    own fault its cursor still points at the (absent) faulting
+        //    page, so `next_use` naturally looks past it.
+        let mut sacrificial: Option<(usize, usize)> = None;
+        for (cell, page, owner) in cache.evictable_cells() {
+            let Some(owner) = owner else { continue };
+            if self.finished(owner) {
+                return cell;
+            }
+            if owner == self.victim_core {
+                let next = self.next.next_use(owner, page);
+                if !matches!(sacrificial, Some((best, _)) if best <= next) {
+                    sacrificial = Some((next, cell));
+                }
+            }
         }
-        // 2. Evict the sacrificed core's next-to-be-requested page. While
-        //    serving the sacrificed core's own fault its cursor still
-        //    points at the (absent) faulting page, so `next_use` naturally
-        //    looks past it.
-        let sacrificial = cache
-            .evictable_cells()
-            .filter(|(_, _, owner)| *owner == Some(self.victim_core))
-            .min_by_key(|(_, p, _)| self.next_use(self.victim_core, *p));
-        if let Some((cell, _, _)) = sacrificial {
+        if let Some((_, cell)) = sacrificial {
             return cell;
         }
         // 3. Fallback (does not arise on the Lemma 4 workload): globally
         //    furthest-in-the-future page of the faulting core's view.
         let (cell, _, _) = cache
             .evictable_cells()
-            .max_by_key(|(_, p, owner)| owner.map(|o| self.next_use(o, *p)).unwrap_or(usize::MAX))
+            .max_by_key(|(_, p, owner)| {
+                owner
+                    .map(|o| self.next.next_use(o, *p))
+                    .unwrap_or(usize::MAX)
+            })
             .expect("full cache has a resident page");
         cell
     }
 
     fn on_fault(&mut self, core: usize, _page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
-        self.cursor[core] += 1;
+        self.next.advance(core);
     }
 
     fn on_shared_fetch_miss(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
-        self.cursor[core] += 1;
+        self.next.advance(core);
     }
 }
 

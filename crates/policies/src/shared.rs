@@ -1,7 +1,8 @@
 //! Shared-cache strategies `S_A`: the whole cache is one pool and any cell
 //! may hold any core's page.
 
-use crate::eviction::EvictionPolicy;
+use crate::eviction::{shed_victims, EvictionPolicy};
+use crate::next_use::NextUse;
 use mcp_core::{Cache, CacheStrategy, PageId, SimConfig, Time, Workload};
 
 /// `S_A`: a shared cache managed by a single eviction policy `A`.
@@ -78,23 +79,7 @@ impl<P: EvictionPolicy> CacheStrategy for Shared<P> {
         // chosen this round, so the policy's own ordering decides the
         // whole batch (e.g. LRU sheds its `need` least-recent pages).
         let mut cells = Vec::with_capacity(need);
-        let mut taken: Vec<PageId> = Vec::with_capacity(need);
-        for _ in 0..need {
-            let mask = &taken;
-            let mut candidates = cache
-                .evictable_cells()
-                .map(|(_, p, _)| p)
-                .filter(|p| !mask.contains(p));
-            let Some(first) = candidates.next() else {
-                break;
-            };
-            let mut candidates = std::iter::once(first).chain(candidates);
-            let victim = self.policy.choose_victim_from(&mut candidates, &|p| {
-                cache.is_evictable_page(p) && !mask.contains(&p)
-            });
-            cells.push(cache.cell_of(victim).expect("victim is resident"));
-            taken.push(victim);
-        }
+        shed_victims(&mut self.policy, cache, None, need, &mut cells);
         cells
     }
 }
@@ -109,55 +94,21 @@ impl<P: EvictionPolicy> CacheStrategy for Shared<P> {
 /// The paper (end of Section 4) shows this strategy is *not* optimal in
 /// the multicore setting once τ > K/p — experiment E09 reproduces that.
 ///
-/// Distances are answered from precomputed next-occurrence arrays (the
-/// standard Belady trick, cf. the offline `belady_seq` module): `begin`
-/// assigns every page a dense index and backward-scans each sequence once,
-/// and each served request updates one `upcoming` slot in O(1). A distance
-/// query is then `p` array reads — no per-core hash probing or binary
-/// search per resident page per fault.
+/// Distances are answered from precomputed next-occurrence tables (the
+/// standard Belady trick, shared with [`crate::Belady`] and
+/// [`crate::SacrificeOffline`]): each served request updates one slot in
+/// O(1), and a distance query is one hash probe plus `p` array reads — no
+/// per-core hash probing or binary search per resident page per fault.
 #[derive(Clone, Debug, Default)]
 pub struct SharedFitf {
-    /// Dense index of every page occurring in the workload.
-    page_index: std::collections::HashMap<PageId, u32>,
-    /// seq_ids[core][pos] = dense page index of that core's request.
-    seq_ids: Vec<Vec<u32>>,
-    /// next_pos[core][pos] = next position of the same page strictly after
-    /// `pos` in that core's sequence (`usize::MAX` if none).
-    next_pos: Vec<Vec<usize>>,
-    /// upcoming[core][page_idx] = first position `>= cursor[core]` at which
-    /// the page occurs in that core's sequence (`usize::MAX` if none).
-    upcoming: Vec<Vec<usize>>,
-    /// Requests served so far, per core.
-    cursor: Vec<usize>,
+    /// One sequence per core, captured in [`CacheStrategy::begin`].
+    next: NextUse,
 }
 
 impl SharedFitf {
     /// New FITF strategy; sequences are captured in [`CacheStrategy::begin`].
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn distance(&self, page: PageId) -> u64 {
-        let Some(&pid) = self.page_index.get(&page) else {
-            return u64::MAX; // never requested anywhere
-        };
-        let mut best = u64::MAX;
-        for (core, upcoming) in self.upcoming.iter().enumerate() {
-            let pos = upcoming[pid as usize];
-            if pos != usize::MAX {
-                best = best.min((pos - self.cursor[core]) as u64);
-            }
-        }
-        best
-    }
-
-    /// Account the request at `cursor[core]` as served: its page's next
-    /// occurrence advances, and the cursor moves on. O(1).
-    fn advance(&mut self, core: usize) {
-        let pos = self.cursor[core];
-        let pid = self.seq_ids[core][pos] as usize;
-        self.upcoming[core][pid] = self.next_pos[core][pos];
-        self.cursor[core] = pos + 1;
     }
 }
 
@@ -167,65 +118,36 @@ impl CacheStrategy for SharedFitf {
     }
 
     fn begin(&mut self, workload: &Workload, _cfg: &SimConfig) {
-        self.page_index.clear();
-        for seq in workload.sequences() {
-            for &p in seq {
-                let next = self.page_index.len() as u32;
-                self.page_index.entry(p).or_insert(next);
-            }
-        }
-        let num_pages = self.page_index.len();
-        self.seq_ids = workload
-            .sequences()
-            .iter()
-            .map(|seq| seq.iter().map(|p| self.page_index[p]).collect())
-            .collect();
-        // Backward scan: next occurrence of each position's page, and (once
-        // the scan completes) each page's first occurrence overall.
-        self.next_pos = Vec::with_capacity(self.seq_ids.len());
-        self.upcoming = Vec::with_capacity(self.seq_ids.len());
-        for ids in &self.seq_ids {
-            let mut next = vec![usize::MAX; ids.len()];
-            let mut first = vec![usize::MAX; num_pages];
-            for (pos, &pid) in ids.iter().enumerate().rev() {
-                next[pos] = first[pid as usize];
-                first[pid as usize] = pos;
-            }
-            self.next_pos.push(next);
-            self.upcoming.push(first);
-        }
-        self.cursor = vec![0; workload.num_cores()];
+        self.next = NextUse::new(workload.sequences());
     }
 
     fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
-        self.advance(core);
+        self.next.advance(core);
     }
 
     fn choose_cell(&mut self, core: usize, _page: PageId, _time: Time, cache: &Cache) -> usize {
+        if let Some(cell) = cache.empty_cell() {
+            return cell;
+        }
         // The faulting request is still unserved while we choose; count it
         // as served for distance queries so "next use" looks strictly
         // ahead. (The faulting page itself is absent, so only the cursor
-        // offset matters — `upcoming` needs no adjustment.)
-        self.cursor[core] += 1;
-        let victim_cell = if let Some(cell) = cache.empty_cell() {
-            cell
-        } else {
+        // offset matters.)
+        self.next.looking_past(core, |next| {
             let (cell, _, _) = cache
                 .evictable_cells()
-                .max_by_key(|(cell, p, _)| (self.distance(*p), *cell))
+                .max_by_key(|(cell, p, _)| (next.distance(*p), *cell))
                 .expect("cache full implies a resident page");
             cell
-        };
-        self.cursor[core] -= 1;
-        victim_cell
+        })
     }
 
     fn on_fault(&mut self, core: usize, _page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
-        self.advance(core);
+        self.next.advance(core);
     }
 
     fn on_shared_fetch_miss(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
-        self.advance(core);
+        self.next.advance(core);
     }
 
     fn shrink_victims(&mut self, need: usize, _time: Time, cache: &Cache) -> Vec<usize> {
@@ -234,7 +156,7 @@ impl CacheStrategy for SharedFitf {
         // distance ties, matching the fault path.
         let mut cells: Vec<(u64, usize)> = cache
             .evictable_cells()
-            .map(|(cell, p, _)| (self.distance(p), cell))
+            .map(|(cell, p, _)| (self.next.distance(p), cell))
             .collect();
         cells.sort_by(|a, b| b.cmp(a));
         cells.truncate(need);

@@ -1,10 +1,9 @@
 //! Static-partition strategies `sP^B_A`: the cache is split once into `p`
 //! fixed parts, each running its own instance of eviction policy `A`.
 
-use crate::eviction::EvictionPolicy;
+use crate::eviction::{shed_victims, stream_victim, EvictionPolicy};
 use crate::partition::Partition;
-use mcp_core::{Cache, CacheStrategy, PageId, SimConfig, Time, Workload};
-use std::collections::HashMap;
+use mcp_core::{Cache, CacheStrategy, FxHashMap, PageId, SimConfig, Time, Workload};
 
 /// Builds a fresh per-part eviction policy for a core, given the workload
 /// (so offline policies like per-part Belady can see their sequence).
@@ -27,7 +26,7 @@ pub struct StaticPartition<P> {
     factory: PolicyFactory<P>,
     policies: Vec<P>,
     /// Which core's part each cached page belongs to.
-    page_part: HashMap<PageId, usize>,
+    page_part: FxHashMap<PageId, usize>,
     stamp: u64,
     label: String,
 }
@@ -40,7 +39,7 @@ impl<P: EvictionPolicy> StaticPartition<P> {
             partition,
             factory,
             policies: Vec::new(),
-            page_part: HashMap::new(),
+            page_part: FxHashMap::default(),
             stamp: 0,
             label: String::new(),
         }
@@ -104,21 +103,19 @@ impl<P: EvictionPolicy> CacheStrategy for StaticPartition<P> {
         // Part is full: evict from our own part. Pinned pages (read in
         // parallel this step) are excluded; on disjoint workloads no other
         // core can pin our pages, so candidates are never empty here.
-        let candidates: Vec<PageId> = cache.evictable_cells_of(core).map(|(_, p)| p).collect();
-        if candidates.is_empty() {
+        match stream_victim(&mut self.policies[core], cache, Some(core), &[]) {
+            Some(victim) => cache.cell_of(victim).expect("victim is resident"),
             // Non-disjoint edge case: every own page is pinned by another
             // core's simultaneous read. Borrow any evictable cell — or an
             // empty one, when everything Present is pinned (the part can
             // be "full" by ownership while other parts are still empty).
-            return cache
+            None => cache
                 .evictable_cells()
                 .next()
                 .map(|(cell, _, _)| cell)
                 .or_else(|| cache.empty_cell())
-                .expect("pin discipline guarantees a free or evictable cell");
+                .expect("pin discipline guarantees a free or evictable cell"),
         }
-        let victim = self.policies[core].choose_victim(&candidates);
-        cache.cell_of(victim).expect("victim is resident")
     }
 
     fn on_fault(&mut self, core: usize, page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
@@ -154,15 +151,14 @@ impl<P: EvictionPolicy> CacheStrategy for StaticPartition<P> {
             if owned <= quota {
                 continue;
             }
-            let mut excess = (owned - quota).min(need - cells.len());
-            let mut candidates: Vec<PageId> =
-                cache.evictable_cells_of(core).map(|(_, p)| p).collect();
-            while excess > 0 && !candidates.is_empty() {
-                let victim = self.policies[core].choose_victim(&candidates);
-                candidates.retain(|&p| p != victim);
-                cells.push(cache.cell_of(victim).expect("victim resident"));
-                excess -= 1;
-            }
+            let excess = (owned - quota).min(need - cells.len());
+            shed_victims(
+                &mut self.policies[core],
+                cache,
+                Some(core),
+                excess,
+                &mut cells,
+            );
         }
         cells
     }
