@@ -10,14 +10,30 @@
 //! served per second for the same reason; per-expansion rates are
 //! available from `mcp pif --stats`.
 //!
+//! Those families are small enough to stay cache-resident. Two rows use
+//! the shapes of the `perfbench` `offline-dp` workload instead, where the
+//! DPs are memory-bound: `ftf_states_large` (about 0.21M states, states/s)
+//! and `pif_full_pair` (a feasible and an infeasible decision on either
+//! side of the optimum, fault-vector expansions/s).
+//!
 //! Both DPs are pinned to `jobs = 1`: this measures the engine, not the
 //! pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcp_bench::dp_family;
-use mcp_core::SimConfig;
-use mcp_offline::{ftf_dp, pif_decide, FtfOptions, PifOptions};
+use mcp_core::{SimConfig, Workload};
+use mcp_offline::{ftf_dp, pif_decide, pif_decide_with_stats, FtfOptions, PifOptions};
+use mcp_policies::Replay;
 use std::hint::black_box;
+
+/// The `offline-dp` instances: three cores of 20 Zipf requests over six
+/// private pages each, K = 6, τ = 2.
+fn offline_dp_instance(zipf_seed: u64) -> (Workload, SimConfig) {
+    (
+        mcp_workloads::zipf(3, 20, 6, 0.9, zipf_seed),
+        SimConfig::new(6, 2),
+    )
+}
 
 fn ftf_opts() -> FtfOptions {
     FtfOptions {
@@ -77,6 +93,20 @@ fn bench_ftf(c: &mut Criterion) {
         });
         group.finish();
     }
+    // The memory-bound regime: the `offline-dp` FTF instance.
+    {
+        let (w, cfg) = offline_dp_instance(371);
+        let states = ftf_dp(&w, cfg, ftf_opts()).unwrap().states;
+        let mut group = c.benchmark_group("dp_throughput");
+        group.throughput(Throughput::Elements(states as u64));
+        group.bench_function("ftf_states_large", |b| {
+            b.iter(|| {
+                let r = ftf_dp(black_box(&w), cfg, ftf_opts()).unwrap();
+                black_box(r.min_faults)
+            })
+        });
+        group.finish();
+    }
 }
 
 fn bench_pif(c: &mut Criterion) {
@@ -118,6 +148,56 @@ fn bench_pif(c: &mut Criterion) {
             b.iter(|| {
                 let ans = pif_decide(black_box(&w), cfg, horizon, &bounds, opts).unwrap();
                 black_box(ans)
+            })
+        });
+        group.finish();
+    }
+    // The `offline-dp` PIF pair: at a horizon every schedule has finished
+    // by, the per-core faults of an optimal schedule (feasible) and one
+    // fault fewer on the most-faulting core (infeasible).
+    {
+        let (w, cfg) = offline_dp_instance(0);
+        let schedule = ftf_dp(
+            &w,
+            cfg,
+            FtfOptions {
+                reconstruct: true,
+                ..ftf_opts()
+            },
+        )
+        .unwrap()
+        .schedule
+        .unwrap();
+        let feasible = mcp_core::simulate(&w, cfg, Replay::new(schedule.decisions))
+            .unwrap()
+            .faults;
+        let mut infeasible = feasible.clone();
+        let j = (0..infeasible.len())
+            .max_by_key(|&j| (infeasible[j], j))
+            .unwrap();
+        infeasible[j] -= 1;
+        let horizon = (0..w.num_cores()).map(|j| w.len(j) as u64).max().unwrap() * (cfg.tau + 1);
+        let opts = PifOptions {
+            jobs: 1,
+            ..Default::default()
+        };
+        let expansions: usize = [&feasible, &infeasible]
+            .iter()
+            .map(|b| {
+                pif_decide_with_stats(&w, cfg, horizon, b, opts)
+                    .unwrap()
+                    .1
+                    .expansions
+            })
+            .sum();
+        let mut group = c.benchmark_group("dp_throughput");
+        group.throughput(Throughput::Elements(expansions as u64));
+        group.bench_function("pif_full_pair", |b| {
+            b.iter(|| {
+                let yes = pif_decide(black_box(&w), cfg, horizon, &feasible, opts).unwrap();
+                let no = pif_decide(black_box(&w), cfg, horizon, &infeasible, opts).unwrap();
+                assert!(yes && !no, "the pair straddles the optimum");
+                black_box((yes, no))
             })
         });
         group.finish();

@@ -19,9 +19,9 @@
 //! same bucket — the parallel fan-out is dependency-free by construction.
 
 use crate::checkpoint::{instance_fingerprint, FtfCheckpoint};
-use crate::intern::{StateArena, StateId, NO_STATE};
+use crate::intern::{Dedup, StateArena, StateId, NO_STATE};
 use crate::state::{
-    for_each_successor_config_with, greedy_completion_faults, pool_for, step_effect,
+    for_each_successor_config_rx, greedy_completion_faults, pool_for, step_effect,
     step_effect_into, with_scratch, DpError, DpInstance, DpStats, StateKey, StepScratch,
 };
 use mcp_core::{Budget, PageId, SimConfig, Time, TripReason, Workload};
@@ -241,16 +241,25 @@ pub fn ftf_dp_governed_with_stats(
     // bucket is sorted canonically before expansion.
     let mut bucket_head: Vec<StateId> = vec![NO_STATE; end_sum as usize + 1];
     let mut next_in_bucket: Vec<StateId> = Vec::new();
+    // Bucket-local dedup: one step advances each core by at most τ + 1
+    // positions, so a successor of a bucket-s state lands in
+    // s + 1 ..= s + p·(τ+1). Keys in different buckets differ in their
+    // position sums and never collide, so bucket s dedups through
+    // `ring[s % ring_size]` alone; while bucket s expands, the pending
+    // buckets s ..= s + p·(τ+1) own distinct tables.
+    let ring_size = p * inst.period() as usize + 1;
+    let mut ring: Vec<Dedup> = (0..ring_size).map(|_| Dedup::new()).collect();
     let mut best_terminal: Option<(u64, StateId)> = None;
     let mut stats = DpStats::default();
 
     match resume {
         None => {
             let start = inst.start_positions();
-            let (id, _) = arena.intern(0, &start);
+            let s = start.iter().map(|&x| x as usize).sum::<usize>();
+            let pp = arena.pack(&start);
+            let (id, _) = ring[s % ring_size].intern(&mut arena, 0, &pp);
             faults.push(0);
             parent.push(NO_STATE);
-            let s = start.iter().map(|&x| x as usize).sum::<usize>();
             next_in_bucket.push(bucket_head[s]);
             bucket_head[s] = id;
         }
@@ -262,50 +271,16 @@ pub fn ftf_dp_governed_with_stats(
                     ck.fingerprint
                 )));
             }
-            // Intern the discovered states first (ids follow the
-            // snapshot's canonical order), then resolve parent pointers —
-            // a parent may sort after its child.
-            for (key, f, _) in &ck.best {
-                let (id, is_new) = arena.intern_key(key);
-                debug_assert!(is_new && id as usize == faults.len());
-                faults.push(*f);
-                parent.push(NO_STATE);
-                next_in_bucket.push(NO_STATE);
-            }
-            for (i, (_, _, par)) in ck.best.iter().enumerate() {
-                if let Some(p_key) = par {
-                    let (pid, is_new) = arena.intern_key(p_key);
-                    if is_new {
-                        // A checksummed snapshot always keeps parents
-                        // inside `best`; keep the tables aligned anyway.
-                        faults.push(u64::MAX);
-                        parent.push(NO_STATE);
-                        next_in_bucket.push(NO_STATE);
-                    }
-                    parent[i] = pid;
-                }
-            }
-            for key in &ck.frontier {
-                let (id, is_new) = arena.intern_key(key);
-                debug_assert!(!is_new, "frontier states are discovered states");
-                if is_new {
-                    faults.push(u64::MAX);
-                    parent.push(NO_STATE);
-                    next_in_bucket.push(NO_STATE);
-                }
-                let s = arena.pos_sum(id) as usize;
-                next_in_bucket[id as usize] = bucket_head[s];
-                bucket_head[s] = id;
-            }
-            if let Some((f, key)) = &ck.best_terminal {
-                let (id, is_new) = arena.intern_key(key);
-                if is_new {
-                    faults.push(*f);
-                    parent.push(NO_STATE);
-                    next_in_bucket.push(NO_STATE);
-                }
-                best_terminal = Some((*f, id));
-            }
+            best_terminal = resume_ftf(
+                &inst,
+                ck,
+                &mut arena,
+                &mut ring,
+                &mut faults,
+                &mut parent,
+                &mut bucket_head,
+                &mut next_in_bucket,
+            )?;
         }
     }
 
@@ -315,7 +290,7 @@ pub fn ftf_dp_governed_with_stats(
             continue;
         }
         if budget.is_limited() {
-            let mem = arena.approx_bytes()
+            let mem = engine_bytes(&arena, &ring)
                 + faults.capacity() * 8
                 + (parent.capacity() + next_in_bucket.capacity()) * 4;
             if let Err(reason) = budget.check(arena.len(), mem) {
@@ -330,10 +305,13 @@ pub fn ftf_dp_governed_with_stats(
                     &next_in_bucket,
                     &best_terminal,
                 );
-                finish_stats(&mut stats, &arena);
+                finish_stats(&mut stats, &arena, &ring);
                 return Ok((FtfOutcome::Truncated(t), stats));
             }
         }
+        // No state joins bucket s any more: recycle its table for bucket
+        // s + ring_size.
+        ring[s % ring_size].clear();
         ids.clear();
         let mut cur = bucket_head[s];
         while cur != NO_STATE {
@@ -369,13 +347,7 @@ pub fn ftf_dp_governed_with_stats(
             // per-state successor buffer, no per-bucket result vector.
             with_scratch(|sc| {
                 for &id in &ids {
-                    let StepScratch {
-                        pos,
-                        next,
-                        faulted,
-                        free,
-                        chosen,
-                    } = sc;
+                    let StepScratch { pos, next, faulted } = sc;
                     let cfg_bits = arena.cfg(id);
                     arena.positions_into(id, pos);
                     debug_assert!(!inst.all_finished(pos), "terminals are never expanded");
@@ -384,41 +356,28 @@ pub fn ftf_dp_governed_with_stats(
                     if options.prune && incumbent.map(|i| next_faults >= i).unwrap_or(false) {
                         continue;
                     }
-                    let next_sum: u64 = next.iter().map(|&x| u64::from(x)).sum();
+                    let next_sum: usize = next.iter().map(|&x| x as usize).sum();
                     let pp = arena.pack(next);
-                    for_each_successor_config_with(
-                        &inst,
-                        cfg_bits,
-                        rx,
-                        options.lazy,
-                        free,
-                        chosen,
-                        |next_cfg| {
-                            let (nid, is_new) = arena.intern_packed(next_cfg, &pp);
-                            if is_new {
-                                faults.push(next_faults);
-                                parent.push(id);
-                                next_in_bucket.push(bucket_head[next_sum as usize]);
-                                bucket_head[next_sum as usize] = nid;
-                            } else if next_faults < faults[nid as usize] {
-                                faults[nid as usize] = next_faults;
-                                parent[nid as usize] = id;
-                            }
-                        },
-                    );
+                    let table = &mut ring[next_sum % ring_size];
+                    for_each_successor_config_rx(&inst, cfg_bits, rx, options.lazy, |next_cfg| {
+                        let (nid, is_new) = table.intern(&mut arena, next_cfg, &pp);
+                        if is_new {
+                            faults.push(next_faults);
+                            parent.push(id);
+                            next_in_bucket.push(bucket_head[next_sum]);
+                            bucket_head[next_sum] = nid;
+                        } else if next_faults < faults[nid as usize] {
+                            faults[nid as usize] = next_faults;
+                            parent[nid as usize] = id;
+                        }
+                    });
                 }
             });
             continue;
         }
         let expansions = pool.par_map(&ids, |_, &id| {
             with_scratch(|sc| {
-                let StepScratch {
-                    pos,
-                    next,
-                    faulted,
-                    free,
-                    chosen,
-                } = sc;
+                let StepScratch { pos, next, faulted } = sc;
                 let cfg_bits = arena.cfg(id);
                 arena.positions_into(id, pos);
                 debug_assert!(!inst.all_finished(pos), "terminals are never expanded");
@@ -429,18 +388,12 @@ pub fn ftf_dp_governed_with_stats(
                 if options.prune && incumbent.map(|i| next_faults >= i).unwrap_or(false) {
                     return None;
                 }
-                let next_sum: u64 = next.iter().map(|&x| u64::from(x)).sum();
+                let next_sum: usize = next.iter().map(|&x| x as usize).sum();
                 let pp = arena.pack(next);
                 let mut cfgs = Vec::new();
-                for_each_successor_config_with(
-                    &inst,
-                    cfg_bits,
-                    rx,
-                    options.lazy,
-                    free,
-                    chosen,
-                    |next_cfg| cfgs.push(next_cfg),
-                );
+                for_each_successor_config_rx(&inst, cfg_bits, rx, options.lazy, |next_cfg| {
+                    cfgs.push(next_cfg)
+                });
                 Some((next_faults, next_sum, pp, cfgs))
             })
         });
@@ -450,13 +403,14 @@ pub fn ftf_dp_governed_with_stats(
             let Some((next_faults, next_sum, pp, cfgs)) = expansion else {
                 continue;
             };
+            let table = &mut ring[next_sum % ring_size];
             for next_cfg in cfgs {
-                let (nid, is_new) = arena.intern_packed(next_cfg, &pp);
+                let (nid, is_new) = table.intern(&mut arena, next_cfg, &pp);
                 if is_new {
                     faults.push(next_faults);
                     parent.push(id);
-                    next_in_bucket.push(bucket_head[next_sum as usize]);
-                    bucket_head[next_sum as usize] = nid;
+                    next_in_bucket.push(bucket_head[next_sum]);
+                    bucket_head[next_sum] = nid;
                 } else if next_faults < faults[nid as usize] {
                     faults[nid as usize] = next_faults;
                     parent[nid as usize] = id;
@@ -471,7 +425,7 @@ pub fn ftf_dp_governed_with_stats(
     } else {
         None
     };
-    finish_stats(&mut stats, &arena);
+    finish_stats(&mut stats, &arena, &ring);
     Ok((
         FtfOutcome::Complete(FtfResult {
             min_faults,
@@ -482,12 +436,85 @@ pub fn ftf_dp_governed_with_stats(
     ))
 }
 
-/// Fill the engine-side [`DpStats`] fields from the final arena state
-/// (the arena only grows within a run, so "final" is "peak").
-fn finish_stats(stats: &mut DpStats, arena: &StateArena) {
+/// Rebuild the engine tables from a snapshot and return its best
+/// terminal. Discovered states get ids in the snapshot's canonical order;
+/// parent, frontier and terminal keys resolve by binary search over it.
+/// Frontier states join their bucket chains and their buckets' ring
+/// tables — the only states a resumed run can rediscover.
+#[allow(clippy::too_many_arguments)] // internal: the engine's flat tables
+fn resume_ftf(
+    inst: &DpInstance,
+    ck: &FtfCheckpoint,
+    arena: &mut StateArena,
+    ring: &mut [Dedup],
+    faults: &mut Vec<u64>,
+    parent: &mut Vec<StateId>,
+    bucket_head: &mut [StateId],
+    next_in_bucket: &mut Vec<StateId>,
+) -> Result<Option<(u64, StateId)>, DpError> {
+    let bad = |what: &str| DpError::Model(format!("malformed checkpoint: {what}"));
+    let in_range = |key: &StateKey| {
+        key.1.len() == inst.num_cores()
+            && key
+                .1
+                .iter()
+                .enumerate()
+                .all(|(i, &x)| x >= 1 && u64::from(x) <= inst.end_pos(i))
+    };
+    if !ck.best.iter().all(|(key, _, _)| in_range(key)) {
+        return Err(bad("a state lies outside the instance"));
+    }
+    if !ck.best.windows(2).all(|w| w[0].0 < w[1].0) || !ck.frontier.windows(2).all(|w| w[0] < w[1])
+    {
+        return Err(bad("states are not in strict canonical order"));
+    }
+    let lookup = |key: &StateKey| {
+        ck.best
+            .binary_search_by(|(k, _, _)| k.cmp(key))
+            .map(|i| i as StateId)
+            .map_err(|_| bad("a referenced state is not among the discovered states"))
+    };
+    for (key, f, _) in &ck.best {
+        arena.push_key(key);
+        faults.push(*f);
+        parent.push(NO_STATE);
+        next_in_bucket.push(NO_STATE);
+    }
+    for (i, (_, _, par)) in ck.best.iter().enumerate() {
+        if let Some(p_key) = par {
+            parent[i] = lookup(p_key)?;
+        }
+    }
+    let (mut lo, mut hi) = (usize::MAX, 0);
+    for key in &ck.frontier {
+        let id = lookup(key)?;
+        let s = arena.pos_sum(id) as usize;
+        (lo, hi) = (lo.min(s), hi.max(s));
+        next_in_bucket[id as usize] = bucket_head[s];
+        bucket_head[s] = id;
+        let slot = s % ring.len();
+        ring[slot].insert_id(arena, id);
+    }
+    if hi >= lo.saturating_add(ring.len()) {
+        return Err(bad("the frontier spans more buckets than one step reaches"));
+    }
+    match &ck.best_terminal {
+        Some((f, key)) => Ok(Some((*f, lookup(key)?))),
+        None => Ok(None),
+    }
+}
+
+/// Approximate engine footprint: the arena payload plus the ring tables.
+fn engine_bytes(arena: &StateArena, ring: &[Dedup]) -> usize {
+    arena.approx_bytes() + ring.iter().map(Dedup::approx_bytes).sum::<usize>()
+}
+
+/// Fill the engine-side [`DpStats`] fields. The arena and the ring tables
+/// only grow within a run, so their final size is the peak.
+fn finish_stats(stats: &mut DpStats, arena: &StateArena, ring: &[Dedup]) {
     stats.states = arena.len();
-    stats.peak_arena_bytes = arena.approx_bytes();
-    stats.dedup_load_factor = arena.load_factor();
+    stats.peak_arena_bytes = engine_bytes(arena, ring);
+    stats.dedup_load_factor = ring.iter().map(Dedup::peak_load).fold(0.0, f64::max);
 }
 
 /// Assemble the anytime bracket and checkpoint for a tripped run. The
@@ -873,6 +900,40 @@ mod tests {
         };
         assert_eq!(governed.min_faults, plain.min_faults);
         assert_eq!(governed.states, plain.states);
+    }
+
+    #[test]
+    fn malformed_checkpoints_are_model_errors() {
+        use mcp_core::Budget;
+        let w = wl(&[&[1, 2, 3, 1, 2, 3], &[7, 8, 7, 8, 7, 8]]);
+        let cfg = SimConfig::new(3, 1);
+        let capped = Budget::unlimited().with_max_states(20);
+        let FtfOutcome::Truncated(t) =
+            ftf_dp_governed(&w, cfg, FtfOptions::default(), &capped, None).unwrap()
+        else {
+            panic!("cap 20 must truncate")
+        };
+        let resume = |ck: &FtfCheckpoint| {
+            ftf_dp_governed(
+                &w,
+                cfg,
+                FtfOptions::default(),
+                &Budget::unlimited(),
+                Some(ck),
+            )
+        };
+        assert!(resume(&t.checkpoint).is_ok());
+        let mut unsorted = t.checkpoint.clone();
+        unsorted.best.swap(0, 1);
+        let mut orphan = t.checkpoint.clone();
+        let gone = orphan.frontier[0].clone();
+        orphan.best.retain(|(key, _, _)| *key != gone);
+        let mut outside = t.checkpoint.clone();
+        outside.best.last_mut().unwrap().0 .1[0] = 1000;
+        for ck in [unsorted, orphan, outside] {
+            let err = resume(&ck).unwrap_err();
+            assert!(matches!(err, DpError::Model(_)), "got {err:?}");
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! [`StateKey`] — a `u64` plus a heap-allocated `Box<[u32]>` — costs one
 //! allocation per state, a SipHash pass per lookup, and a clone per
 //! table it lands in. This module replaces it with an append-only
-//! [`StateArena`]: every distinct state is stored exactly once and
-//! referenced everywhere by a dense `u32` [`StateId`], so the DP
-//! frontiers become flat `Vec`-indexed tables.
+//! [`StateArena`] behind [`Dedup`] tables: every distinct state is stored
+//! exactly once and referenced everywhere by a dense `u32` [`StateId`],
+//! so the DP frontiers become flat `Vec`-indexed tables.
 //!
 //! ## Key packing
 //!
@@ -25,14 +25,17 @@
 //!
 //! ## Interning and dedup
 //!
-//! [`StateArena::intern`] deduplicates through an open-addressing table
-//! (linear probing, power-of-two capacity, grown at 3/4 load) that
-//! stores only `StateId`s — keys are compared against the arena
-//! payload, hashed with the dependency-free multiply-rotate
-//! [`FxHasher`] rather than the standard library's SipHash. Checkpoints
-//! are representation-independent: they serialize *materialized*
-//! [`StateKey`]s (see [`StateArena::key`]) in the same canonical order
-//! and byte layout as the unpacked engine did.
+//! The arena only appends and hands states out by id; deduplication is
+//! the job of [`Dedup`], an open-addressing table (linear probing,
+//! power-of-two capacity, grown at 3/4 load) that stores only `StateId`s
+//! and compares keys against the arena payload, hashed with the
+//! dependency-free multiply-rotate [`FxHasher`] rather than the standard
+//! library's SipHash. Callers keep one small table per group of states
+//! that can collide — FTF one per pending position-sum bucket, PIF one
+//! per layer — so the table a lookup touches stays cache-resident.
+//! Checkpoints are representation-independent: they serialize
+//! *materialized* [`StateKey`]s (see [`StateArena::key`]) in the same
+//! canonical order and byte layout as the unpacked engine did.
 
 use crate::state::StateKey;
 use std::cmp::Ordering;
@@ -138,13 +141,15 @@ enum Mode {
     Spill,
 }
 
-/// Append-only arena of interned DP states.
+/// Append-only payload store of DP states.
 ///
 /// Construction picks the representation from the instance shape (see
 /// [`StateArena::new`]); every later operation is
-/// representation-agnostic. `&StateArena` is `Sync`, so parallel
+/// representation-agnostic. The arena does not deduplicate: a [`Dedup`]
+/// table in front of it decides whether a key is new, and the arena hands
+/// out ids in append order. `&StateArena` is `Sync`, so parallel
 /// expansion workers can decode and [`pack`](StateArena::pack) freely
-/// while interning stays confined to the sequential merge.
+/// while appends stay confined to the sequential merge.
 #[derive(Clone, Debug)]
 pub struct StateArena {
     mode: Mode,
@@ -152,9 +157,6 @@ pub struct StateArena {
     cfgs: Vec<u64>,
     packed: Vec<u128>,
     spill: Vec<u32>,
-    table: Vec<StateId>,
-    /// `table.len() - 1` (capacity is a power of two).
-    mask: usize,
 }
 
 impl StateArena {
@@ -169,25 +171,22 @@ impl StateArena {
         } else {
             Mode::Spill
         };
-        const INITIAL_CAP: usize = 64;
         StateArena {
             mode,
             cores,
             cfgs: Vec::new(),
             packed: Vec::new(),
             spill: Vec::new(),
-            table: vec![NO_STATE; INITIAL_CAP],
-            mask: INITIAL_CAP - 1,
         }
     }
 
-    /// Number of interned states.
+    /// Number of stored states.
     #[inline]
     pub fn len(&self) -> usize {
         self.cfgs.len()
     }
 
-    /// Whether no state has been interned.
+    /// Whether no state has been stored.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.cfgs.is_empty()
@@ -203,20 +202,11 @@ impl StateArena {
         self.cfgs.clear();
         self.packed.clear();
         self.spill.clear();
-        self.table.fill(NO_STATE);
     }
 
-    /// Approximate heap footprint in bytes (payload + dedup table).
+    /// Approximate heap footprint of the stored payload in bytes.
     pub fn approx_bytes(&self) -> usize {
-        self.cfgs.capacity() * 8
-            + self.packed.capacity() * 16
-            + self.spill.capacity() * 4
-            + self.table.capacity() * 4
-    }
-
-    /// Occupancy of the dedup table in `[0, 1)` (kept below 3/4).
-    pub fn load_factor(&self) -> f64 {
-        self.len() as f64 / self.table.len() as f64
+        self.cfgs.capacity() * 8 + self.packed.capacity() * 16 + self.spill.capacity() * 4
     }
 
     /// Encode `positions` for this arena's representation without
@@ -254,94 +244,46 @@ impl StateArena {
         h
     }
 
-    /// Intern `(cfg, positions)`; returns the id and whether the state
-    /// is new.
-    pub fn intern(&mut self, cfg: u64, positions: &[u32]) -> (StateId, bool) {
-        match self.mode {
-            Mode::Inline { bits } => self.intern_inline(cfg, Self::pack_inline(positions, bits)),
-            Mode::Spill => self.intern_spill(cfg, positions),
-        }
-    }
-
-    /// Intern a key already encoded by [`StateArena::pack`].
+    /// Dedup hash of a packed key (FxHash; its high bits are the
+    /// well-mixed ones).
     #[inline]
-    pub fn intern_packed(&mut self, cfg: u64, pp: &PackedPos) -> (StateId, bool) {
+    fn hash_packed(cfg: u64, pp: &PackedPos) -> u64 {
         match pp {
-            PackedPos::Inline(word) => self.intern_inline(cfg, *word),
-            PackedPos::Spill(positions) => self.intern_spill(cfg, positions),
+            PackedPos::Inline(word) => Self::hash_inline(cfg, *word),
+            PackedPos::Spill(positions) => Self::hash_spill(cfg, positions),
         }
     }
 
-    /// Intern a materialized [`StateKey`] (checkpoint resume path).
-    pub fn intern_key(&mut self, key: &StateKey) -> (StateId, bool) {
-        self.intern(key.0, &key.1)
-    }
-
-    fn intern_inline(&mut self, cfg: u64, word: u128) -> (StateId, bool) {
-        let mut i = Self::hash_inline(cfg, word) as usize & self.mask;
-        loop {
-            let e = self.table[i];
-            if e == NO_STATE {
-                let id = self.cfgs.len() as StateId;
-                self.cfgs.push(cfg);
-                self.packed.push(word);
-                self.table[i] = id;
-                self.maybe_grow();
-                return (id, true);
-            }
-            if self.cfgs[e as usize] == cfg && self.packed[e as usize] == word {
-                return (e, false);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn intern_spill(&mut self, cfg: u64, positions: &[u32]) -> (StateId, bool) {
-        debug_assert_eq!(positions.len(), self.cores);
-        let mut i = Self::hash_spill(cfg, positions) as usize & self.mask;
-        loop {
-            let e = self.table[i];
-            if e == NO_STATE {
-                let id = self.cfgs.len() as StateId;
-                self.cfgs.push(cfg);
-                self.spill.extend_from_slice(positions);
-                self.table[i] = id;
-                self.maybe_grow();
-                return (id, true);
-            }
-            if self.cfgs[e as usize] == cfg && self.spill_of(e) == positions {
-                return (e, false);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
+    /// Dedup hash of the stored state `id` (equal to
+    /// [`hash_packed`](Self::hash_packed) of its key).
     #[inline]
-    fn maybe_grow(&mut self) {
-        if self.cfgs.len() * 4 > self.table.len() * 3 {
-            self.grow();
+    fn hash_id(&self, id: StateId) -> u64 {
+        let cfg = self.cfgs[id as usize];
+        match self.mode {
+            Mode::Inline { .. } => Self::hash_inline(cfg, self.packed[id as usize]),
+            Mode::Spill => Self::hash_spill(cfg, self.spill_of(id)),
         }
     }
 
-    #[cold]
-    fn grow(&mut self) {
-        let cap = self.table.len() * 2;
-        self.mask = cap - 1;
-        self.table.clear();
-        self.table.resize(cap, NO_STATE);
-        for id in 0..self.cfgs.len() as StateId {
-            let h = match self.mode {
-                Mode::Inline { .. } => {
-                    Self::hash_inline(self.cfgs[id as usize], self.packed[id as usize])
-                }
-                Mode::Spill => Self::hash_spill(self.cfgs[id as usize], self.spill_of(id)),
-            };
-            let mut i = h as usize & self.mask;
-            while self.table[i] != NO_STATE {
-                i = (i + 1) & self.mask;
+    /// Append `(cfg, pp)` unconditionally and return its id.
+    #[inline]
+    pub fn push(&mut self, cfg: u64, pp: &PackedPos) -> StateId {
+        let id = self.cfgs.len() as StateId;
+        self.cfgs.push(cfg);
+        match pp {
+            PackedPos::Inline(word) => self.packed.push(*word),
+            PackedPos::Spill(positions) => {
+                debug_assert_eq!(positions.len(), self.cores);
+                self.spill.extend_from_slice(positions)
             }
-            self.table[i] = id;
         }
+        id
+    }
+
+    /// Append a materialized [`StateKey`] (checkpoint resume path).
+    pub fn push_key(&mut self, key: &StateKey) -> StateId {
+        let pp = self.pack(&key.1);
+        self.push(key.0, &pp)
     }
 
     #[inline]
@@ -406,7 +348,7 @@ impl StateArena {
         (self.cfg(id), pos.into_boxed_slice())
     }
 
-    /// Canonical order of two interned states — identical to comparing
+    /// Canonical order of two stored states — identical to comparing
     /// their materialized [`StateKey`]s.
     #[inline]
     pub fn cmp_ids(&self, a: StateId, b: StateId) -> Ordering {
@@ -432,6 +374,173 @@ impl StateArena {
     }
 }
 
+/// An open-addressing dedup table over the states of one [`StateArena`].
+///
+/// It stores only [`StateId`]s and compares keys against the arena
+/// payload: linear probing, power-of-two capacity, grown before an insert
+/// would push the load past 3/4. The home slot comes from the hash's high
+/// bits, where FxHash mixes best. A table covers whichever subset of the
+/// arena its owner routes to it — FTF keeps one per pending position-sum
+/// bucket, PIF one per layer — so it stays small and cache-resident, and
+/// [`clear`](Dedup::clear) recycles it without freeing.
+#[derive(Clone, Debug)]
+pub struct Dedup {
+    slots: Vec<StateId>,
+    /// `64 - log2(slots.len())`: the home slot is `hash >> shift`.
+    shift: u32,
+    len: usize,
+    /// Highest load seen before a growth or a clear.
+    peak_load: f64,
+}
+
+impl Default for Dedup {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Dedup {
+    const INITIAL_BITS: u32 = 6;
+
+    /// An empty table.
+    pub fn new() -> Self {
+        Dedup {
+            slots: vec![NO_STATE; 1 << Self::INITIAL_BITS],
+            shift: 64 - Self::INITIAL_BITS,
+            len: 0,
+            peak_load: 0.0,
+        }
+    }
+
+    /// Number of registered states.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no state is registered.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Forget every registered state but keep the allocation.
+    pub fn clear(&mut self) {
+        if self.len > 0 {
+            self.note_load();
+            self.slots.fill(NO_STATE);
+            self.len = 0;
+        }
+    }
+
+    /// Current occupancy in `[0, 3/4]`.
+    pub fn load_factor(&self) -> f64 {
+        self.len as f64 / self.slots.len() as f64
+    }
+
+    /// Highest occupancy this table has reached, in `[0, 3/4]`.
+    pub fn peak_load(&self) -> f64 {
+        self.peak_load.max(self.load_factor())
+    }
+
+    /// Heap footprint of the slot array in bytes.
+    pub fn approx_bytes(&self) -> usize {
+        self.slots.capacity() * 4
+    }
+
+    fn note_load(&mut self) {
+        self.peak_load = self.peak_load.max(self.load_factor());
+    }
+
+    /// Look `(cfg, pp)` up; if absent, append it to `arena` and register
+    /// it. Returns the id and whether the state is new.
+    #[inline]
+    pub fn intern(&mut self, arena: &mut StateArena, cfg: u64, pp: &PackedPos) -> (StateId, bool) {
+        let h = StateArena::hash_packed(cfg, pp);
+        let found = match pp {
+            PackedPos::Inline(word) => self.probe(h, |e| {
+                arena.cfgs[e as usize] == cfg && arena.packed[e as usize] == *word
+            }),
+            PackedPos::Spill(positions) => self.probe(h, |e| {
+                arena.cfgs[e as usize] == cfg && arena.spill_of(e) == &positions[..]
+            }),
+        };
+        match found {
+            Ok(id) => (id, false),
+            Err(slot) => {
+                let id = arena.push(cfg, pp);
+                self.place(arena, slot, h, id);
+                (id, true)
+            }
+        }
+    }
+
+    /// Register `id`, already stored in `arena`, unless an equal key is
+    /// registered (checkpoint resume path). Returns the registered id.
+    pub fn insert_id(&mut self, arena: &StateArena, id: StateId) -> StateId {
+        let h = arena.hash_id(id);
+        match self.probe(h, |e| arena.cmp_ids(e, id) == Ordering::Equal) {
+            Ok(existing) => existing,
+            Err(slot) => {
+                self.place(arena, slot, h, id);
+                id
+            }
+        }
+    }
+
+    /// The registered id matching `eq`, or the empty slot ending the
+    /// probe sequence of `h`.
+    #[inline]
+    fn probe(&self, h: u64, eq: impl Fn(StateId) -> bool) -> Result<StateId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = (h >> self.shift) as usize;
+        loop {
+            let e = self.slots[i];
+            if e == NO_STATE {
+                return Err(i);
+            }
+            if eq(e) {
+                return Ok(e);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Store `id` (hash `h`) at `slot`, the empty end of its probe
+    /// sequence — growing first if the insert would pass 3/4 load.
+    #[inline]
+    fn place(&mut self, arena: &StateArena, mut slot: usize, h: u64, id: StateId) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.grow(arena);
+            slot = self.empty_slot(h);
+        }
+        self.slots[slot] = id;
+        self.len += 1;
+    }
+
+    #[inline]
+    fn empty_slot(&self, h: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (h >> self.shift) as usize;
+        while self.slots[i] != NO_STATE {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    #[cold]
+    fn grow(&mut self, arena: &StateArena) {
+        self.note_load();
+        let cap = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![NO_STATE; cap]);
+        self.shift -= 1;
+        for id in old.into_iter().filter(|&e| e != NO_STATE) {
+            let slot = self.empty_slot(arena.hash_id(id));
+            self.slots[slot] = id;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,19 +549,26 @@ mod tests {
         (0..arena.len() as StateId).map(|i| arena.key(i)).collect()
     }
 
+    fn intern(d: &mut Dedup, a: &mut StateArena, cfg: u64, pos: &[u32]) -> (StateId, bool) {
+        let pp = a.pack(pos);
+        d.intern(a, cfg, &pp)
+    }
+
     #[test]
     fn intern_dedups_and_roundtrips() {
         for force_spill in [false, true] {
             let mut a = StateArena::new(3, 9, force_spill);
-            let (id0, new0) = a.intern(5, &[1, 2, 3]);
-            let (id1, new1) = a.intern(5, &[1, 2, 4]);
-            let (id2, new2) = a.intern(4, &[1, 2, 3]);
-            let (id3, new3) = a.intern(5, &[1, 2, 3]);
+            let mut d = Dedup::new();
+            let (id0, new0) = intern(&mut d, &mut a, 5, &[1, 2, 3]);
+            let (id1, new1) = intern(&mut d, &mut a, 5, &[1, 2, 4]);
+            let (id2, new2) = intern(&mut d, &mut a, 4, &[1, 2, 3]);
+            let (id3, new3) = intern(&mut d, &mut a, 5, &[1, 2, 3]);
             assert!(new0 && new1 && new2 && !new3);
             assert_eq!(id0, id3);
             assert_ne!(id0, id1);
             assert_ne!(id0, id2);
             assert_eq!(a.len(), 3);
+            assert_eq!(d.len(), 3);
             assert_eq!(a.key(id0), (5, vec![1, 2, 3].into_boxed_slice()));
             assert_eq!(a.key(id1), (5, vec![1, 2, 4].into_boxed_slice()));
             assert_eq!(a.cfg(id2), 4);
@@ -472,7 +588,13 @@ mod tests {
         ];
         for force_spill in [false, true] {
             let mut a = StateArena::new(2, 9, force_spill);
-            let ids: Vec<StateId> = states.iter().map(|(c, p)| a.intern(*c, p).0).collect();
+            let ids: Vec<StateId> = states
+                .iter()
+                .map(|(c, p)| {
+                    let pp = a.pack(p);
+                    a.push(*c, &pp)
+                })
+                .collect();
             for &x in &ids {
                 for &y in &ids {
                     assert_eq!(a.cmp_ids(x, y), a.key(x).cmp(&a.key(y)), "{x} vs {y}");
@@ -487,32 +609,55 @@ mod tests {
         // intern the same ids in the same order.
         let mut inline = StateArena::new(2, 1023, false);
         let mut spill = StateArena::new(2, 1023, true);
+        let (mut di, mut ds) = (Dedup::new(), Dedup::new());
         assert!(inline.is_inline());
         assert!(!spill.is_inline());
         for cfg in 0..8u64 {
             for x in (1..1000u32).step_by(17) {
-                let a = inline.intern(cfg, &[x, 1000 - x]);
-                let b = spill.intern(cfg, &[x, 1000 - x]);
+                let a = intern(&mut di, &mut inline, cfg, &[x, 1000 - x]);
+                let b = intern(&mut ds, &mut spill, cfg, &[x, 1000 - x]);
                 assert_eq!(a, b);
             }
         }
         assert_eq!(keys_of(&inline), keys_of(&spill));
-        assert!(inline.load_factor() < 0.75);
-        assert!(spill.load_factor() < 0.75);
+        assert!(di.load_factor() <= 0.75);
+        assert!(di.peak_load() <= 0.75 && di.peak_load() > 0.5);
+        assert!(ds.load_factor() <= 0.75);
     }
 
     #[test]
     fn clear_resets_but_reuses() {
         let mut a = StateArena::new(2, 100, false);
+        let mut d = Dedup::new();
         for x in 1..50 {
-            a.intern(1, &[x, x]);
+            intern(&mut d, &mut a, 1, &[x, x]);
         }
-        let bytes = a.approx_bytes();
+        let (bytes, table_bytes) = (a.approx_bytes(), d.approx_bytes());
         a.clear();
-        assert!(a.is_empty());
-        let (id, new) = a.intern(1, &[3, 3]);
+        d.clear();
+        assert!(a.is_empty() && d.is_empty());
+        let (id, new) = intern(&mut d, &mut a, 1, &[3, 3]);
         assert_eq!((id, new), (0, true));
         assert!(a.approx_bytes() >= bytes, "clear must keep capacity");
+        assert_eq!(d.approx_bytes(), table_bytes, "clear must keep the table");
+    }
+
+    #[test]
+    fn insert_id_registers_stored_states() {
+        for force_spill in [false, true] {
+            let mut a = StateArena::new(2, 100, force_spill);
+            let first = a.push_key(&(3, vec![4, 5].into_boxed_slice()));
+            let twin = a.push_key(&(3, vec![4, 5].into_boxed_slice()));
+            let mut d = Dedup::new();
+            assert_eq!(d.insert_id(&a, first), first);
+            assert_eq!(
+                d.insert_id(&a, twin),
+                first,
+                "an equal key is already registered"
+            );
+            assert_eq!(intern(&mut d, &mut a, 3, &[4, 5]), (first, false));
+            assert_eq!(d.len(), 1);
+        }
     }
 
     #[test]

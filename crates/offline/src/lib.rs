@@ -29,6 +29,7 @@ pub mod checkpoint;
 pub mod ftf_dp;
 pub mod intern;
 pub mod miss_curve;
+pub mod pareto;
 pub mod partition_opt;
 pub mod pif_dp;
 pub mod sched_search;
@@ -41,7 +42,9 @@ pub use ftf_dp::{
     ftf_dp, ftf_dp_governed, ftf_dp_governed_with_stats, ftf_fingerprint, ftf_min_faults,
     FtfOptions, FtfOutcome, FtfResult, FtfSchedule, FtfTruncated,
 };
-pub use intern::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, PackedPos, StateArena, StateId};
+pub use intern::{
+    Dedup, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, PackedPos, StateArena, StateId,
+};
 pub use miss_curve::{
     distinct_pages, lru_curve, lru_faults, lru_stack_distances, opt_curve, phase_starts,
 };

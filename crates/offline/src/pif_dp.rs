@@ -19,9 +19,10 @@
 
 use crate::checkpoint::{instance_fingerprint, PifCheckpoint};
 use crate::ftf_dp::{schedule_from_chain, FtfSchedule};
-use crate::intern::{FxHashMap, StateArena, StateId};
+use crate::intern::{Dedup, StateArena, StateId, NO_STATE};
+use crate::pareto::{advance_rows, pack_flags, pack_row, row_words, unpack_row, RowSets, MAX_LANE};
 use crate::state::{
-    for_each_successor_config, for_each_successor_config_with, pool_for, step_effect,
+    for_each_successor_config, for_each_successor_config_rx, pool_for, step_effect,
     step_effect_into, with_scratch, DpError, DpInstance, DpStats, StateKey, StepScratch,
 };
 use mcp_core::{Budget, SimConfig, Time, TripReason, Workload};
@@ -61,19 +62,24 @@ impl Default for PifOptions {
     }
 }
 
-type FaultVec = Box<[u16]>;
-
-fn dominates(a: &[u16], b: &[u16]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x <= y)
-}
-
-/// Insert `v` into the Pareto set `set` (minimal vectors kept).
-fn pareto_insert(set: &mut Vec<FaultVec>, v: FaultVec) {
-    if set.iter().any(|u| dominates(u, &v)) {
-        return;
-    }
-    set.retain(|u| !dominates(&v, u));
-    set.push(v);
+/// The per-core pruning bounds `min(b_i, n_i)`. A core faults at most
+/// once per request, so capping at `n_i` prunes nothing the bound would
+/// not, and it keeps every lane of a packed row at most
+/// [`MAX_LANE`](crate::pareto::MAX_LANE). Cores with more requests than
+/// that are a [`DpError::Model`].
+fn lane_bounds(inst: &DpInstance, bounds_u16: &[u16]) -> Result<Vec<u16>, DpError> {
+    inst.seqs
+        .iter()
+        .zip(bounds_u16)
+        .enumerate()
+        .map(|(i, (seq, &b))| match u16::try_from(seq.len()) {
+            Ok(n) if n <= MAX_LANE => Ok(b.min(n)),
+            _ => Err(DpError::Model(format!(
+                "core {i} has {} requests; the PIF DP counts at most {MAX_LANE} faults per core",
+                seq.len()
+            ))),
+        })
+        .collect()
 }
 
 /// Decide PARTIAL-INDIVIDUAL-FAULTS: can `workload` be served with cache
@@ -238,27 +244,38 @@ pub fn pif_decide_governed_with_stats(
     let fingerprint =
         instance_fingerprint(&inst, pif_option_bits(&options, checkpoint, &bounds_u16));
 
+    let lanes = lane_bounds(&inst, &bounds_u16)?;
     let p = inst.num_cores();
+    let w = row_words(p);
+    let mut bound_row = Vec::with_capacity(w);
+    pack_row(&lanes, &mut bound_row);
     let max_pos = (0..p).map(|i| inst.end_pos(i)).max().unwrap_or(1);
     let end_sum: u64 = (0..p).map(|i| inst.end_pos(i)).sum();
-    // Two arenas alternate: the live layer and the one being built.
-    // `clear` keeps the allocations, so the steady state is
-    // allocation-free aside from the fault vectors themselves.
+    // Two arenas alternate: the live layer and the one being built, and
+    // `dedup` covers the newest of them. `clear` keeps every allocation,
+    // so the steady state allocates nothing: the Pareto sets (rows packed
+    // per `crate::pareto`, indexed by StateId) recycle their vectors too.
     let mut arena = StateArena::new(p, max_pos, options.force_spill);
     let mut next_arena = StateArena::new(p, max_pos, options.force_spill);
-    // Pareto set of fault vectors per interned state, indexed by StateId.
-    let mut pareto: Vec<Vec<FaultVec>> = Vec::new();
-    let mut next_pareto: Vec<Vec<FaultVec>> = Vec::new();
+    let mut dedup = Dedup::new();
+    let mut sets: RowSets<()> = RowSets::new();
+    let mut next_sets: RowSets<()> = RowSets::new();
     let mut ids: Vec<StateId> = Vec::new();
+    // Per-state scratch of the sequential path: the fault increment row
+    // and the source state's advanced rows.
+    let mut inc: Vec<u64> = Vec::with_capacity(w);
+    let mut advanced: Vec<u64> = Vec::new();
+    // One (zero-sized) tag per advanced row.
+    let mut units: Vec<()> = Vec::new();
 
     let mut expansions = 0usize;
     let mut t_done: Time = 0;
     match resume {
         None => {
-            let zero: FaultVec = vec![0u16; p].into_boxed_slice();
-            let (id, is_new) = arena.intern(0, &inst.start_positions());
+            let pp = arena.pack(&inst.start_positions());
+            let (id, is_new) = dedup.intern(&mut arena, 0, &pp);
             debug_assert!(is_new && id == 0);
-            pareto.push(vec![zero]);
+            sets.push(&vec![0u64; w], &[()]);
         }
         Some(ck) => {
             if ck.fingerprint != fingerprint {
@@ -269,15 +286,27 @@ pub fn pif_decide_governed_with_stats(
                     ck.fingerprint
                 )));
             }
+            let mut row = Vec::with_capacity(w);
             for (key, vectors) in &ck.layer {
-                let (id, is_new) = arena.intern_key(key);
+                let pp = arena.pack(&key.1);
+                let (id, is_new) = dedup.intern(&mut arena, key.0, &pp);
                 if is_new {
-                    debug_assert_eq!(id as usize, pareto.len());
-                    pareto.push(vectors.clone());
+                    debug_assert_eq!(id as usize, sets.len());
+                    sets.push(&[], &[]);
                 } else {
                     // Duplicate key in a (checksummed) snapshot: keep the
                     // last, matching the old map-insert semantics.
-                    pareto[id as usize] = vectors.clone();
+                    sets.replace(id as usize, &[], &[]);
+                }
+                for v in vectors {
+                    if v.len() != p || v.iter().zip(&lanes).any(|(x, b)| x > b) {
+                        return Err(DpError::Model(format!(
+                            "malformed checkpoint: fault vector {v:?} exceeds the bounds {lanes:?}"
+                        )));
+                    }
+                    row.clear();
+                    pack_row(v, &mut row);
+                    sets.insert(id as usize, &row, ());
                 }
             }
             expansions = ck.expansions as usize;
@@ -286,9 +315,9 @@ pub fn pif_decide_governed_with_stats(
     }
 
     for t in (t_done + 1)..=checkpoint {
-        track_layer(&mut stats, &arena);
+        track_layer(&mut stats, &arena, &dedup);
         if budget.is_limited() {
-            let vectors: usize = pareto.iter().map(|v| v.len()).sum();
+            let vectors = sets.total_rows();
             let approx_mem = arena.len() * (24 + 8 * p) + vectors * (2 * p + 32);
             if let Err(reason) = budget.check(expansions, approx_mem) {
                 // Materialized canonical keys in canonical order: the
@@ -297,9 +326,12 @@ pub fn pif_decide_governed_with_stats(
                 ids.clear();
                 ids.extend(0..arena.len() as StateId);
                 arena.sort_ids(&mut ids);
-                let snapshot: Vec<(StateKey, Vec<FaultVec>)> = ids
+                let snapshot: Vec<(StateKey, Vec<Box<[u16]>>)> = ids
                     .iter()
-                    .map(|&id| (arena.key(id), pareto[id as usize].clone()))
+                    .map(|&id| {
+                        let rows = sets.rows(id as usize).chunks_exact(w);
+                        (arena.key(id), rows.map(|r| unpack_row(r, p)).collect())
+                    })
                     .collect();
                 stats.expansions = expansions;
                 return Ok((
@@ -332,6 +364,9 @@ pub fn pif_decide_governed_with_stats(
             stats.expansions = expansions;
             return Ok((PifOutcome::Decided(true), stats));
         }
+        next_arena.clear();
+        next_sets.clear();
+        dedup.clear();
         // One layer is one timestep: states within it never feed each
         // other, so the expansion fans out over the pool. Workers read
         // the arena immutably and ship back packed keys; only the
@@ -341,129 +376,83 @@ pub fn pif_decide_governed_with_stats(
             // Sequential fast path: expand and merge each state inline in
             // the same canonical order the parallel path merges in — no
             // per-state successor buffer, no per-layer result vector.
-            next_arena.clear();
-            next_pareto.clear();
             with_scratch(|sc| {
                 for &id in &ids {
-                    let StepScratch {
-                        pos,
-                        next,
-                        faulted,
-                        free,
-                        chosen,
-                    } = sc;
+                    let StepScratch { pos, next, faulted } = sc;
                     let cfg_bits = arena.cfg(id);
                     arena.positions_into(id, pos);
                     let (rx, _) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
-                    let vectors = &pareto[id as usize];
-                    let mut advanced: Vec<FaultVec> = Vec::with_capacity(vectors.len());
-                    'vecs: for v in vectors {
-                        let mut nv = v.clone();
-                        for i in 0..p {
-                            if faulted[i] {
-                                nv[i] += 1;
-                                if nv[i] > bounds_u16[i] {
-                                    continue 'vecs;
-                                }
-                            }
-                        }
-                        advanced.push(nv);
-                    }
+                    inc.clear();
+                    pack_flags(faulted, &mut inc);
+                    advanced.clear();
+                    advance_rows(
+                        sets.rows(id as usize),
+                        &inc,
+                        &bound_row,
+                        &mut advanced,
+                        |_| {},
+                    );
                     if advanced.is_empty() {
                         continue;
                     }
+                    units.resize(advanced.len() / w, ());
                     let pp = arena.pack(next);
-                    for_each_successor_config_with(
+                    for_each_successor_config_rx(
                         &inst,
                         cfg_bits,
                         rx,
                         !options.full_transitions,
-                        free,
-                        chosen,
                         |next_cfg| {
-                            let (nid, is_new) = next_arena.intern_packed(next_cfg, &pp);
-                            if is_new {
-                                debug_assert_eq!(nid as usize, next_pareto.len());
-                                next_pareto.push(Vec::new());
-                            }
-                            let entry = &mut next_pareto[nid as usize];
-                            for v in &advanced {
-                                pareto_insert(entry, v.clone());
-                            }
-                            expansions += advanced.len();
+                            let (nid, is_new) = dedup.intern(&mut next_arena, next_cfg, &pp);
+                            merge_rows(&mut next_sets, nid, is_new, &advanced, &units);
+                            expansions += units.len();
                         },
                     );
                 }
             });
-            if next_arena.is_empty() {
-                stats.expansions = expansions;
-                return Ok((PifOutcome::Decided(false), stats));
-            }
-            std::mem::swap(&mut arena, &mut next_arena);
-            std::mem::swap(&mut pareto, &mut next_pareto);
-            continue;
-        }
-        let expanded = pool.par_map(&ids, |_, &id| {
-            with_scratch(|sc| {
-                let StepScratch {
-                    pos,
-                    next,
-                    faulted,
-                    free,
-                    chosen,
-                } = sc;
-                let cfg_bits = arena.cfg(id);
-                arena.positions_into(id, pos);
-                let (rx, _) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
-                // Advance each surviving vector.
-                let vectors = &pareto[id as usize];
-                let mut advanced: Vec<FaultVec> = Vec::with_capacity(vectors.len());
-                'vecs: for v in vectors {
-                    let mut nv = v.clone();
-                    for i in 0..p {
-                        if faulted[i] {
-                            nv[i] += 1;
-                            if nv[i] > bounds_u16[i] {
-                                continue 'vecs;
-                            }
-                        }
+        } else {
+            let expanded = pool.par_map(&ids, |_, &id| {
+                with_scratch(|sc| {
+                    let StepScratch { pos, next, faulted } = sc;
+                    let cfg_bits = arena.cfg(id);
+                    arena.positions_into(id, pos);
+                    let (rx, _) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
+                    // Advance each surviving vector.
+                    let mut inc = Vec::with_capacity(w);
+                    pack_flags(faulted, &mut inc);
+                    let mut advanced = Vec::new();
+                    advance_rows(
+                        sets.rows(id as usize),
+                        &inc,
+                        &bound_row,
+                        &mut advanced,
+                        |_| {},
+                    );
+                    if advanced.is_empty() {
+                        return None;
                     }
-                    advanced.push(nv);
+                    let pp = arena.pack(next);
+                    let mut cfgs = Vec::new();
+                    for_each_successor_config_rx(
+                        &inst,
+                        cfg_bits,
+                        rx,
+                        !options.full_transitions,
+                        |next_cfg| cfgs.push(next_cfg),
+                    );
+                    Some((advanced, pp, cfgs))
+                })
+            });
+            // Merge sequentially, in the same canonical order: the
+            // insertion sequence into each Pareto set — and hence its
+            // stored order — is identical for every worker count.
+            for (advanced, pp, cfgs) in expanded.into_iter().flatten() {
+                units.resize(advanced.len() / w, ());
+                for next_cfg in cfgs {
+                    let (nid, is_new) = dedup.intern(&mut next_arena, next_cfg, &pp);
+                    merge_rows(&mut next_sets, nid, is_new, &advanced, &units);
+                    expansions += units.len();
                 }
-                if advanced.is_empty() {
-                    return None;
-                }
-                let pp = arena.pack(next);
-                let mut cfgs = Vec::new();
-                for_each_successor_config_with(
-                    &inst,
-                    cfg_bits,
-                    rx,
-                    !options.full_transitions,
-                    free,
-                    chosen,
-                    |next_cfg| cfgs.push(next_cfg),
-                );
-                Some((advanced, pp, cfgs))
-            })
-        });
-        // Merge sequentially, in the same canonical order: the insertion
-        // sequence into each Pareto set — and hence its stored order —
-        // is identical for every worker count.
-        next_arena.clear();
-        next_pareto.clear();
-        for (advanced, pp, cfgs) in expanded.into_iter().flatten() {
-            for next_cfg in cfgs {
-                let (nid, is_new) = next_arena.intern_packed(next_cfg, &pp);
-                if is_new {
-                    debug_assert_eq!(nid as usize, next_pareto.len());
-                    next_pareto.push(Vec::new());
-                }
-                let entry = &mut next_pareto[nid as usize];
-                for v in &advanced {
-                    pareto_insert(entry, v.clone());
-                }
-                expansions += advanced.len();
             }
         }
         if next_arena.is_empty() {
@@ -471,37 +460,42 @@ pub fn pif_decide_governed_with_stats(
             return Ok((PifOutcome::Decided(false), stats));
         }
         std::mem::swap(&mut arena, &mut next_arena);
-        std::mem::swap(&mut pareto, &mut next_pareto);
+        std::mem::swap(&mut sets, &mut next_sets);
     }
     // Survived the serving at t = checkpoint with every bound respected.
-    track_layer(&mut stats, &arena);
+    track_layer(&mut stats, &arena, &dedup);
     stats.expansions = expansions;
     Ok((PifOutcome::Decided(true), stats))
 }
 
-/// Fold the current layer into the peak-tracking [`DpStats`] fields.
-fn track_layer(stats: &mut DpStats, arena: &StateArena) {
+/// Fold the current layer (its arena and dedup table) into the
+/// peak-tracking [`DpStats`] fields.
+fn track_layer(stats: &mut DpStats, arena: &StateArena, dedup: &Dedup) {
     if arena.len() > stats.states {
         stats.states = arena.len();
-        stats.dedup_load_factor = arena.load_factor();
+        stats.dedup_load_factor = dedup.load_factor();
     }
-    stats.peak_arena_bytes = stats.peak_arena_bytes.max(arena.approx_bytes());
+    stats.peak_arena_bytes = stats
+        .peak_arena_bytes
+        .max(arena.approx_bytes() + dedup.approx_bytes());
 }
 
-/// A Pareto entry carrying provenance: parent = (state id at the
-/// previous layer, index into its entry list). Ids are global — states
-/// never repeat across layers (every unfinished sequence advances each
-/// timestep, so position sums strictly increase), so one arena interns
-/// the whole search.
-type WitnessEntry = (FaultVec, Option<(StateId, usize)>);
-
-fn pareto_insert_with_parent(set: &mut Vec<WitnessEntry>, entry: WitnessEntry) {
-    if set.iter().any(|(u, _)| dominates(u, &entry.0)) {
-        return;
+/// Insert a source state's advanced rows, with their tags, into the
+/// Pareto set of successor `i`, opening the set if the successor is new.
+fn merge_rows<T: Copy>(sets: &mut RowSets<T>, i: StateId, is_new: bool, rows: &[u64], tags: &[T]) {
+    if is_new {
+        debug_assert_eq!(i as usize, sets.len());
+        sets.push(&[], &[]);
     }
-    set.retain(|(u, _)| !dominates(&entry.0, u));
-    set.push(entry);
+    let w = rows.len() / tags.len();
+    for (row, &tag) in rows.chunks_exact(w).zip(tags) {
+        sets.insert(i as usize, row, tag);
+    }
 }
+
+/// Provenance of a witness Pareto row: the source state's id and the
+/// index of the source row in its set (`(NO_STATE, 0)` at the root).
+type Provenance = (StateId, u32);
 
 /// Like [`pif_decide`], but a "yes" comes with a **witness**: a complete,
 /// replayable eviction schedule whose fault vector at `checkpoint`
@@ -529,28 +523,33 @@ pub fn pif_witness(
         .iter()
         .map(|&b| b.min(u16::MAX as u64) as u16)
         .collect();
-    let zero: FaultVec = vec![0u16; inst.num_cores()].into_boxed_slice();
-
+    let lanes = lane_bounds(&inst, &bounds_u16)?;
     let p = inst.num_cores();
+    let w = row_words(p);
+    let mut bound_row = Vec::with_capacity(w);
+    pack_row(&lanes, &mut bound_row);
     let max_pos = (0..p).map(|i| inst.end_pos(i)).max().unwrap_or(1);
     let end_sum: u64 = (0..p).map(|i| inst.end_pos(i)).sum();
-    // One arena interns every layer (ids never collide across layers, see
-    // [`WitnessEntry`]); layers[t] maps each state id reachable at time t
-    // to its Pareto set of (fault vector, parent) pairs.
+    // One arena stores every layer: layer t's states are the ids
+    // `bases[t] .. bases[t] + layers[t].len()`, deduplicated by a
+    // per-layer table, and `layers[t]` holds their Pareto sets with each
+    // row's provenance in the parallel tag vector.
     let mut arena = StateArena::new(p, max_pos, options.force_spill);
-    let mut layers: Vec<FxHashMap<StateId, Vec<WitnessEntry>>> = Vec::new();
-    let start_id = arena.intern_key(&start).0;
-    let mut first: FxHashMap<StateId, Vec<WitnessEntry>> = FxHashMap::default();
-    first.insert(start_id, vec![(zero, None)]);
-    layers.push(first);
+    let mut dedup = Dedup::new();
+    let pp = arena.pack(&start.1);
+    let (start_id, _) = dedup.intern(&mut arena, start.0, &pp);
+    let mut first: RowSets<Provenance> = RowSets::new();
+    first.push(&vec![0u64; w], &[(NO_STATE, 0)]);
+    let mut layers = vec![first];
+    let mut bases = vec![start_id];
 
     let mut expansions = 0usize;
     let mut terminal: Option<(usize, StateId)> = None; // (layer, state)
     let mut ids: Vec<StateId> = Vec::new();
     'outer: for t in 1..=checkpoint {
-        let current = &layers[t as usize - 1];
+        let (current, base) = (&layers[t as usize - 1], bases[t as usize - 1]);
         ids.clear();
-        ids.extend(current.keys().copied());
+        ids.extend(base..base + current.len() as StateId);
         arena.sort_ids(&mut ids);
         // The canonically smallest finished state, so the witness endpoint
         // does not depend on hash order.
@@ -560,56 +559,40 @@ pub fn pif_witness(
         }
         let expanded = pool_for(options.jobs, ids.len()).par_map(&ids, |_, &id| {
             with_scratch(|sc| {
-                let StepScratch {
-                    pos,
-                    next,
-                    faulted,
-                    free,
-                    chosen,
-                } = sc;
+                let StepScratch { pos, next, faulted } = sc;
                 let cfg_bits = arena.cfg(id);
                 arena.positions_into(id, pos);
                 let (rx, _) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
-                let entries = &current[&id];
-                let mut advanced: Vec<WitnessEntry> = Vec::new();
-                'vecs: for (idx, (v, _)) in entries.iter().enumerate() {
-                    let mut nv = v.clone();
-                    for i in 0..p {
-                        if faulted[i] {
-                            nv[i] += 1;
-                            if nv[i] > bounds_u16[i] {
-                                continue 'vecs;
-                            }
-                        }
-                    }
-                    advanced.push((nv, Some((id, idx))));
-                }
-                if advanced.is_empty() {
+                let mut inc = Vec::with_capacity(w);
+                pack_flags(faulted, &mut inc);
+                let (mut advanced, mut sources) = (Vec::new(), Vec::new());
+                let rows = current.rows((id - base) as usize);
+                advance_rows(rows, &inc, &bound_row, &mut advanced, |j| {
+                    sources.push((id, j as u32))
+                });
+                if sources.is_empty() {
                     return None;
                 }
                 let pp = arena.pack(next);
                 let mut cfgs = Vec::new();
-                for_each_successor_config_with(
+                for_each_successor_config_rx(
                     &inst,
                     cfg_bits,
                     rx,
                     !options.full_transitions,
-                    free,
-                    chosen,
                     |next_cfg| cfgs.push(next_cfg),
                 );
-                Some((advanced, pp, cfgs))
+                Some((advanced, sources, pp, cfgs))
             })
         });
-        let mut next: FxHashMap<StateId, Vec<WitnessEntry>> = FxHashMap::default();
-        for (advanced, pp, cfgs) in expanded.into_iter().flatten() {
+        let mut next: RowSets<Provenance> = RowSets::new();
+        let next_base = arena.len() as StateId;
+        dedup.clear();
+        for (advanced, sources, pp, cfgs) in expanded.into_iter().flatten() {
             for next_cfg in cfgs {
-                let nid = arena.intern_packed(next_cfg, &pp).0;
-                let entry = next.entry(nid).or_default();
-                for e in &advanced {
-                    pareto_insert_with_parent(entry, e.clone());
-                }
-                expansions += advanced.len();
+                let (nid, is_new) = dedup.intern(&mut arena, next_cfg, &pp);
+                merge_rows(&mut next, nid - next_base, is_new, &advanced, &sources);
+                expansions += sources.len();
             }
             if expansions > options.max_expansions {
                 return Err(DpError::TooLarge {
@@ -619,10 +602,11 @@ pub fn pif_witness(
                 });
             }
         }
-        if next.is_empty() {
+        if next.len() == 0 {
             return Ok(None);
         }
         layers.push(next);
+        bases.push(next_base);
     }
 
     // Pick the witness endpoint: an all-finished state found early, or the
@@ -631,23 +615,24 @@ pub fn pif_witness(
         Some(x) => x,
         None => {
             let last = layers.len() - 1;
-            let id = layers[last]
-                .keys()
-                .copied()
+            let id = (bases[last]..bases[last] + layers[last].len() as StateId)
                 .min_by(|&a, &b| arena.cmp_ids(a, b))
                 .expect("nonempty layer");
             (last, id)
         }
     };
-    // Walk parents back to layer 0, materializing canonical keys.
+    // Walk the first row's provenance back to layer 0, materializing
+    // canonical keys.
+    let tag_of = |layer: usize, id: StateId, idx: usize| {
+        layers[layer].tags((id - bases[layer]) as usize)[idx]
+    };
     let mut chain: Vec<StateKey> = vec![arena.key(end_id)];
-    let mut cursor: Option<(StateId, usize)> = layers[end_layer][&end_id]
-        .first()
-        .and_then(|(_, parent)| *parent);
+    let mut cursor = tag_of(end_layer, end_id, 0);
     let mut layer_idx = end_layer;
-    while let Some((id, idx)) = cursor {
+    while cursor.0 != NO_STATE {
+        let (id, idx) = cursor;
         layer_idx -= 1;
-        cursor = layers[layer_idx][&id][idx].1;
+        cursor = tag_of(layer_idx, id, idx as usize);
         chain.push(arena.key(id));
     }
     chain.reverse();
@@ -732,15 +717,41 @@ mod tests {
     }
 
     #[test]
-    fn pareto_insert_keeps_minimal() {
-        let mut set: Vec<FaultVec> = Vec::new();
-        pareto_insert(&mut set, vec![2, 3].into_boxed_slice());
-        pareto_insert(&mut set, vec![3, 2].into_boxed_slice());
-        assert_eq!(set.len(), 2);
-        pareto_insert(&mut set, vec![2, 2].into_boxed_slice()); // dominates both
-        assert_eq!(set.len(), 1);
-        pareto_insert(&mut set, vec![4, 4].into_boxed_slice()); // dominated
-        assert_eq!(set.len(), 1);
+    fn bounds_above_request_counts_decide_like_request_counts() {
+        // A core faults at most once per request, so pruning at
+        // min(b_i, n_i) is exact: any bound at or above n_i behaves alike,
+        // decision and search statistics both.
+        let w = wl(&[&[1, 2, 3, 1, 2], &[7, 8, 7, 8, 7, 8, 9]]);
+        let cfg = SimConfig::new(3, 1);
+        let n = [5u64, 7];
+        for t in [4u64, 9, 30] {
+            for other in [0u64, 2, 4] {
+                let at_n = pif_decide_with_stats(&w, cfg, t, &[n[0], other], PifOptions::default())
+                    .unwrap();
+                for above in [n[0] + 1, 1000, u64::MAX] {
+                    let got =
+                        pif_decide_with_stats(&w, cfg, t, &[above, other], PifOptions::default())
+                            .unwrap();
+                    assert_eq!(got, at_n, "t={t} bounds=[{above}, {other}]");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn request_counts_beyond_the_lane_width_are_a_model_error() {
+        let long: Vec<u32> = (0..=u32::from(MAX_LANE)).map(|i| i % 2).collect();
+        let w = Workload::from_u32([long, vec![7]]).unwrap();
+        let cfg = SimConfig::new(3, 0);
+        let opts = PifOptions::default();
+        let err = pif_decide(&w, cfg, 1, &[1, 1], opts).unwrap_err();
+        assert!(matches!(err, DpError::Model(_)), "got {err:?}");
+        let err = pif_witness(&w, cfg, 1, &[1, 1], opts).unwrap_err();
+        assert!(matches!(err, DpError::Model(_)), "got {err:?}");
+        // One request fewer fits a lane.
+        let w = Workload::from_u32([(0..u32::from(MAX_LANE)).map(|i| i % 2).collect(), vec![7]])
+            .unwrap();
+        assert!(pif_decide(&w, cfg, 1, &[1, 1], opts).unwrap());
     }
 
     #[test]

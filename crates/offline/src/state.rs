@@ -57,10 +57,12 @@ pub struct DpStats {
     /// State expansions performed (FTF: states expanded; PIF: fault
     /// vectors advanced, matching `PifOptions::max_expansions`).
     pub expansions: usize,
-    /// Peak approximate state-arena footprint in bytes (packed payload
-    /// plus dedup table).
+    /// Peak approximate state-engine footprint in bytes: packed payload
+    /// plus dedup tables (FTF: every table of its bucket ring).
     pub peak_arena_bytes: usize,
-    /// Dedup-table load factor at the peak (the arena grows at 3/4).
+    /// Peak dedup-table load, at most 3/4 (tables grow before passing
+    /// it). FTF: the highest load any bucket table reached; PIF: the
+    /// table of the largest layer.
     pub dedup_load_factor: f64,
 }
 
@@ -234,15 +236,13 @@ pub fn step_effect(inst: &DpInstance, config: u64, positions: &[u32]) -> StepEff
 }
 
 /// Reusable per-thread buffers for the allocation-free DP hot path
-/// (decoded positions, step outputs, and eviction-combo scratch). One
-/// lives in a `thread_local` per expansion worker.
+/// (decoded positions and step outputs). One lives in a `thread_local`
+/// per expansion worker.
 #[derive(Default)]
 pub(crate) struct StepScratch {
     pub(crate) pos: Vec<u32>,
     pub(crate) next: Vec<u32>,
     pub(crate) faulted: Vec<bool>,
-    pub(crate) free: Vec<u16>,
-    pub(crate) chosen: Vec<u16>,
 }
 
 /// Run `f` with this thread's [`StepScratch`] (expansion workers reuse
@@ -313,58 +313,45 @@ pub fn for_each_successor_config(
     lazy: bool,
     f: impl FnMut(u64),
 ) {
-    let mut free = Vec::new();
-    let mut chosen = Vec::new();
-    for_each_successor_config_with(inst, config, effect.rx, lazy, &mut free, &mut chosen, f)
+    for_each_successor_config_rx(inst, config, effect.rx, lazy, f)
 }
 
-/// Allocation-free form of [`for_each_successor_config`] for the DP hot
-/// loops: takes the step's `rx` directly and enumerates into caller
-/// scratch buffers.
-pub(crate) fn for_each_successor_config_with(
+/// [`for_each_successor_config`] for the DP hot loops: takes the step's
+/// `rx` directly and enumerates eviction sets as bitmasks, allocating
+/// nothing. Sets are visited by size, and within a size in lexicographic
+/// order of their ascending page indices.
+pub(crate) fn for_each_successor_config_rx(
     inst: &DpInstance,
     config: u64,
     rx: u64,
     lazy: bool,
-    free: &mut Vec<u16>,
-    chosen: &mut Vec<u16>,
     mut f: impl FnMut(u64),
 ) {
     let base = config | rx;
-    let keep_mask = rx;
-    free.clear();
-    free.extend((0..inst.pages.len() as u16).filter(|b| (base & !keep_mask) & (1u64 << b) != 0));
-    let occupancy = base.count_ones() as usize;
-    let min_evict = occupancy.saturating_sub(inst.k);
-    debug_assert!(min_evict <= free.len(), "rx alone must fit in the cache");
-    let max_evict = if lazy { min_evict } else { free.len() };
+    let free = base & !rx;
+    let min_evict = (base.count_ones() as usize).saturating_sub(inst.k) as u32;
+    debug_assert!(
+        min_evict <= free.count_ones(),
+        "rx alone must fit in the cache"
+    );
+    let max_evict = if lazy { min_evict } else { free.count_ones() };
 
-    // Enumerate subsets of `free` of each size in [min_evict, max_evict].
-    chosen.clear();
-    fn combos(
-        free: &[u16],
-        start: usize,
-        remaining: usize,
-        chosen: &mut Vec<u16>,
-        base: u64,
-        f: &mut impl FnMut(u64),
-    ) {
+    /// Call `f(base & !(evicted | S))` for every `remaining`-subset `S`
+    /// of `avail`, lowest page first.
+    fn combos(avail: u64, remaining: u32, evicted: u64, base: u64, f: &mut impl FnMut(u64)) {
         if remaining == 0 {
-            let mut cfg = base;
-            for &b in chosen.iter() {
-                cfg &= !(1u64 << b);
-            }
-            f(cfg);
+            f(base & !evicted);
             return;
         }
-        for i in start..=free.len().saturating_sub(remaining) {
-            chosen.push(free[i]);
-            combos(free, i + 1, remaining - 1, chosen, base, f);
-            chosen.pop();
+        let mut rest = avail;
+        while rest.count_ones() >= remaining {
+            let low = rest & rest.wrapping_neg();
+            rest ^= low;
+            combos(rest, remaining - 1, evicted | low, base, f);
         }
     }
     for e in min_evict..=max_evict {
-        combos(free, 0, e, chosen, base, &mut f);
+        combos(free, e, 0, base, &mut f);
     }
 }
 

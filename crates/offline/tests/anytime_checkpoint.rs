@@ -267,3 +267,66 @@ fn pif_resume_matches_the_direct_decision_at_every_worker_count() {
         }
     }
 }
+
+/// Three cores with τ = 2: one step advances a state's position sum by up
+/// to 9, so the FTF dedup ring has 10 tables and a trip leaves up to nine
+/// buckets pending at once.
+fn three_core() -> Workload {
+    Workload::from_u32([
+        (0..9).map(|i| (i % 3) as u32).collect::<Vec<_>>(),
+        (0..9).map(|i| 10 + (i % 4) as u32).collect::<Vec<_>>(),
+        (0..9).map(|i| 20 + (i * 7 % 5) as u32).collect::<Vec<_>>(),
+    ])
+    .unwrap()
+}
+
+fn truncate_at(w: &Workload, cfg: SimConfig, cap: usize, jobs: usize) -> FtfTruncated {
+    let budget = Budget::unlimited().with_max_states(cap);
+    match ftf_dp_governed(w, cfg, opts(jobs), &budget, None).unwrap() {
+        FtfOutcome::Truncated(t) => t,
+        FtfOutcome::Complete(_) => panic!("cap {cap} must trip"),
+    }
+}
+
+#[test]
+fn resume_with_several_pending_buckets_is_bit_identical() {
+    let w = three_core();
+    let cfg = SimConfig::new(5, 2);
+    let full = full_run(&w, cfg);
+    let (cap, later_cap) = (400, 4000);
+    let t = truncate_at(&w, cfg, cap, 1);
+    let pending: std::collections::BTreeSet<u64> = t
+        .checkpoint
+        .frontier
+        .iter()
+        .map(|key| key.1.iter().map(|&x| u64::from(x)).sum())
+        .collect();
+    assert!(
+        pending.len() >= 4,
+        "the trip must leave several buckets pending, got sums {pending:?}"
+    );
+    let later = truncate_at(&w, cfg, later_cap, 1).checkpoint.to_bytes();
+    let bytes = t.checkpoint.to_bytes();
+    for jobs in [1usize, 2] {
+        let resume = FtfCheckpoint::from_bytes(&bytes).unwrap();
+        // Resumed to the next trip: the snapshot bytes equal the direct
+        // run's at that cap.
+        let budget = Budget::unlimited().with_max_states(later_cap);
+        match ftf_dp_governed(&w, cfg, opts(jobs), &budget, Some(&resume)).unwrap() {
+            FtfOutcome::Truncated(t2) => assert_eq!(t2.checkpoint.to_bytes(), later, "jobs={jobs}"),
+            FtfOutcome::Complete(_) => panic!("cap {later_cap} must trip (jobs={jobs})"),
+        }
+        // Resumed to the end: the full run's answer, states and witness.
+        let r = match ftf_dp_governed(&w, cfg, opts(jobs), &Budget::unlimited(), Some(&resume))
+            .unwrap()
+        {
+            FtfOutcome::Complete(r) => r,
+            FtfOutcome::Truncated(_) => panic!("unlimited resume must complete"),
+        };
+        assert_eq!(r.min_faults, full.min_faults, "jobs={jobs}");
+        assert_eq!(r.states, full.states, "jobs={jobs}");
+        let (a, b) = (r.schedule.unwrap(), full.schedule.as_ref().unwrap().clone());
+        assert_eq!(a.decisions, b.decisions, "jobs={jobs}");
+        assert_eq!(a.voluntary, b.voluntary, "jobs={jobs}");
+    }
+}

@@ -7,7 +7,7 @@
 //! crashes (the target file is never torn, even when every write
 //! attempt "crashes").
 
-use mcp_chaos::{arm_scoped, FaultPlan};
+use mcp_chaos::{arm_scoped, disarmed_scoped, FaultPlan};
 use mcp_core::{Budget, SimConfig};
 use mcp_offline::{
     ftf_dp_governed, lru_faults, pif_decide_governed, CheckpointError, FtfCheckpoint, FtfOptions,
@@ -175,8 +175,14 @@ fn tmp(name: &str) -> PathBuf {
 fn simulated_crash_mid_write_never_tears_the_target() {
     let path = tmp("crash.mcpk");
     let old = ftf_checkpoint();
-    old.save(&path).unwrap();
     let new = pif_checkpoint(); // any different payload
+
+    // The unfaulted save and load hold the arm lock, so a concurrently
+    // running test's fault plan cannot tear them.
+    {
+        let _quiet = disarmed_scoped();
+        old.save(&path).unwrap();
+    }
     {
         let _guard = arm_scoped(FaultPlan::write_crash(0xC5A7));
         // Every attempt "crashes" (torn temp / ENOSPC / failed rename):
@@ -186,6 +192,7 @@ fn simulated_crash_mid_write_never_tears_the_target() {
         assert!(res.is_err(), "write_crash plan must defeat every retry");
     }
     // ...and the target still holds the previous complete snapshot.
+    let _quiet = disarmed_scoped();
     assert_eq!(FtfCheckpoint::load(&path).unwrap(), old);
     assert!(
         !mcp_chaos::io::temp_sibling(&path).exists(),

@@ -6,7 +6,7 @@
 use mcp_core::{simulate, PageId, SimConfig, Workload};
 use mcp_offline::{
     belady_faults, brute_force_min_faults, fitf_restricted_min_faults, ftf_min_faults, lru_curve,
-    opt_curve, optimal_static_partition, pif_decide, PartPolicy, PifOptions, StateArena,
+    opt_curve, optimal_static_partition, pif_decide, Dedup, PartPolicy, PifOptions, StateArena,
 };
 use mcp_policies::static_partition_belady;
 use proptest::prelude::*;
@@ -133,12 +133,14 @@ proptest! {
         let max_pos = n * (tau + 1) + 1;
         for force_spill in [false, true] {
             let mut arena = StateArena::new(cores, max_pos, force_spill);
+            let mut dedup = Dedup::new();
             for (cfg, pos) in &states {
                 let positions: Vec<u32> = pos[..cores]
                     .iter()
                     .map(|&x| 1 + x % (max_pos as u32))
                     .collect();
-                let (id, _) = arena.intern(*cfg, &positions);
+                let pp = arena.pack(&positions);
+                let (id, _) = dedup.intern(&mut arena, *cfg, &pp);
                 // Encode → intern → decode must reproduce the key exactly.
                 prop_assert_eq!(
                     arena.key(id),
@@ -165,13 +167,15 @@ proptest! {
         let max_pos = n * (tau + 1) + 1;
         for force_spill in [false, true] {
             let mut arena = StateArena::new(cores, max_pos, force_spill);
+            let mut dedup = Dedup::new();
             let mut ids = Vec::new();
             for (cfg, pos) in &states {
                 let positions: Vec<u32> = pos[..cores]
                     .iter()
                     .map(|&x| 1 + x % (max_pos as u32))
                     .collect();
-                ids.push(arena.intern(*cfg, &positions).0);
+                let pp = arena.pack(&positions);
+                ids.push(dedup.intern(&mut arena, *cfg, &pp).0);
             }
             ids.sort_unstable();
             ids.dedup();
