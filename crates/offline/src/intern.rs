@@ -28,8 +28,8 @@
 //! The arena only appends and hands states out by id; deduplication is
 //! the job of [`Dedup`], an open-addressing table (linear probing,
 //! power-of-two capacity, grown at 3/4 load) that stores only `StateId`s
-//! and compares keys against the arena payload, hashed with the
-//! dependency-free multiply-rotate [`FxHasher`] rather than the standard
+//! and compares keys against the arena payload, hashed by multiply-rotate
+//! mixing of the raw key words (the FxHash step) rather than the standard
 //! library's SipHash. Callers keep one small table per group of states
 //! that can collide — FTF one per pending position-sum bucket, PIF one
 //! per layer — so the table a lookup touches stays cache-resident.
@@ -39,8 +39,6 @@
 
 use crate::state::StateKey;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hasher};
 
 /// Dense reference to an interned state: an index into a [`StateArena`].
 pub type StateId = u32;
@@ -54,72 +52,6 @@ const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 fn fx_mix(h: u64, word: u64) -> u64 {
     (h.rotate_left(5) ^ word).wrapping_mul(FX_SEED)
 }
-
-/// A dependency-free FxHash-style [`Hasher`]: multiply-rotate mixing of
-/// 64-bit words. Not DoS-resistant — use only on trusted, internal keys
-/// (dense page ids, state ids), where it is several times faster than
-/// the standard library's SipHash.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.hash = fx_mix(self.hash, u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.hash = fx_mix(self.hash, u64::from_le_bytes(tail));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.hash = fx_mix(self.hash, u64::from(v));
-    }
-    #[inline]
-    fn write_u16(&mut self, v: u16) {
-        self.hash = fx_mix(self.hash, u64::from(v));
-    }
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.hash = fx_mix(self.hash, u64::from(v));
-    }
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.hash = fx_mix(self.hash, v);
-    }
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.hash = fx_mix(self.hash, v as u64);
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-/// [`BuildHasher`] for [`FxHasher`] (zero-sized, deterministic).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FxBuildHasher;
-
-impl BuildHasher for FxBuildHasher {
-    type Hasher = FxHasher;
-    #[inline]
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher::default()
-    }
-}
-
-/// A `HashMap` keyed by the deterministic [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-/// A `HashSet` keyed by the deterministic [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// A position vector encoded for its arena's representation, produced by
 /// [`StateArena::pack`]. Workers pack on their own threads; only the
@@ -668,19 +600,5 @@ mod tests {
         // 4 cores * 26 bits = 104: inline.
         let a = StateArena::new(4, (1 << 26) - 1, false);
         assert!(a.is_inline());
-    }
-
-    #[test]
-    fn fx_hashmap_is_deterministic() {
-        let mut m: FxHashMap<u64, u32> = FxHashMap::default();
-        for i in 0..100 {
-            m.insert(i, (i * 2) as u32);
-        }
-        let mut n: FxHashMap<u64, u32> = FxHashMap::default();
-        for i in (0..100).rev() {
-            n.insert(i, (i * 2) as u32);
-        }
-        assert_eq!(m, n);
-        assert_eq!(m[&42], 84);
     }
 }

@@ -10,7 +10,8 @@
 //!   procedure (Theorem 7) and exact MAX-PIF by subset enumeration.
 //! * [`search`] — honest brute force (faults, makespan, and
 //!   lexicographic objectives) and Theorem 5's restricted sequence-FITF
-//!   search, as independent cross-checks.
+//!   search, as cross-checks that replay decision prefixes on the
+//!   production engine.
 //! * [`sched_search`] — exhaustive optima in Hassidim's
 //!   *scheduling-capable* model (sequences may be stalled), quantifying
 //!   the gap between the two papers' models.
@@ -42,9 +43,7 @@ pub use ftf_dp::{
     ftf_dp, ftf_dp_governed, ftf_dp_governed_with_stats, ftf_fingerprint, ftf_min_faults,
     FtfOptions, FtfOutcome, FtfResult, FtfSchedule, FtfTruncated,
 };
-pub use intern::{
-    Dedup, FxBuildHasher, FxHashMap, FxHashSet, FxHasher, PackedPos, StateArena, StateId,
-};
+pub use intern::{Dedup, PackedPos, StateArena, StateId};
 pub use miss_curve::{
     distinct_pages, lru_curve, lru_faults, lru_stack_distances, opt_curve, phase_starts,
 };

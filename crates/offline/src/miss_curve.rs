@@ -5,35 +5,8 @@
 
 use crate::belady_seq::belady_faults;
 use mcp_core::PageId;
+pub use mcp_workloads::lru_stack_distances;
 use std::collections::HashMap;
-
-/// LRU stack distances of a sequence (Mattson et al. 1970).
-///
-/// `distance[i]` is the LRU stack depth of request `i`: the number of
-/// distinct pages referenced since the previous use of `seq[i]`
-/// (`usize::MAX` for a first use). A request hits in an LRU cache of size
-/// `k` iff its stack distance is `≤ k`.
-pub fn lru_stack_distances(seq: &[PageId]) -> Vec<usize> {
-    // Simple O(n · d) stack maintenance (d = distinct pages): adequate for
-    // the instance sizes here, and trivially correct. The stack holds
-    // pages in recency order, most recent first.
-    let mut stack: Vec<PageId> = Vec::new();
-    let mut out = Vec::with_capacity(seq.len());
-    for &page in seq {
-        match stack.iter().position(|&p| p == page) {
-            None => {
-                out.push(usize::MAX);
-                stack.insert(0, page);
-            }
-            Some(depth) => {
-                out.push(depth + 1);
-                stack.remove(depth);
-                stack.insert(0, page);
-            }
-        }
-    }
-    out
-}
 
 /// LRU fault counts for every cache size `1..=k_max`, from one
 /// stack-distance pass.

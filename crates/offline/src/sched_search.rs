@@ -44,12 +44,7 @@ struct SchedSearch<'a> {
 
 impl<'a> SchedSearch<'a> {
     fn score(&self) -> u64 {
-        match self.objective {
-            Objective::Faults => self.faults,
-            Objective::Makespan => self.completion,
-            Objective::FaultsThenMakespan { weight } => self.faults * weight + self.completion,
-            Objective::MakespanThenFaults { weight } => self.completion * weight + self.faults,
-        }
+        self.objective.score(self.faults, self.completion)
     }
 
     fn finished(&self, core: usize) -> bool {

@@ -1,27 +1,30 @@
-//! Branch-and-bound search over eviction schedules on a lightweight
-//! backtracking replica of the simulator ("micro-engine").
+//! Branch-and-bound search over eviction schedules, run on the production
+//! engine.
 //!
-//! Two instantiations:
+//! The search never re-implements the step rule: every schedule it
+//! scores is one run of [`mcp_core::Simulator`] under a scripted strategy
+//! that replays a prefix of forced-eviction choices and takes the first
+//! candidate past it. The driver walks the choices depth-first, one
+//! engine run per leaf, so every optimum here runs the same step rule
+//! that `engine_equivalence` pins against the naive reference.
+//!
+//! Two candidate rules:
 //!
 //! * [`brute_force_min_faults`] — honest exhaustive optimum: on each fault
-//!   with a full cache, branch over *every* resident victim. An
-//!   independent implementation cross-validating Algorithm 1.
+//!   with a full cache, branch over *every* evictable resident page. An
+//!   independent check of Algorithm 1.
 //! * [`fitf_restricted_min_faults`] — Theorem 5's restricted policy
 //!   class: on each fault branch only over *sequences*, evicting the
-//!   furthest-in-the-future resident page of the chosen sequence. Theorem
-//!   5 asserts this class contains an optimal algorithm for disjoint
-//!   workloads; tests assert equality with the DP optimum.
+//!   furthest-in-the-future evictable page the chosen sequence brought
+//!   in. Theorem 5 asserts this class contains an optimal algorithm for
+//!   disjoint workloads; tests assert equality with the DP optimum.
 
-use crate::intern::FxHashMap;
 use crate::state::{DpError, DpInstance};
-use mcp_core::{Budget, SimConfig, Time, TripReason, Workload};
-
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    page: u16,
-    owner: usize,
-    ready_at: Time,
-}
+use mcp_core::{
+    Budget, Cache, CacheStrategy, PageId, SimConfig, Simulator, Time, TripReason, Workload,
+};
+use std::cell::Cell;
+use std::cmp::Reverse;
 
 /// Outcome of a budget-governed exhaustive search.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,13 +34,14 @@ pub enum SearchOutcome {
     /// The budget tripped mid-search. `incumbent` is the best objective
     /// score found so far (an achievable upper bound), if any schedule
     /// completed before the trip. Searches carry no checkpoint — their
-    /// DFS state is a call stack, not a layer.
+    /// state is a decision prefix, not a layer.
     Truncated {
         /// Why the budget tripped.
         reason: TripReason,
         /// Best achievable score found before the trip.
         incumbent: Option<u64>,
-        /// Nodes expanded before the trip.
+        /// Search nodes expanded before the trip: engine runs for the
+        /// searches in this module, DFS nodes for [`crate::sched_search`].
         nodes: usize,
     },
 }
@@ -50,7 +54,7 @@ pub(crate) struct BudgetTripped(pub(crate) TripReason);
 /// node.
 pub(crate) const CHECK_MASK: usize = 0xFFF;
 
-/// Shared per-node governance for the DFS searches: exact state-cap
+/// Shared per-node governance for the searches: exact state-cap
 /// enforcement, periodic deadline/cancellation checks.
 pub(crate) fn check_node(budget: &Budget, nodes: usize) -> Result<(), BudgetTripped> {
     if let Some(cap) = budget.max_states() {
@@ -84,226 +88,178 @@ pub enum Objective {
     MakespanThenFaults { weight: u64 },
 }
 
-struct Search<'a> {
-    inst: &'a DpInstance,
-    /// occurrences[core][dense page] = ascending request indices.
-    occurrences: Vec<FxHashMap<u16, Vec<usize>>>,
-    pos: Vec<usize>,
-    ready: Vec<Time>,
-    cache: Vec<Slot>,
-    faults: u64,
-    completion: Time,
-    objective: Objective,
-    best: u64,
-    nodes: usize,
-    budget: &'a Budget,
-    restricted_fitf: bool,
+impl Objective {
+    /// Score of a (partial) schedule with `faults` faults whose served
+    /// requests complete by `completion`. Monotone along a schedule, so
+    /// bound-pruning on it is sound.
+    pub(crate) fn score(self, faults: u64, completion: Time) -> u64 {
+        match self {
+            Objective::Faults => faults,
+            Objective::Makespan => completion,
+            Objective::FaultsThenMakespan { weight } => faults * weight + completion,
+            Objective::MakespanThenFaults { weight } => completion * weight + faults,
+        }
+    }
 }
 
-impl<'a> Search<'a> {
+/// A forced eviction with more than one candidate victim.
+#[derive(Clone, Copy, Debug)]
+struct Branch {
+    /// Index of the candidate the script takes.
+    choice: usize,
+    /// Number of candidates.
+    options: usize,
+    /// The run's score once this fault is charged; every sibling shares it.
+    score: u64,
+}
+
+/// The strategy one engine run replays: lazy and honest (an empty cell
+/// is always used first), following the decision stack at forced
+/// evictions and extending it with candidate 0 past its end.
+struct Scripted<'a> {
+    workload: &'a Workload,
+    tau: Time,
+    objective: Objective,
+    /// Theorem 5's class instead of every evictable page.
+    restricted: bool,
+    /// Forced choices: the first `depth` were taken this run, and entries
+    /// past `depth` are still to be replayed.
+    branches: Vec<Branch>,
+    depth: usize,
+    /// Requests served so far, per core (origin of next-use distances).
+    pos: Vec<usize>,
+    faults: u64,
+    /// A hit at `t` completes at `t`, a fault at `t + τ` — the engine's
+    /// own makespan rule.
+    completion: Time,
+    /// The run's score, read by the driver between steps.
+    score: &'a Cell<u64>,
+    candidates: Vec<usize>,
+}
+
+impl<'a> Scripted<'a> {
     fn new(
-        inst: &'a DpInstance,
-        restricted_fitf: bool,
+        workload: &'a Workload,
+        cfg: SimConfig,
         objective: Objective,
-        budget: &'a Budget,
+        restricted: bool,
+        score: &'a Cell<u64>,
     ) -> Self {
-        let p = inst.num_cores();
-        let occurrences = inst
-            .seqs
-            .iter()
-            .map(|seq| {
-                let mut occ: FxHashMap<u16, Vec<usize>> = FxHashMap::default();
-                for (i, &pg) in seq.iter().enumerate() {
-                    occ.entry(pg).or_default().push(i);
-                }
-                occ
-            })
-            .collect();
-        Search {
-            inst,
-            occurrences,
-            pos: vec![0; p],
-            ready: vec![1; p],
-            cache: Vec::with_capacity(inst.k),
+        Scripted {
+            workload,
+            tau: cfg.tau,
+            objective,
+            restricted,
+            branches: Vec::new(),
+            depth: 0,
+            pos: vec![0; workload.num_cores()],
             faults: 0,
             completion: 0,
-            objective,
-            best: u64::MAX,
-            nodes: 0,
-            budget,
-            restricted_fitf,
+            score,
+            candidates: Vec::new(),
         }
     }
 
-    fn score(&self) -> u64 {
-        match self.objective {
-            Objective::Faults => self.faults,
-            Objective::Makespan => self.completion,
-            Objective::FaultsThenMakespan { weight } => self.faults * weight + self.completion,
-            Objective::MakespanThenFaults { weight } => self.completion * weight + self.faults,
-        }
+    fn restart(&mut self) {
+        self.depth = 0;
+        self.pos.fill(0);
+        self.faults = 0;
+        self.completion = 0;
+        self.score.set(0);
     }
 
-    fn finished(&self, core: usize) -> bool {
-        self.pos[core] >= self.inst.seqs[core].len()
+    /// Charge one served request of `core`, completing at `done`.
+    fn serve(&mut self, core: usize, done: Time, fault: bool) {
+        self.pos[core] += 1;
+        self.faults += u64::from(fault);
+        self.completion = self.completion.max(done);
+        self.score
+            .set(self.objective.score(self.faults, self.completion));
     }
 
-    fn next_use(&self, core: usize, page: u16) -> usize {
-        match self.occurrences[core].get(&page) {
-            None => usize::MAX,
-            Some(positions) => {
-                let i = positions.partition_point(|&q| q < self.pos[core]);
-                positions.get(i).copied().unwrap_or(usize::MAX)
-            }
+    /// Fill `candidates` with the victim cells this rule may choose.
+    fn collect_candidates(&mut self, cache: &Cache) {
+        self.candidates.clear();
+        if !self.restricted {
+            let cells = cache.evictable_cells().map(|(cell, _, _)| cell);
+            self.candidates.extend(cells);
+            return;
+        }
+        // Per sequence, the evictable page it brought in whose next use
+        // is furthest away (first in cell order among never-used pages).
+        for core in 0..self.workload.num_cores() {
+            let rest = &self.workload.sequence(core)[self.pos[core]..];
+            let next_use = |page: PageId| rest.iter().position(|&q| q == page);
+            let furthest = cache
+                .evictable_cells_of(core)
+                .min_by_key(|&(_, page)| Reverse(next_use(page).unwrap_or(usize::MAX)));
+            self.candidates.extend(furthest.map(|(cell, _)| cell));
         }
     }
+}
 
-    /// Victim slot candidates for a fault: resident, not requested this
-    /// parallel step (`req` is the timestep's request snapshot — the
-    /// model's pinning rule, matching `R(x) ⊆ C'` in the DPs).
-    fn candidates(&self, now: Time, req: &[u16]) -> Vec<usize> {
-        let evictable = |s: &Slot| s.ready_at <= now && !req.contains(&s.page);
-        if !self.restricted_fitf {
-            return (0..self.cache.len())
-                .filter(|&i| evictable(&self.cache[i]))
-                .collect();
-        }
-        // Per sequence, the furthest-in-the-future evictable page.
-        let mut out = Vec::new();
-        for core in 0..self.inst.num_cores() {
-            let mut best: Option<(usize, usize)> = None; // (next_use, slot)
-            for (i, s) in self.cache.iter().enumerate() {
-                if s.owner != core || !evictable(s) {
-                    continue;
-                }
-                let nu = self.next_use(core, s.page);
-                if best.map(|(b, _)| nu > b).unwrap_or(true) {
-                    best = Some((nu, i));
-                }
-            }
-            if let Some((_, slot)) = best {
-                out.push(slot);
-            }
-        }
-        out
+impl CacheStrategy for Scripted<'_> {
+    fn name(&self) -> String {
+        "scripted".into()
     }
 
-    /// Pages requested by cores due at `t` (the pin snapshot).
-    fn request_snapshot(&self, t: Time) -> Vec<u16> {
-        (0..self.inst.num_cores())
-            .filter(|&c| !self.finished(c) && self.ready[c] == t)
-            .map(|c| self.inst.seqs[c][self.pos[c]])
-            .collect()
+    fn on_hit(&mut self, core: usize, _page: PageId, time: Time, _cache: &Cache) {
+        self.serve(core, time, false);
     }
 
-    fn lookup(&self, page: u16, now: Time) -> Option<(usize, bool)> {
-        self.cache
-            .iter()
-            .position(|s| s.page == page)
-            .map(|i| (i, self.cache[i].ready_at <= now))
+    fn on_shared_fetch_miss(&mut self, core: usize, _page: PageId, time: Time, _cache: &Cache) {
+        self.serve(core, time + self.tau, true);
     }
 
-    /// Serve everything from time `t`, cores starting at `core`, exploring
-    /// all victim choices. `req` is the timestep's request snapshot.
-    /// Returns `Err` if the budget tripped.
-    fn go(&mut self, t: Time, core: usize, req: &[u16]) -> Result<(), BudgetTripped> {
-        self.nodes += 1;
-        check_node(self.budget, self.nodes)?;
-        // Both objectives are monotone along a path (faults only grow;
-        // completion only grows), so bound-pruning is sound for either.
-        if self.score() >= self.best {
-            return Ok(());
+    fn choose_cell(&mut self, core: usize, _page: PageId, time: Time, cache: &Cache) -> usize {
+        self.serve(core, time + self.tau, true);
+        if let Some(cell) = cache.empty_cell() {
+            return cell;
         }
-        // Find the next core due at time t.
-        let mut c = core;
-        while c < self.inst.num_cores() && (self.finished(c) || self.ready[c] != t) {
-            c += 1;
+        self.collect_candidates(cache);
+        let options = self.candidates.len();
+        assert!(options > 0, "K >= p guarantees a victim");
+        if options == 1 {
+            return self.candidates[0];
         }
-        if c == self.inst.num_cores() {
-            // Timestep done: jump to the next event.
-            let next_t = (0..self.inst.num_cores())
-                .filter(|&j| !self.finished(j))
-                .map(|j| self.ready[j])
-                .min();
-            return match next_t {
-                None => {
-                    self.best = self.best.min(self.score());
-                    Ok(())
-                }
-                Some(t2) => {
-                    debug_assert!(t2 > t);
-                    let req2 = self.request_snapshot(t2);
-                    self.go(t2, 0, &req2)
-                }
-            };
+        if self.depth == self.branches.len() {
+            self.branches.push(Branch {
+                choice: 0,
+                options,
+                score: self.score.get(),
+            });
         }
+        let branch = self.branches[self.depth];
+        debug_assert_eq!(branch.options, options, "replay diverged from its script");
+        self.depth += 1;
+        self.candidates[branch.choice]
+    }
+}
 
-        let page = self.inst.seqs[c][self.pos[c]];
-        match self.lookup(page, t) {
-            Some((_, true)) => {
-                // Hit.
-                self.pos[c] += 1;
-                self.ready[c] = t + 1;
-                let saved = self.completion;
-                self.completion = self.completion.max(t);
-                self.go(t, c + 1, req)?;
-                self.completion = saved;
-                self.pos[c] -= 1;
-                self.ready[c] = t;
-                Ok(())
-            }
-            Some((_, false)) => {
-                // In flight for another core: fault, join the fetch.
-                self.pos[c] += 1;
-                self.ready[c] = t + self.inst.tau + 1;
-                self.faults += 1;
-                let saved = self.completion;
-                self.completion = self.completion.max(t + self.inst.tau);
-                self.go(t, c + 1, req)?;
-                self.completion = saved;
-                self.faults -= 1;
-                self.pos[c] -= 1;
-                self.ready[c] = t;
-                Ok(())
-            }
-            None => {
-                // Fault: place, branching over victims when full.
-                self.pos[c] += 1;
-                self.ready[c] = t + self.inst.tau + 1;
-                self.faults += 1;
-                let saved = self.completion;
-                self.completion = self.completion.max(t + self.inst.tau);
-                let slot = Slot {
-                    page,
-                    owner: c,
-                    ready_at: t + self.inst.tau + 1,
-                };
-                if self.cache.len() < self.inst.k {
-                    self.cache.push(slot);
-                    self.go(t, c + 1, req)?;
-                    self.cache.pop();
-                } else {
-                    let cands = self.candidates(t, req);
-                    debug_assert!(!cands.is_empty(), "K >= p guarantees a victim");
-                    for i in cands {
-                        let old = self.cache[i];
-                        self.cache[i] = slot;
-                        self.go(t, c + 1, req)?;
-                        self.cache[i] = old;
-                    }
-                }
-                self.completion = saved;
-                self.faults -= 1;
-                self.pos[c] -= 1;
-                self.ready[c] = t;
-                Ok(())
-            }
+/// Run the engine once under `strategy`'s current script. Returns `true`
+/// iff the schedule completed with a score below `best`; a run stops as
+/// soon as its score reaches `best`.
+fn replay(
+    workload: &Workload,
+    cfg: SimConfig,
+    strategy: &mut Scripted<'_>,
+    best: u64,
+) -> Result<bool, DpError> {
+    strategy.restart();
+    let score = strategy.score;
+    let model = |e: mcp_core::SimError| DpError::Model(e.to_string());
+    let mut sim = Simulator::new(workload, cfg, strategy).map_err(model)?;
+    while sim.step().map_err(model)?.is_some() {
+        if score.get() >= best {
+            return Ok(false);
         }
     }
+    Ok(true)
 }
 
 /// Governed core: run the search under `budget`, returning either the
 /// exact optimum or a truncated outcome with the incumbent found so far.
+/// The budget's state cap counts engine runs.
 fn run_governed(
     workload: &Workload,
     cfg: SimConfig,
@@ -311,19 +267,41 @@ fn run_governed(
     objective: Objective,
     budget: &Budget,
 ) -> Result<SearchOutcome, DpError> {
-    let inst = DpInstance::build(workload, &cfg)?;
+    // Validates the model and the instance limits shared with the DPs.
+    DpInstance::build(workload, &cfg)?;
     if workload.is_empty() {
         return Ok(SearchOutcome::Complete(0));
     }
-    let mut search = Search::new(&inst, restricted, objective, budget);
-    let req = search.request_snapshot(1);
-    match search.go(1, 0, &req) {
-        Ok(()) => Ok(SearchOutcome::Complete(search.best)),
-        Err(BudgetTripped(reason)) => Ok(SearchOutcome::Truncated {
-            reason,
-            incumbent: (search.best < u64::MAX).then_some(search.best),
-            nodes: search.nodes,
-        }),
+    let score = Cell::new(0);
+    let mut strategy = Scripted::new(workload, cfg, objective, restricted, &score);
+    let mut best = u64::MAX;
+    let mut runs = 0;
+    loop {
+        runs += 1;
+        if let Err(BudgetTripped(reason)) = check_node(budget, runs) {
+            return Ok(SearchOutcome::Truncated {
+                reason,
+                incumbent: (best < u64::MAX).then_some(best),
+                nodes: runs,
+            });
+        }
+        if replay(workload, cfg, &mut strategy, best)? {
+            best = score.get();
+        }
+        // Backtrack to the deepest decision with an untried candidate
+        // whose shared score still beats the incumbent.
+        loop {
+            match strategy.branches.last_mut() {
+                None => return Ok(SearchOutcome::Complete(best)),
+                Some(b) if b.choice + 1 < b.options && b.score < best => {
+                    b.choice += 1;
+                    break;
+                }
+                Some(_) => {
+                    strategy.branches.pop();
+                }
+            }
+        }
     }
 }
 
@@ -348,7 +326,8 @@ fn run(
 }
 
 /// Honest exhaustive minimum total faults: branch over every resident
-/// victim on every fault. Exponential; tiny instances only.
+/// victim on every fault. Exponential; tiny instances only. `max_nodes`
+/// caps the number of engine runs (one per explored schedule).
 pub fn brute_force_min_faults(
     workload: &Workload,
     cfg: SimConfig,
@@ -359,7 +338,8 @@ pub fn brute_force_min_faults(
 
 /// Budget-governed [`brute_force_min_faults`]: instead of erroring when a
 /// limit trips, returns [`SearchOutcome::Truncated`] with the best fault
-/// count found so far (a valid upper bound on the optimum).
+/// count found so far (a valid upper bound on the optimum). The budget's
+/// state cap counts engine runs.
 pub fn brute_force_min_faults_governed(
     workload: &Workload,
     cfg: SimConfig,
@@ -371,6 +351,7 @@ pub fn brute_force_min_faults_governed(
 /// Honest exhaustive minimum *makespan* (Hassidim's objective, but within
 /// this paper's no-scheduling model): the earliest possible completion
 /// time of the last request. Exponential; tiny instances only.
+/// `max_nodes` caps the number of engine runs.
 pub fn brute_force_min_makespan(
     workload: &Workload,
     cfg: SimConfig,
@@ -384,7 +365,8 @@ fn lex_weight(workload: &Workload, cfg: SimConfig) -> u64 {
 }
 
 /// Honest exhaustive lexicographic optimum `(faults, makespan)`: the best
-/// makespan achievable by any *fault-optimal* schedule.
+/// makespan achievable by any *fault-optimal* schedule. `max_nodes` caps
+/// the number of engine runs.
 pub fn brute_force_faults_then_makespan(
     workload: &Workload,
     cfg: SimConfig,
@@ -402,7 +384,8 @@ pub fn brute_force_faults_then_makespan(
 }
 
 /// Honest exhaustive lexicographic optimum `(makespan, faults)`: the best
-/// fault count achievable by any *makespan-optimal* schedule.
+/// fault count achievable by any *makespan-optimal* schedule. `max_nodes`
+/// caps the number of engine runs.
 pub fn brute_force_makespan_then_faults(
     workload: &Workload,
     cfg: SimConfig,
@@ -422,6 +405,7 @@ pub fn brute_force_makespan_then_faults(
 /// Minimum total faults achievable by Theorem 5's restricted class: on
 /// each fault choose a sequence and evict its furthest-in-the-future
 /// resident page. Exponential in the number of faults; tiny instances.
+/// `max_nodes` caps the number of engine runs.
 pub fn fitf_restricted_min_faults(
     workload: &Workload,
     cfg: SimConfig,

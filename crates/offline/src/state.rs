@@ -134,7 +134,7 @@ impl DpInstance {
         if pages.len() > 64 {
             return Err(DpError::UniverseTooLarge { pages: pages.len() });
         }
-        let dense: crate::intern::FxHashMap<PageId, u16> = pages
+        let dense: mcp_core::FxHashMap<PageId, u16> = pages
             .iter()
             .enumerate()
             .map(|(i, &p)| (p, i as u16))

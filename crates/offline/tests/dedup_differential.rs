@@ -7,7 +7,8 @@
 //! single map over every key must then agree with the ring on every id
 //! and every `is_new`, in both arena representations.
 
-use mcp_offline::{Dedup, FxHashMap, StateArena, StateId};
+use mcp_core::FxHashMap;
+use mcp_offline::{Dedup, StateArena, StateId};
 use proptest::prelude::*;
 
 type StateKey = (u64, Box<[u32]>);

@@ -2,9 +2,10 @@
 //! eviction (and, for PIF, voluntary-eviction; for the scheduling model,
 //! stalling) choice, written with cloned `Vec`/`HashSet` states and zero
 //! cleverness. They re-derive the answers of `mcp_offline`'s `ftf_dp`,
-//! `pif_decide` and `sched_min` from nothing but the model rules, so the
-//! dynamic programs are checked against an independent transcription
-//! instead of their own recorded fingerprints.
+//! `pif_decide`, `sched_min` and engine-driven brute-force searches from
+//! nothing but the model rules, so the dynamic programs and searches are
+//! checked against an independent transcription instead of their own
+//! recorded fingerprints.
 //!
 //! Exponential in every direction — feed these single-digit-length
 //! instances only. Every entry point takes a node cap and returns `None`
@@ -27,6 +28,9 @@ struct State {
     in_flight: Vec<(PageId, Time)>,
     /// Total faults so far.
     faults: u64,
+    /// Completion time of the last request served so far: a hit at `t`
+    /// completes at `t`, a fault at `t + τ` (read by [`Goal`] only).
+    completion: Time,
     /// Per-core faults issued at or before the PIF checkpoint.
     faults_at_cp: Vec<u64>,
     /// Capacity limit currently in force (`K(t)` after the changes applied
@@ -44,6 +48,7 @@ impl State {
             resident: Vec::new(),
             in_flight: Vec::new(),
             faults: 0,
+            completion: 0,
             faults_at_cp: vec![0; p],
             limit,
             cap_idx: 0,
@@ -90,26 +95,55 @@ impl State {
 // ---------------------------------------------------------------------------
 // FINAL-TOTAL-FAULTS: minimum total faults over all victim choices.
 // Honest (lazy) service is optimal for this objective (paper, Theorem 4),
-// so the search branches over victims only.
+// so the search branches over victims only. The same search minimizes
+// makespan and the two lexicographic orders over the honest lazy
+// schedules, the class `mcp_offline`'s brute-force searches explore.
 // ---------------------------------------------------------------------------
 
-struct MinFaults<'w> {
+/// What [`MinScore`] minimizes, compared as a `(primary, secondary)` pair.
+#[derive(Clone, Copy)]
+enum Goal {
+    Faults,
+    Makespan,
+    FaultsThenMakespan,
+    MakespanThenFaults,
+}
+
+impl Goal {
+    fn key(self, st: &State) -> (u64, u64) {
+        match self {
+            Goal::Faults => (st.faults, 0),
+            Goal::Makespan => (st.completion, 0),
+            Goal::FaultsThenMakespan => (st.faults, st.completion),
+            Goal::MakespanThenFaults => (st.completion, st.faults),
+        }
+    }
+}
+
+struct MinScore<'w> {
     w: &'w Workload,
     cfg: SimConfig,
     capacity: &'w CapacitySchedule,
-    best: u64,
+    goal: Goal,
+    best: (u64, u64),
     nodes: usize,
     cap: usize,
     tripped: bool,
 }
 
-impl MinFaults<'_> {
+impl MinScore<'_> {
+    /// `true` iff `st` can no longer beat the incumbent (both objectives
+    /// only grow along a schedule).
+    fn pruned(&self, st: &State) -> bool {
+        self.tripped || self.goal.key(st) >= self.best
+    }
+
     fn at_time(&mut self, mut st: State) {
-        if self.tripped || st.faults >= self.best {
+        if self.pruned(&st) {
             return;
         }
         let Some(mut t) = st.next_event(self.w) else {
-            self.best = self.best.min(st.faults);
+            self.best = self.best.min(self.goal.key(&st));
             return;
         };
         // A capacity change before the next request is itself an event:
@@ -143,7 +177,7 @@ impl MinFaults<'_> {
         pinned: &HashSet<PageId>,
         start: usize,
     ) {
-        if self.tripped || st.faults >= self.best {
+        if self.pruned(&st) {
             return;
         }
         if st.occupied() <= st.limit {
@@ -167,7 +201,7 @@ impl MinFaults<'_> {
         if self.nodes > self.cap {
             self.tripped = true;
         }
-        if self.tripped || st.faults >= self.best {
+        if self.pruned(&st) {
             return;
         }
         let Some(&core) = due.get(i) else {
@@ -178,14 +212,17 @@ impl MinFaults<'_> {
         st.pos[core] += 1;
         if st.resident.contains(&page) {
             st.ready[core] = t + 1; // hit
+            st.completion = st.completion.max(t);
             self.serve(st, t, due, i + 1, pinned);
         } else if st.in_flight.iter().any(|(p, _)| *p == page) {
             st.faults += 1; // shared-fetch join: fault, no new cell
             st.ready[core] = t + self.cfg.tau + 1;
+            st.completion = st.completion.max(t + self.cfg.tau);
             self.serve(st, t, due, i + 1, pinned);
         } else {
             st.faults += 1;
             st.ready[core] = t + self.cfg.tau + 1;
+            st.completion = st.completion.max(t + self.cfg.tau);
             if st.occupied() < st.limit {
                 st.in_flight.push((page, t + self.cfg.tau + 1));
                 self.serve(st, t, due, i + 1, pinned);
@@ -233,11 +270,54 @@ pub fn oracle_min_faults_with_capacity(
         capacity.min_k() >= w.num_cores(),
         "capacity schedule must keep K(t) >= p"
     );
-    let mut search = MinFaults {
+    optimum(w, cfg, capacity, Goal::Faults, max_nodes).map(|(faults, _)| faults)
+}
+
+/// Exhaustive minimum makespan (completion time of the last request) over
+/// honest lazy schedules, or `None` if the search exceeded `max_nodes`.
+/// Cross-checks [`mcp_offline::brute_force_min_makespan`].
+pub fn oracle_min_makespan(w: &Workload, cfg: SimConfig, max_nodes: usize) -> Option<u64> {
+    let capacity = CapacitySchedule::fixed(cfg.cache_size);
+    optimum(w, cfg, &capacity, Goal::Makespan, max_nodes).map(|(makespan, _)| makespan)
+}
+
+/// Exhaustive lexicographic optimum `(faults, makespan)`, or `None` if the
+/// search exceeded `max_nodes`. Cross-checks
+/// [`mcp_offline::brute_force_faults_then_makespan`].
+pub fn oracle_faults_then_makespan(
+    w: &Workload,
+    cfg: SimConfig,
+    max_nodes: usize,
+) -> Option<(u64, u64)> {
+    let capacity = CapacitySchedule::fixed(cfg.cache_size);
+    optimum(w, cfg, &capacity, Goal::FaultsThenMakespan, max_nodes)
+}
+
+/// Exhaustive lexicographic optimum `(makespan, faults)`, or `None` if the
+/// search exceeded `max_nodes`. Cross-checks
+/// [`mcp_offline::brute_force_makespan_then_faults`].
+pub fn oracle_makespan_then_faults(
+    w: &Workload,
+    cfg: SimConfig,
+    max_nodes: usize,
+) -> Option<(u64, u64)> {
+    let capacity = CapacitySchedule::fixed(cfg.cache_size);
+    optimum(w, cfg, &capacity, Goal::MakespanThenFaults, max_nodes)
+}
+
+fn optimum(
+    w: &Workload,
+    cfg: SimConfig,
+    capacity: &CapacitySchedule,
+    goal: Goal,
+    max_nodes: usize,
+) -> Option<(u64, u64)> {
+    let mut search = MinScore {
         w,
         cfg,
         capacity,
-        best: u64::MAX,
+        goal,
+        best: (u64::MAX, u64::MAX),
         nodes: 0,
         cap: max_nodes,
         tripped: false,
@@ -518,6 +598,19 @@ mod tests {
         // Aligned thrash: K=2, both cores alternate, every request faults.
         let wl = w(&[&[1, 2, 1, 2], &[7, 8, 7, 8]]);
         assert_eq!(oracle_min_faults(&wl, SimConfig::new(2, 1), CAP), Some(8));
+    }
+
+    #[test]
+    fn makespan_objectives_on_known_instances() {
+        // Fault at t=1 completes at 4; hits at 5, 6, 7.
+        let wl = w(&[&[1, 1, 1, 1]]);
+        assert_eq!(oracle_min_makespan(&wl, SimConfig::new(1, 3), CAP), Some(7));
+        // Aligned thrash: all 8 requests fault, each core issuing at
+        // t = 1, 3, 5, 7, so the last completes at 8 on every schedule.
+        let wl = w(&[&[1, 2, 1, 2], &[7, 8, 7, 8]]);
+        let cfg = SimConfig::new(2, 1);
+        assert_eq!(oracle_faults_then_makespan(&wl, cfg, CAP), Some((8, 8)));
+        assert_eq!(oracle_makespan_then_faults(&wl, cfg, CAP), Some((8, 8)));
     }
 
     #[test]

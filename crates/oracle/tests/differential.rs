@@ -1,13 +1,18 @@
 //! Property tests of the differential layer itself: on arbitrary small
 //! workloads — disjoint and overlapping — the optimized engine and the
 //! naive reference engine must agree for every strategy family, and the
-//! exhaustive offline oracles must agree with the dynamic programs.
+//! exhaustive offline oracles must agree with the dynamic programs and
+//! the engine-driven brute-force searches.
 
 use mcp_core::{simulate, PageId, SimConfig, Workload};
-use mcp_offline::{ftf_min_faults, pif_decide, sched_min, Objective, PifOptions};
+use mcp_offline::{
+    brute_force_faults_then_makespan, brute_force_makespan_then_faults, brute_force_min_faults,
+    brute_force_min_makespan, ftf_min_faults, pif_decide, sched_min, Objective, PifOptions,
+};
 use mcp_oracle::{build_family, instance::family_applicable, Instance, FAMILIES};
 use mcp_oracle::{
-    oracle_min_faults, oracle_pif_feasible, oracle_sched_min_faults, reference_simulate,
+    oracle_faults_then_makespan, oracle_makespan_then_faults, oracle_min_faults,
+    oracle_min_makespan, oracle_pif_feasible, oracle_sched_min_faults, reference_simulate,
 };
 use mcp_policies::shared_lru;
 use proptest::prelude::*;
@@ -51,6 +56,12 @@ fn tiny_disjoint() -> impl Strategy<Value = Workload> {
     })
 }
 
+/// Very small overlapping workloads, sized for the exhaustive oracles.
+fn tiny_overlapping() -> impl Strategy<Value = Workload> {
+    prop::collection::vec(prop::collection::vec(0u32..3, 1..4), 2..=2)
+        .prop_map(|seqs| Workload::from_u32(seqs).unwrap())
+}
+
 fn assert_engines_agree(w: &Workload, k: usize, tau: u64, seed: u64) {
     let cfg = SimConfig::new(k, tau);
     let instance = Instance::new(w.clone(), cfg);
@@ -61,6 +72,24 @@ fn assert_engines_agree(w: &Workload, k: usize, tau: u64, seed: u64) {
         let fast = simulate(w, cfg, build_family(family, &instance, seed).unwrap());
         let slow = reference_simulate(w, cfg, build_family(family, &instance, seed).unwrap());
         assert_eq!(fast, slow, "family {family} diverged on{instance:?}");
+    }
+}
+
+/// All four objectives: the naive oracle against the brute-force search
+/// that runs on the production engine.
+fn assert_objectives_agree(w: &Workload, cfg: SimConfig) {
+    const CAP: usize = 3_000_000;
+    if let Some(f) = oracle_min_faults(w, cfg, CAP) {
+        assert_eq!(brute_force_min_faults(w, cfg, CAP).unwrap(), f);
+    }
+    if let Some(m) = oracle_min_makespan(w, cfg, CAP) {
+        assert_eq!(brute_force_min_makespan(w, cfg, CAP).unwrap(), m);
+    }
+    if let Some(fm) = oracle_faults_then_makespan(w, cfg, CAP) {
+        assert_eq!(brute_force_faults_then_makespan(w, cfg, CAP).unwrap(), fm);
+    }
+    if let Some(mf) = oracle_makespan_then_faults(w, cfg, CAP) {
+        assert_eq!(brute_force_makespan_then_faults(w, cfg, CAP).unwrap(), mf);
     }
 }
 
@@ -100,6 +129,24 @@ proptest! {
         if let Some(brute) = oracle_min_faults(&w, cfg, 3_000_000) {
             prop_assert_eq!(ftf_min_faults(&w, cfg).unwrap(), brute);
         }
+    }
+
+    #[test]
+    fn objective_oracles_match_engine_search_on_disjoint(
+        w in tiny_disjoint(),
+        extra in 0usize..3,
+        tau in 0u64..3,
+    ) {
+        assert_objectives_agree(&w, SimConfig::new(w.num_cores() + extra, tau));
+    }
+
+    #[test]
+    fn objective_oracles_match_engine_search_on_overlapping(
+        w in tiny_overlapping(),
+        extra in 0usize..3,
+        tau in 0u64..3,
+    ) {
+        assert_objectives_agree(&w, SimConfig::new(w.num_cores() + extra, tau));
     }
 
     #[test]

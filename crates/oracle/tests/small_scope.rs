@@ -1,0 +1,152 @@
+//! Small-scope exhaustive check: every instance up to a size bound, not a
+//! sample.
+//!
+//! Instances are all workloads with p ≤ 2 cores and a bounded number of
+//! requests in total: six in the default run, eight in the ignored one. Pages are canonicalised by first occurrence in core
+//! order (restricted-growth strings), so each page pattern appears once;
+//! every split of the requests between the cores is kept, because core
+//! order is the service order. Each instance runs at every `K` from `p`
+//! to its distinct-page count and every `τ ∈ {0, 1, 2}`, and must satisfy:
+//!
+//! * the engine-driven brute force and the naive oracle agree on the
+//!   minimum total faults;
+//! * on disjoint instances, Algorithm 1 agrees too, and Theorem 5's
+//!   FITF-restricted class attains the optimum. (On shared pages the DPs
+//!   read a page in flight for another core as a hit, DESIGN §1, so they
+//!   are compared on disjoint instances only.)
+//! * the engine-driven searches and the naive oracle agree on the
+//!   makespan optimum and both lexicographic optima.
+
+use mcp_core::{PageId, SimConfig, Workload};
+use mcp_offline::{
+    brute_force_faults_then_makespan, brute_force_makespan_then_faults, brute_force_min_faults,
+    brute_force_min_makespan, fitf_restricted_min_faults, ftf_min_faults,
+};
+use mcp_oracle::{
+    oracle_faults_then_makespan, oracle_makespan_then_faults, oracle_min_faults,
+    oracle_min_makespan,
+};
+
+const CAP: usize = 50_000_000;
+
+/// Every restricted-growth string of length `n`: `s[0] = 0` and each entry
+/// is at most one more than the maximum before it.
+fn restricted_growth_strings(n: usize) -> Vec<Vec<u32>> {
+    fn extend(prefix: &mut Vec<u32>, next_new: u32, n: usize, out: &mut Vec<Vec<u32>>) {
+        if prefix.len() == n {
+            out.push(prefix.clone());
+            return;
+        }
+        for page in 0..=next_new {
+            prefix.push(page);
+            extend(prefix, next_new.max(page + 1), n, out);
+            prefix.pop();
+        }
+    }
+    let mut out = Vec::new();
+    extend(&mut Vec::with_capacity(n), 0, n, &mut out);
+    out
+}
+
+/// Every workload with `cores` sequences and `total` requests, up to page
+/// renaming.
+fn instances(cores: usize, total: usize) -> Vec<Workload> {
+    let splits: Vec<Vec<usize>> = match cores {
+        1 => vec![vec![total]],
+        2 => (0..=total).map(|a| vec![a, total - a]).collect(),
+        _ => unreachable!("the small scope covers p <= 2"),
+    };
+    let mut out = Vec::new();
+    for pages in restricted_growth_strings(total) {
+        for lens in &splits {
+            let mut rest = pages.as_slice();
+            let seqs: Vec<Vec<PageId>> = lens
+                .iter()
+                .map(|&len| {
+                    let (seq, tail) = rest.split_at(len);
+                    rest = tail;
+                    seq.iter().copied().map(PageId).collect()
+                })
+                .collect();
+            out.push(Workload::new(seqs).unwrap());
+        }
+    }
+    out
+}
+
+/// Check every instance with `1 ≤ Σnᵢ ≤ bound`; returns how many
+/// `(instance, K, τ)` configurations were checked.
+fn check_up_to(bound: usize) -> usize {
+    let mut checked = 0;
+    for cores in 1..=2 {
+        for total in 1..=bound {
+            for w in instances(cores, total) {
+                let distinct = w.universe().len();
+                for k in cores..=distinct.max(cores) {
+                    for tau in 0..=2 {
+                        check(&w, SimConfig::new(k, tau));
+                        checked += 1;
+                    }
+                }
+            }
+        }
+    }
+    checked
+}
+
+fn check(w: &Workload, cfg: SimConfig) {
+    let at = || format!("{:?} K={} tau={}", w.sequences(), cfg.cache_size, cfg.tau);
+    let oracle = oracle_min_faults(w, cfg, CAP).expect("oracle node cap");
+    let brute = brute_force_min_faults(w, cfg, CAP).unwrap();
+    assert_eq!(brute, oracle, "brute force vs oracle on {}", at());
+    if w.is_disjoint() {
+        let opt = ftf_min_faults(w, cfg).unwrap();
+        assert_eq!(oracle, opt, "oracle vs Algorithm 1 on {}", at());
+        let restricted = fitf_restricted_min_faults(w, cfg, CAP).unwrap();
+        assert_eq!(
+            restricted,
+            opt,
+            "Theorem 5 class vs Algorithm 1 on {}",
+            at()
+        );
+    }
+    assert_eq!(
+        brute_force_min_makespan(w, cfg, CAP).unwrap(),
+        oracle_min_makespan(w, cfg, CAP).expect("oracle node cap"),
+        "makespan on {}",
+        at()
+    );
+    assert_eq!(
+        brute_force_faults_then_makespan(w, cfg, CAP).unwrap(),
+        oracle_faults_then_makespan(w, cfg, CAP).expect("oracle node cap"),
+        "(faults, makespan) on {}",
+        at()
+    );
+    assert_eq!(
+        brute_force_makespan_then_faults(w, cfg, CAP).unwrap(),
+        oracle_makespan_then_faults(w, cfg, CAP).expect("oracle node cap"),
+        "(makespan, faults) on {}",
+        at()
+    );
+}
+
+#[test]
+fn restricted_growth_strings_are_counted_by_bell_numbers() {
+    let bell = [1, 1, 2, 5, 15, 52, 203];
+    for (n, &b) in bell.iter().enumerate() {
+        assert_eq!(restricted_growth_strings(n).len(), b, "n={n}");
+    }
+}
+
+#[test]
+fn every_instance_up_to_six_requests() {
+    assert!(check_up_to(6) > 0);
+}
+
+/// The larger bound: run with `cargo test --release -p mcp-oracle --test
+/// small_scope -- --ignored`.
+#[test]
+#[ignore]
+fn every_instance_up_to_eight_requests() {
+    assert!(check_up_to(8) > 0);
+}

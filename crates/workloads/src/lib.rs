@@ -21,7 +21,9 @@ pub mod trace;
 
 pub use access_graph::{graph_walks, AccessGraph};
 pub use adversarial::{lemma1_lower, lemma2, lemma4_cyclic, thm1_rotating};
-pub use stats::{profile, profile_core, reuse_distances, working_set_size, CoreProfile};
+pub use stats::{
+    lru_stack_distances, profile, profile_core, reuse_distances, working_set_size, CoreProfile,
+};
 pub use synthetic::{
     bursty, drifting_phases, multiprogrammed, phased, random_disjoint, shared_hotset,
     staggered_thrash, uniform, zipf, zipf_shared, CorePattern,

@@ -24,21 +24,36 @@ pub struct CoreProfile {
     pub working_set: [f64; 3],
 }
 
-/// LRU reuse distances (stack distances) of every re-reference in `seq`,
-/// ascending. First references are excluded.
-pub fn reuse_distances(seq: &[PageId]) -> Vec<usize> {
+/// LRU stack distances of a sequence (Mattson et al. 1970).
+///
+/// `distance[i]` is the LRU stack depth of request `i`: the number of
+/// distinct pages referenced since the previous use of `seq[i]`
+/// (`usize::MAX` for a first use). A request hits in an LRU cache of size
+/// `k` iff its stack distance is `≤ k`.
+pub fn lru_stack_distances(seq: &[PageId]) -> Vec<usize> {
+    // Simple O(n · d) stack maintenance (d = distinct pages): adequate for
+    // the instance sizes here, and trivially correct. The stack holds
+    // pages in recency order, most recent first.
     let mut stack: Vec<PageId> = Vec::new();
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(seq.len());
     for &page in seq {
         match stack.iter().position(|&p| p == page) {
-            None => stack.insert(0, page),
+            None => out.push(usize::MAX),
             Some(depth) => {
                 out.push(depth + 1);
                 stack.remove(depth);
-                stack.insert(0, page);
             }
         }
+        stack.insert(0, page);
     }
+    out
+}
+
+/// LRU reuse distances (stack distances) of every re-reference in `seq`,
+/// ascending. First references are excluded.
+pub fn reuse_distances(seq: &[PageId]) -> Vec<usize> {
+    let mut out = lru_stack_distances(seq);
+    out.retain(|&d| d != usize::MAX);
     out.sort_unstable();
     out
 }
