@@ -10,6 +10,7 @@
 
 use crate::hash::FxHashMap;
 use crate::types::{PageId, Time};
+use crate::victims::Victims;
 
 /// State of a single cache cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,36 +111,85 @@ impl std::fmt::Display for CacheError {
 
 impl std::error::Error for CacheError {}
 
+/// "No cell" / "no core" / "no slot" in the `u32` tables.
+const NONE: u32 = u32::MAX;
+
+#[inline]
+fn bit_set(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1u64 << (i % 64);
+}
+
+#[inline]
+fn bit_clear(words: &mut [u64], i: usize) {
+    words[i / 64] &= !(1u64 << (i % 64));
+}
+
+#[inline]
+fn bit_test(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
 /// A `K`-cell shared cache with per-cell ownership bookkeeping.
 ///
 /// *Ownership* records which core's request brought a page in. The engine
 /// maintains it for every strategy; shared strategies may ignore it, while
 /// partition strategies use it to account part occupancy.
+///
+/// # Layout
+///
+/// Cell state lives in bitsets — `free`, `present` and `pinned`, one bit
+/// per cell, plus one `owned` bitset per core — so the legal victims of a
+/// fault are a word mask ([`Cache::victims`]) and clearing the step's
+/// pins is a word fill. A cell that is neither free nor present is
+/// fetching. Pages are *interned*: the first time a page is seen it gets
+/// a dense slot that it keeps for the life of the cache, and the
+/// `slot → cell` / `cell → slot` arrays replace a page-keyed map, so the
+/// engine resolves a request's slot once per step ([`Cache::intern`]) and
+/// every later lookup, fetch and eviction is array work. The slot table
+/// grows with the number of distinct pages seen, not with `K`.
 #[derive(Clone, Debug)]
 pub struct Cache {
-    cells: Vec<CellState>,
-    owner: Vec<Option<usize>>,
-    /// Resident/in-flight page → cell. Point lookups only (never
-    /// iterated), so the deterministic [`FxHashMap`] is safe here.
-    index: FxHashMap<PageId, usize>,
+    /// `page[cell]`: the page an occupied cell holds (stale when empty).
+    page: Vec<PageId>,
+    /// `ready_at[cell]`: completion time of a fetching cell's fetch.
+    ready_at: Vec<Time>,
+    /// `owner[cell]`: the core that brought the page in (`NONE` if empty).
+    owner: Vec<u32>,
+    /// Page → slot, grow-only. Point lookups only (never iterated), so
+    /// the deterministic [`FxHashMap`] is safe here.
+    slots: FxHashMap<PageId, u32>,
+    /// `slot_page[slot]`: the page interned at `slot`.
+    slot_page: Vec<PageId>,
+    /// `slot_cell[slot]`: the cell holding the slot's page, resident or in
+    /// flight (`NONE` when absent).
+    slot_cell: Vec<u32>,
+    /// `cell_slot[cell]`: the slot of the page an occupied cell holds.
+    cell_slot: Vec<u32>,
+    /// Number of occupied (present or fetching) cells.
+    occupied: usize,
     owned_counts: Vec<usize>,
     in_flight: Vec<usize>,
-    /// Reverse index: `in_flight_slot[cell]` is the cell's position in
+    /// Reverse index: `in_flight_pos[cell]` is the cell's position in
     /// `in_flight` (`usize::MAX` when the cell holds no fetch), so the
     /// event engine's per-completion [`Cache::promote_cell`] is O(1)
     /// instead of an O(in-flight) scan — in sparse large-τ regimes nearly
     /// every core is mid-fetch, which would make that scan O(p) per event.
-    in_flight_slot: Vec<usize>,
-    pinned: Vec<bool>,
-    /// Cells pinned in the current parallel step, so [`Cache::clear_pins`]
-    /// resets exactly those instead of an O(K) fill.
-    pinned_cells: Vec<usize>,
-    /// Bitset of empty cells, one bit per cell; bit set ⇔ cell empty.
-    /// [`Cache::empty_cell`] takes the lowest set bit, preserving the
-    /// historical lowest-index-first placement order.
+    in_flight_pos: Vec<usize>,
+    /// Words per cell bitset.
+    words: usize,
+    /// Bit set ⇔ cell empty. [`Cache::empty_cell`] takes the lowest set
+    /// bit, preserving the historical lowest-index-first placement order.
     free: Vec<u64>,
+    /// Bit set ⇔ cell holds a resident page.
+    present: Vec<u64>,
+    /// Bit set ⇔ cell pinned for the ongoing parallel step. Only occupied
+    /// cells are ever pinned, and a pinned cell cannot be evicted.
+    pinned: Vec<u64>,
+    /// Per-core owned-cell bitsets, core-major: core `c`'s words are
+    /// `owned[c * words..(c + 1) * words]`.
+    owned: Vec<u64>,
     /// The capacity limit `K(t)` currently in force: at most this many
-    /// cells may be occupied. Equal to `cells.len()` under a fixed
+    /// cells may be occupied. Equal to the cell count under a fixed
     /// capacity; under a [`crate::CapacitySchedule`] the cell count is the
     /// schedule's maximum and the engine moves this limit at each
     /// capacity change. Occupancy may transiently exceed a freshly
@@ -159,19 +209,23 @@ impl Cache {
                 *last = (1u64 << tail) - 1;
             }
         }
-        if cache_size == 0 {
-            free.clear();
-        }
         Cache {
-            cells: vec![CellState::Empty; cache_size],
-            owner: vec![None; cache_size],
-            index: FxHashMap::with_capacity_and_hasher(cache_size, Default::default()),
+            page: vec![PageId(0); cache_size],
+            ready_at: vec![0; cache_size],
+            owner: vec![NONE; cache_size],
+            slots: FxHashMap::with_capacity_and_hasher(cache_size, Default::default()),
+            slot_page: Vec::with_capacity(cache_size),
+            slot_cell: Vec::with_capacity(cache_size),
+            cell_slot: vec![NONE; cache_size],
+            occupied: 0,
             owned_counts: vec![0; num_cores],
             in_flight: Vec::with_capacity(num_cores),
-            in_flight_slot: vec![usize::MAX; cache_size],
-            pinned: vec![false; cache_size],
-            pinned_cells: Vec::with_capacity(num_cores),
+            in_flight_pos: vec![usize::MAX; cache_size],
+            words,
             free,
+            present: vec![0; words],
+            pinned: vec![0; words],
+            owned: vec![0; words * num_cores],
             limit: cache_size,
         }
     }
@@ -192,17 +246,37 @@ impl Cache {
     /// Number of occupied cells in excess of the current limit — how many
     /// evictions a shrink still owes. Zero under fixed capacity.
     pub fn over_limit(&self) -> usize {
-        self.index.len().saturating_sub(self.limit)
+        self.occupied.saturating_sub(self.limit)
     }
 
+    /// The dense slot of `page`, interning it on first sight. Slots are
+    /// never reused or dropped, so a slot stays valid for the cache's
+    /// lifetime.
     #[inline]
-    fn mark_free(&mut self, cell: usize) {
-        self.free[cell / 64] |= 1u64 << (cell % 64);
+    pub fn intern(&mut self, page: PageId) -> usize {
+        let next = self.slot_page.len() as u32;
+        let slot = *self.slots.entry(page).or_insert(next);
+        if slot == next {
+            self.slot_page.push(page);
+            self.slot_cell.push(NONE);
+        }
+        slot as usize
     }
 
+    /// The slot of `page`, if it was ever interned.
     #[inline]
-    fn mark_used(&mut self, cell: usize) {
-        self.free[cell / 64] &= !(1u64 << (cell % 64));
+    fn slot_of(&self, page: PageId) -> Option<usize> {
+        self.slots.get(&page).map(|&s| s as usize)
+    }
+
+    /// The cell holding the page interned at `slot` (resident or in
+    /// flight).
+    #[inline]
+    fn cell_of_slot(&self, slot: usize) -> Option<usize> {
+        match self.slot_cell[slot] {
+            NONE => None,
+            cell => Some(cell as usize),
+        }
     }
 
     /// Pin every cell currently holding one of `pages` for the ongoing
@@ -218,58 +292,104 @@ impl Cache {
     /// Pin the cell holding `page` (resident or in flight), if any.
     /// See [`Cache::pin_pages`].
     pub fn pin_page(&mut self, page: PageId) {
-        if let Some(&cell) = self.index.get(&page) {
-            if !self.pinned[cell] {
-                self.pinned[cell] = true;
-                self.pinned_cells.push(cell);
-            }
+        if let Some(slot) = self.slot_of(page) {
+            self.pin_slot(slot);
         }
     }
 
-    /// Remove every pin (end of the parallel step). O(pins), not O(K).
-    pub fn clear_pins(&mut self) {
-        for cell in self.pinned_cells.drain(..) {
-            self.pinned[cell] = false;
+    /// Pin the cell holding the page interned at `slot`, if any — the
+    /// engine's per-request form of [`Cache::pin_page`].
+    #[inline]
+    pub fn pin_slot(&mut self, slot: usize) {
+        if let Some(cell) = self.cell_of_slot(slot) {
+            bit_set(&mut self.pinned, cell);
         }
+    }
+
+    /// Remove every pin (end of the parallel step). O(K/64).
+    pub fn clear_pins(&mut self) {
+        self.pinned.fill(0);
     }
 
     /// Whether `cell` is pinned for the ongoing parallel step.
     pub fn is_pinned(&self, cell: usize) -> bool {
-        self.pinned[cell]
+        assert!(cell < self.len(), "cell {cell} out of range");
+        bit_test(&self.pinned, cell)
+    }
+
+    /// The legal victims right now — every resident, unpinned cell — as a
+    /// word-mask view. O(1) to build; see [`Victims`].
+    #[inline]
+    pub fn victims(&self) -> Victims<'_> {
+        Victims::from_cache(&self.present, &self.pinned, &self.page)
+    }
+
+    /// The legal victims among the cells owned by `core`.
+    #[inline]
+    pub fn victims_of(&self, core: usize) -> Victims<'_> {
+        let words = &self.owned[core * self.words..(core + 1) * self.words];
+        self.victims().within(words)
     }
 
     /// Iterate `(cell, page, owner)` over resident pages that may legally
-    /// be evicted right now (resident and not pinned).
+    /// be evicted right now (resident and not pinned), in cell order.
     pub fn evictable_cells(&self) -> impl Iterator<Item = (usize, PageId, Option<usize>)> + '_ {
-        self.present_cells()
-            .filter(|(cell, _, _)| !self.pinned[*cell])
+        self.victims()
+            .iter()
+            .map(|cell| (cell, self.page[cell], self.owner(cell)))
     }
 
-    /// Iterate `(cell, page)` over evictable resident pages owned by `core`.
+    /// Iterate `(cell, page)` over evictable resident pages owned by `core`,
+    /// in cell order.
     pub fn evictable_cells_of(&self, core: usize) -> impl Iterator<Item = (usize, PageId)> + '_ {
-        self.evictable_cells()
-            .filter(move |(_, _, o)| *o == Some(core))
-            .map(|(c, p, _)| (c, p))
+        self.victims_of(core)
+            .iter()
+            .map(|cell| (cell, self.page[cell]))
     }
 
     /// Number of cells `K`.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.page.len()
     }
 
     /// `true` iff the cache has no cells (never the case for a validated config).
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.page.is_empty()
+    }
+
+    /// State of `cell`, or `None` when out of range.
+    #[inline]
+    fn state(&self, cell: usize) -> Option<CellState> {
+        if cell >= self.len() {
+            None
+        } else if bit_test(&self.free, cell) {
+            Some(CellState::Empty)
+        } else if bit_test(&self.present, cell) {
+            Some(CellState::Present(self.page[cell]))
+        } else {
+            Some(CellState::Fetching {
+                page: self.page[cell],
+                ready_at: self.ready_at[cell],
+            })
+        }
     }
 
     /// State of cell `cell`.
+    ///
+    /// # Panics
+    /// If `cell` is out of range.
     pub fn cell(&self, cell: usize) -> CellState {
-        self.cells[cell]
+        self.state(cell)
+            .unwrap_or_else(|| panic!("cell {cell} out of range"))
     }
 
     /// Core that brought the page in cell `cell`, if occupied.
+    #[inline]
     pub fn owner(&self, cell: usize) -> Option<usize> {
-        self.owner[cell]
+        match self.owner[cell] {
+            NONE => None,
+            core => Some(core as usize),
+        }
     }
 
     /// Number of cells (resident or fetching) owned by `core`.
@@ -279,18 +399,27 @@ impl Cache {
 
     /// Total number of occupied cells (resident or fetching).
     pub fn occupied(&self) -> usize {
-        self.index.len()
+        self.occupied
     }
 
     /// Look up a page. Call [`Cache::promote_due`] first so that completed
     /// fetches read as `Present`.
     pub fn lookup(&self, page: PageId) -> Lookup {
-        match self.index.get(&page) {
+        match self.slot_of(page) {
+            Some(slot) => self.lookup_slot(slot),
             None => Lookup::Absent,
-            Some(&cell) => match self.cells[cell] {
-                CellState::Present(_) => Lookup::Present { cell },
-                CellState::Fetching { ready_at, .. } => Lookup::Fetching { cell, ready_at },
-                CellState::Empty => unreachable!("index points at empty cell"),
+        }
+    }
+
+    /// [`Cache::lookup`] of the page interned at `slot`.
+    #[inline]
+    pub fn lookup_slot(&self, slot: usize) -> Lookup {
+        match self.cell_of_slot(slot) {
+            None => Lookup::Absent,
+            Some(cell) if bit_test(&self.present, cell) => Lookup::Present { cell },
+            Some(cell) => Lookup::Fetching {
+                cell,
+                ready_at: self.ready_at[cell],
             },
         }
     }
@@ -301,35 +430,34 @@ impl Cache {
     }
 
     /// Cell index holding `page` (resident or in flight).
+    #[inline]
     pub fn cell_of(&self, page: PageId) -> Option<usize> {
-        self.index.get(&page).copied()
+        self.slot_of(page).and_then(|slot| self.cell_of_slot(slot))
     }
 
     /// Convert every fetch whose `ready_at ≤ now` into a resident page.
     pub fn promote_due(&mut self, now: Time) {
-        let mut slot = 0;
-        while slot < self.in_flight.len() {
-            let cell = self.in_flight[slot];
-            match self.cells[cell] {
-                CellState::Fetching { page, ready_at } if ready_at <= now => {
-                    self.cells[cell] = CellState::Present(page);
-                    self.drop_in_flight_slot(slot);
-                }
-                CellState::Fetching { .. } => slot += 1,
-                _ => self.drop_in_flight_slot(slot),
+        let mut pos = 0;
+        while pos < self.in_flight.len() {
+            let cell = self.in_flight[pos];
+            if self.ready_at[cell] <= now {
+                bit_set(&mut self.present, cell);
+                self.drop_in_flight(pos);
+            } else {
+                pos += 1;
             }
         }
     }
 
-    /// Remove the entry at `slot` from the in-flight list, keeping the
+    /// Remove the entry at `pos` from the in-flight list, keeping the
     /// reverse index consistent. O(1) via swap-remove; the list's order is
     /// not observable.
     #[inline]
-    fn drop_in_flight_slot(&mut self, slot: usize) {
-        let cell = self.in_flight.swap_remove(slot);
-        self.in_flight_slot[cell] = usize::MAX;
-        if let Some(&moved) = self.in_flight.get(slot) {
-            self.in_flight_slot[moved] = slot;
+    fn drop_in_flight(&mut self, pos: usize) {
+        let cell = self.in_flight.swap_remove(pos);
+        self.in_flight_pos[cell] = usize::MAX;
+        if let Some(&moved) = self.in_flight.get(pos) {
+            self.in_flight_pos[moved] = pos;
         }
     }
 
@@ -344,12 +472,10 @@ impl Cache {
     /// [`Cache::promote_due`], whose per-cell promotions are independent,
     /// and [`Cache::fetches_in_flight`]).
     pub fn promote_cell(&mut self, cell: usize, now: Time) -> bool {
-        match self.cells.get(cell) {
-            Some(&CellState::Fetching { page, ready_at }) if ready_at <= now => {
-                self.cells[cell] = CellState::Present(page);
-                let slot = self.in_flight_slot[cell];
-                debug_assert!(slot != usize::MAX, "fetching cell missing from list");
-                self.drop_in_flight_slot(slot);
+        match self.in_flight_pos.get(cell) {
+            Some(&pos) if pos != usize::MAX && self.ready_at[cell] <= now => {
+                bit_set(&mut self.present, cell);
+                self.drop_in_flight(pos);
                 true
             }
             _ => false,
@@ -364,31 +490,25 @@ impl Cache {
     /// capacity without change. (Under a fixed capacity the limit equals
     /// the cell count, so the guard is equivalent to the bitset being
     /// empty and behavior is identical.)
+    #[inline]
     pub fn empty_cell(&self) -> Option<usize> {
-        if self.index.len() >= self.limit {
+        if self.occupied >= self.limit {
             return None;
         }
-        for (i, &word) in self.free.iter().enumerate() {
-            if word != 0 {
-                return Some(i * 64 + word.trailing_zeros() as usize);
-            }
-        }
-        None
+        crate::victims::first_one(self.free.iter().copied())
     }
 
     /// Iterate `(cell, page, owner)` over resident pages, in cell order.
     pub fn present_cells(&self) -> impl Iterator<Item = (usize, PageId, Option<usize>)> + '_ {
-        self.cells.iter().enumerate().filter_map(|(i, c)| match c {
-            CellState::Present(p) => Some((i, *p, self.owner[i])),
-            _ => None,
-        })
+        crate::victims::ones(self.present.iter().copied())
+            .map(|cell| (cell, self.page[cell], self.owner(cell)))
     }
 
     /// Iterate `(cell, page, owner)` over resident pages owned by `core`.
     pub fn present_cells_of(&self, core: usize) -> impl Iterator<Item = (usize, PageId)> + '_ {
-        self.present_cells()
-            .filter(move |(_, _, o)| *o == Some(core))
-            .map(|(c, p, _)| (c, p))
+        let owned = &self.owned[core * self.words..(core + 1) * self.words];
+        crate::victims::ones(self.present.iter().zip(owned).map(|(p, o)| p & o))
+            .map(|cell| (cell, self.page[cell]))
     }
 
     /// All resident pages, in cell order.
@@ -399,21 +519,22 @@ impl Cache {
     /// Evict the resident page in `cell`, leaving it empty. Fails on
     /// empty, fetching, or pinned cells.
     pub fn evict(&mut self, cell: usize) -> Result<PageId, CacheError> {
-        if self.pinned.get(cell).copied().unwrap_or(false) {
-            return Err(CacheError::EvictPinned { cell });
-        }
-        match self.cells.get(cell) {
+        match self.state(cell) {
             None => Err(CacheError::BadCell { cell }),
+            Some(_) if bit_test(&self.pinned, cell) => Err(CacheError::EvictPinned { cell }),
             Some(CellState::Empty) => Err(CacheError::EvictEmpty { cell }),
             Some(CellState::Fetching { .. }) => Err(CacheError::EvictFetching { cell }),
             Some(CellState::Present(page)) => {
-                let page = *page;
-                self.index.remove(&page);
-                if let Some(core) = self.owner[cell].take() {
-                    self.owned_counts[core] -= 1;
-                }
-                self.cells[cell] = CellState::Empty;
-                self.mark_free(cell);
+                let slot = self.cell_slot[cell] as usize;
+                self.slot_cell[slot] = NONE;
+                self.cell_slot[cell] = NONE;
+                let core = self.owner[cell] as usize;
+                self.owner[cell] = NONE;
+                self.owned_counts[core] -= 1;
+                bit_clear(&mut self.owned[core * self.words..], cell);
+                bit_clear(&mut self.present, cell);
+                bit_set(&mut self.free, cell);
+                self.occupied -= 1;
                 Ok(page)
             }
         }
@@ -428,25 +549,61 @@ impl Cache {
         core: usize,
         ready_at: Time,
     ) -> Result<(), CacheError> {
-        match self.cells.get(cell) {
+        self.check_fetch(cell, self.slot_of(page), page)?;
+        let slot = self.intern(page);
+        self.fill(cell, slot, core, ready_at);
+        Ok(())
+    }
+
+    /// [`Cache::start_fetch`] of the page interned at `slot`.
+    #[inline]
+    pub fn start_fetch_slot(
+        &mut self,
+        cell: usize,
+        slot: usize,
+        core: usize,
+        ready_at: Time,
+    ) -> Result<(), CacheError> {
+        self.check_fetch(cell, Some(slot), self.slot_page[slot])?;
+        self.fill(cell, slot, core, ready_at);
+        Ok(())
+    }
+
+    /// The [`Cache::start_fetch`] preconditions, in reporting order.
+    #[inline]
+    fn check_fetch(
+        &self,
+        cell: usize,
+        slot: Option<usize>,
+        page: PageId,
+    ) -> Result<(), CacheError> {
+        match self.state(cell) {
             None => return Err(CacheError::BadCell { cell }),
             Some(CellState::Empty) => {}
             Some(_) => return Err(CacheError::FetchIntoOccupied { cell }),
         }
-        if self.index.contains_key(&page) {
+        if slot.is_some_and(|slot| self.slot_cell[slot] != NONE) {
             return Err(CacheError::DuplicatePage { page });
         }
-        if self.index.len() >= self.limit {
+        if self.occupied >= self.limit {
             return Err(CacheError::CapacityExceeded { limit: self.limit });
         }
-        self.cells[cell] = CellState::Fetching { page, ready_at };
-        self.owner[cell] = Some(core);
-        self.owned_counts[core] += 1;
-        self.index.insert(page, cell);
-        self.in_flight_slot[cell] = self.in_flight.len();
-        self.in_flight.push(cell);
-        self.mark_used(cell);
         Ok(())
+    }
+
+    #[inline]
+    fn fill(&mut self, cell: usize, slot: usize, core: usize, ready_at: Time) {
+        self.page[cell] = self.slot_page[slot];
+        self.ready_at[cell] = ready_at;
+        self.owner[cell] = core as u32;
+        self.owned_counts[core] += 1;
+        bit_set(&mut self.owned[core * self.words..], cell);
+        self.slot_cell[slot] = cell as u32;
+        self.cell_slot[cell] = slot as u32;
+        self.occupied += 1;
+        self.in_flight_pos[cell] = self.in_flight.len();
+        self.in_flight.push(cell);
+        bit_clear(&mut self.free, cell);
     }
 
     /// Number of fetches currently in flight.
@@ -457,75 +614,127 @@ impl Cache {
     /// `true` iff `page` is resident and not pinned, i.e. a legal victim
     /// for the current parallel step.
     pub fn is_evictable_page(&self, page: PageId) -> bool {
-        match self.index.get(&page) {
-            Some(&cell) => self.cells[cell].is_present() && !self.pinned[cell],
-            None => false,
-        }
+        self.cell_of(page)
+            .is_some_and(|cell| bit_test(&self.present, cell) && !bit_test(&self.pinned, cell))
     }
 
     /// Exhaustively check the internal invariants that the incremental
-    /// bookkeeping (index, ownership counts, free bitset, in-flight list,
-    /// pin dirty-list) must preserve. Returns a description of the first
-    /// violation found. Intended for tests and the property suite; O(K).
+    /// bookkeeping (slot tables, ownership counts and masks, the free,
+    /// present and pinned bitsets, the in-flight list) must preserve.
+    /// Returns a description of the first violation found. Intended for
+    /// tests and the property suite; O(K + slots).
     pub fn debug_validate(&self) -> Result<(), String> {
-        let k = self.cells.len();
-        if self.owner.len() != k || self.pinned.len() != k {
-            return Err("owner/pinned length mismatch".into());
+        let k = self.len();
+        let cores = self.owned_counts.len();
+        if self.ready_at.len() != k
+            || self.owner.len() != k
+            || self.cell_slot.len() != k
+            || self.in_flight_pos.len() != k
+        {
+            return Err("per-cell table length mismatch".into());
+        }
+        if self.words != k.div_ceil(64)
+            || [&self.free, &self.present, &self.pinned]
+                .iter()
+                .any(|m| m.len() != self.words)
+            || self.owned.len() != self.words * cores
+        {
+            return Err("bitset length mismatch".into());
+        }
+        // No bit may be set past the last cell, in any mask.
+        let tail = |m: &[u64]| (k..self.words * 64).any(|i| bit_test(m, i));
+        if tail(&self.free)
+            || tail(&self.present)
+            || tail(&self.pinned)
+            || self.owned.chunks(self.words.max(1)).any(tail)
+        {
+            return Err("bit set past the last cell".into());
+        }
+        if self.slots.len() != self.slot_page.len() || self.slot_cell.len() != self.slot_page.len()
+        {
+            return Err(format!(
+                "slot tables disagree: {} interned, {} pages, {} cells",
+                self.slots.len(),
+                self.slot_page.len(),
+                self.slot_cell.len()
+            ));
+        }
+        for (&page, &slot) in &self.slots {
+            if self.slot_page.get(slot as usize) != Some(&page) {
+                return Err(format!(
+                    "page {page} interned at slot {slot}, which holds another"
+                ));
+            }
         }
         let mut occupied = 0usize;
         let mut fetching = 0usize;
-        let mut counts = vec![0usize; self.owned_counts.len()];
-        for (cell, state) in self.cells.iter().enumerate() {
-            let free_bit = self.free[cell / 64] >> (cell % 64) & 1 == 1;
-            match state {
-                CellState::Empty => {
-                    if !free_bit {
-                        return Err(format!("empty cell {cell} not in free bitset"));
-                    }
-                    if self.owner[cell].is_some() {
-                        return Err(format!("empty cell {cell} has an owner"));
-                    }
+        let mut counts = vec![0usize; cores];
+        for cell in 0..k {
+            let free = bit_test(&self.free, cell);
+            let present = bit_test(&self.present, cell);
+            let owners: Vec<usize> = (0..cores)
+                .filter(|&c| bit_test(&self.owned[c * self.words..], cell))
+                .collect();
+            if free {
+                if present {
+                    return Err(format!("cell {cell} both free and present"));
                 }
-                CellState::Present(page) | CellState::Fetching { page, .. } => {
-                    if free_bit {
-                        return Err(format!("occupied cell {cell} in free bitset"));
-                    }
-                    occupied += 1;
-                    if matches!(state, CellState::Fetching { .. }) {
-                        fetching += 1;
-                        let slot = self.in_flight_slot[cell];
-                        if self.in_flight.get(slot) != Some(&cell) {
-                            return Err(format!(
-                                "fetching cell {cell} reverse-indexed to slot {slot}, \
-                                 which does not hold it"
-                            ));
-                        }
-                    } else if self.in_flight_slot[cell] != usize::MAX {
-                        return Err(format!("non-fetching cell {cell} has an in-flight slot"));
-                    }
-                    match self.index.get(page) {
-                        Some(&c) if c == cell => {}
-                        other => {
-                            return Err(format!(
-                                "index maps page {page} to {other:?}, cells say cell {cell}"
-                            ))
-                        }
-                    }
-                    match self.owner[cell] {
-                        Some(core) if core < counts.len() => counts[core] += 1,
-                        other => return Err(format!("occupied cell {cell} has owner {other:?}")),
-                    }
+                if self.owner[cell] != NONE || !owners.is_empty() {
+                    return Err(format!("empty cell {cell} has an owner"));
+                }
+                if self.cell_slot[cell] != NONE {
+                    return Err(format!("empty cell {cell} maps to a slot"));
+                }
+                if bit_test(&self.pinned, cell) {
+                    return Err(format!("empty cell {cell} is pinned"));
+                }
+                if self.in_flight_pos[cell] != usize::MAX {
+                    return Err(format!("empty cell {cell} has an in-flight position"));
+                }
+                continue;
+            }
+            occupied += 1;
+            if present {
+                if self.in_flight_pos[cell] != usize::MAX {
+                    return Err(format!("resident cell {cell} has an in-flight position"));
+                }
+            } else {
+                fetching += 1;
+                let pos = self.in_flight_pos[cell];
+                if self.in_flight.get(pos) != Some(&cell) {
+                    return Err(format!(
+                        "fetching cell {cell} reverse-indexed to position {pos}, \
+                         which does not hold it"
+                    ));
                 }
             }
-            if self.pinned[cell] && !self.pinned_cells.contains(&cell) {
-                return Err(format!("pinned cell {cell} missing from pin dirty-list"));
+            let slot = self.cell_slot[cell] as usize;
+            if self.slot_cell.get(slot) != Some(&(cell as u32)) {
+                return Err(format!(
+                    "cell {cell} maps to slot {slot}, which maps elsewhere"
+                ));
+            }
+            if self.slot_page[slot] != self.page[cell] {
+                return Err(format!(
+                    "cell {cell} holds page {} but its slot {slot} is page {}",
+                    self.page[cell], self.slot_page[slot]
+                ));
+            }
+            match self.owner(cell) {
+                Some(core) if core < cores && owners == [core] => counts[core] += 1,
+                other => {
+                    return Err(format!(
+                        "occupied cell {cell} has owner {other:?} but owner masks {owners:?}"
+                    ))
+                }
             }
         }
-        if self.index.len() != occupied {
+        let mapped = self.slot_cell.iter().filter(|&&c| c != NONE).count();
+        if mapped != occupied || self.occupied != occupied {
             return Err(format!(
-                "index has {} entries but {} cells are occupied",
-                self.index.len(),
-                occupied
+                "{mapped} slots map to a cell and the counter says {}, \
+                 but {occupied} cells are occupied",
+                self.occupied
             ));
         }
         if self.in_flight.len() != fetching {

@@ -9,6 +9,8 @@
 //!
 //! * [`types`] — pages, workloads, configuration.
 //! * [`cache`] — the `K`-cell cache with fetch-in-progress cells.
+//! * [`victims`] — cell bitsets and the [`Victims`] word-mask view of
+//!   the legal victims that eviction policies choose from.
 //! * [`strategy`] — the [`CacheStrategy`] decision trait.
 //! * [`sim`] — the discrete-event engine, step-wise or run-to-completion,
 //!   over a fixed workload or a growing one.
@@ -52,6 +54,7 @@ pub mod online;
 pub mod sim;
 pub mod strategy;
 pub mod types;
+pub mod victims;
 
 pub use budget::{Budget, TripReason};
 pub use cache::{Cache, CacheError, CellState, Lookup};
@@ -66,3 +69,4 @@ pub use sim::{
 };
 pub use strategy::CacheStrategy;
 pub use types::{ModelError, PageId, SimConfig, Time, Workload};
+pub use victims::{CellSet, Victims};

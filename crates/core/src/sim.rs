@@ -302,6 +302,9 @@ pub struct Simulator<'w, S: CacheStrategy, W: Borrow<Workload> = &'w Workload> {
     /// core's last admitted request (no wake-up yet) goes through the
     /// [`Simulator::completions`] heap.
     pending_promote: Vec<u32>,
+    /// `due_slot[core]`: the cache slot ([`Cache::intern`]) of the page
+    /// the core requests in the step being served, set by the pin loop.
+    due_slot: Vec<usize>,
     /// `closed[core]`: no more requests may arrive for `core`. Offline
     /// runs close every core up front.
     closed: Vec<bool>,
@@ -461,6 +464,7 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
             issue_next: Vec::with_capacity(p),
             completions: BinaryHeap::with_capacity(p),
             pending_promote: vec![u32::MAX; p],
+            due_slot: vec![0; p],
             closed: vec![!open; p],
             open: if open { p } else { 0 },
             starved,
@@ -700,7 +704,11 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
                 self.cache.promote_cell(pending as usize, t);
                 self.pending_promote[core] = u32::MAX;
             }
-            self.cache.pin_page(workload.sequence(core)[self.pos[core]]);
+            // Resolve the request's cache slot once: the lookup and the
+            // fetch below reuse it instead of probing the page map again.
+            let slot = self.cache.intern(workload.sequence(core)[self.pos[core]]);
+            self.cache.pin_slot(slot);
+            self.due_slot[core] = slot;
         }
 
         // Capacity changes due at `t` apply after pinning (the pages
@@ -739,7 +747,8 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
             let seq = workload.sequence(core);
             let index = self.pos[core];
             let page = seq[index];
-            let outcome = match self.cache.lookup(page) {
+            let slot = self.due_slot[core];
+            let outcome = match self.cache.lookup_slot(slot) {
                 Lookup::Present { .. } => {
                     self.hits[core] += 1;
                     self.strategy.on_hit(core, page, t, &self.cache);
@@ -774,7 +783,7 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
                         }
                     };
                     self.cache
-                        .start_fetch(cell, page, core, t + self.cfg.tau + 1)?;
+                        .start_fetch_slot(cell, slot, core, t + self.cfg.tau + 1)?;
                     if index + 1 < seq.len() {
                         // The completion coincides with this core's next
                         // wake-up: let it ride that event instead of

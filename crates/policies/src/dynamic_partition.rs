@@ -14,7 +14,7 @@
 use crate::eviction::{shed_victims, stream_victim, EvictionPolicy};
 use crate::partition::Partition;
 use crate::policies::lru::Lru;
-use mcp_core::{Cache, CacheStrategy, FxHashMap, PageId, SimConfig, Time, Workload};
+use mcp_core::{Cache, CacheStrategy, PageId, SimConfig, Time, Workload};
 
 /// Lemma 3's dynamic partition: start with an equal split; on each fault,
 /// if the cache is full, shrink the part of the core owning the globally
@@ -25,8 +25,9 @@ use mcp_core::{Cache, CacheStrategy, FxHashMap, PageId, SimConfig, Time, Workloa
 /// does (Lemma 3) — the partition is pure bookkeeping. The experiment E07
 /// and a property test assert bitwise-equal fault sequences.
 ///
-/// Recency is kept by the intrusive [`Lru`] itself, so the globally
-/// least-recently-used evictable page is a walk from its least-recent end.
+/// Recency is kept by the cell-indexed intrusive [`Lru`] itself, so the
+/// globally least-recently-used evictable page is a walk from its
+/// least-recent end.
 #[derive(Clone, Debug, Default)]
 pub struct LruMimicPartition {
     recency: Lru,
@@ -57,33 +58,30 @@ impl CacheStrategy for LruMimicPartition {
         "dP[LRU-mimic]_LRU".into()
     }
 
-    fn on_hit(&mut self, _core: usize, page: PageId, _time: Time, _cache: &Cache) {
+    fn on_hit(&mut self, _core: usize, page: PageId, _time: Time, cache: &Cache) {
         let stamp = self.next_stamp();
-        self.recency.on_access(page, stamp);
+        let cell = cache.cell_of(page).expect("a hit page is resident");
+        self.recency.touch(cell, stamp);
     }
 
     fn choose_cell(&mut self, core: usize, _page: PageId, _time: Time, cache: &Cache) -> usize {
         if let Some(cell) = cache.empty_cell() {
             return cell;
         }
-        let victim = self
-            .recency
-            .oldest_where(&|p| cache.is_evictable_page(p))
-            .expect("full cache has a resident page");
-        let cell = cache.cell_of(victim).expect("victim is resident");
+        let cell = self.recency.choose_victim(&cache.victims());
         if cache.owner(cell) != Some(core) {
             self.reassignments += 1;
         }
         cell
     }
 
-    fn on_fault(&mut self, _core: usize, page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
+    fn on_fault(&mut self, _core: usize, _page: PageId, _time: Time, cell: usize, _cache: &Cache) {
         let stamp = self.next_stamp();
-        self.recency.on_insert(page, stamp);
+        self.recency.touch(cell, stamp);
     }
 
-    fn on_evict(&mut self, page: PageId, _cell: usize) {
-        self.recency.on_remove(page);
+    fn on_evict(&mut self, _page: PageId, cell: usize) {
+        self.recency.forget(cell);
     }
 }
 
@@ -102,7 +100,9 @@ pub struct StagedPartition<P> {
     base_stages: Vec<(Time, Partition)>,
     factory: crate::static_partition::PolicyFactory<P>,
     policies: Vec<P>,
-    page_part: FxHashMap<PageId, usize>,
+    /// `cell_part[cell]`: the part of the page in an occupied cell (see
+    /// [`crate::StaticPartition`]).
+    cell_part: Vec<usize>,
     stamp: u64,
     label: String,
 }
@@ -121,7 +121,7 @@ impl<P: EvictionPolicy> StagedPartition<P> {
             stages,
             factory: Box::new(move |_, _, _| make()),
             policies: Vec::new(),
-            page_part: FxHashMap::default(),
+            cell_part: Vec::new(),
             stamp: 0,
             label: String::new(),
         }
@@ -168,7 +168,7 @@ impl<P: EvictionPolicy> CacheStrategy for StagedPartition<P> {
             self.stages.len(),
             self.policies[0].name()
         );
-        self.page_part.clear();
+        self.cell_part.clear();
         self.stamp = 0;
     }
 
@@ -195,10 +195,11 @@ impl<P: EvictionPolicy> CacheStrategy for StagedPartition<P> {
         evictions
     }
 
-    fn on_hit(&mut self, core: usize, page: PageId, _time: Time, _cache: &Cache) {
+    fn on_hit(&mut self, core: usize, page: PageId, _time: Time, cache: &Cache) {
         let stamp = self.next_stamp();
-        let part = *self.page_part.get(&page).unwrap_or(&core);
-        self.policies[part].on_access(page, stamp);
+        let cell = cache.cell_of(page).expect("a hit page is resident");
+        let part = cache.owner(cell).unwrap_or(core);
+        self.policies[part].on_access(cell, page, stamp);
     }
 
     fn choose_cell(&mut self, core: usize, _page: PageId, time: Time, cache: &Cache) -> usize {
@@ -217,27 +218,29 @@ impl<P: EvictionPolicy> CacheStrategy for StagedPartition<P> {
             .filter(|&j| j != core && cache.owned_count(j) > target.size(j))
             .max_by_key(|&j| cache.owned_count(j) - target.size(j));
         let part = over.unwrap_or(core);
-        let victim = match stream_victim(&mut self.policies[part], cache, Some(part), &[]) {
-            Some(victim) => Some(victim),
+        match stream_victim(&mut self.policies[part], cache, Some(part), None) {
+            Some(cell) => Some(cell),
             // The over-quota part is fully pinned or in flight: fall back
             // to the faulting core's own part.
-            None if part != core => stream_victim(&mut self.policies[core], cache, Some(core), &[]),
+            None if part != core => {
+                stream_victim(&mut self.policies[core], cache, Some(core), None)
+            }
             None => None,
         }
-        .expect("full part must have an evictable page");
-        cache.cell_of(victim).expect("victim resident")
+        .expect("full part must have an evictable page")
     }
 
-    fn on_fault(&mut self, core: usize, page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
+    fn on_fault(&mut self, core: usize, page: PageId, _time: Time, cell: usize, cache: &Cache) {
         let stamp = self.next_stamp();
-        self.page_part.insert(page, core);
-        self.policies[core].on_insert(page, stamp);
+        if self.cell_part.len() < cache.len() {
+            self.cell_part.resize(cache.len(), 0);
+        }
+        self.cell_part[cell] = core;
+        self.policies[core].on_insert(cell, page, stamp);
     }
 
-    fn on_evict(&mut self, page: PageId, _cell: usize) {
-        if let Some(part) = self.page_part.remove(&page) {
-            self.policies[part].on_remove(page);
-        }
+    fn on_evict(&mut self, _page: PageId, cell: usize) {
+        self.policies[self.cell_part[cell]].on_remove(cell);
     }
 
     fn on_capacity_change(&mut self, _time: Time, new_k: usize, _cache: &Cache) {

@@ -6,7 +6,7 @@
 
 use crate::eviction::EvictionPolicy;
 use crate::next_use::NextUse;
-use mcp_core::PageId;
+use mcp_core::{PageId, Victims};
 
 /// Furthest-in-the-future eviction over one core's request sequence.
 ///
@@ -14,7 +14,8 @@ use mcp_core::PageId;
 /// (every `on_insert`/`on_access` corresponds to one served request of the
 /// owning core, in order) and resolves next-use positions against the full
 /// sequence supplied at construction, through next-occurrence tables that
-/// each served request advances in O(1).
+/// each served request advances in O(1). Each cell records its page's
+/// dense table index at insert, so victim choice reads arrays only.
 ///
 /// Only meaningful when the policy observes exactly the owning core's
 /// requests in order — i.e. per-part use on disjoint workloads, or p = 1.
@@ -34,7 +35,10 @@ impl Belady {
     /// Position of the first use of `page` at or after the next unserved
     /// request; `usize::MAX` if never used again.
     pub fn next_use(&self, page: PageId) -> usize {
-        self.next.next_use(0, page)
+        match self.next.next_use(0, page) {
+            u32::MAX => usize::MAX,
+            pos => pos as usize,
+        }
     }
 
     /// Requests of the owning core served so far.
@@ -48,27 +52,27 @@ impl EvictionPolicy for Belady {
         "OPT".into()
     }
 
-    fn on_insert(&mut self, _page: PageId, _stamp: u64) {
+    fn on_insert(&mut self, cell: usize, page: PageId, _stamp: u64) {
+        self.next.place(cell, page);
         self.next.advance(0);
     }
 
-    fn on_access(&mut self, _page: PageId, _stamp: u64) {
+    fn on_access(&mut self, _cell: usize, _page: PageId, _stamp: u64) {
         self.next.advance(0);
     }
 
-    fn on_remove(&mut self, _page: PageId) {}
+    fn on_remove(&mut self, _cell: usize) {}
 
-    fn choose_victim_from(
-        &mut self,
-        candidates: &mut dyn Iterator<Item = PageId>,
-        _eligible: &dyn Fn(PageId) -> bool,
-    ) -> PageId {
+    fn choose_victim(&mut self, victims: &Victims) -> usize {
         // Called while serving request `cursor` (a fault): a candidate's
         // next use is its first occurrence strictly after `cursor`; the
         // faulting page itself is never a candidate, so `> cursor` and
         // `>= cursor` coincide — we use the current cursor as the bound.
-        candidates
-            .max_by_key(|p| (self.next_use(*p), p.0))
+        // `(next use, page)` keys are unique; the page breaks the tie
+        // between pages never used again.
+        victims
+            .iter()
+            .max_by_key(|&cell| (self.next.next_use_of(0, cell), victims.page_at(cell).0))
             .expect("candidates nonempty")
     }
 }
@@ -76,6 +80,7 @@ impl EvictionPolicy for Belady {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eviction::testing::{access, insert, pick};
 
     fn p(v: u32) -> PageId {
         PageId(v)
@@ -91,20 +96,20 @@ mod tests {
         // must evict: next use of 1 is pos 3, of 2 is pos 4 -> evict 2.
         let s = seq(&[1, 2, 3, 1, 2]);
         let mut b = Belady::for_sequence(&s);
-        b.on_insert(p(1), 1);
-        b.on_insert(p(2), 2);
+        insert(&mut b, 1, 1);
+        insert(&mut b, 2, 2);
         // Now serving position 2 (page 3), a fault:
-        assert_eq!(b.choose_victim(&[p(1), p(2)]), p(2));
+        assert_eq!(pick(&mut b, &[1, 2]), 2);
     }
 
     #[test]
     fn never_used_again_is_perfect_victim() {
         let s = seq(&[1, 2, 3, 1]);
         let mut b = Belady::for_sequence(&s);
-        b.on_insert(p(1), 1);
-        b.on_insert(p(2), 2);
+        insert(&mut b, 1, 1);
+        insert(&mut b, 2, 2);
         // Serving position 2 (page 3): page 2 never recurs.
-        assert_eq!(b.choose_victim(&[p(1), p(2)]), p(2));
+        assert_eq!(pick(&mut b, &[1, 2]), 2);
     }
 
     #[test]
@@ -112,12 +117,13 @@ mod tests {
         let s = seq(&[1, 2, 1, 2]);
         let mut b = Belady::for_sequence(&s);
         assert_eq!(b.next_use(p(1)), 0);
-        b.on_insert(p(1), 1);
+        insert(&mut b, 1, 1);
         assert_eq!(b.next_use(p(1)), 2);
-        b.on_insert(p(2), 2);
-        b.on_access(p(1), 3);
+        insert(&mut b, 2, 2);
+        access(&mut b, 1, 3);
         assert_eq!(b.next_use(p(1)), usize::MAX);
         assert_eq!(b.next_use(p(2)), 3);
+        assert_eq!(b.next_use(p(9)), usize::MAX);
         assert_eq!(b.served(), 3);
     }
 }

@@ -1,15 +1,18 @@
 //! CLOCK (second-chance) eviction: a one-bit LRU approximation.
 
 use crate::eviction::EvictionPolicy;
-use mcp_core::{FxHashMap, PageId};
+use mcp_core::{CellSet, PageId, Victims};
 
-/// Pages sit on a circular list; each carries a reference bit set on
-/// access. The hand sweeps: a set bit is cleared (second chance), a clear
-/// bit on a candidate means eviction.
+/// Cells sit on a circular list in insertion order; each carries a
+/// reference bit set on access. The hand sweeps: a set bit is cleared
+/// (second chance), a clear bit on a candidate means eviction.
 #[derive(Clone, Debug, Default)]
 pub struct Clock {
-    ring: Vec<PageId>,
-    refbit: FxHashMap<PageId, bool>,
+    ring: Vec<u32>,
+    /// Cells on the ring.
+    managed: CellSet,
+    /// Cells whose reference bit is set.
+    referenced: CellSet,
     hand: usize,
 }
 
@@ -25,19 +28,20 @@ impl EvictionPolicy for Clock {
         "CLOCK".into()
     }
 
-    fn on_insert(&mut self, page: PageId, _stamp: u64) {
-        self.ring.push(page);
-        self.refbit.insert(page, true);
+    fn on_insert(&mut self, cell: usize, _page: PageId, _stamp: u64) {
+        self.ring.push(cell as u32);
+        self.managed.insert(cell);
+        self.referenced.insert(cell);
     }
 
-    fn on_access(&mut self, page: PageId, _stamp: u64) {
-        if let Some(bit) = self.refbit.get_mut(&page) {
-            *bit = true;
+    fn on_access(&mut self, cell: usize, _page: PageId, _stamp: u64) {
+        if self.managed.contains(cell) {
+            self.referenced.insert(cell);
         }
     }
 
-    fn on_remove(&mut self, page: PageId) {
-        if let Some(pos) = self.ring.iter().position(|&p| p == page) {
+    fn on_remove(&mut self, cell: usize) {
+        if let Some(pos) = self.ring.iter().position(|&c| c as usize == cell) {
             self.ring.remove(pos);
             if self.hand > pos {
                 self.hand -= 1;
@@ -48,95 +52,80 @@ impl EvictionPolicy for Clock {
                 self.hand = 0;
             }
         }
-        self.refbit.remove(&page);
+        self.managed.remove(cell);
+        self.referenced.remove(cell);
     }
 
-    fn choose_victim_from(
-        &mut self,
-        candidates: &mut dyn Iterator<Item = PageId>,
-        eligible: &dyn Fn(PageId) -> bool,
-    ) -> PageId {
+    fn choose_victim(&mut self, victims: &Victims) -> usize {
         // Two full sweeps suffice: the first clears every set bit we pass,
-        // so by the second every eligible page we reach has a clear bit.
-        // Each step probes `eligible` once — O(1).
+        // so by the second every candidate we reach has a clear bit.
+        // Each step tests one mask bit — O(1).
         for _ in 0..2 * self.ring.len().max(1) {
-            let page = self.ring[self.hand];
-            let bit = self.refbit.get_mut(&page).expect("ring page has a bit");
+            let cell = self.ring[self.hand] as usize;
             self.hand = (self.hand + 1) % self.ring.len();
-            if *bit {
-                *bit = false;
-            } else if eligible(page) {
-                return page;
+            if self.referenced.contains(cell) {
+                self.referenced.remove(cell);
+            } else if victims.contains(cell) {
+                return cell;
             }
         }
         // All candidates keeping their bits would need accesses racing
         // the sweep, which the sequential driver never does; fall back to
         // the first candidate.
-        candidates.next().expect("candidates nonempty")
+        victims.first().expect("candidates nonempty")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p(v: u32) -> PageId {
-        PageId(v)
-    }
+    use crate::eviction::testing::{access, insert, pick};
 
     #[test]
     fn second_chance_protects_accessed_pages() {
         let mut c = Clock::new();
-        c.on_insert(p(1), 1);
-        c.on_insert(p(2), 2);
-        c.on_insert(p(3), 3);
-        // Clear insertion bits with one dummy sweep, then re-reference 1, 3.
-        c.choose_victim(&[p(1), p(2), p(3)]); // evicts someone; reinsert it
-        let all = [p(1), p(2), p(3)];
-        // Rebuild a clean state for determinism.
-        let mut c = Clock::new();
-        for (i, pg) in all.iter().enumerate() {
-            c.on_insert(*pg, i as u64);
+        for (i, v) in [1, 2, 3].into_iter().enumerate() {
+            insert(&mut c, v, i as u64);
         }
-        c.on_access(p(1), 10);
-        c.on_access(p(3), 11);
-        // First sweep clears 1's bit, 2's bit, 3's bit, then second sweep
-        // evicts the first clear candidate: p(1). CLOCK approximates, not
-        // equals, LRU; the key property is that it terminates and returns
-        // a candidate.
-        let v = c.choose_victim(&all);
-        assert!(all.contains(&v));
+        access(&mut c, 1, 10);
+        access(&mut c, 3, 11);
+        // The first sweep clears every bit, so the second evicts the
+        // first candidate past the hand. CLOCK approximates, not equals,
+        // LRU; the key property is that it terminates and returns a
+        // candidate.
+        let v = pick(&mut c, &[1, 2, 3]);
+        assert!([1, 2, 3].contains(&v));
     }
 
     #[test]
     fn removal_keeps_ring_consistent() {
         let mut c = Clock::new();
-        c.on_insert(p(1), 1);
-        c.on_insert(p(2), 2);
-        c.on_insert(p(3), 3);
-        c.on_remove(p(2));
-        let v = c.choose_victim(&[p(1), p(3)]);
-        assert!(v == p(1) || v == p(3));
-        c.on_remove(p(1));
-        c.on_remove(p(3));
+        insert(&mut c, 1, 1);
+        insert(&mut c, 2, 2);
+        insert(&mut c, 3, 3);
+        c.on_remove(2);
+        let v = pick(&mut c, &[1, 3]);
+        assert!(v == 1 || v == 3);
+        c.on_remove(1);
+        c.on_remove(3);
         assert!(c.ring.is_empty());
+        assert!(c.managed.is_empty() && c.referenced.is_empty());
     }
 
     #[test]
     fn unreferenced_candidate_evicted_before_referenced() {
         let mut c = Clock::new();
-        c.on_insert(p(1), 1);
-        c.on_insert(p(2), 2);
+        insert(&mut c, 1, 1);
+        insert(&mut c, 2, 2);
         // Sweep once to clear both bits.
-        let first = c.choose_victim(&[p(1), p(2)]);
-        assert_eq!(first, p(1));
-        // p(1) got evicted; reinsert and access p(2).
-        c.on_remove(p(1));
-        c.on_insert(p(1), 3);
-        c.on_access(p(2), 4);
-        // p(1) has a fresh bit, p(2) has a fresh bit; sweep clears both,
-        // then evicts the first candidate past the hand.
-        let v = c.choose_victim(&[p(1), p(2)]);
-        assert!(v == p(1) || v == p(2));
+        assert_eq!(pick(&mut c, &[1, 2]), 1);
+        // Cell 1 got evicted; reinsert and access cell 2.
+        c.on_remove(1);
+        insert(&mut c, 1, 3);
+        access(&mut c, 2, 4);
+        // Both bits are fresh; the sweep clears both, then evicts the
+        // first candidate past the hand.
+        let v = pick(&mut c, &[1, 2]);
+        assert!(v == 1 || v == 2);
     }
 }

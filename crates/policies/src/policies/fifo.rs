@@ -1,21 +1,21 @@
 //! First-In-First-Out eviction.
 
 use crate::eviction::EvictionPolicy;
-use mcp_core::{FxHashMap, PageId};
-use std::collections::BTreeSet;
+use crate::policies::lru::Lru;
+use mcp_core::{PageId, Victims};
 
 /// Evicts the candidate that entered the managed set earliest.
 ///
 /// FIFO is conservative (though not marking), so Lemma 1's static-partition
 /// upper bound applies to it as well.
 ///
-/// An ordered `(insert stamp, page)` set backs the streamed entry point:
-/// the queue-front eligible page is found in O(log K) plus a short walk,
-/// with no per-fault candidate collection.
+/// The queue is [`Lru`]'s cell-indexed intrusive list with accesses
+/// ignored: insertion links a cell at the newest end, so walking from the
+/// oldest end finds the earliest-inserted candidate with no per-fault
+/// candidate collection.
 #[derive(Clone, Debug, Default)]
 pub struct Fifo {
-    inserted: FxHashMap<PageId, u64>,
-    by_stamp: BTreeSet<(u64, PageId)>,
+    queue: Lru,
 }
 
 impl Fifo {
@@ -30,34 +30,23 @@ impl EvictionPolicy for Fifo {
         "FIFO".into()
     }
 
-    fn on_insert(&mut self, page: PageId, stamp: u64) {
-        if let Some(old) = self.inserted.insert(page, stamp) {
-            self.by_stamp.remove(&(old, page));
-        }
-        self.by_stamp.insert((stamp, page));
+    fn on_insert(&mut self, cell: usize, _page: PageId, stamp: u64) {
+        self.queue.touch(cell, stamp);
     }
 
-    fn on_access(&mut self, _page: PageId, _stamp: u64) {
+    fn on_access(&mut self, _cell: usize, _page: PageId, _stamp: u64) {
         // FIFO ignores accesses.
     }
 
-    fn on_remove(&mut self, page: PageId) {
-        if let Some(old) = self.inserted.remove(&page) {
-            self.by_stamp.remove(&(old, page));
-        }
+    fn on_remove(&mut self, cell: usize) {
+        self.queue.forget(cell);
     }
 
-    fn choose_victim_from(
-        &mut self,
-        _candidates: &mut dyn Iterator<Item = PageId>,
-        eligible: &dyn Fn(PageId) -> bool,
-    ) -> PageId {
-        // Insert stamps are unique: the first eligible entry in stamp
-        // order is the eligible page that entered earliest.
-        self.by_stamp
-            .iter()
-            .map(|&(_, page)| page)
-            .find(|&page| eligible(page))
+    fn choose_victim(&mut self, victims: &Victims) -> usize {
+        // Insert stamps are unique and increasing: the first candidate
+        // from the oldest end is the one that entered earliest.
+        self.queue
+            .oldest_where(|cell| victims.contains(cell))
             .expect("candidates nonempty")
     }
 }
@@ -65,27 +54,24 @@ impl EvictionPolicy for Fifo {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p(v: u32) -> PageId {
-        PageId(v)
-    }
+    use crate::eviction::testing::{access, insert, pick};
 
     #[test]
     fn evicts_oldest_insertion_ignoring_accesses() {
         let mut fifo = Fifo::new();
-        fifo.on_insert(p(1), 1);
-        fifo.on_insert(p(2), 2);
-        fifo.on_access(p(1), 3); // must not refresh
-        assert_eq!(fifo.choose_victim(&[p(1), p(2)]), p(1));
+        insert(&mut fifo, 1, 1);
+        insert(&mut fifo, 2, 2);
+        access(&mut fifo, 1, 3); // must not refresh
+        assert_eq!(pick(&mut fifo, &[1, 2]), 1);
     }
 
     #[test]
     fn reinsertion_refreshes() {
         let mut fifo = Fifo::new();
-        fifo.on_insert(p(1), 1);
-        fifo.on_insert(p(2), 2);
-        fifo.on_remove(p(1));
-        fifo.on_insert(p(1), 3);
-        assert_eq!(fifo.choose_victim(&[p(1), p(2)]), p(2));
+        insert(&mut fifo, 1, 1);
+        insert(&mut fifo, 2, 2);
+        fifo.on_remove(1);
+        insert(&mut fifo, 1, 3);
+        assert_eq!(pick(&mut fifo, &[1, 2]), 2);
     }
 }

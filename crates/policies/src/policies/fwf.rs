@@ -10,19 +10,17 @@
 //! without needing bulk eviction.
 
 use crate::eviction::EvictionPolicy;
-use mcp_core::{FxHashMap, PageId};
+use mcp_core::{victims::first_one, CellSet, PageId, Victims};
 
-/// Flush-When-Full, epoch-based.
+/// Flush-When-Full.
 ///
-/// A page is *touched* when it was inserted or accessed during the current
-/// epoch: each page records the epoch of its last touch, so a flush is one
-/// counter increment instead of a sweep over every managed page.
+/// A cell is *touched* when its page was inserted or accessed during the
+/// current epoch. Touches are a cell bitset, so the victim is the lowest
+/// set bit of `candidates & !touched` and a flush clears the bitset.
 #[derive(Clone, Debug, Default)]
 pub struct Fwf {
-    /// Managed page → the epoch of its last touch.
-    touched_in: FxHashMap<PageId, u64>,
-    /// Completed epochs (flushes), observable for phase tests. It doubles
-    /// as the current epoch's number.
+    touched: CellSet,
+    /// Completed epochs (flushes), observable for phase tests.
     pub flushes: u64,
 }
 
@@ -31,14 +29,6 @@ impl Fwf {
     pub fn new() -> Self {
         Self::default()
     }
-
-    fn touch(&mut self, page: PageId) {
-        self.touched_in.insert(page, self.flushes);
-    }
-
-    fn is_touched(&self, page: PageId) -> bool {
-        self.touched_in.get(&page) == Some(&self.flushes)
-    }
 }
 
 impl EvictionPolicy for Fwf {
@@ -46,66 +36,57 @@ impl EvictionPolicy for Fwf {
         "FWF".into()
     }
 
-    fn on_insert(&mut self, page: PageId, _stamp: u64) {
-        self.touch(page);
+    fn on_insert(&mut self, cell: usize, _page: PageId, _stamp: u64) {
+        self.touched.insert(cell);
     }
 
-    fn on_access(&mut self, page: PageId, _stamp: u64) {
-        self.touch(page);
+    fn on_access(&mut self, cell: usize, _page: PageId, _stamp: u64) {
+        self.touched.insert(cell);
     }
 
-    fn on_remove(&mut self, page: PageId) {
-        self.touched_in.remove(&page);
+    fn on_remove(&mut self, cell: usize) {
+        self.touched.remove(cell);
     }
 
-    fn choose_victim_from(
-        &mut self,
-        candidates: &mut dyn Iterator<Item = PageId>,
-        _eligible: &dyn Fn(PageId) -> bool,
-    ) -> PageId {
-        // The first untouched candidate in candidate order goes.
-        let first = candidates.next().expect("candidates nonempty");
-        if !self.is_touched(first) {
-            return first;
-        }
-        for page in candidates {
-            if !self.is_touched(page) {
-                return page;
-            }
+    fn choose_victim(&mut self, victims: &Victims) -> usize {
+        // The first untouched candidate in cell order goes.
+        let untouched = victims
+            .words()
+            .enumerate()
+            .map(|(i, w)| w & !self.touched.word(i));
+        if let Some(cell) = first_one(untouched) {
+            return cell;
         }
         // Everything touched: flush (new epoch), evict the first candidate.
         self.flushes += 1;
-        first
+        self.touched.clear();
+        victims.first().expect("candidates nonempty")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p(v: u32) -> PageId {
-        PageId(v)
-    }
+    use crate::eviction::testing::{access, insert, pick};
 
     #[test]
     fn flushes_when_everything_touched() {
         let mut fwf = Fwf::new();
-        fwf.on_insert(p(1), 1);
-        fwf.on_insert(p(2), 2);
+        insert(&mut fwf, 1, 1);
+        insert(&mut fwf, 2, 2);
         assert_eq!(fwf.flushes, 0);
-        let v = fwf.choose_victim(&[p(1), p(2)]);
+        assert_eq!(pick(&mut fwf, &[1, 2]), 1);
         assert_eq!(fwf.flushes, 1);
-        assert!(v == p(1) || v == p(2));
     }
 
     #[test]
     fn untouched_pages_evicted_first() {
         let mut fwf = Fwf::new();
-        fwf.on_insert(p(1), 1);
-        fwf.on_insert(p(2), 2);
-        fwf.choose_victim(&[p(1), p(2)]); // flush: both untouched now
-        fwf.on_access(p(2), 3);
-        assert_eq!(fwf.choose_victim(&[p(1), p(2)]), p(1));
+        insert(&mut fwf, 1, 1);
+        insert(&mut fwf, 2, 2);
+        pick(&mut fwf, &[1, 2]); // flush: both untouched now
+        access(&mut fwf, 1, 3);
+        assert_eq!(pick(&mut fwf, &[1, 2]), 2);
         assert_eq!(fwf.flushes, 1);
     }
 

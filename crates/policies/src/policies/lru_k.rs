@@ -4,14 +4,21 @@
 //! recency; `K = 2` is the classic scan-resistant configuration.
 
 use crate::eviction::EvictionPolicy;
-use mcp_core::{FxHashMap, PageId};
+use mcp_core::{FxHashMap, PageId, Victims};
+
+/// Rank bit of pages with a full history of `k` references: they sort
+/// after every page with fewer (infinite backward K-distance).
+const FINITE: u64 = 1 << 63;
 
 /// LRU-K with per-page reference history.
 ///
 /// Histories live in one flat stamp array, `k` slots per page, oldest
 /// first; a page's map entry holds its slot and how many references it
-/// has (at most `k`). Victim choice is one pass over the candidates with
-/// one map probe each.
+/// has (at most `k`). History is page-keyed because it is *retained*
+/// across evictions, but it is touched only on insert or access: each
+/// then refreshes a cell-indexed mirror `(rank, page)` of the page's
+/// victim key, so victim choice is one scan of the candidate mask with an
+/// array read per candidate and no map probe.
 #[derive(Clone, Debug)]
 pub struct LruK {
     k: usize,
@@ -20,6 +27,10 @@ pub struct LruK {
     /// Slot `s` holds its page's last references in
     /// `stamps[s * k..s * k + len]`, oldest first.
     stamps: Vec<u64>,
+    /// `rank[cell]`: the victim key of the page in `cell` — its last
+    /// reference when it has fewer than `k`, else [`FINITE`] plus its
+    /// `k`-th most recent reference — and the page, for tie-breaks.
+    rank: Vec<(u64, PageId)>,
 }
 
 impl LruK {
@@ -30,10 +41,14 @@ impl LruK {
             k,
             history: FxHashMap::default(),
             stamps: Vec::new(),
+            rank: Vec::new(),
         }
     }
 
-    fn record(&mut self, page: PageId, stamp: u64) {
+    /// Record a reference to `page` at `stamp` and refresh the mirror of
+    /// `cell`, which holds it.
+    fn record(&mut self, cell: usize, page: PageId, stamp: u64) {
+        debug_assert!(stamp < FINITE, "stamp overflows the rank bit");
         let k = self.k;
         let next_slot = (self.stamps.len() / k) as u32;
         let (slot, len) = self.history.entry(page).or_insert((next_slot, 0));
@@ -41,13 +56,23 @@ impl LruK {
             self.stamps.resize(self.stamps.len() + k, 0);
         }
         let h = &mut self.stamps[*slot as usize * k..][..k];
-        if (*len as usize) < k {
+        let key = if (*len as usize) < k {
             h[*len as usize] = stamp;
             *len += 1;
+            if *len as usize == k {
+                FINITE | h[0]
+            } else {
+                stamp
+            }
         } else {
             h.copy_within(1.., 0);
             h[k - 1] = stamp;
+            FINITE | h[0]
+        };
+        if cell >= self.rank.len() {
+            self.rank.resize(cell + 1, (0, PageId(0)));
         }
+        self.rank[cell] = (key, page);
     }
 }
 
@@ -56,101 +81,84 @@ impl EvictionPolicy for LruK {
         format!("LRU-{}", self.k)
     }
 
-    fn on_insert(&mut self, page: PageId, stamp: u64) {
-        self.record(page, stamp);
+    fn on_insert(&mut self, cell: usize, page: PageId, stamp: u64) {
+        self.record(cell, page, stamp);
     }
 
-    fn on_access(&mut self, page: PageId, stamp: u64) {
-        self.record(page, stamp);
+    fn on_access(&mut self, cell: usize, page: PageId, stamp: u64) {
+        self.record(cell, page, stamp);
     }
 
-    fn on_remove(&mut self, _page: PageId) {
+    fn on_remove(&mut self, _cell: usize) {
         // Reference history is *retained* across evictions (the classic
         // LRU-K "retained information period"): a hot page that returns
-        // keeps its frequency signal.
+        // keeps its frequency signal. The cell's mirror entry is stale
+        // until the next insert and never read meanwhile.
     }
 
-    fn choose_victim_from(
-        &mut self,
-        candidates: &mut dyn Iterator<Item = PageId>,
-        _eligible: &dyn Fn(PageId) -> bool,
-    ) -> PageId {
+    fn choose_victim(&mut self, victims: &Victims) -> usize {
         // Pages lacking K references (infinite backward K-distance) are
         // evicted first, oldest last-reference first; otherwise the page
-        // with the oldest K-th reference goes. One pass, one history
-        // probe per candidate; `(key, page)` ties break on the page.
-        let mut infinite: Option<(u64, PageId)> = None;
-        let mut finite: Option<(u64, PageId)> = None;
-        for p in candidates {
-            let (slot, stamp) = match self.history.get(&p) {
-                Some(&(slot, len)) => {
-                    let h = &self.stamps[slot as usize * self.k..][..len as usize];
-                    if h.len() == self.k {
-                        (&mut finite, h[0])
-                    } else {
-                        (&mut infinite, h[h.len() - 1])
-                    }
-                }
-                None => (&mut infinite, 0),
-            };
-            if !matches!(*slot, Some(best) if best <= (stamp, p)) {
-                *slot = Some((stamp, p));
-            }
-        }
-        infinite.or(finite).expect("candidates nonempty").1
+        // with the oldest K-th reference goes. `(rank, page)` ties break
+        // on the page.
+        victims
+            .iter()
+            .min_by_key(|&cell| self.rank[cell])
+            .expect("candidates nonempty")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p(v: u32) -> PageId {
-        PageId(v)
-    }
+    use crate::eviction::testing::{access, insert, pick};
 
     #[test]
     fn k1_behaves_like_lru() {
         use crate::policies::lru::Lru;
         let mut lruk = LruK::new(1);
         let mut lru = Lru::new();
-        let events: [(u32, u64); 6] = [(1, 1), (2, 2), (3, 3), (1, 4), (2, 5), (3, 6)];
-        for (pg, stamp) in events {
-            lruk.on_access(p(pg), stamp);
-            lruk.on_insert(p(pg), stamp); // insert resets history; emulate via access below
-            lru.on_insert(p(pg), stamp);
+        for (i, v) in [1, 2, 3].into_iter().enumerate() {
+            insert(&mut lruk, v, i as u64);
+            insert(&mut lru, v, i as u64);
         }
-        // Rebuild cleanly: insert once, then access.
-        let mut lruk = LruK::new(1);
-        let mut lru = Lru::new();
-        for (i, pg) in [1u32, 2, 3].iter().enumerate() {
-            lruk.on_insert(p(*pg), i as u64);
-            lru.on_insert(p(*pg), i as u64);
-        }
-        lruk.on_access(p(1), 10);
-        lru.on_access(p(1), 10);
-        let cands = [p(1), p(2), p(3)];
-        assert_eq!(lruk.choose_victim(&cands), lru.choose_victim(&cands));
+        access(&mut lruk, 1, 10);
+        access(&mut lru, 1, 10);
+        assert_eq!(pick(&mut lruk, &[1, 2, 3]), pick(&mut lru, &[1, 2, 3]));
     }
 
     #[test]
     fn prefers_single_use_pages_over_frequent_ones() {
         let mut l = LruK::new(2);
-        l.on_insert(p(1), 1);
-        l.on_access(p(1), 5); // two references: finite distance
-        l.on_insert(p(2), 6); // one reference: infinite distance
-                              // Even though p(2) is more recent, it lacks a second reference.
-        assert_eq!(l.choose_victim(&[p(1), p(2)]), p(2));
+        insert(&mut l, 1, 1);
+        access(&mut l, 1, 5); // two references: finite distance
+        insert(&mut l, 2, 6); // one reference: infinite distance
+                              // Even though page 2 is more recent, it lacks a second reference.
+        assert_eq!(pick(&mut l, &[1, 2]), 2);
     }
 
     #[test]
     fn among_frequent_pages_oldest_kth_reference_loses() {
         let mut l = LruK::new(2);
-        l.on_insert(p(1), 1);
-        l.on_access(p(1), 2); // kth (2nd) recent = 1
-        l.on_insert(p(2), 3);
-        l.on_access(p(2), 4); // kth recent = 3
-        assert_eq!(l.choose_victim(&[p(1), p(2)]), p(1));
+        insert(&mut l, 1, 1);
+        access(&mut l, 1, 2); // kth (2nd) recent = 1
+        insert(&mut l, 2, 3);
+        access(&mut l, 2, 4); // kth recent = 3
+        assert_eq!(pick(&mut l, &[1, 2]), 1);
+    }
+
+    #[test]
+    fn history_is_retained_across_cells() {
+        // Page 1 earns two references in cell 1, is evicted, and returns
+        // in cell 5: its history (and so its finite rank) comes along.
+        let mut l = LruK::new(2);
+        l.on_insert(1, PageId(1), 1);
+        l.on_access(1, PageId(1), 2);
+        l.on_remove(1);
+        l.on_insert(5, PageId(1), 3);
+        insert(&mut l, 2, 4);
+        assert_eq!(pick(&mut l, &[2, 5]), 2);
+        assert_eq!(l.rank[5], (FINITE | 2, PageId(1)));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 
 use crate::eviction::EvictionPolicy;
 use crate::policies::lru::Lru;
-use mcp_core::PageId;
+use mcp_core::victims::{count_ones, select_one};
+use mcp_core::{CellSet, PageId, Victims};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,22 +25,20 @@ pub enum MarkingTie {
 
 /// Phase-based marking policy.
 ///
-/// Recency lives in [`Lru`]'s intrusive list, and marks are implied by
-/// it: a page is marked iff its last use is at or after `mark_from`, the
-/// first stamp of the current phase. Ending a phase moves `mark_from`
-/// past every stamp seen, which clears every mark at once. Because
-/// stamps increase, the unmarked pages are exactly the least-recent end
-/// of the list, so the LRU tie rule's victim is the first eligible page
-/// from that end whether or not a phase ends.
+/// Marks are a cell bitset: inserting or accessing a page marks its cell,
+/// and ending a phase clears the whole set. The random tie rule draws
+/// among `candidates & !marked` with one count and one select over the
+/// words. The LRU tie rule keeps recency in [`Lru`]'s cell-indexed list:
+/// marks are set in service order and cleared all at once, so the marked
+/// cells are always the most recent end of that list, and the victim is
+/// the first candidate from the least-recent end whether or not a phase
+/// ends.
 #[derive(Clone, Debug)]
 pub struct Marking {
+    /// Recency, maintained for the LRU tie rule only.
     recency: Lru,
-    /// Pages last used at a stamp `>= mark_from` are marked.
-    mark_from: u64,
+    marked: CellSet,
     rng: Option<StdRng>,
-    /// Reused draw buffers of the random tie rule, in candidate order.
-    unmarked: Vec<PageId>,
-    marked: Vec<PageId>,
     tie_name: &'static str,
     /// Completed phases, observable for phase-counting tests.
     pub phases: u64,
@@ -54,26 +53,29 @@ impl Marking {
         };
         Marking {
             recency: Lru::new(),
-            mark_from: 0,
+            marked: CellSet::new(),
             rng,
-            unmarked: Vec::new(),
-            marked: Vec::new(),
             tie_name,
             phases: 0,
         }
     }
 
-    /// Whether `page` is currently marked.
-    pub fn is_marked(&self, page: PageId) -> bool {
-        self.recency
-            .last_use(page)
-            .is_some_and(|stamp| stamp >= self.mark_from)
+    /// Whether the page in `cell` is currently marked.
+    pub fn is_marked(&self, cell: usize) -> bool {
+        self.marked.contains(cell)
     }
 
     /// Phase ends: clear every mark in the managed set.
     fn end_phase(&mut self) {
         self.phases += 1;
-        self.mark_from = self.recency.newest_stamp().map_or(0, |s| s + 1);
+        self.marked.clear();
+    }
+
+    fn mark(&mut self, cell: usize, stamp: u64) {
+        self.marked.insert(cell);
+        if self.rng.is_none() {
+            self.recency.touch(cell, stamp);
+        }
     }
 }
 
@@ -82,58 +84,47 @@ impl EvictionPolicy for Marking {
         format!("MARK({})", self.tie_name)
     }
 
-    fn on_insert(&mut self, page: PageId, stamp: u64) {
-        self.recency.on_insert(page, stamp);
+    fn on_insert(&mut self, cell: usize, _page: PageId, stamp: u64) {
+        self.mark(cell, stamp);
     }
 
-    fn on_access(&mut self, page: PageId, stamp: u64) {
-        self.recency.on_access(page, stamp);
+    fn on_access(&mut self, cell: usize, _page: PageId, stamp: u64) {
+        self.mark(cell, stamp);
     }
 
-    fn on_remove(&mut self, page: PageId) {
-        self.recency.on_remove(page);
+    fn on_remove(&mut self, cell: usize) {
+        self.marked.remove(cell);
+        self.recency.forget(cell);
     }
 
-    fn choose_victim_from(
-        &mut self,
-        candidates: &mut dyn Iterator<Item = PageId>,
-        eligible: &dyn Fn(PageId) -> bool,
-    ) -> PageId {
-        if self.rng.is_none() {
-            // The least recent eligible page is unmarked iff any eligible
-            // page is; if it is marked the phase ends and it is still the
-            // least recent of the (now all unmarked) candidates.
+    fn choose_victim(&mut self, victims: &Victims) -> usize {
+        let Some(rng) = self.rng.as_mut() else {
+            // The least recent candidate is unmarked iff any candidate
+            // is; if it is marked the phase ends and it is still the least
+            // recent of the (now all unmarked) candidates.
             let victim = self
                 .recency
-                .oldest_where(eligible)
+                .oldest_where(|cell| victims.contains(cell))
                 .expect("candidates nonempty");
-            if self.is_marked(victim) {
+            if self.marked.contains(victim) {
                 self.end_phase();
             }
             return victim;
+        };
+        let marked = &self.marked;
+        let unmarked = victims
+            .words()
+            .enumerate()
+            .map(move |(i, w)| w & !marked.word(i));
+        let n = count_ones(unmarked.clone());
+        if n > 0 {
+            let r = rng.gen_range(0..n);
+            return select_one(unmarked, r).expect("rank below the unmarked count");
         }
-        let (mut unmarked, mut marked) = (
-            std::mem::take(&mut self.unmarked),
-            std::mem::take(&mut self.marked),
-        );
-        unmarked.clear();
-        marked.clear();
-        for page in candidates {
-            if self.is_marked(page) {
-                marked.push(page);
-            } else {
-                unmarked.push(page);
-            }
-        }
-        if unmarked.is_empty() {
-            // Every candidate was marked, so `marked` is all of them, in
-            // candidate order.
-            self.end_phase();
-            std::mem::swap(&mut unmarked, &mut marked);
-        }
-        let rng = self.rng.as_mut().expect("random tie rule");
-        let victim = unmarked[rng.gen_range(0..unmarked.len())];
-        (self.unmarked, self.marked) = (unmarked, marked);
+        // Every candidate was marked: the phase ends and the draw is over
+        // all of them, in cell order.
+        let victim = victims.select(rng.gen_range(0..victims.count()));
+        self.end_phase();
         victim
     }
 }
@@ -141,55 +132,68 @@ impl EvictionPolicy for Marking {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p(v: u32) -> PageId {
-        PageId(v)
-    }
+    use crate::eviction::testing::{access, insert, pick};
 
     #[test]
     fn never_evicts_marked_while_unmarked_exists() {
         let mut m = Marking::new(MarkingTie::Lru);
-        m.on_insert(p(1), 1);
-        m.on_insert(p(2), 2);
-        // New phase boundary clears marks; then re-mark only p(2).
-        m.choose_victim(&[p(1), p(2)]); // triggers phase end internally
-        m.on_access(p(2), 3);
-        assert_eq!(m.choose_victim(&[p(1), p(2)]), p(1));
+        insert(&mut m, 1, 1);
+        insert(&mut m, 2, 2);
+        // New phase boundary clears marks; then re-mark only page 2.
+        pick(&mut m, &[1, 2]); // triggers phase end internally
+        access(&mut m, 2, 3);
+        assert_eq!(pick(&mut m, &[1, 2]), 1);
     }
 
     #[test]
     fn phase_counter_increments_when_all_marked() {
         let mut m = Marking::new(MarkingTie::Lru);
-        m.on_insert(p(1), 1);
-        m.on_insert(p(2), 2);
+        insert(&mut m, 1, 1);
+        insert(&mut m, 2, 2);
         assert_eq!(m.phases, 0);
-        m.choose_victim(&[p(1), p(2)]);
+        pick(&mut m, &[1, 2]);
         assert_eq!(m.phases, 1);
+        assert!(!m.is_marked(1) && !m.is_marked(2));
     }
 
     #[test]
     fn randomized_variant_is_seed_deterministic() {
         let run = |seed| {
             let mut m = Marking::new(MarkingTie::Random(seed));
-            m.on_insert(p(1), 1);
-            m.on_insert(p(2), 2);
-            m.on_insert(p(3), 3);
+            insert(&mut m, 1, 1);
+            insert(&mut m, 2, 2);
+            insert(&mut m, 3, 3);
             (0..10)
-                .map(|_| m.choose_victim(&[p(1), p(2), p(3)]))
+                .map(|_| pick(&mut m, &[1, 2, 3]))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));
     }
 
     #[test]
+    fn randomized_variant_draws_only_unmarked() {
+        let mut m = Marking::new(MarkingTie::Random(5));
+        insert(&mut m, 1, 1);
+        insert(&mut m, 2, 2);
+        insert(&mut m, 3, 3);
+        pick(&mut m, &[1, 2, 3]); // every candidate marked: phase ends
+        access(&mut m, 1, 4);
+        access(&mut m, 3, 5);
+        for _ in 0..10 {
+            assert_eq!(pick(&mut m, &[1, 2, 3]), 2);
+        }
+        assert_eq!(m.phases, 1);
+    }
+
+    #[test]
     fn lru_tiebreak_prefers_older_unmarked() {
         let mut m = Marking::new(MarkingTie::Lru);
-        m.on_insert(p(1), 1);
-        m.on_insert(p(2), 2);
-        m.on_insert(p(3), 3);
-        m.choose_victim(&[p(1), p(2), p(3)]); // end phase, clear marks
-        m.on_access(p(1), 4);
-        // Unmarked: p(2) (stamp 2), p(3) (stamp 3) -> evict p(2).
-        assert_eq!(m.choose_victim(&[p(1), p(2), p(3)]), p(2));
+        insert(&mut m, 1, 1);
+        insert(&mut m, 2, 2);
+        insert(&mut m, 3, 3);
+        pick(&mut m, &[1, 2, 3]); // end phase, clear marks
+        access(&mut m, 1, 4);
+        // Unmarked: 2 (stamp 2), 3 (stamp 3) -> evict 2.
+        assert_eq!(pick(&mut m, &[1, 2, 3]), 2);
     }
 }

@@ -3,13 +3,14 @@
 
 use crate::eviction::EvictionPolicy;
 use crate::policies::lru::Lru;
-use mcp_core::PageId;
+use mcp_core::{PageId, Victims};
 
 /// Evicts the candidate whose last access is newest.
 ///
-/// Recency lives in [`Lru`]'s intrusive list; the victim is the first
-/// eligible page walking from its most-recent end. Stamps are unique and
-/// increasing, so that is exactly the stamp maximum over the candidates.
+/// Recency lives in [`Lru`]'s cell-indexed intrusive list; the victim is
+/// the first candidate walking from its most-recent end. Stamps are
+/// unique and increasing, so that is exactly the stamp maximum over the
+/// candidates.
 #[derive(Clone, Debug, Default)]
 pub struct Mru {
     recency: Lru,
@@ -27,25 +28,21 @@ impl EvictionPolicy for Mru {
         "MRU".into()
     }
 
-    fn on_insert(&mut self, page: PageId, stamp: u64) {
-        self.recency.on_insert(page, stamp);
+    fn on_insert(&mut self, cell: usize, _page: PageId, stamp: u64) {
+        self.recency.touch(cell, stamp);
     }
 
-    fn on_access(&mut self, page: PageId, stamp: u64) {
-        self.recency.on_access(page, stamp);
+    fn on_access(&mut self, cell: usize, _page: PageId, stamp: u64) {
+        self.recency.touch(cell, stamp);
     }
 
-    fn on_remove(&mut self, page: PageId) {
-        self.recency.on_remove(page);
+    fn on_remove(&mut self, cell: usize) {
+        self.recency.forget(cell);
     }
 
-    fn choose_victim_from(
-        &mut self,
-        _candidates: &mut dyn Iterator<Item = PageId>,
-        eligible: &dyn Fn(PageId) -> bool,
-    ) -> PageId {
+    fn choose_victim(&mut self, victims: &Victims) -> usize {
         self.recency
-            .newest_where(eligible)
+            .newest_where(|cell| victims.contains(cell))
             .expect("candidates nonempty")
     }
 }
@@ -53,26 +50,23 @@ impl EvictionPolicy for Mru {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p(v: u32) -> PageId {
-        PageId(v)
-    }
+    use crate::eviction::testing::{access, insert, pick};
 
     #[test]
     fn evicts_most_recent() {
         let mut mru = Mru::new();
-        mru.on_insert(p(1), 1);
-        mru.on_insert(p(2), 2);
-        mru.on_access(p(1), 3);
-        assert_eq!(mru.choose_victim(&[p(1), p(2)]), p(1));
+        insert(&mut mru, 1, 1);
+        insert(&mut mru, 2, 2);
+        access(&mut mru, 1, 3);
+        assert_eq!(pick(&mut mru, &[1, 2]), 1);
     }
 
     #[test]
     fn skips_ineligible_recent_pages() {
         let mut mru = Mru::new();
-        mru.on_insert(p(1), 1);
-        mru.on_insert(p(2), 2);
-        mru.on_insert(p(3), 3);
-        assert_eq!(mru.choose_victim(&[p(1), p(2)]), p(2));
+        insert(&mut mru, 1, 1);
+        insert(&mut mru, 2, 2);
+        insert(&mut mru, 3, 3);
+        assert_eq!(pick(&mut mru, &[1, 2]), 2);
     }
 }

@@ -1,16 +1,15 @@
 //! Uniform random eviction (seeded, reproducible).
 
 use crate::eviction::EvictionPolicy;
-use mcp_core::PageId;
+use mcp_core::{PageId, Victims};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Evicts a uniformly random candidate.
+/// Evicts a uniformly random candidate: one `gen_range(0..count)` draw,
+/// then the drawn rank is selected from the candidate mask in cell order.
 #[derive(Clone, Debug)]
 pub struct RandomEvict {
     rng: StdRng,
-    /// Reused draw buffer: the candidates, in candidate order.
-    buf: Vec<PageId>,
 }
 
 impl RandomEvict {
@@ -18,7 +17,6 @@ impl RandomEvict {
     pub fn new(seed: u64) -> Self {
         RandomEvict {
             rng: StdRng::seed_from_u64(seed),
-            buf: Vec::new(),
         }
     }
 }
@@ -28,40 +26,31 @@ impl EvictionPolicy for RandomEvict {
         "RAND".into()
     }
 
-    fn on_insert(&mut self, _page: PageId, _stamp: u64) {}
+    fn on_insert(&mut self, _cell: usize, _page: PageId, _stamp: u64) {}
 
-    fn on_access(&mut self, _page: PageId, _stamp: u64) {}
+    fn on_access(&mut self, _cell: usize, _page: PageId, _stamp: u64) {}
 
-    fn on_remove(&mut self, _page: PageId) {}
+    fn on_remove(&mut self, _cell: usize) {}
 
-    fn choose_victim_from(
-        &mut self,
-        candidates: &mut dyn Iterator<Item = PageId>,
-        _eligible: &dyn Fn(PageId) -> bool,
-    ) -> PageId {
-        self.buf.clear();
-        self.buf.extend(candidates);
-        self.buf[self.rng.gen_range(0..self.buf.len())]
+    fn choose_victim(&mut self, victims: &Victims) -> usize {
+        victims.select(self.rng.gen_range(0..victims.count()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn p(v: u32) -> PageId {
-        PageId(v)
-    }
+    use crate::eviction::testing::pick;
 
     #[test]
     fn is_deterministic_per_seed() {
-        let pick = |seed| {
+        let draws = |seed| {
             let mut r = RandomEvict::new(seed);
             (0..20)
-                .map(|_| r.choose_victim(&[p(1), p(2), p(3)]))
+                .map(|_| pick(&mut r, &[1, 2, 3]))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(pick(7), pick(7));
+        assert_eq!(draws(7), draws(7));
     }
 
     #[test]
@@ -69,7 +58,7 @@ mod tests {
         let mut r = RandomEvict::new(42);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
-            seen.insert(r.choose_victim(&[p(1), p(2), p(3)]));
+            seen.insert(pick(&mut r, &[1, 2, 3]));
         }
         assert_eq!(seen.len(), 3);
     }

@@ -68,43 +68,46 @@ impl CacheStrategy for SacrificeOffline {
         if let Some(cell) = cache.empty_cell() {
             return cell;
         }
-        // One pass in cell order serves rules 1 and 2:
-        // 1. Dead pages of finished cores are free real estate: the first
-        //    one wins outright.
+        // 1. Dead pages of finished cores are free real estate: the
+        //    lowest such evictable cell wins outright.
+        if let Some(cell) = (0..self.seq_len.len())
+            .filter(|&core| self.finished(core))
+            .filter_map(|core| cache.victims_of(core).first())
+            .min()
+        {
+            return cell;
+        }
         // 2. Otherwise evict the sacrificed core's next-to-be-requested
         //    page (the first on ties). While serving the sacrificed core's
         //    own fault its cursor still points at the (absent) faulting
-        //    page, so `next_use` naturally looks past it.
-        let mut sacrificial: Option<(usize, usize)> = None;
-        for (cell, page, owner) in cache.evictable_cells() {
-            let Some(owner) = owner else { continue };
-            if self.finished(owner) {
-                return cell;
-            }
-            if owner == self.victim_core {
-                let next = self.next.next_use(owner, page);
-                if !matches!(sacrificial, Some((best, _)) if best <= next) {
-                    sacrificial = Some((next, cell));
-                }
-            }
-        }
-        if let Some((_, cell)) = sacrificial {
+        //    page, so its next use naturally looks past it.
+        let victim_core = self.victim_core;
+        if let Some(cell) = cache
+            .victims_of(victim_core)
+            .iter()
+            .min_by_key(|&cell| self.next.next_use_of(victim_core, cell))
+        {
             return cell;
         }
-        // 3. Fallback (does not arise on the Lemma 4 workload): globally
-        //    furthest-in-the-future page of the faulting core's view.
-        let (cell, _, _) = cache
-            .evictable_cells()
-            .max_by_key(|(_, p, owner)| {
-                owner
-                    .map(|o| self.next.next_use(o, *p))
-                    .unwrap_or(usize::MAX)
+        // 3. Fallback: the page whose owner uses it furthest in the future
+        //    (the last such cell on ties). It does not arise on the Lemma 4
+        //    workload, where the sacrificed core always holds an evictable
+        //    page, but it does on other disjoint traffic — e.g. the
+        //    tournament grid, whenever the sacrificed core holds no
+        //    evictable page (none yet, or all pinned or in flight) — so
+        //    this scan is part of the hot path there.
+        cache
+            .victims()
+            .iter()
+            .max_by_key(|&cell| {
+                let owner = cache.owner(cell).expect("a resident cell has an owner");
+                self.next.next_use_of(owner, cell)
             })
-            .expect("full cache has a resident page");
-        cell
+            .expect("full cache has a resident page")
     }
 
-    fn on_fault(&mut self, core: usize, _page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
+    fn on_fault(&mut self, core: usize, page: PageId, _time: Time, cell: usize, _cache: &Cache) {
+        self.next.place(cell, page);
         self.next.advance(core);
     }
 

@@ -36,48 +36,46 @@ impl<P: EvictionPolicy> CacheStrategy for Shared<P> {
         format!("S_{}", self.policy.name())
     }
 
-    fn on_hit(&mut self, _core: usize, page: PageId, _time: Time, _cache: &Cache) {
+    fn on_hit(&mut self, _core: usize, page: PageId, _time: Time, cache: &Cache) {
         let stamp = self.next_stamp();
-        self.policy.on_access(page, stamp);
+        let cell = cache.cell_of(page).expect("a hit page is resident");
+        self.policy.on_access(cell, page, stamp);
     }
 
     fn choose_cell(&mut self, _core: usize, _page: PageId, _time: Time, cache: &Cache) -> usize {
         if let Some(cell) = cache.empty_cell() {
             return cell;
         }
-        // Stream the candidates: intrusive policies walk their own ordered
-        // structure and only probe the eligibility test, so no per-fault
-        // `Vec` of all evictable pages is materialised.
-        let mut candidates = cache.evictable_cells().map(|(_, p, _)| p);
-        let victim = self
-            .policy
-            .choose_victim_from(&mut candidates, &|p| cache.is_evictable_page(p));
-        cache.cell_of(victim).expect("victim is resident")
+        // The cache's own masks are the candidate set: intrusive policies
+        // walk their ordered structure probing membership, the others
+        // count or scan the words — nothing is materialised per fault.
+        self.policy.choose_victim(&cache.victims())
     }
 
-    fn on_fault(&mut self, _core: usize, page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
+    fn on_fault(&mut self, _core: usize, page: PageId, _time: Time, cell: usize, _cache: &Cache) {
         let stamp = self.next_stamp();
-        self.policy.on_insert(page, stamp);
+        self.policy.on_insert(cell, page, stamp);
     }
 
-    fn on_shared_fetch_miss(&mut self, _core: usize, page: PageId, _time: Time, _cache: &Cache) {
+    fn on_shared_fetch_miss(&mut self, _core: usize, page: PageId, _time: Time, cache: &Cache) {
         // The page is mid-fetch for another core but this request *is* an
         // access to it: refresh the policy's recency/frequency state, as a
         // hit would. (Only reachable on non-disjoint workloads.)
         let stamp = self.next_stamp();
-        self.policy.on_access(page, stamp);
+        let cell = cache.cell_of(page).expect("a page in flight has a cell");
+        self.policy.on_access(cell, page, stamp);
     }
 
-    fn on_evict(&mut self, page: PageId, _cell: usize) {
-        self.policy.on_remove(page);
+    fn on_evict(&mut self, _page: PageId, cell: usize) {
+        self.policy.on_remove(cell);
     }
 
     fn shrink_victims(&mut self, need: usize, _time: Time, cache: &Cache) -> Vec<usize> {
         // A capacity drop needs `need` victims at once. Ask the wrapped
-        // policy one victim at a time — the same `choose_victim_from`
-        // streaming entry the fault path uses — masking out pages already
-        // chosen this round, so the policy's own ordering decides the
-        // whole batch (e.g. LRU sheds its `need` least-recent pages).
+        // policy one victim at a time — the same `choose_victim` entry
+        // the fault path uses — masking out cells already chosen this
+        // round, so the policy's own ordering decides the whole batch
+        // (e.g. LRU sheds its `need` least-recent pages).
         let mut cells = Vec::with_capacity(need);
         shed_victims(&mut self.policy, cache, None, need, &mut cells);
         cells
@@ -97,8 +95,8 @@ impl<P: EvictionPolicy> CacheStrategy for Shared<P> {
 /// Distances are answered from precomputed next-occurrence tables (the
 /// standard Belady trick, shared with [`crate::Belady`] and
 /// [`crate::SacrificeOffline`]): each served request updates one slot in
-/// O(1), and a distance query is one hash probe plus `p` array reads — no
-/// per-core hash probing or binary search per resident page per fault.
+/// O(1), each cell records its page's dense table index when the fetch
+/// starts, and a distance query is `p` array reads with no hash probe.
 #[derive(Clone, Debug, Default)]
 pub struct SharedFitf {
     /// One sequence per core, captured in [`CacheStrategy::begin`].
@@ -134,15 +132,16 @@ impl CacheStrategy for SharedFitf {
         // ahead. (The faulting page itself is absent, so only the cursor
         // offset matters.)
         self.next.looking_past(core, |next| {
-            let (cell, _, _) = cache
-                .evictable_cells()
-                .max_by_key(|(cell, p, _)| (next.distance(*p), *cell))
-                .expect("cache full implies a resident page");
-            cell
+            cache
+                .victims()
+                .iter()
+                .max_by_key(|&cell| (next.distance_of(cell), cell))
+                .expect("cache full implies a resident page")
         })
     }
 
-    fn on_fault(&mut self, core: usize, _page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
+    fn on_fault(&mut self, core: usize, page: PageId, _time: Time, cell: usize, _cache: &Cache) {
+        self.next.place(cell, page);
         self.next.advance(core);
     }
 
@@ -154,9 +153,10 @@ impl CacheStrategy for SharedFitf {
         // Shed the pages whose next use is furthest in the future — the
         // FITF rule applied `need` times at once. Cell index breaks
         // distance ties, matching the fault path.
-        let mut cells: Vec<(u64, usize)> = cache
-            .evictable_cells()
-            .map(|(cell, p, _)| (self.next.distance(p), cell))
+        let mut cells: Vec<(u32, usize)> = cache
+            .victims()
+            .iter()
+            .map(|cell| (self.next.distance_of(cell), cell))
             .collect();
         cells.sort_by(|a, b| b.cmp(a));
         cells.truncate(need);
@@ -243,7 +243,7 @@ mod tests {
         // K=4, τ=0, single core 1 2 3 4 2 3 4 1; capacity halves at t=5.
         // At the drop the requested page 2 is pinned; LRU must shed the
         // two least-recent evictable pages, 1 then 3, via repeated
-        // choose_victim_from.
+        // choose_victim.
         let w = wl(&[&[1, 2, 3, 4, 2, 3, 4, 1]]);
         let schedule: CapacitySchedule = "4,2@5".parse().unwrap();
         let (r, trace) =

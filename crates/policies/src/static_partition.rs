@@ -3,7 +3,7 @@
 
 use crate::eviction::{shed_victims, stream_victim, EvictionPolicy};
 use crate::partition::Partition;
-use mcp_core::{Cache, CacheStrategy, FxHashMap, PageId, SimConfig, Time, Workload};
+use mcp_core::{Cache, CacheStrategy, PageId, SimConfig, Time, Workload};
 
 /// Builds a fresh per-part eviction policy for a core, given the workload
 /// (so offline policies like per-part Belady can see their sequence).
@@ -14,8 +14,8 @@ pub type PolicyFactory<P> = Box<dyn Fn(usize, &Workload, &SimConfig) -> P + Send
 /// Per-part policies are created in [`CacheStrategy::begin`] via the
 /// factory, so offline per-part policies (Belady) receive their core's
 /// sequence. Hits on a page are routed to the policy of the core that
-/// *brought it in*, which for disjoint workloads is always the requesting
-/// core.
+/// *brought it in* (the cell's owner in the cache), which for disjoint
+/// workloads is always the requesting core.
 pub struct StaticPartition<P> {
     partition: Partition,
     /// The partition as configured, before any capacity rescaling. Quota
@@ -25,8 +25,10 @@ pub struct StaticPartition<P> {
     base: Partition,
     factory: PolicyFactory<P>,
     policies: Vec<P>,
-    /// Which core's part each cached page belongs to.
-    page_part: FxHashMap<PageId, usize>,
+    /// `cell_part[cell]`: the part of the page in an occupied cell — the
+    /// cell's owner, kept here because [`CacheStrategy::on_evict`] runs
+    /// after the cache has released the cell.
+    cell_part: Vec<usize>,
     stamp: u64,
     label: String,
 }
@@ -39,7 +41,7 @@ impl<P: EvictionPolicy> StaticPartition<P> {
             partition,
             factory,
             policies: Vec::new(),
-            page_part: FxHashMap::default(),
+            cell_part: Vec::new(),
             stamp: 0,
             label: String::new(),
         }
@@ -80,15 +82,16 @@ impl<P: EvictionPolicy> CacheStrategy for StaticPartition<P> {
             .map(|j| (self.factory)(j, workload, cfg))
             .collect();
         self.label = format!("sP{}_{}", self.partition, self.policies[0].name());
-        self.page_part.clear();
+        self.cell_part.clear();
         self.stamp = 0;
     }
 
-    fn on_hit(&mut self, core: usize, page: PageId, _time: Time, _cache: &Cache) {
+    fn on_hit(&mut self, core: usize, page: PageId, _time: Time, cache: &Cache) {
         let stamp = self.next_stamp();
         // Route to the part that holds the page (== `core` when disjoint).
-        let part = *self.page_part.get(&page).unwrap_or(&core);
-        self.policies[part].on_access(page, stamp);
+        let cell = cache.cell_of(page).expect("a hit page is resident");
+        let part = cache.owner(cell).unwrap_or(core);
+        self.policies[part].on_access(cell, page, stamp);
     }
 
     fn choose_cell(&mut self, core: usize, _page: PageId, _time: Time, cache: &Cache) -> usize {
@@ -103,31 +106,31 @@ impl<P: EvictionPolicy> CacheStrategy for StaticPartition<P> {
         // Part is full: evict from our own part. Pinned pages (read in
         // parallel this step) are excluded; on disjoint workloads no other
         // core can pin our pages, so candidates are never empty here.
-        match stream_victim(&mut self.policies[core], cache, Some(core), &[]) {
-            Some(victim) => cache.cell_of(victim).expect("victim is resident"),
+        match stream_victim(&mut self.policies[core], cache, Some(core), None) {
+            Some(cell) => cell,
             // Non-disjoint edge case: every own page is pinned by another
             // core's simultaneous read. Borrow any evictable cell — or an
             // empty one, when everything Present is pinned (the part can
             // be "full" by ownership while other parts are still empty).
             None => cache
-                .evictable_cells()
-                .next()
-                .map(|(cell, _, _)| cell)
+                .victims()
+                .first()
                 .or_else(|| cache.empty_cell())
                 .expect("pin discipline guarantees a free or evictable cell"),
         }
     }
 
-    fn on_fault(&mut self, core: usize, page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
+    fn on_fault(&mut self, core: usize, page: PageId, _time: Time, cell: usize, cache: &Cache) {
         let stamp = self.next_stamp();
-        self.page_part.insert(page, core);
-        self.policies[core].on_insert(page, stamp);
+        if self.cell_part.len() < cache.len() {
+            self.cell_part.resize(cache.len(), 0);
+        }
+        self.cell_part[cell] = core;
+        self.policies[core].on_insert(cell, page, stamp);
     }
 
-    fn on_evict(&mut self, page: PageId, _cell: usize) {
-        if let Some(part) = self.page_part.remove(&page) {
-            self.policies[part].on_remove(page);
-        }
+    fn on_evict(&mut self, _page: PageId, cell: usize) {
+        self.policies[self.cell_part[cell]].on_remove(cell);
     }
 
     fn on_capacity_change(&mut self, _time: Time, new_k: usize, _cache: &Cache) {

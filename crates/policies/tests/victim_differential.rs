@@ -1,16 +1,18 @@
-//! Differential property test of victim selection: every streamed policy
-//! in `mcp_policies` against the independent slice-scan model in
+//! Differential property test of victim selection: every cell-keyed
+//! policy in `mcp_policies` against the independent slice-scan model in
 //! `naive_victim`, over random insert/access/remove sequences with victim
-//! queries on random eligible subsets in random candidate order.
+//! queries on random eligible subsets.
 //!
-//! Policies are driven only through `choose_victim_from` (the slice
-//! wrapper `choose_victim` delegates to it, so it would be no oracle).
-//! Each victim must match, and so must the marking phase and FWF flush
-//! counters after every operation.
+//! Each page that enters the managed set is placed in a random free cell
+//! of a cache wider than one mask word, so cell order — the candidate
+//! order a [`Victims`] mask presents — is a random page order. A query is
+//! a cell mask; the naive model receives the same candidates as a page
+//! slice in cell order. Each victim must match, and so must the marking
+//! phase and FWF flush counters after every operation.
 
 mod naive_victim;
 
-use mcp_core::PageId;
+use mcp_core::{PageId, Victims};
 use mcp_policies::{
     Belady, Clock, EvictionPolicy, Fifo, Fwf, Lfu, Lru, LruK, Marking, MarkingTie, Mru, RandomEvict,
 };
@@ -23,30 +25,32 @@ use proptest::prelude::*;
 /// Pages are drawn from `0..UNIVERSE`.
 const UNIVERSE: u32 = 12;
 
+/// Cache cells: more than one mask word, so masks and selection cross a
+/// word boundary.
+const CELLS: usize = 80;
+
 #[derive(Clone, Debug)]
 enum Op {
-    /// Insert the page if it is not managed, else access it.
-    Touch(u32),
+    /// Insert the page if it is not managed — into the free cell of rank
+    /// `slot` modulo the free-cell count — else access it.
+    Touch { page: u32, slot: usize },
     /// Remove the page if it is managed.
     Remove(u32),
-    /// Query a victim among the managed pages whose bit is set in `mask`,
-    /// listed in the order of `salt`; remove it afterwards if `evict`.
-    Query { mask: u16, salt: u32, evict: bool },
+    /// Query a victim among the managed pages whose bit is set in `mask`;
+    /// remove it afterwards if `evict`.
+    Query { mask: u16, evict: bool },
 }
 
 /// Touches, removals and queries in the ratio 5 : 1 : 3.
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..9, 0..UNIVERSE, 0..=u16::MAX, 0..=u32::MAX).prop_map(
-        |(kind, page, mask, salt)| match kind {
-            0..=4 => Op::Touch(page),
-            5 => Op::Remove(page),
-            _ => Op::Query {
-                mask,
-                salt,
-                evict: kind == 8,
-            },
+    (0u8..9, 0..UNIVERSE, 0..=u16::MAX, 0..CELLS).prop_map(|(kind, page, mask, slot)| match kind {
+        0..=4 => Op::Touch { page, slot },
+        5 => Op::Remove(page),
+        _ => Op::Query {
+            mask,
+            evict: kind == 8,
         },
-    )
+    })
 }
 
 /// The policy under test, with its phase/flush counter if it has one.
@@ -78,49 +82,67 @@ impl Subject for Marking {
 /// Drive `subject` and `model` through `ops` in lockstep, failing at the
 /// first disagreement with the step that caused it.
 fn lockstep(subject: &mut dyn Subject, model: &mut dyn NaivePolicy, ops: &[Op]) {
-    let mut managed: Vec<PageId> = Vec::new();
+    // `cells[c]` is the page managed in cell `c`, if any.
+    let mut cells: Vec<Option<PageId>> = vec![None; CELLS];
+    let cell_of =
+        |cells: &[Option<PageId>], page: PageId| cells.iter().position(|&p| p == Some(page));
     let mut stamp = 0u64;
     for (step, op) in ops.iter().enumerate() {
         match *op {
-            Op::Touch(v) => {
-                let page = PageId(v);
+            Op::Touch { page, slot } => {
+                let page = PageId(page);
                 stamp += 1;
-                if managed.contains(&page) {
-                    subject.on_access(page, stamp);
+                if let Some(cell) = cell_of(&cells, page) {
+                    subject.on_access(cell, page, stamp);
                     model.on_access(page, stamp);
                 } else {
-                    managed.push(page);
-                    subject.on_insert(page, stamp);
+                    let free: Vec<usize> = (0..CELLS).filter(|&c| cells[c].is_none()).collect();
+                    let cell = free[slot % free.len()];
+                    cells[cell] = Some(page);
+                    subject.on_insert(cell, page, stamp);
                     model.on_insert(page, stamp);
                 }
             }
             Op::Remove(v) => {
                 let page = PageId(v);
-                if let Some(i) = managed.iter().position(|&p| p == page) {
-                    managed.remove(i);
-                    subject.on_remove(page);
+                if let Some(cell) = cell_of(&cells, page) {
+                    cells[cell] = None;
+                    subject.on_remove(cell);
                     model.on_remove(page);
                 }
             }
-            Op::Query { mask, salt, evict } => {
-                let mut candidates: Vec<PageId> = managed
-                    .iter()
-                    .copied()
-                    .filter(|p| mask & (1 << p.0) != 0)
-                    .collect();
+            Op::Query { mask, evict } => {
+                let mut words = vec![0u64; CELLS.div_ceil(64)];
+                let mut candidates: Vec<PageId> = Vec::new();
+                for (cell, page) in cells.iter().enumerate() {
+                    if let Some(page) = *page {
+                        if mask & (1 << page.0) != 0 {
+                            words[cell / 64] |= 1 << (cell % 64);
+                            candidates.push(page);
+                        }
+                    }
+                }
                 if candidates.is_empty() {
                     continue;
                 }
-                candidates.sort_by_key(|p| (p.0.wrapping_mul(0x9E37_79B9) ^ salt, p.0));
-                let got = subject.choose_victim_from(&mut candidates.iter().copied(), &|p| {
-                    candidates.contains(&p)
-                });
+                let pages: Vec<PageId> = cells
+                    .iter()
+                    .map(|p| p.unwrap_or(PageId(u32::MAX)))
+                    .collect();
+                let got = subject.choose_victim(&Victims::new(&words, &pages));
                 let want = model.choose_victim(&candidates);
-                prop_assert_eq!(got, want, "victim at step {} over {:?}", step, candidates);
+                prop_assert_eq!(
+                    cells[got],
+                    Some(want),
+                    "victim at step {} over {:?} (cell {})",
+                    step,
+                    candidates,
+                    got
+                );
                 if evict {
-                    managed.retain(|&p| p != got);
+                    cells[got] = None;
                     subject.on_remove(got);
-                    model.on_remove(got);
+                    model.on_remove(want);
                 }
             }
         }
