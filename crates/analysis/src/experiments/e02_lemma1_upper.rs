@@ -2,10 +2,11 @@
 //! marking/conservative policy) is at most `max_j k_j` worse than
 //! per-part OPT, on every workload.
 //!
-//! This experiment runs on the `mcp-batch` engine by default: all
-//! `(config × seed × strategy × τ)` cells go through one
-//! [`mcp_batch::run_cells`] grid. The per-run path (a fresh `Simulator`
-//! per cell, exactly the pre-batch code) is kept behind [`E02Engine`] so
+//! This experiment runs on the `mcp-batch` runner by default: all
+//! `(config × seed × strategy × τ)` cells go through one pooled
+//! [`mcp_batch::run_cells`] grid, which builds each cell's strategy
+//! through the family registry. The serial per-run loop (a fresh
+//! `Simulator` per cell, built directly) is kept behind [`E02Engine`] so
 //! the parity test can assert the JSON report is byte-equal between the
 //! two at every `--jobs` level.
 
@@ -21,13 +22,13 @@ use mcp_workloads::{phased, uniform, zipf};
 /// See module docs.
 pub struct E02;
 
-/// Which execution engine [`E02::run_with`] uses. The report is
+/// Which execution path [`E02::run_with`] uses. The report is
 /// byte-identical either way (asserted by `tests/e02_batch_parity.rs`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum E02Engine {
     /// One fresh `Simulator` per cell (the pre-batch code path).
     PerRun,
-    /// The `mcp-batch` structure-of-arrays grid.
+    /// One pooled `mcp-batch` grid over the family registry.
     Batch,
 }
 

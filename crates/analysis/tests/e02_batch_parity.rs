@@ -1,4 +1,4 @@
-//! Satellite gate: E02 ported to the batch engine must produce a JSON
+//! Satellite gate: E02 ported to the batch runner must produce a JSON
 //! report byte-equal to the per-run path, at every worker count.
 
 use mcp_analysis::experiments::e02_lemma1_upper::{E02Engine, E02};

@@ -1,12 +1,9 @@
 //! The batch runner: fan a grid of cells over `mcp-exec` in deterministic
-//! cell-index order, sharing materialized workloads and per-worker
-//! arenas across cells.
+//! cell-index order, each cell one fresh strategy on the event engine.
 
-use crate::dense::{dense_run, DensePolicy, DenseWorkload, Scratch};
 use crate::spec::CellSpec;
 use mcp_core::{simulate, simulate_with_capacity, SimError, SimResult, Workload};
 use mcp_exec::{Pool, Quarantined};
-use std::cell::RefCell;
 use std::fmt;
 
 /// Why a cell could not produce a result.
@@ -51,28 +48,13 @@ impl From<SimError> for BatchError {
     }
 }
 
-thread_local! {
-    /// One arena set per worker thread, reused across every cell that
-    /// worker runs (and across `run_cells` calls on the caller's thread).
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
-}
-
 /// Run every cell of a batch, returning results in cell-index order.
 ///
-/// The cells are fanned over [`mcp_exec::Pool::global`] — output is
-/// bit-identical for every worker count (the pool's ordered-slot
-/// contract). Dense families (`lru`, `fifo`, `clock`, `lfu`, `mru`,
-/// `fwf`) run through the structure-of-arrays fast path against a
-/// [`DenseWorkload`] shared by all cells on the same workload; every
-/// other family builds a fresh strategy via the
-/// [`mcp_policies::families`] registry and runs the per-cell event
-/// engine, so both paths produce exactly the per-run `SimResult`.
+/// The cells are fanned over [`mcp_exec::Pool::global`], each through
+/// [`run_cell_reference`], so output is bit-identical for every worker
+/// count (the pool's ordered-slot contract) and to a per-run loop.
 pub fn run_cells(workloads: &[Workload], cells: &[CellSpec]) -> Vec<Result<SimResult, BatchError>> {
-    let pool = Pool::global();
-    // Dense re-keying is shared by every cell on the same workload;
-    // build the table up front (also in parallel — it is pure).
-    let dense: Vec<DenseWorkload> = pool.par_map(workloads, |_, w| DenseWorkload::build(w));
-    pool.par_map(cells, |_, cell| run_one(workloads, &dense, cell))
+    Pool::global().par_map(cells, |_, cell| run_cell_reference(workloads, cell))
 }
 
 /// [`run_cells`] with recovery-as-policy (DESIGN §13): each cell gets up
@@ -87,58 +69,15 @@ pub fn run_cells_quarantined(
     cells: &[CellSpec],
     max_attempts: u32,
 ) -> Vec<Result<Result<SimResult, BatchError>, Quarantined>> {
-    let pool = Pool::global();
-    let dense: Vec<DenseWorkload> = pool.par_map(workloads, |_, w| DenseWorkload::build(w));
-    pool.par_try_map_retry("batch.cell", max_attempts, cells, |_, cell| {
-        run_one(workloads, &dense, cell)
+    Pool::global().par_try_map_retry("batch.cell", max_attempts, cells, |_, cell| {
+        run_cell_reference(workloads, cell)
     })
 }
 
-fn run_one(
-    workloads: &[Workload],
-    dense: &[DenseWorkload],
-    cell: &CellSpec,
-) -> Result<SimResult, BatchError> {
-    let w = workloads
-        .get(cell.workload)
-        .ok_or(BatchError::BadWorkloadIndex {
-            index: cell.workload,
-            len: workloads.len(),
-        })?;
-    if !mcp_policies::FAMILIES.contains(&cell.family.as_str()) {
-        return Err(BatchError::UnknownFamily(cell.family.clone()));
-    }
-    if !mcp_policies::family_applicable(&cell.family, w) {
-        return Err(BatchError::Inapplicable(cell.family.clone()));
-    }
-    let cfg = cell.config();
-    if let Some(schedule) = cell.dynamic_capacity() {
-        // Dynamic K(t): the dense SoA layout never frees a cell, which a
-        // shrink eviction must do, so every family runs the per-cell
-        // capacity-aware event engine here.
-        let strategy = mcp_policies::build_family(&cell.family, w, cfg, cell.seed)
-            .expect("family is registered");
-        return Ok(simulate_with_capacity(w, cfg, schedule.clone(), strategy)?);
-    }
-    match DensePolicy::parse(&cell.family) {
-        Some(policy) => {
-            cfg.validate(w).map_err(SimError::from)?;
-            Ok(
-                SCRATCH
-                    .with(|s| dense_run(&dense[cell.workload], cfg, policy, &mut s.borrow_mut())),
-            )
-        }
-        None => {
-            let strategy = mcp_policies::build_family(&cell.family, w, cfg, cell.seed)
-                .expect("family is registered");
-            Ok(simulate(w, cfg, strategy)?)
-        }
-    }
-}
-
-/// Run one cell the per-run way: a fresh `Simulator` and a fresh strategy,
-/// no shared arenas — the reference the batch path is differentially
-/// checked against (tournament sampling cross-check, tests, benches).
+/// Run one cell: validate it, build a fresh strategy through the
+/// [`mcp_policies::families`] registry and simulate it on the event
+/// engine — under its capacity schedule when it has one. Every batch
+/// entry point runs cells through here.
 pub fn run_cell_reference(
     workloads: &[Workload],
     cell: &CellSpec,
@@ -158,7 +97,7 @@ pub fn run_cell_reference(
     let cfg = cell.config();
     let strategy =
         mcp_policies::build_family(&cell.family, w, cfg, cell.seed).expect("family is registered");
-    match cell.dynamic_capacity() {
+    match &cell.capacity {
         Some(schedule) => Ok(simulate_with_capacity(w, cfg, schedule.clone(), strategy)?),
         None => Ok(simulate(w, cfg, strategy)?),
     }

@@ -1,36 +1,26 @@
-//! # mcp-batch — structure-of-arrays batch simulation engine
+//! # mcp-batch — deterministic fan-out of simulation grids
 //!
 //! Tournament-scale evaluation runs thousands of independent
-//! `(strategy × workload × K × τ)` cells. The per-run path pays full
-//! setup per cell: generate the workload, build a fresh strategy with its
-//! hash maps and ordered sets, run one `Simulator`, drop everything. This
-//! crate amortizes all of it across a batch:
+//! `(strategy × workload × K × τ)` cells. This crate runs such a grid:
 //!
-//! * workloads are materialized **once** and shared by every cell that
-//!   runs them, re-keyed to dense page ids ([`DenseWorkload`]);
-//! * the six classic eviction policies run through a flat
-//!   structure-of-arrays engine ([`dense_run`]) whose arenas — page
-//!   table/occupancy, recency/frequency stamps, CLOCK ring — live in a
-//!   per-worker [`Scratch`] sized once per batch and reset by epoch
-//!   counter and cursor instead of clearing;
+//! * workloads are materialized once by the caller and shared by every
+//!   cell that names them ([`CellSpec::workload`] indexes the table);
+//! * each cell builds a fresh strategy through the
+//!   [`mcp_policies::families`] registry and runs it on the production
+//!   event engine ([`mcp_core::simulate`], or
+//!   [`mcp_core::simulate_with_capacity`] under a `K(t)` schedule);
 //! * cells fan out over [`mcp_exec::Pool`] in deterministic cell-index
-//!   order, so results are bit-identical at every `--jobs` level;
-//! * every other registered family falls back to a fresh per-cell
-//!   `Simulator` via the [`mcp_policies::families`] registry, keeping the
-//!   whole grid surface available.
+//!   order, so results are bit-identical at every `--jobs` level.
 //!
-//! Both paths produce exactly the `SimResult` that
-//! `mcp_core::simulate` reports on the same instance — the batch engine
-//! is a performance play, not a semantics fork; see `dense.rs` for the
-//! equivalence argument and `tests/batch_differential.rs` for the proof
-//! by differential testing.
+//! A batch result is therefore exactly what a per-run loop over
+//! [`run_cell_reference`] reports; `tests/batch_differential.rs` checks
+//! the plumbing (registry, seeds, applicability, capacity schedules and
+//! typed errors) against it.
 
 #![warn(missing_docs)]
 
-pub mod dense;
 pub mod engine;
 pub mod spec;
 
-pub use dense::{dense_run, DensePolicy, DenseWorkload, Scratch};
 pub use engine::{run_cell_reference, run_cells, run_cells_quarantined, BatchError};
-pub use spec::{CellSpec, WorkloadKind, WorkloadSpec};
+pub use spec::{CellSpec, DensePolicy, WorkloadKind, WorkloadSpec};

@@ -121,12 +121,10 @@ pub struct CellSpec {
     pub tau: u64,
     /// Seed for randomized families.
     pub seed: u64,
-    /// Dynamic capacity schedule `K(t)`, if any. `None` (and
-    /// `Some(fixed)` matching `cache_size`) runs the constant-capacity
-    /// paths, including the dense SoA fast path; a genuinely dynamic
-    /// schedule routes the cell through the per-run event engine for
-    /// every family, because shrink evictions violate the dense layout's
-    /// cells-never-free invariant.
+    /// Capacity schedule `K(t)`, if any. `Some(s)` runs the cell under
+    /// `s` on the capacity-aware event engine: a fixed schedule matching
+    /// `cache_size` gives exactly the `None` result, and one whose initial
+    /// `K` differs from `cache_size` is a typed [`crate::BatchError::Sim`].
     pub capacity: Option<CapacitySchedule>,
 }
 
@@ -135,15 +133,17 @@ impl CellSpec {
     pub fn config(&self) -> SimConfig {
         SimConfig::new(self.cache_size, self.tau)
     }
+}
 
-    /// The dynamic schedule this cell must run under, or `None` when the
-    /// constant-capacity engines apply. A `Some(fixed)` schedule that
-    /// *matches* `cache_size` is constant capacity by construction; a
-    /// mismatched fixed schedule is returned so the capacity-aware engine
-    /// can reject it with the same typed error every other engine uses.
-    pub fn dynamic_capacity(&self) -> Option<&CapacitySchedule> {
-        self.capacity
-            .as_ref()
-            .filter(|c| !c.is_fixed() || c.initial_k() != self.cache_size)
+/// The six classic eviction families (`lru`, `fifo`, `clock`, `lfu`,
+/// `mru`, `fwf`). A name classifier only, kept for `perfbench`'s
+/// per-family throughput probes: every family runs on the event engine.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DensePolicy;
+
+impl DensePolicy {
+    /// `Some` iff `name` is one of the six classic families.
+    pub fn parse(name: &str) -> Option<Self> {
+        matches!(name, "lru" | "fifo" | "clock" | "lfu" | "mru" | "fwf").then_some(DensePolicy)
     }
 }

@@ -1,17 +1,16 @@
-//! Differential proof of the batch engine: every cell's `SimResult` —
-//! fault counts, hit counts, fault times, makespan — must be bit-identical
-//! to a fresh per-run `Simulator` on the same instance, for every family,
-//! on disjoint and shared (fetch-colliding) workloads, at every worker
-//! count.
+//! The batch runner's plumbing: every cell's `SimResult` — fault counts,
+//! hit counts, fault times, makespan — must be bit-identical to a fresh
+//! per-run `Simulator` on the same instance, for every family, on
+//! disjoint and shared (fetch-colliding) workloads, at every worker
+//! count, with and without a capacity schedule, and bad cells must come
+//! back as typed errors.
 
-use mcp_batch::{run_cell_reference, run_cells, CellSpec};
-use mcp_core::Workload;
+use mcp_batch::{run_cell_reference, run_cells, BatchError, CellSpec};
+use mcp_core::{simulate_with_capacity, CapacitySchedule, Workload};
+use mcp_policies::FAMILIES;
 use mcp_workloads::{
     bursty, drifting_phases, phased, shared_hotset, staggered_thrash, uniform, zipf, zipf_shared,
 };
-use proptest::prelude::*;
-
-const DENSE: &[&str] = &["lru", "fifo", "clock", "lfu", "mru", "fwf"];
 
 /// A workload mix that exercises hits, capacity evictions, shared-fetch
 /// misses, pinning collisions, and finished-core staggering.
@@ -38,7 +37,7 @@ fn grid(workloads: &[Workload]) -> Vec<CellSpec> {
     let mut cells = Vec::new();
     for (wi, w) in workloads.iter().enumerate() {
         let p = w.num_cores();
-        for family in DENSE {
+        for family in FAMILIES {
             for k in [p.max(2), p + 3, 2 * p + 5] {
                 for tau in [0u64, 1, 3, 16] {
                     cells.push(CellSpec {
@@ -57,26 +56,9 @@ fn grid(workloads: &[Workload]) -> Vec<CellSpec> {
 }
 
 #[test]
-fn dense_families_match_per_run_simulator_exactly() {
-    let workloads = workload_table();
-    let cells = grid(&workloads);
-    let batch = run_cells(&workloads, &cells);
-    assert!(batch.len() == cells.len());
-    for (cell, got) in cells.iter().zip(&batch) {
-        let want = run_cell_reference(&workloads, cell);
-        assert_eq!(
-            got, &want,
-            "batch vs per-run mismatch: family={} workload={} K={} tau={}",
-            cell.family, cell.workload, cell.cache_size, cell.tau
-        );
-    }
-}
-
-#[test]
-fn fallback_families_match_per_run_simulator() {
-    // Non-dense families take the generic path; spot-check that the
-    // plumbing (registry, seeds, applicability) is faithful, including an
-    // inapplicable pair and an unknown family.
+fn registry_plumbing_and_typed_errors_match_per_run_simulator() {
+    // Spot-check that the plumbing (registry, seeds, applicability) is
+    // faithful, including an inapplicable pair and an unknown family.
     let workloads = workload_table();
     let mut cells = Vec::new();
     for family in [
@@ -138,48 +120,58 @@ fn results_are_bit_identical_at_every_jobs_level() {
 }
 
 #[test]
-fn scratch_reuse_across_batches_is_invisible() {
-    // Run the same grid twice through the same process (same thread-local
-    // arenas, epochs advanced) and a permuted variant in between: reused
-    // arenas must not leak state between cells or batches.
+fn capacity_schedules_run_on_the_capacity_aware_engine() {
+    // A fixed schedule matching `cache_size` is constant capacity: the
+    // result equals the `capacity: None` cell's. A fixed schedule whose
+    // `K` differs is rejected as a typed model error, the same one the
+    // event engine reports.
     let workloads = workload_table();
-    let cells = grid(&workloads);
-    mcp_exec::set_jobs(Some(1)); // everything through one worker's arenas
-    let first = run_cells(&workloads, &cells);
-    let mut reversed = cells.clone();
-    reversed.reverse();
-    let _ = run_cells(&workloads, &reversed);
-    let second = run_cells(&workloads, &cells);
-    mcp_exec::set_jobs(None);
-    assert_eq!(first, second);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random (possibly overlapping) workloads, random K ≥ p and τ: all
-    /// six dense families agree with the per-run simulator.
-    #[test]
-    fn dense_engine_matches_on_random_instances(
-        seqs in prop::collection::vec(prop::collection::vec(0u32..12, 0..40), 1..4),
-        extra_k in 0usize..6,
-        tau in 0u64..8,
-    ) {
-        let w = Workload::from_u32(seqs).unwrap();
-        let p = w.num_cores();
-        let workloads = [w];
-        for family in DENSE {
-            let cell = CellSpec {
-                workload: 0,
-                family: family.to_string(),
-                cache_size: p + extra_k,
-                tau,
-                seed: 7,
-                capacity: None,
-            };
-            let got = run_cells(&workloads, std::slice::from_ref(&cell));
-            let want = run_cell_reference(&workloads, &cell);
-            prop_assert_eq!(&got[0], &want, "family={}", family);
+    let mut cells = Vec::new();
+    for (wi, w) in workloads.iter().enumerate() {
+        let k = w.num_cores() + 3;
+        for family in FAMILIES {
+            for capacity in [None, Some(k), Some(k + 1)] {
+                cells.push(CellSpec {
+                    workload: wi,
+                    family: family.to_string(),
+                    cache_size: k,
+                    tau: 2,
+                    seed: 5,
+                    capacity: capacity.map(CapacitySchedule::fixed),
+                });
+            }
         }
     }
+    for jobs in [1usize, 2] {
+        mcp_exec::set_jobs(Some(jobs));
+        let got = run_cells(&workloads, &cells);
+        for (triple, cell) in got.chunks(3).zip(cells.chunks(3)) {
+            let [none, matching, mismatched] = triple else {
+                unreachable!("three capacities per cell")
+            };
+            assert_eq!(matching, none, "jobs={jobs} family={}", cell[0].family);
+            if let Err(BatchError::Inapplicable(_)) = none {
+                assert_eq!(mismatched, none);
+                continue;
+            }
+            let w = &workloads[cell[2].workload];
+            let strategy =
+                mcp_policies::build_family(&cell[2].family, w, cell[2].config(), cell[2].seed)
+                    .unwrap();
+            let want = simulate_with_capacity(
+                w,
+                cell[2].config(),
+                cell[2].capacity.clone().unwrap(),
+                strategy,
+            )
+            .unwrap_err();
+            assert_eq!(
+                mismatched,
+                &Err(BatchError::Sim(want)),
+                "jobs={jobs} family={}",
+                cell[2].family
+            );
+        }
+    }
+    mcp_exec::set_jobs(None);
 }

@@ -1,24 +1,23 @@
-//! Batch engine vs. the per-run path, on the tournament-shaped grid the
-//! engine was built for: many small cells across mixed workload kinds,
+//! The batch runner vs. the per-run path, on a tournament-shaped grid:
+//! many small cells across mixed workload kinds, the six classic
 //! eviction families, cache sizes, and fetch delays.
 //!
-//! The per-run baseline pays what every pre-batch sweep paid per cell —
-//! workload materialization plus a fresh `Simulator` with a boxed
-//! strategy — while the batch row materializes each workload once per
-//! grid and advances cells through the dense structure-of-arrays engine
-//! with thread-local reusable scratch. The batch engine was built to a
-//! ≥ 3× cells/sec target on a ≥ 1000-cell mixed-family grid; the ratio
-//! shrinks as the per-run victim path gets faster. Results are
-//! bit-identical (spot-checked here; proven cell-by-cell in
-//! `crates/batch/tests/batch_differential.rs` and by `mcp fuzz
-//! --profile batch`).
+//! Both rows run every cell on the event engine with a fresh strategy
+//! from the family registry. The `per_run` row pays what every pre-batch
+//! sweep paid per cell: workload materialization plus a `Simulator` with
+//! a boxed strategy. The `batch` row measures what `mcp-batch` adds on
+//! top of the engine: each workload materialized once and shared by
+//! every cell on it, and the cells fanned over the pool in cell-index
+//! order. Results are bit-identical (spot-checked here; checked
+//! cell-by-cell in `crates/batch/tests/batch_differential.rs` and by
+//! `mcp fuzz --profile batch`).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mcp_batch::{run_cell_reference, run_cells, CellSpec, WorkloadKind, WorkloadSpec};
 use mcp_core::Workload;
 use std::hint::black_box;
 
-const DENSE_FAMILIES: [&str; 6] = ["lru", "fifo", "clock", "lfu", "mru", "fwf"];
+const CLASSIC_FAMILIES: [&str; 6] = ["lru", "fifo", "clock", "lfu", "mru", "fwf"];
 
 /// The grid: 8 workload kinds × 3 seeds × 3 cache sizes × 3 delays ×
 /// 6 families = 1296 cells over 24 distinct workloads.
@@ -39,7 +38,7 @@ fn grid() -> (Vec<WorkloadSpec>, Vec<CellSpec>) {
     for wi in 0..specs.len() {
         for k in [8usize, 16, 32] {
             for tau in [0u64, 2, 8] {
-                for family in DENSE_FAMILIES {
+                for family in CLASSIC_FAMILIES {
                     cells.push(CellSpec {
                         workload: wi,
                         family: family.to_string(),

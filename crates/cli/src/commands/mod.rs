@@ -135,7 +135,7 @@ pub fn capacity_from(
     Ok(Some(schedule))
 }
 
-/// Parse `--deadline DUR` (e.g. `30s`, `500ms`, `2m`) into a [`Budget`];
+/// Parse `--deadline DUR` (e.g. `30s`, `500ms`, `2m`) into a [`mcp_core::Budget`];
 /// Ctrl-C cancellation is always honoured by governed runs.
 pub fn budget_from(args: &Args) -> Result<mcp_core::Budget, CliError> {
     let mut budget = mcp_core::Budget::unlimited().with_global_cancel();

@@ -76,7 +76,7 @@ commands:
   blast        load-generating client for serve
                  --connect unix:PATH|tcp:HOST:PORT [--cores P] [--n N]
                  [--seed S] [--universe U] [--batch B] [--no-close]
-  tournament   strategy tournament on the batch engine: regret and
+  tournament   strategy tournament on the batch runner: regret and
                  pairwise-dominance tables over a families × workloads
                  × K × τ grid
                  [--families a,b,…] [--workloads uniform|zipf|zipf-shared|

@@ -252,7 +252,7 @@ fn open_reader<'a>(bytes: &'a [u8], kind: u8) -> Result<Reader<'a>, CheckpointEr
 // FTF snapshots
 // ---------------------------------------------------------------------
 
-/// A truncated [`crate::ftf_dp`] run, resumable to the exact full-run
+/// A truncated [`crate::ftf_dp()`] run, resumable to the exact full-run
 /// result: every discovered state with its best fault count and parent,
 /// the unexpanded frontier, and the best terminal seen (if any).
 #[derive(Clone, Debug, PartialEq, Eq)]

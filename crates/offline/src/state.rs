@@ -12,9 +12,10 @@
 use mcp_core::{PageId, SimConfig, Time, Workload};
 use std::fmt;
 
-/// The sequential-fallback threshold for [`pool_for`]: layers with fewer
-/// tasks than this stay on the calling thread (the scoped-thread round
-/// trip costs more than the expansion itself on tiny layers).
+/// The sequential-fallback threshold for the DP expansion pools: layers
+/// with fewer tasks than this stay on the calling thread (the
+/// scoped-thread round trip costs more than the expansion itself on tiny
+/// layers).
 ///
 /// The default of 32 was tuned for the boxed state engine; the packed
 /// engine's expansions are an order of magnitude cheaper, so mid-size

@@ -48,8 +48,8 @@ pub enum FuzzProfile {
     /// event engine's idle-skip path, where most timesteps serve nothing.
     LargeTau,
     /// The [`Mixed`](FuzzProfile::Mixed) shape mix, additionally diffing
-    /// the `mcp-batch` engine (dense SoA path for its six native
-    /// families, per-run fallback otherwise) against the event engine.
+    /// the pooled `mcp-batch` runner (its registry, seed and `K(t)`
+    /// plumbing) against a direct event-engine run.
     Batch,
     /// The [`Mixed`](FuzzProfile::Mixed) shape mix with a seeded dynamic
     /// capacity schedule `K(t)` attached to every instance — drops,
@@ -470,12 +470,13 @@ fn stream_online<S: CacheStrategy>(
     Ok(Ok(result))
 }
 
-/// `Some(description)` iff the `mcp-batch` engine disagrees with the
-/// event engine on this instance under this family. The batch engine
-/// builds strategies through the same registry, so any difference —
-/// dense structure-of-arrays path or per-run fallback — is an engine
-/// bug, not a construction mismatch. Model errors must agree too
-/// (`BatchError::Sim` wrapping the event engine's `SimError`).
+/// `Some(description)` iff the pooled `mcp-batch` runner disagrees with
+/// a direct event-engine run on this instance under this family. The
+/// runner builds strategies through the same registry and runs the same
+/// engine, so any difference is a plumbing bug in the runner (registry,
+/// seed or capacity schedule), not a construction mismatch. Model errors
+/// must agree too (`BatchError::Sim` wrapping the event engine's
+/// `SimError`).
 fn batch_diverges(family: &str, instance: &Instance, seed: u64) -> Option<String> {
     let cell = mcp_batch::CellSpec {
         workload: 0,

@@ -4,7 +4,7 @@
 //! allocation-free hot paths); this crate holds everything that checks it
 //! from the outside:
 //!
-//! - [`reference`]: a deliberately naive reference engine, transcribed
+//! - [`reference`](mod@reference): a deliberately naive reference engine, transcribed
 //!   line-by-line from the paper's Section 3 model — tick-by-tick time, a
 //!   cloned `HashMap` cache picture, no intrusive structures.
 //! - [`exhaustive`]: tiny-scale brute-force offline oracles that re-derive

@@ -1,10 +1,10 @@
 //! The strategy-family registry: every named strategy the CLI, fuzz
-//! harness, batch engine, and tournament grid can instantiate.
+//! harness, batch runner, and tournament grid can instantiate.
 //!
 //! A *family* is a constructor keyed by the same identifier
 //! `mcp simulate --strategy` accepts. The registry lives here (rather than
 //! in `mcp-oracle`, where it started) so that both the differential oracle
-//! and the batch engine can build strategies without depending on each
+//! and the batch runner can build strategies without depending on each
 //! other. Randomized families (`rand`, `mark-rand`) are seeded per call,
 //! so every comparison is reproducible.
 
