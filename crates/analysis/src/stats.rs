@@ -119,18 +119,34 @@ impl QuantileSketch {
     /// Record one observation. Non-finite and `≤ 1e-9` values count in
     /// the exact zero bucket.
     pub fn add(&mut self, v: f64) {
-        self.count += 1;
+        self.add_n(v, 1);
+    }
+
+    /// Record `n` observations of the same value `v` — the same multiset
+    /// as `n` calls of [`QuantileSketch::add`], for one `ln` and one
+    /// bucket update. `n = 0` records nothing.
+    pub fn add_n(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.count += n;
         if !v.is_finite() || v <= Self::MIN_TRACKED {
-            self.zero += 1;
+            self.zero += n;
             return;
         }
         let i = (v.ln() / self.ln_gamma).ceil() as i32;
-        *self.buckets.entry(i).or_insert(0) += 1;
+        *self.buckets.entry(i).or_insert(0) += n;
     }
 
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Observations recorded in the exact zero bucket (non-finite and
+    /// `≤ 1e-9` values).
+    pub fn zero_count(&self) -> u64 {
+        self.zero
     }
 
     /// `true` iff nothing has been recorded.

@@ -23,7 +23,8 @@ pub struct Snapshot {
     pub strategy: String,
     /// Requests presented at the admission boundary.
     pub offered: u64,
-    /// Requests admitted into a ring.
+    /// Requests offered and not dropped (`offered - dropped`): admitted
+    /// into a ring, or still being pushed from a frame in flight.
     pub admitted: u64,
     /// Requests dropped at the boundary (full queue, unroutable core,
     /// closed stream). `offered == admitted + dropped` always.

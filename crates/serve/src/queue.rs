@@ -5,8 +5,10 @@
 //! ring, **dFCFS** keeps one ring per core keyed by the request's
 //! issuing core (the two disciplines of the `carvalhof/sim` exemplar,
 //! mapped onto the paper's per-core sequences). Admission is strictly
-//! accounted: every [`QueueSet::offer`] either *admits* into a ring or
-//! *drops* (ring full, or unroutable core), and
+//! accounted: every request handed to [`QueueSet::offer_many`] (one
+//! decoded frame at a time) either *admits* into a ring or *drops* (ring
+//! full, unroutable core, or closed gate). Only `offered` and `dropped`
+//! are counted; `admitted` is derived as their difference, so
 //! `offered == admitted + dropped` holds exactly at all times — the
 //! backpressure contract the serve tests pin.
 
@@ -21,9 +23,10 @@ use std::sync::Arc;
 pub enum Discipline {
     /// One shared FCFS queue; the driver assigns each popped request to
     /// the open engine core with the fewest requests assigned so far
-    /// (ties to the lowest core id). The assignment depends only on the
-    /// admission order, never on drain batching or timing, so seeded
-    /// runs replay bit-identically.
+    /// (ties to the lowest core id) — a rotation over the cores, since
+    /// under cFCFS they are all open or all closed. The assignment
+    /// depends only on the admission order, never on drain batching or
+    /// timing, so seeded runs replay bit-identically.
     Cfcfs,
     /// One queue per core; a request is routed by its own `core` field.
     Dfcfs,
@@ -60,8 +63,13 @@ struct Shared {
     discipline: Discipline,
     cores: usize,
     rings: Vec<Ring>,
+    /// Requests presented. A batch publishes its whole size *before* its
+    /// first push, so any request the consumer can pop is already
+    /// counted here.
     offered: AtomicU64,
-    admitted: AtomicU64,
+    /// Requests refused. A batch publishes its drops (release) *after*
+    /// its last push, so a reader that loads `dropped` (acquire) before
+    /// `offered` never sees a drop without its offer.
     dropped: AtomicU64,
     /// Drops attributed per ring (queue-full only; unroutable cores have
     /// no ring).
@@ -84,16 +92,19 @@ pub struct QueueSet {
 /// construction because `Consumer` is not `Clone`.
 pub struct Consumer {
     inner: Arc<Shared>,
-    /// Round-robin pointer for dFCFS draining.
+    /// The ring [`Consumer::drain`] pops from next.
     next_ring: usize,
 }
 
 /// A point-in-time copy of the admission counters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QueueTotals {
-    /// Requests presented to [`QueueSet::offer`].
+    /// Requests presented to the queue set.
     pub offered: u64,
-    /// Requests that entered a ring.
+    /// Requests offered and not dropped: `offered - dropped`. Exactly
+    /// the requests that entered a ring once producers are quiescent;
+    /// mid-batch it also counts the batch's not-yet-pushed tail, so it
+    /// never undercounts what the consumer has popped.
     pub admitted: u64,
     /// Requests refused (full ring or unroutable core).
     pub dropped: u64,
@@ -114,7 +125,6 @@ impl QueueSet {
             cores,
             rings: (0..nrings).map(|_| Ring::new(depth)).collect(),
             offered: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             ring_dropped: (0..nrings).map(|_| AtomicU64::new(0)).collect(),
             closed: (0..cores).map(|_| AtomicBool::new(false)).collect(),
@@ -154,62 +164,78 @@ impl QueueSet {
         }
     }
 
+    /// `true` when the producer-side gate refuses `core`'s requests.
+    fn gate_closed(&self, core: u32) -> bool {
+        let s = &*self.inner;
+        s.all_closed.load(Ordering::Acquire)
+            || (s.discipline == Discipline::Dfcfs
+                && s.closed[core as usize].load(Ordering::Acquire))
+    }
+
+    /// Push one request into its ring if routable, ungated and not full.
+    /// Counts nothing but queue-full drops per ring.
+    fn try_admit(&self, core: u32, page: u32) -> bool {
+        let s = &*self.inner;
+        let Some(ring) = self.ring_of(core) else {
+            return false;
+        };
+        if self.gate_closed(core) {
+            return false;
+        }
+        if s.rings[ring].try_push(Msg::Req { core, page }).is_ok() {
+            return true;
+        }
+        s.ring_dropped[ring].fetch_add(1, Ordering::Relaxed);
+        false
+    }
+
+    /// Offer a batch of `(core, page)` requests in order — one decoded
+    /// `REQS` frame. Returns how many were admitted; the rest dropped
+    /// (full queue, unroutable core, or core already closed). Costs two
+    /// counter updates per batch (one when nothing drops) plus the
+    /// ring's per-request CAS.
+    pub fn offer_many(&self, reqs: &[(u32, u32)]) -> usize {
+        if reqs.is_empty() {
+            return 0;
+        }
+        let s = &*self.inner;
+        s.offered.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+        let admitted = reqs
+            .iter()
+            .filter(|&&(core, page)| self.try_admit(core, page))
+            .count();
+        let dropped = (reqs.len() - admitted) as u64;
+        if dropped > 0 {
+            s.dropped.fetch_add(dropped, Ordering::Release);
+        }
+        admitted
+    }
+
     /// Offer one request. Returns `true` when admitted, `false` when
     /// dropped (full queue, unroutable core, or core already closed).
     pub fn offer(&self, core: u32, page: u32) -> bool {
-        let s = &*self.inner;
-        s.offered.fetch_add(1, Ordering::Relaxed);
-        let Some(ring) = self.ring_of(core) else {
-            s.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
-        let gate_closed = s.all_closed.load(Ordering::Acquire)
-            || (s.discipline == Discipline::Dfcfs
-                && s.closed[core as usize].load(Ordering::Acquire));
-        if gate_closed {
-            s.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        match s.rings[ring].try_push(Msg::Req { core, page }) {
-            Ok(()) => {
-                s.admitted.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                s.dropped.fetch_add(1, Ordering::Relaxed);
-                s.ring_dropped[ring].fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
+        self.offer_many(&[(core, page)]) == 1
     }
 
     /// Offer, spinning until admitted — the lossless path for seeded
-    /// deterministic producers. Gives up (returning `false`) once `stop`
-    /// reads `true` or the stream is closed.
+    /// deterministic producers. Gives up (returning `false`, counted as
+    /// a drop) once `stop` reads `true` or the stream is closed.
     pub fn offer_blocking(&self, core: u32, page: u32, stop: &AtomicBool) -> bool {
         let s = &*self.inner;
-        let Some(ring) = self.ring_of(core) else {
-            s.offered.fetch_add(1, Ordering::Relaxed);
-            s.dropped.fetch_add(1, Ordering::Relaxed);
-            return false;
-        };
-        loop {
-            if stop.load(Ordering::Acquire)
-                || s.all_closed.load(Ordering::Acquire)
-                || (s.discipline == Discipline::Dfcfs
-                    && s.closed[core as usize].load(Ordering::Acquire))
-            {
-                s.offered.fetch_add(1, Ordering::Relaxed);
-                s.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
+        s.offered.fetch_add(1, Ordering::Relaxed);
+        let admitted = self.ring_of(core).is_some_and(|ring| loop {
+            if stop.load(Ordering::Acquire) || self.gate_closed(core) {
+                break false;
             }
             if s.rings[ring].try_push(Msg::Req { core, page }).is_ok() {
-                s.offered.fetch_add(1, Ordering::Relaxed);
-                s.admitted.fetch_add(1, Ordering::Relaxed);
-                return true;
+                break true;
             }
             std::hint::spin_loop();
+        });
+        if !admitted {
+            s.dropped.fetch_add(1, Ordering::Release);
         }
+        admitted
     }
 
     /// Enqueue a close for `core` (`None` = every core). Closes travel
@@ -273,13 +299,18 @@ impl QueueSet {
         }
     }
 
-    /// Current counter values.
+    /// Current counter values. `dropped` is read before `offered` (see
+    /// the field docs), so `admitted = offered - dropped` cannot
+    /// underflow and, read on the consumer thread, is at least every
+    /// request popped so far.
     pub fn totals(&self) -> QueueTotals {
         let s = &*self.inner;
+        let dropped = s.dropped.load(Ordering::Acquire);
+        let offered = s.offered.load(Ordering::Relaxed);
         QueueTotals {
-            offered: s.offered.load(Ordering::Relaxed),
-            admitted: s.admitted.load(Ordering::Relaxed),
-            dropped: s.dropped.load(Ordering::Relaxed),
+            offered,
+            admitted: offered - dropped,
+            dropped,
             ring_dropped: s
                 .ring_dropped
                 .iter()
@@ -289,9 +320,22 @@ impl QueueSet {
     }
 }
 
+#[cfg(test)]
+impl QueueSet {
+    /// Push `msg` into `ring` past every gate and counter — lets tests
+    /// queue requests behind a close marker, as a producer racing the
+    /// close can.
+    pub(crate) fn push_raw(&self, ring: usize, msg: Msg) {
+        self.push_marker(ring, msg);
+    }
+}
+
 impl Consumer {
-    /// Drain up to `max` messages, round-robin across rings (a batched
-    /// dequeue: one wake-up serves a whole batch). Returns the number
+    /// Drain up to `max` messages (a batched dequeue: one wake-up serves
+    /// a whole batch). Ring by ring, not message by message: it pops the
+    /// current ring until that ring is empty, then moves to the next,
+    /// and stops after `max` messages or a full lap of empty rings. The
+    /// current ring carries over to the next call. Returns the number
     /// delivered to `sink`.
     pub fn drain(&mut self, max: usize, mut sink: impl FnMut(Msg)) -> usize {
         let s = &*self.inner;
@@ -400,19 +444,70 @@ mod tests {
     }
 
     #[test]
-    fn drain_batches_round_robin() {
+    fn drain_batches_ring_by_ring() {
         let (q, mut c) = QueueSet::new(Discipline::Dfcfs, 3, 16);
         for core in 0..3u32 {
             for i in 0..4u32 {
                 assert!(q.offer(core, core * 10 + i));
             }
         }
+        let page = |m: Msg| match m {
+            Msg::Req { page, .. } => page,
+            Msg::Close { .. } => unreachable!("no closes offered"),
+        };
+        // Ring 0 empties before ring 1 is touched; the batch cut leaves
+        // the consumer on ring 1 for the next call.
         let mut got = Vec::new();
-        assert_eq!(c.drain(5, |m| got.push(m)), 5);
-        assert_eq!(got.len(), 5);
+        assert_eq!(c.drain(5, |m| got.push(page(m))), 5);
+        assert_eq!(got, vec![0, 1, 2, 3, 10]);
+        assert!(q.offer(0, 4), "ring 0 refilled behind the cursor");
         let mut rest = Vec::new();
-        c.drain(usize::MAX, |m| rest.push(m));
-        assert_eq!(got.len() + rest.len(), 12);
+        assert_eq!(c.drain(usize::MAX, |m| rest.push(page(m))), 8);
+        assert_eq!(rest, vec![11, 12, 13, 20, 21, 22, 23, 4]);
         assert!(c.is_empty());
+        assert_eq!(c.drain(usize::MAX, |_| {}), 0);
+    }
+
+    #[test]
+    fn offer_many_accounts_per_batch() {
+        let (q, mut c) = QueueSet::new(Discipline::Dfcfs, 2, 4);
+        // Core 5 is unroutable; ring 0 holds four.
+        let batch: Vec<(u32, u32)> = (0..6).map(|i| (0, i)).chain([(5, 9), (1, 7)]).collect();
+        assert_eq!(q.offer_many(&batch), 5);
+        let t = q.totals();
+        assert_eq!((t.offered, t.admitted, t.dropped), (8, 5, 3));
+        assert_eq!(t.ring_dropped, vec![2, 0], "unroutable drops have no ring");
+        assert_eq!(q.offer_many(&[]), 0);
+        let mut msgs = Vec::new();
+        c.drain(usize::MAX, |m| msgs.push(m));
+        let want: Vec<Msg> = (0..4)
+            .map(|page| Msg::Req { core: 0, page })
+            .chain([Msg::Req { core: 1, page: 7 }])
+            .collect();
+        assert_eq!(msgs, want);
+        q.close(Some(1));
+        assert_eq!(q.offer_many(&[(1, 1), (0, 2)]), 1, "closed gate drops");
+        let t = q.totals();
+        assert_eq!((t.offered, t.admitted, t.dropped), (10, 6, 4));
+    }
+
+    #[test]
+    fn offer_blocking_counts_its_give_up_as_a_drop() {
+        let (q, _c) = QueueSet::new(Discipline::Cfcfs, 2, 2);
+        let stop = AtomicBool::new(false);
+        assert!(q.offer_blocking(0, 1, &stop));
+        assert!(q.offer_blocking(1, 2, &stop));
+        stop.store(true, Ordering::Release);
+        assert!(
+            !q.offer_blocking(0, 3, &stop),
+            "full ring and stop: give up"
+        );
+        let t = q.totals();
+        assert_eq!((t.offered, t.admitted, t.dropped), (3, 2, 1));
+        assert_eq!(
+            t.ring_dropped,
+            vec![0],
+            "a give-up is not a queue-full drop"
+        );
     }
 }

@@ -9,6 +9,11 @@
 //! per-slot sequence numbers, so producers and the consumer synchronize
 //! per cell rather than through a shared lock; with a single producer
 //! the queue degenerates to a plain SPSC ring with no contended CAS.
+//!
+//! Layout follows crossbeam's `ArrayQueue`: slots are packed (24 bytes
+//! each, several to a cache line) and the two cursors each get their own
+//! padded line, so producers bumping `tail` never invalidate the line the
+//! consumer reads `head` from.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,20 +38,31 @@ pub enum Msg {
     },
 }
 
-#[repr(align(64))]
 struct Slot {
     seq: AtomicUsize,
     value: UnsafeCell<Msg>,
 }
 
+/// A value alone on its cache line(s). 128 bytes, not 64: x86's
+/// adjacent-line prefetcher pulls cache lines in pairs.
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// The bounded MPSC ring. Capacity is rounded up to a power of two.
 pub struct Ring {
+    /// Consumer cursor (next slot to read). Single consumer only.
+    head: CachePadded<AtomicUsize>,
+    /// Producer cursor (next slot to claim).
+    tail: CachePadded<AtomicUsize>,
     slots: Box<[Slot]>,
     mask: usize,
-    /// Producer cursor (next slot to claim).
-    tail: AtomicUsize,
-    /// Consumer cursor (next slot to read). Single consumer only.
-    head: AtomicUsize,
 }
 
 // SAFETY: slots are only written by the producer that claimed them via
@@ -68,10 +84,10 @@ impl Ring {
             .collect::<Vec<_>>()
             .into_boxed_slice();
         Ring {
+            head: CachePadded(AtomicUsize::new(0)),
+            tail: CachePadded(AtomicUsize::new(0)),
             slots,
             mask: cap - 1,
-            tail: AtomicUsize::new(0),
-            head: AtomicUsize::new(0),
         }
     }
 
@@ -170,6 +186,14 @@ mod tests {
             }
             assert_eq!(ring.pop(), None);
         }
+    }
+
+    #[test]
+    fn slots_are_packed_and_cursors_padded() {
+        assert!(std::mem::size_of::<Slot>() <= 24, "a slot is seq + Msg");
+        let ring = Ring::new(8);
+        let line = |a: &AtomicUsize| a as *const AtomicUsize as usize / 64;
+        assert_ne!(line(&ring.head), line(&ring.tail), "cursors share a line");
     }
 
     #[test]

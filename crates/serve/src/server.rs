@@ -182,14 +182,13 @@ impl<S: CacheStrategy> Server<S> {
         } = self;
         let cores = cfg.cores;
         let start = Instant::now();
-        // Admission timestamps (ns since start) per engine core, popped in
-        // service order to feed the latency sketch.
-        let mut admit_ns: Vec<VecDeque<u64>> = vec![VecDeque::new(); cores];
+        // Admission timestamps (ns since start) per engine core, as
+        // `(timestamp, count)` runs in service order: every request
+        // drained in one iteration shares one timestamp.
+        let mut admit_ns: Vec<AdmitRuns> = (0..cores).map(|_| AdmitRuns::default()).collect();
         let mut latency = QuantileSketch::default_latency();
-        // cFCFS dispatch state: requests assigned per core so far. The
-        // argmin depends only on admission order, so seeded runs replay
-        // bit-identically regardless of drain batching.
-        let mut assigned = vec![0u64; cores];
+        // cFCFS dispatch: the next core in rotation (DESIGN §14).
+        let mut cursor = 0usize;
         let mut last_pos = vec![0usize; cores];
         let mut rejected_late = 0u64;
         let mut seq = 0u64;
@@ -205,15 +204,14 @@ impl<S: CacheStrategy> Server<S> {
                 Msg::Req { core, page } => {
                     let target = match cfg.discipline {
                         Discipline::Dfcfs => core as usize,
-                        Discipline::Cfcfs => (0..cores)
-                            .filter(|&c| !engine.is_closed(c))
-                            .min_by_key(|&c| (assigned[c], c))
-                            .unwrap_or(0),
+                        Discipline::Cfcfs => cursor,
                     };
                     match engine.push(target, PageId(page)) {
                         Ok(()) => {
-                            assigned[target] += 1;
-                            admit_ns[target].push_back(now_ns);
+                            if cfg.discipline == Discipline::Cfcfs {
+                                cursor = if cursor + 1 == cores { 0 } else { cursor + 1 };
+                            }
+                            admit_ns[target].push(now_ns);
                         }
                         Err(_) => rejected_late += 1,
                     }
@@ -231,11 +229,9 @@ impl<S: CacheStrategy> Server<S> {
                 let done_ns = start.elapsed().as_nanos() as u64;
                 for core in 0..cores {
                     let pos = engine.positions()[core];
-                    for _ in last_pos[core]..pos {
-                        if let Some(t0) = admit_ns[core].pop_front() {
-                            latency.add(done_ns.saturating_sub(t0) as f64);
-                        }
-                    }
+                    admit_ns[core].pop((pos - last_pos[core]) as u64, |t0, n| {
+                        latency.add_n(done_ns.saturating_sub(t0) as f64, n)
+                    });
                     last_pos[core] = pos;
                 }
             }
@@ -326,6 +322,40 @@ impl<S: CacheStrategy> Server<S> {
     }
 }
 
+/// One core's admission timestamps as `(timestamp, count)` runs, oldest
+/// first. Requests drained in one driver iteration share a timestamp, so
+/// a run stands for a whole batch and the latency sketch takes one
+/// [`QuantileSketch::add_n`] per run instead of one `add` per request.
+#[derive(Default)]
+struct AdmitRuns(VecDeque<(u64, u64)>);
+
+impl AdmitRuns {
+    /// Record one request admitted at `t`.
+    fn push(&mut self, t: u64) {
+        match self.0.back_mut() {
+            Some((last, n)) if *last == t => *n += 1,
+            _ => self.0.push_back((t, 1)),
+        }
+    }
+
+    /// Retire the `k` oldest requests, reporting them as `(timestamp,
+    /// count)` runs to `sink`.
+    fn pop(&mut self, mut k: u64, mut sink: impl FnMut(u64, u64)) {
+        while k > 0 {
+            let Some((t, n)) = self.0.front_mut() else {
+                return;
+            };
+            let take = k.min(*n);
+            sink(*t, take);
+            k -= take;
+            *n -= take;
+            if *n == 0 {
+                self.0.pop_front();
+            }
+        }
+    }
+}
+
 /// Build a metrics snapshot from the live engine and counters.
 #[allow(clippy::too_many_arguments)]
 fn make_snapshot<S: CacheStrategy>(
@@ -405,9 +435,7 @@ pub fn serve_connection(stream: &mut impl Read, queues: &QueueSet) -> io::Result
         match read_frame(stream)? {
             None => return Ok(()),
             Some(Frame::Reqs(batch)) => {
-                for (core, page) in batch {
-                    queues.offer(core, page);
-                }
+                queues.offer_many(&batch);
             }
             Some(Frame::Close(cores)) => {
                 if cores.is_empty() {
@@ -493,6 +521,103 @@ mod tests {
         assert_eq!(lens, vec![4, 4]);
         let replay = mcp_core::simulate(&report.log, report.result.config, FirstFit).unwrap();
         assert_eq!(replay, report.result);
+    }
+
+    /// The cFCFS dispatch rule before the rotating cursor, verbatim: the
+    /// open core with the fewest requests assigned, ties to the lowest
+    /// id; a request finding every core closed is rejected late. Closes
+    /// under cFCFS close every core. Returns the per-core page sequences
+    /// and the late count.
+    fn least_assigned_reference(cores: usize, msgs: &[Msg]) -> (Vec<Vec<u32>>, u64) {
+        let mut closed = vec![false; cores];
+        let mut assigned = vec![0u64; cores];
+        let mut seqs = vec![Vec::new(); cores];
+        let mut late = 0;
+        for &msg in msgs {
+            match msg {
+                Msg::Req { page, .. } => {
+                    let target = (0..cores)
+                        .filter(|&c| !closed[c])
+                        .min_by_key(|&c| (assigned[c], c))
+                        .unwrap_or(0);
+                    if closed[target] {
+                        late += 1;
+                    } else {
+                        assigned[target] += 1;
+                        seqs[target].push(page);
+                    }
+                }
+                Msg::Close { .. } => closed.iter_mut().for_each(|c| *c = true),
+            }
+        }
+        (seqs, late)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn cfcfs_rotation_matches_least_assigned_argmin(
+            cores in 1usize..7,
+            pages in proptest::collection::vec((0u32..9, 0u32..6), 0..120),
+            close_at in proptest::collection::vec(0usize..130, 1..3),
+            batch in 1usize..9,
+        ) {
+            // Requests with closes spliced in; later ones arrive behind a
+            // close marker, as a producer racing the close can deliver.
+            let mut msgs = Vec::new();
+            for (i, &(core, page)) in pages.iter().enumerate() {
+                if close_at.contains(&i) {
+                    msgs.push(Msg::Close { core });
+                }
+                msgs.push(Msg::Req { core, page });
+            }
+            msgs.push(Msg::Close { core: u32::MAX });
+            let mut c = cfg(cores);
+            c.discipline = Discipline::Cfcfs;
+            c.depth = msgs.len();
+            c.batch = batch;
+            c.sim = SimConfig::new(cores + 2, 1);
+            let server = Server::new(c, FirstFit).unwrap();
+            let client = server.client();
+            for &msg in &msgs {
+                client.push_raw(0, msg);
+            }
+            let report = server.run(|_| {}).unwrap();
+            let (want, late) = least_assigned_reference(cores, &msgs);
+            let got: Vec<Vec<u32>> = (0..cores)
+                .map(|j| report.log.sequence(j).iter().map(|p| p.0).collect())
+                .collect();
+            proptest::prop_assert_eq!(got, want);
+            proptest::prop_assert_eq!(report.rejected_late, late);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Run-length admission timestamps retire the same timestamps
+        /// as a per-request FIFO, in the same order.
+        #[test]
+        fn admit_runs_match_a_per_request_fifo(
+            ops in proptest::collection::vec((0u64..4, 0u64..5, 0u64..7), 1..60),
+        ) {
+            let mut runs = AdmitRuns::default();
+            let mut fifo = VecDeque::new();
+            let mut t = 0;
+            for (dt, pushes, pops) in ops {
+                t += dt;
+                for _ in 0..pushes {
+                    runs.push(t);
+                    fifo.push_back(t);
+                }
+                let mut got = Vec::new();
+                runs.pop(pops, |t0, n| got.extend(std::iter::repeat_n(t0, n as usize)));
+                let take = (pops as usize).min(fifo.len());
+                let want: Vec<u64> = fifo.drain(..take).collect();
+                proptest::prop_assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

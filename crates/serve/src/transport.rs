@@ -68,14 +68,24 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
 }
 
 /// Decode one frame from `r`. `Ok(None)` is a clean end of stream (EOF
-/// exactly on a frame boundary); EOF mid-frame and malformed frames are
-/// errors.
+/// exactly on a frame boundary); EOF mid-frame — including 1–3 bytes
+/// into the length prefix — and malformed frames are errors.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut len_bytes = [0u8; 4];
-    match r.read_exact(&mut len_bytes) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut got = 0;
+    while got < len_bytes.len() {
+        match r.read(&mut len_bytes[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("stream ended {got} bytes into a frame's length prefix"),
+                ))
+            }
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_le_bytes(len_bytes);
     if len == 0 || len > MAX_FRAME_LEN {
@@ -195,5 +205,61 @@ mod tests {
         buf.push(KIND_CLOSE);
         buf.extend_from_slice(&[1, 2, 3]);
         assert!(read_frame(&mut io::Cursor::new(buf)).is_err());
+    }
+
+    #[test]
+    fn truncated_length_prefix_is_an_error_not_eof() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Frame::Reqs(vec![(0, 1)])).unwrap();
+        assert_eq!(read_frame(&mut io::Cursor::new(&buf[..0])).unwrap(), None);
+        for cut in 1..4 {
+            let err = read_frame(&mut io::Cursor::new(&buf[..cut])).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut {cut}");
+        }
+        // A cut after a whole frame is still a clean end for that frame
+        // and an error for the next.
+        let mut two = buf.clone();
+        two.extend_from_slice(&buf[..2]);
+        let mut cursor = io::Cursor::new(two);
+        assert!(read_frame(&mut cursor).unwrap().is_some());
+        assert!(read_frame(&mut cursor).is_err());
+    }
+
+    /// A reader that hands out one byte per call, interrupting every
+    /// other call — the length prefix must be assembled across reads.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        interrupt: bool,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::Error::from(io::ErrorKind::Interrupted));
+            }
+            let Some((&b, rest)) = self.bytes.split_first() else {
+                return Ok(0);
+            };
+            if out.is_empty() {
+                return Ok(0);
+            }
+            out[0] = b;
+            self.bytes = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn short_reads_and_interrupts_reassemble_frames() {
+        let frame = Frame::Reqs(vec![(3, 4), (5, 6)]);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &frame).unwrap();
+        let mut r = Trickle {
+            bytes: &buf,
+            interrupt: false,
+        };
+        assert_eq!(read_frame(&mut r).unwrap(), Some(frame));
+        assert_eq!(read_frame(&mut r).unwrap(), None);
     }
 }

@@ -163,6 +163,69 @@ fn backpressure_accounting_is_exact() {
 }
 
 #[test]
+fn snapshots_conserve_while_frames_race_the_driver() {
+    // Frame-sized offers from four threads into shallow rings while the
+    // driver drains and snapshots every iteration: every snapshot must
+    // balance, and nothing popped may outrun what was admitted.
+    let cores = 3;
+    let mut cfg = ServeConfig::new(cores, SimConfig::new(6, 1));
+    cfg.depth = 16;
+    cfg.batch = 8;
+    cfg.snapshot_every = Some(std::time::Duration::ZERO);
+    let server = Server::new(cfg, shared_lru()).unwrap();
+    let frames_per = 200u32;
+    let mut snaps = Vec::new();
+    let report = std::thread::scope(|s| {
+        let producers: Vec<_> = (0..4u32)
+            .map(|t| {
+                let client = server.client();
+                s.spawn(move || {
+                    for f in 0..frames_per {
+                        // Core 3 is unroutable under dFCFS: some drops
+                        // happen even when the rings have room.
+                        let frame: Vec<(u32, u32)> = (0..24)
+                            .map(|i| ((t + f + i) % 4, (f * 7 + i) % 11))
+                            .collect();
+                        client.offer_many(&frame);
+                    }
+                })
+            })
+            .collect();
+        let closer = server.client();
+        s.spawn(move || {
+            for p in producers {
+                p.join().unwrap();
+            }
+            closer.close(None);
+        });
+        server.run(|snap| snaps.push(snap.clone())).unwrap()
+    });
+    assert!(snaps.len() > 1, "snapshots every iteration");
+    for snap in &snaps {
+        assert_eq!(
+            snap.offered,
+            snap.admitted + snap.dropped,
+            "seq {}",
+            snap.seq
+        );
+        assert!(
+            snap.served + snap.rejected_late <= snap.admitted,
+            "seq {}: served {} + late {} > admitted {}",
+            snap.seq,
+            snap.served,
+            snap.rejected_late,
+            snap.admitted
+        );
+    }
+    let t = &report.totals;
+    assert_eq!(t.offered, 4 * u64::from(frames_per) * 24);
+    assert!(t.dropped > 0, "unroutable core 3 drops");
+    assert_eq!(report.served + report.rejected_late, t.admitted);
+    let replay = simulate(&report.log, report.result.config, shared_lru()).unwrap();
+    assert_eq!(replay, report.result);
+}
+
+#[test]
 fn replay_log_round_trips_through_text_trace() {
     let cores = 2;
     let path = std::env::temp_dir().join(format!(
