@@ -1,6 +1,8 @@
 //! Design-choice ablations called out in DESIGN.md:
 //!
-//! * branch-and-bound pruning in Algorithm 1 (on/off);
+//! * branch-and-bound pruning in Algorithm 1: the default solver
+//!   (incumbent pruning plus the admissible lower bound) against the raw
+//!   DP as published;
 //! * honest (lazy) vs full transition relation in both DPs;
 //! * schedule reconstruction cost;
 //! * the Theorem-5 restriction (p-way branching) vs full brute force.
@@ -28,6 +30,7 @@ fn bench_pruning(c: &mut Criterion) {
                     cfg,
                     FtfOptions {
                         prune: false,
+                        bound: false,
                         ..Default::default()
                     },
                 )

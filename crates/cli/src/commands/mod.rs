@@ -170,10 +170,12 @@ pub fn emit_stats(
     };
     if json {
         eprintln!(
-            "{{\"algo\":\"{algo}\",\"states\":{},\"expansions\":{},\"peak_arena_bytes\":{},\
-             \"dedup_load_factor\":{:.4},\"elapsed_sec\":{:.6},\"states_per_sec\":{:.1}}}",
+            "{{\"algo\":\"{algo}\",\"states\":{},\"expansions\":{},\"bound_pruned\":{},\
+             \"peak_arena_bytes\":{},\"dedup_load_factor\":{:.4},\"elapsed_sec\":{:.6},\
+             \"states_per_sec\":{:.1}}}",
             stats.states,
             stats.expansions,
+            stats.bound_pruned,
             stats.peak_arena_bytes,
             stats.dedup_load_factor,
             secs,
@@ -181,9 +183,14 @@ pub fn emit_stats(
         );
     } else {
         eprintln!(
-            "[stats] {algo}: {} states, {} expansions, peak arena {} bytes, \
+            "[stats] {algo}: {} states, {} expansions, {} bound prunes, peak arena {} bytes, \
              dedup load {:.2}, {:.0} states/sec",
-            stats.states, stats.expansions, stats.peak_arena_bytes, stats.dedup_load_factor, rate
+            stats.states,
+            stats.expansions,
+            stats.bound_pruned,
+            stats.peak_arena_bytes,
+            stats.dedup_load_factor,
+            rate
         );
     }
 }

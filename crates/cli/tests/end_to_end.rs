@@ -181,6 +181,18 @@ fn exact_solvers_over_the_shell() {
     assert!(ok);
     assert!(stdout.contains("FEASIBLE") || stdout.contains("no schedule exists"));
 
+    // `--stats` reports the lower bound's cuts in text and in JSON.
+    let opt = ["opt", "--trace", &trace, "--k", "4", "--tau", "1"];
+    let pif = [
+        "pif", "--trace", &trace, "--k", "4", "--tau", "1", "--at", "20", "--bounds", "6,6",
+    ];
+    for cmd in [&opt[..], &pif[..]] {
+        let (ok, _, stderr) = mcp(&[cmd, &["--stats"]].concat());
+        assert!(ok && stderr.contains(" bound prunes,"), "{stderr}");
+        let (ok, _, stderr) = mcp(&[cmd, &["--stats", "--json"]].concat());
+        assert!(ok && stderr.contains("\"bound_pruned\":"), "{stderr}");
+    }
+
     std::fs::remove_file(&trace).ok();
 }
 

@@ -7,7 +7,10 @@
 //! timestep strictly advances every unfinished sequence, so position sum
 //! is a topological order). Optionally reconstructs a replayable schedule
 //! witnessing the optimum, which integration tests replay on the
-//! simulator to the same fault count.
+//! simulator to the same fault count. With [`FtfOptions::bound`] (the
+//! default) a successor edge is cut when the faults so far plus an
+//! admissible lower bound exceed a feasible upper bound, so the search
+//! skips states that provably lie on no optimal path.
 //!
 //! Successor expansion within a bucket fans out over the [`mcp_exec`]
 //! pool. The result is deterministic and identical for every worker
@@ -22,10 +25,11 @@ use crate::checkpoint::{instance_fingerprint, FtfCheckpoint};
 use crate::intern::{Dedup, StateArena, StateId, NO_STATE};
 use crate::state::{
     for_each_successor_config_rx, greedy_completion_faults, pool_for, step_effect,
-    step_effect_into, with_scratch, DpError, DpInstance, DpStats, StateKey, StepScratch,
+    step_effect_into, successor_count, suffix_masks, with_scratch, DpError, DpInstance, DpStats,
+    StateKey, StepScratch,
 };
 use mcp_core::{Budget, PageId, SimConfig, Time, TripReason, Workload};
-use mcp_policies::ReplayDecision;
+use mcp_policies::{ReplayDecision, SharedFitf};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Options for the FTF dynamic program.
@@ -42,6 +46,13 @@ pub struct FtfOptions {
     /// Disable to measure the raw state space of Algorithm 1 as published
     /// (the Theorem 6 complexity ablation).
     pub prune: bool,
+    /// Cut every successor edge that provably lies on no optimal path:
+    /// faults so far plus an admissible lower bound on the faults still
+    /// to come exceed a feasible upper bound computed once per solve (see
+    /// DESIGN §9). The optimum and the reconstructed witness are the same
+    /// either way; only the explored state space shrinks. Disable to
+    /// measure Algorithm 1 as published.
+    pub bound: bool,
     /// Abort with [`DpError::TooLarge`] beyond this many states.
     pub max_states: usize,
     /// Worker threads for successor expansion (0 = the process-wide
@@ -63,6 +74,7 @@ impl Default for FtfOptions {
             lazy: true,
             reconstruct: false,
             prune: true,
+            bound: true,
             max_states: 4_000_000,
             jobs: 0,
             force_spill: false,
@@ -126,10 +138,105 @@ pub struct FtfTruncated {
     pub checkpoint: FtfCheckpoint,
 }
 
-/// Fingerprint option bits for FTF snapshots: the two options that shape
-/// the explored state space.
+/// Fingerprint option bits for FTF snapshots: the three options that
+/// shape the explored state space.
 fn ftf_option_bits(options: &FtfOptions) -> u64 {
-    u64::from(options.lazy) | (u64::from(options.prune) << 1)
+    u64::from(options.lazy) | (u64::from(options.prune) << 1) | (u64::from(options.bound) << 2)
+}
+
+/// The admissible lower bound of the FTF search and, when the bound is
+/// on, its upper bound.
+///
+/// A page enters a configuration only through a fault, and a step's
+/// faults are counted once per page, so every page that some core still
+/// requests from its position on and that is missing from the
+/// configuration costs at least one more fault: `LB(C, x) = |(∪ᵢ
+/// suffix[i][x_i]) \ C|`. This holds under the DP's own semantics, shared
+/// pages and the full transition relation included.
+struct FtfBound {
+    /// `suffix[i][j]`: the pages core `i` requests at index `j` or later.
+    suffix: Vec<Vec<u64>>,
+    /// A feasible total (so at least the optimum) when the bound is on:
+    /// the lazy greedy completion from the start and, on disjoint
+    /// workloads only, one S_FITF engine run — there every engine run is
+    /// a lazy DP path.
+    ub: Option<u64>,
+}
+
+impl FtfBound {
+    fn new(workload: &Workload, cfg: SimConfig, inst: &DpInstance, bound: bool) -> Self {
+        let ub = bound.then(|| {
+            let greedy = greedy_completion_faults(inst, &(0, inst.start_positions()));
+            let fitf = workload
+                .is_disjoint()
+                .then(|| mcp_core::simulate(workload, cfg, SharedFitf::new()).ok())
+                .flatten()
+                .map(|run| run.total_faults());
+            fitf.map_or(greedy, |f| f.min(greedy))
+        });
+        FtfBound {
+            suffix: suffix_masks(inst),
+            ub,
+        }
+    }
+
+    /// The pages some core still requests from `positions` on.
+    fn needed(&self, inst: &DpInstance, positions: &[u32]) -> u64 {
+        positions
+            .iter()
+            .zip(&self.suffix)
+            .fold(0, |acc, (&x, masks)| {
+                acc | masks[inst.page_index(u64::from(x))]
+            })
+    }
+
+    /// The lower bound on the faults still to come from `(config,
+    /// positions)`.
+    fn lower_bound(&self, inst: &DpInstance, config: u64, positions: &[u32]) -> u64 {
+        u64::from((self.needed(inst, positions) & !config).count_ones())
+    }
+
+    /// The cut for the successors of one step, which reach `next` with
+    /// `next_faults` faults from the configurations inside `base = C ∪
+    /// rx`. `None` when every successor is cut: the bound over `base`
+    /// itself, which no successor's exceeds, already overshoots.
+    fn edge_cut(
+        &self,
+        inst: &DpInstance,
+        next: &[u32],
+        next_faults: u64,
+        base: u64,
+    ) -> Option<EdgeCut> {
+        let Some(ub) = self.ub else {
+            return Some(EdgeCut::NONE);
+        };
+        let cut = EdgeCut {
+            needed: self.needed(inst, next),
+            slack: ub.checked_sub(next_faults)?,
+        };
+        (!cut.cuts(base)).then_some(cut)
+    }
+}
+
+/// One step's cut: an edge into configuration `C'` lies on no optimal
+/// path when `|needed \ C'|` exceeds the faults the upper bound leaves.
+/// The comparison is strict, so every optimal path survives.
+#[derive(Clone, Copy)]
+struct EdgeCut {
+    needed: u64,
+    slack: u64,
+}
+
+impl EdgeCut {
+    /// The cut of a run without the bound: nothing.
+    const NONE: EdgeCut = EdgeCut {
+        needed: 0,
+        slack: u64::MAX,
+    };
+
+    fn cuts(&self, config: u64) -> bool {
+        u64::from((self.needed & !config).count_ones()) > self.slack
+    }
 }
 
 /// Exact minimum total faults (Algorithm 1). See [`FtfOptions`].
@@ -223,6 +330,7 @@ pub fn ftf_dp_governed_with_stats(
     let p = inst.num_cores();
     let end_sum: u64 = (0..p).map(|i| inst.end_pos(i)).sum();
     let max_pos = (0..p).map(|i| inst.end_pos(i)).max().unwrap_or(1);
+    let bound = FtfBound::new(workload, cfg, &inst, options.bound);
 
     // The interned state engine: every state lives once in the arena and
     // is referenced by StateId everywhere else — the per-state tables
@@ -296,6 +404,7 @@ pub fn ftf_dp_governed_with_stats(
             if let Err(reason) = budget.check(arena.len(), mem) {
                 let t = truncate_ftf(
                     &inst,
+                    &bound,
                     fingerprint,
                     reason,
                     &arena,
@@ -356,10 +465,18 @@ pub fn ftf_dp_governed_with_stats(
                     if options.prune && incumbent.map(|i| next_faults >= i).unwrap_or(false) {
                         continue;
                     }
+                    let Some(cut) = bound.edge_cut(&inst, next, next_faults, cfg_bits | rx) else {
+                        stats.bound_pruned += successor_count(&inst, cfg_bits, rx, options.lazy);
+                        continue;
+                    };
                     let next_sum: usize = next.iter().map(|&x| x as usize).sum();
                     let pp = arena.pack(next);
                     let table = &mut ring[next_sum % ring_size];
                     for_each_successor_config_rx(&inst, cfg_bits, rx, options.lazy, |next_cfg| {
+                        if cut.cuts(next_cfg) {
+                            stats.bound_pruned += 1;
+                            return;
+                        }
                         let (nid, is_new) = table.intern(&mut arena, next_cfg, &pp);
                         if is_new {
                             faults.push(next_faults);
@@ -386,20 +503,28 @@ pub fn ftf_dp_governed_with_stats(
                 // Prune paths that cannot strictly beat the incumbent
                 // terminal (fault counts only grow along a path).
                 if options.prune && incumbent.map(|i| next_faults >= i).unwrap_or(false) {
-                    return None;
+                    return (0, None);
                 }
+                let Some(cut) = bound.edge_cut(&inst, next, next_faults, cfg_bits | rx) else {
+                    return (successor_count(&inst, cfg_bits, rx, options.lazy), None);
+                };
                 let next_sum: usize = next.iter().map(|&x| x as usize).sum();
                 let pp = arena.pack(next);
-                let mut cfgs = Vec::new();
+                let (mut cfgs, mut cut_edges) = (Vec::new(), 0);
                 for_each_successor_config_rx(&inst, cfg_bits, rx, options.lazy, |next_cfg| {
-                    cfgs.push(next_cfg)
+                    if cut.cuts(next_cfg) {
+                        cut_edges += 1;
+                    } else {
+                        cfgs.push(next_cfg);
+                    }
                 });
-                Some((next_faults, next_sum, pp, cfgs))
+                (cut_edges, Some((next_faults, next_sum, pp, cfgs)))
             })
         });
 
         // Merge sequentially, in the same canonical order.
-        for (&id, expansion) in ids.iter().zip(expansions) {
+        for (&id, (cut_edges, expansion)) in ids.iter().zip(expansions) {
+            stats.bound_pruned += cut_edges;
             let Some((next_faults, next_sum, pp, cfgs)) = expansion else {
                 continue;
             };
@@ -419,6 +544,8 @@ pub fn ftf_dp_governed_with_stats(
         }
     }
 
+    // With the bound on, a missing terminal means the upper bound was
+    // below the optimum: every optimal path was cut.
     let (min_faults, terminal) = best_terminal.expect("every instance reaches a terminal state");
     let schedule = if options.reconstruct {
         Some(reconstruct(&inst, &arena, &parent, terminal))
@@ -524,6 +651,7 @@ fn finish_stats(stats: &mut DpStats, arena: &StateArena, ring: &[Dedup]) {
 #[allow(clippy::too_many_arguments)] // internal: the engine's flat tables
 fn truncate_ftf(
     inst: &DpInstance,
+    bound: &FtfBound,
     fingerprint: u64,
     reason: TripReason,
     arena: &StateArena,
@@ -556,18 +684,26 @@ fn truncate_ftf(
     }
     let greedy_ub = seed.map(|(g, id)| g + greedy_completion_faults(inst, &arena.key(id)));
     let terminal_ub = best_terminal.as_ref().map(|(f, _)| *f);
-    let incumbent = match (greedy_ub, terminal_ub) {
-        (Some(a), Some(b)) => a.min(b),
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        // The loop only trips while the frontier is non-empty, so at
-        // least one bound always exists.
-        (None, None) => unreachable!("truncated with empty frontier and no terminal"),
-    };
-    // Every completion extends either a frontier state (cost ≥ its
-    // faults-so-far) or was already pruned against the incumbent, so OPT
-    // is at least the cheapest of those.
-    let frontier_min = seed.map(|(g, _)| g).unwrap_or(u64::MAX);
+    // The loop only trips while the frontier is non-empty, so at least one
+    // bound always exists.
+    let incumbent = [bound.ub, greedy_ub, terminal_ub]
+        .into_iter()
+        .flatten()
+        .min()
+        .expect("truncated with empty frontier and no terminal");
+    // Every optimal path either passes a frontier state — costing at
+    // least its faults so far plus the admissible lower bound from it —
+    // or was cut against a bound no smaller than the optimum, so OPT is
+    // at least the cheapest of those, capped by the incumbent.
+    let mut pos = Vec::new();
+    let frontier_min = frontier_ids
+        .iter()
+        .map(|&id| {
+            arena.positions_into(id, &mut pos);
+            faults[id as usize] + bound.lower_bound(inst, arena.cfg(id), &pos)
+        })
+        .min()
+        .unwrap_or(u64::MAX);
     let lower_bound = frontier_min.min(incumbent);
 
     let mut all_ids: Vec<StateId> = (0..arena.len() as StateId).collect();

@@ -127,6 +127,28 @@ pub(crate) fn advance_rows(
     }
 }
 
+/// Append to `kept_rows`/`kept_tags` each row of `rows` (with its tag)
+/// that stays within `bound` in every lane; returns how many were
+/// dropped. Order is preserved, so a Pareto set filtered this way is
+/// still an antichain in its stored order.
+pub(crate) fn filter_rows<T: Copy>(
+    rows: &[u64],
+    tags: &[T],
+    bound: &[u64],
+    kept_rows: &mut Vec<u64>,
+    kept_tags: &mut Vec<T>,
+) -> usize {
+    let w = bound.len();
+    let before = kept_tags.len();
+    for (u, &tag) in rows.chunks_exact(w).zip(tags) {
+        if dominates(u, bound) {
+            kept_rows.extend_from_slice(u);
+            kept_tags.push(tag);
+        }
+    }
+    tags.len() - (kept_tags.len() - before)
+}
+
 /// Whether the `n` rows of `rows` are pairwise incomparable (and so
 /// distinct).
 fn is_antichain(rows: &[u64], n: usize) -> bool {
@@ -274,6 +296,16 @@ mod tests {
         });
         assert_eq!(out, [row(&[1, 2]), row(&[2, 1])].concat());
         assert_eq!(kept, [0, 1]);
+    }
+
+    #[test]
+    fn filter_keeps_rows_within_the_bound_in_order() {
+        let rows = [row(&[0, 2]), row(&[1, 1]), row(&[2, 0])].concat();
+        let (mut kept, mut tags) = (Vec::new(), Vec::new());
+        let dropped = filter_rows(&rows, &[7, 8, 9], &row(&[1, 2]), &mut kept, &mut tags);
+        assert_eq!(dropped, 1);
+        assert_eq!(kept, [row(&[0, 2]), row(&[1, 1])].concat());
+        assert_eq!(tags, [7, 8]);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! parallel timestep, so layer `s` holds every cache-configuration /
 //! position state reachable at time `s`, each carrying a Pareto set of
 //! per-sequence fault vectors. Vectors exceeding the bounds are pruned
-//! immediately (fault counts are monotone, so early pruning is sound).
+//! immediately (fault counts are monotone, so early pruning is sound),
+//! and with [`PifOptions::bound`] so are vectors that the faults each
+//! core must still issue by the checkpoint would push past its bound.
 //!
 //! States within a layer never feed each other (one transition is one
 //! timestep), so each layer expands in parallel on the [`mcp_exec`] pool;
@@ -20,10 +22,14 @@
 use crate::checkpoint::{instance_fingerprint, PifCheckpoint};
 use crate::ftf_dp::{schedule_from_chain, FtfSchedule};
 use crate::intern::{Dedup, StateArena, StateId, NO_STATE};
-use crate::pareto::{advance_rows, pack_flags, pack_row, row_words, unpack_row, RowSets, MAX_LANE};
+use crate::pareto::{
+    advance_rows, filter_rows, pack_flags, pack_row, row_words, unpack_row, RowSets, LANES,
+    MAX_LANE,
+};
 use crate::state::{
     for_each_successor_config, for_each_successor_config_rx, pool_for, step_effect,
-    step_effect_into, with_scratch, DpError, DpInstance, DpStats, StateKey, StepScratch,
+    step_effect_into, with_scratch, DpError, DpInstance, DpStats, RangeUnion, StateKey,
+    StepScratch,
 };
 use mcp_core::{Budget, SimConfig, Time, TripReason, Workload};
 
@@ -42,6 +48,12 @@ pub struct PifOptions {
     /// Worker threads for layer expansion (0 = the process-wide setting,
     /// see [`mcp_exec::resolved_jobs`]). Any value yields the same result.
     pub jobs: usize,
+    /// Drop every fault row that provably cannot meet its bounds: the
+    /// faults a core has plus the private-page faults it must still
+    /// issue by the checkpoint exceed `min(b_i, n_i)` (see DESIGN §9).
+    /// The decision and the witness are the same either way; only the
+    /// explored rows and states shrink.
+    pub bound: bool,
     /// Force the state arena onto its spilled (unpacked) representation
     /// even when the instance fits the inline `u128` packing. Testing
     /// hook: both representations are observationally identical, and the
@@ -57,6 +69,7 @@ impl Default for PifOptions {
             full_transitions: true,
             max_expansions: 20_000_000,
             jobs: 0,
+            bound: true,
             force_spill: false,
         }
     }
@@ -80,6 +93,129 @@ fn lane_bounds(inst: &DpInstance, bounds_u16: &[u16]) -> Result<Vec<u16>, DpErro
             ))),
         })
         .collect()
+}
+
+/// The per-core lower bound of the PIF search.
+///
+/// After serving step `t`, `r = checkpoint − t` steps remain. Each moves
+/// a position forward by at least one and passes every boundary, so the
+/// request at boundary `b ≥ x'_i` issues by step `t + (b − x'_i) + 1`:
+/// by the checkpoint when `b + 1 ≤ x'_i + r`. A page no other core
+/// requests enters the cache only through a fault of core `i`, so each
+/// such *private* page requested in that window and missing from `C'`
+/// is one more fault counted against core `i` by the checkpoint. A
+/// shared page may be fetched by another core instead, so it is charged
+/// to no one.
+struct PifBound {
+    /// [`PifOptions::bound`]: when off, nothing is ever forced.
+    on: bool,
+    /// Per core, unions over ranges of its requests.
+    ranges: Vec<RangeUnion>,
+    /// Per core, the pages no other core requests.
+    private: Vec<u64>,
+    /// The per-core bounds `min(b_i, n_i)`.
+    lanes: Vec<u16>,
+}
+
+/// Scratch for [`PifBound::admit`]: the tightened bound row and the rows
+/// (with their tags) it admits.
+#[derive(Default)]
+struct Admitted<T> {
+    bound: Vec<u64>,
+    rows: Vec<u64>,
+    tags: Vec<T>,
+}
+
+impl PifBound {
+    fn new(inst: &DpInstance, lanes: &[u16], on: bool) -> Self {
+        let masks: Vec<u64> = inst
+            .seqs
+            .iter()
+            .map(|seq| seq.iter().fold(0, |m, &pg| m | (1u64 << pg)))
+            .collect();
+        let private = (0..masks.len())
+            .map(|i| {
+                let others = (0..masks.len())
+                    .filter(|&j| j != i)
+                    .fold(0, |m, j| m | masks[j]);
+                masks[i] & !others
+            })
+            .collect();
+        PifBound {
+            on,
+            ranges: inst.seqs.iter().map(|seq| RangeUnion::new(seq)).collect(),
+            private,
+            lanes: lanes.to_vec(),
+        }
+    }
+
+    /// Per core, the private pages it must request by the checkpoint from
+    /// positions `next` with `r` steps left, into `out` — left empty when
+    /// no core has one (or the bound is off).
+    fn forced(&self, inst: &DpInstance, next: &[u32], r: u64, out: &mut Vec<u64>) {
+        out.clear();
+        if !self.on {
+            return;
+        }
+        let period = inst.period();
+        for (i, &x) in next.iter().enumerate() {
+            let (x, n) = (u64::from(x), inst.seqs[i].len() as u64);
+            // Request j sits at boundary j·period + 1; the window is
+            // x ≤ j·period + 1 ≤ x + r − 1.
+            let lo = (x - 1).div_ceil(period);
+            let mask = if r == 0 || lo >= n {
+                0
+            } else {
+                // Saturating: a horizon may be any `Time`, far past the
+                // last request.
+                let hi = ((x.saturating_add(r) - 2) / period).min(n - 1);
+                self.ranges[i].union(lo as usize, hi as usize) & self.private[i]
+            };
+            out.push(mask);
+        }
+        if out.iter().all(|&m| m == 0) {
+            out.clear();
+        }
+    }
+
+    /// The rows of `rows` (tagged `tags`) that successor configuration
+    /// `cfg` admits, given the step's [`forced`](Self::forced) pages, and
+    /// how many it drops: row `v` is dropped when `v_i + LB_i > lane_i`
+    /// for some core, `LB_i = |forced_i \ cfg|` (all rows pass when
+    /// nothing is forced). The dropped set is upward closed, so the
+    /// admitted rows keep their order and stay an antichain.
+    fn admit<'a, T: Copy>(
+        &self,
+        forced: &[u64],
+        cfg: u64,
+        rows: &'a [u64],
+        tags: &'a [T],
+        out: &'a mut Admitted<T>,
+    ) -> (&'a [u64], &'a [T], usize) {
+        let Admitted {
+            bound,
+            rows: kept,
+            tags: kept_tags,
+        } = out;
+        bound.clear();
+        bound.resize(row_words(forced.len()), 0);
+        let mut tightened = false;
+        for (i, (&mask, &lane)) in forced.iter().zip(&self.lanes).enumerate() {
+            let lb = (mask & !cfg).count_ones() as u16;
+            if lb > lane {
+                return (&[], &[], tags.len());
+            }
+            tightened |= lb > 0;
+            bound[i / LANES] |= u64::from(lane - lb) << (16 * (i % LANES));
+        }
+        if !tightened {
+            return (rows, tags, 0);
+        }
+        kept.clear();
+        kept_tags.clear();
+        let dropped = filter_rows(rows, tags, bound, kept, kept_tags);
+        (kept, kept_tags, dropped)
+    }
 }
 
 /// Decide PARTIAL-INDIVIDUAL-FAULTS: can `workload` be served with cache
@@ -161,9 +297,10 @@ pub struct PifTruncated {
 
 /// Fingerprint option bits for PIF snapshots: everything beyond the
 /// instance that shapes the layer sequence — transition relation,
-/// horizon, and the fault bounds themselves (they prune vectors).
+/// horizon, the lower bound's switch, and the fault bounds themselves
+/// (they prune vectors).
 fn pif_option_bits(options: &PifOptions, checkpoint: Time, bounds_u16: &[u16]) -> u64 {
-    let mut h: u64 = 2 | u64::from(options.full_transitions);
+    let mut h: u64 = 2 | u64::from(options.full_transitions) | (u64::from(options.bound) << 2);
     h = h.wrapping_mul(0x100_0000_01b3) ^ checkpoint;
     for &b in bounds_u16 {
         h = h.wrapping_mul(0x100_0000_01b3) ^ u64::from(b);
@@ -267,6 +404,8 @@ pub fn pif_decide_governed_with_stats(
     let mut advanced: Vec<u64> = Vec::new();
     // One (zero-sized) tag per advanced row.
     let mut units: Vec<()> = Vec::new();
+    let bound = PifBound::new(&inst, &lanes, options.bound);
+    let (mut forced, mut admitted) = (Vec::new(), Admitted::default());
 
     let mut expansions = 0usize;
     let mut t_done: Time = 0;
@@ -367,6 +506,7 @@ pub fn pif_decide_governed_with_stats(
         next_arena.clear();
         next_sets.clear();
         dedup.clear();
+        let remaining = checkpoint - t;
         // One layer is one timestep: states within it never feed each
         // other, so the expansion fans out over the pool. Workers read
         // the arena immutably and ship back packed keys; only the
@@ -396,6 +536,7 @@ pub fn pif_decide_governed_with_stats(
                         continue;
                     }
                     units.resize(advanced.len() / w, ());
+                    bound.forced(&inst, next, remaining, &mut forced);
                     let pp = arena.pack(next);
                     for_each_successor_config_rx(
                         &inst,
@@ -403,9 +544,15 @@ pub fn pif_decide_governed_with_stats(
                         rx,
                         !options.full_transitions,
                         |next_cfg| {
+                            let (rows, tags, dropped) =
+                                bound.admit(&forced, next_cfg, &advanced, &units, &mut admitted);
+                            stats.bound_pruned += dropped;
+                            if tags.is_empty() {
+                                return;
+                            }
                             let (nid, is_new) = dedup.intern(&mut next_arena, next_cfg, &pp);
-                            merge_rows(&mut next_sets, nid, is_new, &advanced, &units);
-                            expansions += units.len();
+                            merge_rows(&mut next_sets, nid, is_new, rows, tags);
+                            expansions += tags.len();
                         },
                     );
                 }
@@ -431,6 +578,8 @@ pub fn pif_decide_governed_with_stats(
                     if advanced.is_empty() {
                         return None;
                     }
+                    let mut forced = Vec::new();
+                    bound.forced(&inst, next, remaining, &mut forced);
                     let pp = arena.pack(next);
                     let mut cfgs = Vec::new();
                     for_each_successor_config_rx(
@@ -440,18 +589,24 @@ pub fn pif_decide_governed_with_stats(
                         !options.full_transitions,
                         |next_cfg| cfgs.push(next_cfg),
                     );
-                    Some((advanced, pp, cfgs))
+                    Some((advanced, forced, pp, cfgs))
                 })
             });
             // Merge sequentially, in the same canonical order: the
             // insertion sequence into each Pareto set — and hence its
             // stored order — is identical for every worker count.
-            for (advanced, pp, cfgs) in expanded.into_iter().flatten() {
+            for (advanced, forced, pp, cfgs) in expanded.into_iter().flatten() {
                 units.resize(advanced.len() / w, ());
                 for next_cfg in cfgs {
+                    let (rows, tags, dropped) =
+                        bound.admit(&forced, next_cfg, &advanced, &units, &mut admitted);
+                    stats.bound_pruned += dropped;
+                    if tags.is_empty() {
+                        continue;
+                    }
                     let (nid, is_new) = dedup.intern(&mut next_arena, next_cfg, &pp);
-                    merge_rows(&mut next_sets, nid, is_new, &advanced, &units);
-                    expansions += units.len();
+                    merge_rows(&mut next_sets, nid, is_new, rows, tags);
+                    expansions += tags.len();
                 }
             }
         }
@@ -546,7 +701,10 @@ pub fn pif_witness(
     let mut expansions = 0usize;
     let mut terminal: Option<(usize, StateId)> = None; // (layer, state)
     let mut ids: Vec<StateId> = Vec::new();
+    let bound = PifBound::new(&inst, &lanes, options.bound);
+    let mut admitted = Admitted::default();
     'outer: for t in 1..=checkpoint {
+        let remaining = checkpoint - t;
         let (current, base) = (&layers[t as usize - 1], bases[t as usize - 1]);
         ids.clear();
         ids.extend(base..base + current.len() as StateId);
@@ -573,6 +731,8 @@ pub fn pif_witness(
                 if sources.is_empty() {
                     return None;
                 }
+                let mut forced = Vec::new();
+                bound.forced(&inst, next, remaining, &mut forced);
                 let pp = arena.pack(next);
                 let mut cfgs = Vec::new();
                 for_each_successor_config_rx(
@@ -582,17 +742,22 @@ pub fn pif_witness(
                     !options.full_transitions,
                     |next_cfg| cfgs.push(next_cfg),
                 );
-                Some((advanced, sources, pp, cfgs))
+                Some((advanced, sources, forced, pp, cfgs))
             })
         });
         let mut next: RowSets<Provenance> = RowSets::new();
         let next_base = arena.len() as StateId;
         dedup.clear();
-        for (advanced, sources, pp, cfgs) in expanded.into_iter().flatten() {
+        for (advanced, sources, forced, pp, cfgs) in expanded.into_iter().flatten() {
             for next_cfg in cfgs {
+                let (rows, tags, _) =
+                    bound.admit(&forced, next_cfg, &advanced, &sources, &mut admitted);
+                if tags.is_empty() {
+                    continue;
+                }
                 let (nid, is_new) = dedup.intern(&mut arena, next_cfg, &pp);
-                merge_rows(&mut next, nid - next_base, is_new, &advanced, &sources);
-                expansions += sources.len();
+                merge_rows(&mut next, nid - next_base, is_new, rows, tags);
+                expansions += tags.len();
             }
             if expansions > options.max_expansions {
                 return Err(DpError::TooLarge {
@@ -852,6 +1017,23 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn horizons_past_completion_decide_alike_up_to_the_largest() {
+        // Every schedule has finished long before t = 100, so any later
+        // horizon, `Time::MAX` included, asks the same question.
+        let w = wl(&[&[1, 2, 3, 1, 2], &[7, 8, 7, 8, 7]]);
+        let cfg = SimConfig::new(3, 1);
+        for b in [[2u64, 2], [3, 3], [5, 5]] {
+            let at_100 = pif_decide(&w, cfg, 100, &b, PifOptions::default()).unwrap();
+            for t in [1_000, Time::MAX - 1, Time::MAX] {
+                let got = pif_decide(&w, cfg, t, &b, PifOptions::default()).unwrap();
+                assert_eq!(got, at_100, "t={t} b={b:?}");
+                let witness = pif_witness(&w, cfg, t, &b, PifOptions::default()).unwrap();
+                assert_eq!(witness.is_some(), at_100, "witness t={t} b={b:?}");
             }
         }
     }

@@ -65,6 +65,9 @@ pub struct DpStats {
     /// it). FTF: the highest load any bucket table reached; PIF: the
     /// table of the largest layer.
     pub dedup_load_factor: f64,
+    /// Work the admissible lower bound cut (FTF: successor edges; PIF:
+    /// advanced fault rows). Zero with the bound off.
+    pub bound_pruned: usize,
 }
 
 /// Errors from DP construction or execution.
@@ -356,6 +359,75 @@ pub(crate) fn for_each_successor_config_rx(
     }
 }
 
+/// The number of successor configurations
+/// [`for_each_successor_config_rx`] visits for `(config, rx)`, without
+/// enumerating them: the eviction sets of each admissible size, counted
+/// as binomials over the evictable pages.
+pub(crate) fn successor_count(inst: &DpInstance, config: u64, rx: u64, lazy: bool) -> usize {
+    let base = config | rx;
+    let free = (base & !rx).count_ones() as usize;
+    let min_evict = (base.count_ones() as usize).saturating_sub(inst.k);
+    let max_evict = if lazy { min_evict } else { free };
+    (min_evict..=max_evict).fold(0, |acc, e| acc.saturating_add(binomial(free, e)))
+}
+
+/// `n choose k` for `n ≤ 64` (exact in `u128`, saturated to `usize`).
+fn binomial(n: usize, k: usize) -> usize {
+    let c = (0..k as u128).fold(1u128, |acc, i| acc * (n as u128 - i) / (i + 1));
+    usize::try_from(c).unwrap_or(usize::MAX)
+}
+
+/// Per core, the pages it requests from each request index on:
+/// `suffix[i][j]` is the union of `seqs[i][j..]`, and `suffix[i][n_i]`
+/// (the end position's index) is empty. The FTF lower bound reads it at
+/// every successor position.
+pub(crate) fn suffix_masks(inst: &DpInstance) -> Vec<Vec<u64>> {
+    inst.seqs
+        .iter()
+        .map(|seq| {
+            let mut masks = vec![0u64; seq.len() + 1];
+            for j in (0..seq.len()).rev() {
+                masks[j] = masks[j + 1] | (1u64 << seq[j]);
+            }
+            masks
+        })
+        .collect()
+}
+
+/// Range unions over one core's requests (a sparse table): `levels[k][j]`
+/// is the union of the `2^k` pages from request index `j` on, so any
+/// index range is the union of two overlapping power-of-two spans.
+#[derive(Clone, Debug)]
+pub(crate) struct RangeUnion {
+    levels: Vec<Vec<u64>>,
+}
+
+impl RangeUnion {
+    pub(crate) fn new(seq: &[u16]) -> Self {
+        let mut levels = vec![seq.iter().map(|&pg| 1u64 << pg).collect::<Vec<u64>>()];
+        let mut span = 1;
+        while 2 * span <= seq.len() {
+            let prev = levels.last().expect("level 0 exists");
+            let next = (0..=seq.len() - 2 * span)
+                .map(|j| prev[j] | prev[j + span])
+                .collect();
+            levels.push(next);
+            span *= 2;
+        }
+        RangeUnion { levels }
+    }
+
+    /// The union of the pages at request indices `lo ..= hi` (empty when
+    /// `lo > hi`; `hi` must be a valid index otherwise).
+    pub(crate) fn union(&self, lo: usize, hi: usize) -> u64 {
+        if lo > hi {
+            return 0;
+        }
+        let k = (hi - lo + 1).ilog2() as usize;
+        self.levels[k][lo] | self.levels[k][hi + 1 - (1 << k)]
+    }
+}
+
 /// Serve `state` to completion taking the *first* lazy successor at
 /// every step, returning the number of additional faults incurred. This
 /// is a cheap achievable completion — governed DP runs use it to turn a
@@ -488,6 +560,46 @@ mod tests {
         for_each_successor_config(&inst, 0b011, &effect, false, |c| all.push(c));
         all.sort_unstable();
         assert_eq!(all, vec![0b100, 0b101, 0b110, 0b111]);
+    }
+
+    #[test]
+    fn successor_count_matches_the_enumeration() {
+        let w = wl(&[&[1, 2, 3, 4, 5, 6]]);
+        for k in 1..=4usize {
+            let inst = DpInstance::build(&w, &SimConfig::new(k, 0)).unwrap();
+            for config in 0..64u64 {
+                if config.count_ones() as usize > k {
+                    continue;
+                }
+                for rx in [0b1u64, 0b100000, 0b100001] {
+                    if rx.count_ones() as usize > k {
+                        continue;
+                    }
+                    for lazy in [true, false] {
+                        let mut n = 0;
+                        for_each_successor_config_rx(&inst, config, rx, lazy, |_| n += 1);
+                        assert_eq!(successor_count(&inst, config, rx, lazy), n);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn suffix_and_range_unions_match_a_scan() {
+        let w = wl(&[&[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5]]);
+        let inst = DpInstance::build(&w, &SimConfig::new(2, 1)).unwrap();
+        let seq = &inst.seqs[0];
+        let scan = |range: &[u16]| range.iter().fold(0u64, |m, &pg| m | (1u64 << pg));
+        let suffix = &suffix_masks(&inst)[0];
+        let ranges = RangeUnion::new(seq);
+        for lo in 0..=seq.len() {
+            assert_eq!(suffix[lo], scan(&seq[lo..]));
+            for hi in lo..seq.len() {
+                assert_eq!(ranges.union(lo, hi), scan(&seq[lo..=hi]), "[{lo}, {hi}]");
+            }
+        }
+        assert_eq!(ranges.union(3, 2), 0);
     }
 
     #[test]

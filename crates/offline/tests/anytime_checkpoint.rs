@@ -293,7 +293,8 @@ fn resume_with_several_pending_buckets_is_bit_identical() {
     let w = three_core();
     let cfg = SimConfig::new(5, 2);
     let full = full_run(&w, cfg);
-    let (cap, later_cap) = (400, 4000);
+    // The bounded solve discovers 2,814 states; both caps trip before.
+    let (cap, later_cap) = (400, 2000);
     let t = truncate_at(&w, cfg, cap, 1);
     let pending: std::collections::BTreeSet<u64> = t
         .checkpoint

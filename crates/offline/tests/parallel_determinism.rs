@@ -182,45 +182,80 @@ const PIF_WITNESS_FP: u64 = 0x839e35b1621a5c60;
 const FTF_CKPT_FP: u64 = 0xc7da23591bda9bf1;
 const PIF_CKPT_FP: u64 = 0xd283ef6e9e98eed4;
 
-#[test]
-fn ftf_results_match_recorded_fingerprints() {
+/// `FTF_RESULT_FPS`' sweep with the lower bound on (the default): the
+/// same minima over fewer states.
+const FTF_BOUNDED_RESULT_FPS: [u64; 12] = [
+    0xef8b7345d02845b0,
+    0xef8b7345d02845b0,
+    0xf10c521877c6eca4,
+    0xf10c521877c6eca4,
+    0xd1328977a87fcc9e,
+    0xd1328977a87fcc9e,
+    0x4556cde2d4195c50,
+    0x4556cde2d4195c50,
+    0xf63aab8967aac82e,
+    0xf63aab8967aac82e,
+    0x4548dce2d40d3871,
+    0x4548dce2d40d3871,
+];
+const FTF_BOUNDED_CKPT_FP: u64 = 0x19b58a7d9758b651;
+const PIF_BOUNDED_CKPT_FP: u64 = 0xe41fbd8ac255ca9f;
+
+/// The FTF result fingerprints of `FTF_RESULT_FPS`' sweep at one setting
+/// of the lower bound.
+fn ftf_result_fps(bound: bool, jobs: usize) -> Vec<u64> {
     let workloads = [
         contended(24),
         wl(&[&[1, 2, 3, 1, 2], &[7, 8, 7, 8, 7]]),
         wl(&[&[1, 2, 1, 2, 1, 2], &[7, 8, 7, 8, 7, 8]]),
     ];
-    for jobs in [1usize, 2, 4] {
-        let mut fps = Vec::new();
-        for w in &workloads {
-            for k in [2usize, 3] {
-                for prune in [true, false] {
-                    let r = ftf_dp(
-                        w,
-                        SimConfig::new(k, 1),
-                        FtfOptions {
-                            prune,
-                            jobs,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                    fps.push(fnv(format!("{}|{}", r.min_faults, r.states).as_bytes()));
-                }
+    let mut fps = Vec::new();
+    for w in &workloads {
+        for k in [2usize, 3] {
+            for prune in [true, false] {
+                let r = ftf_dp(
+                    w,
+                    SimConfig::new(k, 1),
+                    FtfOptions {
+                        prune,
+                        bound,
+                        jobs,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+                fps.push(fnv(format!("{}|{}", r.min_faults, r.states).as_bytes()));
             }
         }
-        assert_eq!(fps, FTF_RESULT_FPS, "jobs={jobs}");
+    }
+    fps
+}
+
+#[test]
+fn ftf_results_match_recorded_fingerprints() {
+    for jobs in [1usize, 2, 4] {
+        assert_eq!(ftf_result_fps(false, jobs), FTF_RESULT_FPS, "jobs={jobs}");
+        assert_eq!(
+            ftf_result_fps(true, jobs),
+            FTF_BOUNDED_RESULT_FPS,
+            "bounded, jobs={jobs}"
+        );
     }
 }
 
 #[test]
 fn ftf_witness_matches_recorded_fingerprint() {
     let w = contended(16);
-    for jobs in [1usize, 2, 4] {
+    for (jobs, bound) in [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|j| [(j, false), (j, true)])
+    {
         let r = ftf_dp(
             &w,
             SimConfig::new(3, 1),
             FtfOptions {
                 reconstruct: true,
+                bound,
                 jobs,
                 ..Default::default()
             },
@@ -230,7 +265,7 @@ fn ftf_witness_matches_recorded_fingerprint() {
         let mut d: Vec<_> = s.decisions.into_iter().collect();
         d.sort_unstable_by_key(|(k, _)| *k);
         let fp = fnv(format!("{}|{:?}|{:?}", r.min_faults, d, s.voluntary).as_bytes());
-        assert_eq!(fp, FTF_WITNESS_FP, "jobs={jobs}");
+        assert_eq!(fp, FTF_WITNESS_FP, "jobs={jobs} bound={bound}");
     }
 }
 
@@ -238,7 +273,10 @@ fn ftf_witness_matches_recorded_fingerprint() {
 fn pif_decisions_match_recorded_fingerprints() {
     let w = contended(18);
     let cfg = SimConfig::new(2, 1);
-    for jobs in [1usize, 2, 4] {
+    for (jobs, bound) in [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|j| [(j, false), (j, true)])
+    {
         let mut bits = String::new();
         for bounds in [[20u64, 20], [9, 9], [2, 2], [0, 0]] {
             for full in [true, false] {
@@ -249,6 +287,7 @@ fn pif_decisions_match_recorded_fingerprints() {
                     &bounds,
                     PifOptions {
                         full_transitions: full,
+                        bound,
                         jobs,
                         ..Default::default()
                     },
@@ -257,20 +296,24 @@ fn pif_decisions_match_recorded_fingerprints() {
                 bits.push(if ans { '1' } else { '0' });
             }
         }
-        assert_eq!(bits, PIF_DECISION_BITS, "jobs={jobs}");
+        assert_eq!(bits, PIF_DECISION_BITS, "jobs={jobs} bound={bound}");
     }
 }
 
 #[test]
 fn pif_witness_matches_recorded_fingerprint() {
     let w = contended(12);
-    for jobs in [1usize, 2, 4] {
+    for (jobs, bound) in [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|j| [(j, false), (j, true)])
+    {
         let s = pif_witness(
             &w,
             SimConfig::new(2, 1),
             30,
             &[12, 12],
             PifOptions {
+                bound,
                 jobs,
                 ..Default::default()
             },
@@ -280,7 +323,7 @@ fn pif_witness_matches_recorded_fingerprint() {
         let mut d: Vec<_> = s.decisions.into_iter().collect();
         d.sort_unstable_by_key(|(k, _)| *k);
         let fp = fnv(format!("{:?}|{:?}", d, s.voluntary).as_bytes());
-        assert_eq!(fp, PIF_WITNESS_FP, "jobs={jobs}");
+        assert_eq!(fp, PIF_WITNESS_FP, "jobs={jobs} bound={bound}");
     }
 }
 
@@ -289,16 +332,25 @@ fn ftf_checkpoint_bytes_match_recorded_fingerprint() {
     let w = contended4(12);
     let budget = Budget::unlimited().with_max_states(10);
     for jobs in [1usize, 2, 4] {
-        let opts = FtfOptions {
-            reconstruct: true,
-            jobs,
-            ..Default::default()
-        };
-        match ftf_dp_governed(&w, SimConfig::new(3, 1), opts, &budget, None).unwrap() {
-            FtfOutcome::Truncated(t) => {
-                assert_eq!(fnv(&t.checkpoint.to_bytes()), FTF_CKPT_FP, "jobs={jobs}");
+        for (bound, pin) in [(false, FTF_CKPT_FP), (true, FTF_BOUNDED_CKPT_FP)] {
+            let opts = FtfOptions {
+                reconstruct: true,
+                bound,
+                jobs,
+                ..Default::default()
+            };
+            match ftf_dp_governed(&w, SimConfig::new(3, 1), opts, &budget, None).unwrap() {
+                FtfOutcome::Truncated(t) => {
+                    assert_eq!(
+                        fnv(&t.checkpoint.to_bytes()),
+                        pin,
+                        "bound={bound} jobs={jobs}"
+                    );
+                }
+                FtfOutcome::Complete(_) => {
+                    panic!("cap 10 must truncate (bound={bound} jobs={jobs})")
+                }
             }
-            FtfOutcome::Complete(_) => panic!("cap 10 must truncate (jobs={jobs})"),
         }
     }
 }
@@ -308,18 +360,27 @@ fn pif_checkpoint_bytes_match_recorded_fingerprint() {
     let w = contended4(12);
     let budget = Budget::unlimited().with_max_states(40);
     for jobs in [1usize, 2, 4] {
-        let opts = PifOptions {
-            jobs,
-            ..Default::default()
-        };
-        match pif_decide_governed(&w, SimConfig::new(3, 1), 16, &[8, 8], opts, &budget, None)
-            .unwrap()
-        {
-            PifOutcome::Truncated(t) => {
-                assert_eq!(t.t_done, 7, "jobs={jobs}");
-                assert_eq!(fnv(&t.checkpoint.to_bytes()), PIF_CKPT_FP, "jobs={jobs}");
+        for (bound, pin) in [(false, PIF_CKPT_FP), (true, PIF_BOUNDED_CKPT_FP)] {
+            let opts = PifOptions {
+                bound,
+                jobs,
+                ..Default::default()
+            };
+            match pif_decide_governed(&w, SimConfig::new(3, 1), 16, &[8, 8], opts, &budget, None)
+                .unwrap()
+            {
+                PifOutcome::Truncated(t) => {
+                    assert_eq!(t.t_done, 7, "bound={bound} jobs={jobs}");
+                    assert_eq!(
+                        fnv(&t.checkpoint.to_bytes()),
+                        pin,
+                        "bound={bound} jobs={jobs}"
+                    );
+                }
+                PifOutcome::Decided(ans) => {
+                    panic!("cap 40 must truncate, got {ans} (bound={bound} jobs={jobs})")
+                }
             }
-            PifOutcome::Decided(ans) => panic!("cap 40 must truncate, got {ans} (jobs={jobs})"),
         }
     }
 }
