@@ -48,7 +48,7 @@ impl Experiment for E13 {
                 "time (ms)",
                 "tight bounds",
                 "time (ms)",
-                "states/s",
+                "expansions/s",
             ],
         );
         let mut points = Vec::new();

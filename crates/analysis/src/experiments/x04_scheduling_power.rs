@@ -28,7 +28,7 @@ impl Experiment for X04 {
     }
 
     fn run(&self, scale: Scale) -> Report {
-        let nodes = 120_000_000usize;
+        let runs = 120_000_000usize;
         let mut table = Table::new(
             "exhaustive fault optima: no-scheduling model vs scheduling-capable model",
             &[
@@ -75,9 +75,9 @@ impl Experiment for X04 {
         let optima = mcp_exec::Pool::global().par_map(&cases, |_, (_, seqs, k, tau)| {
             let w = Workload::from_u32(seqs.clone()).unwrap();
             let cfg = SimConfig::new(*k, *tau);
-            let plain = brute_force_min_faults(&w, cfg, nodes).unwrap();
+            let plain = brute_force_min_faults(&w, cfg, runs).unwrap();
             let horizon = (w.total_len() as u64 + 4) * (tau + 1) + 10;
-            let sched = sched_min(&w, cfg, Objective::Faults, horizon, Some(plain), nodes).unwrap();
+            let sched = sched_min(&w, cfg, Objective::Faults, horizon, Some(plain), runs).unwrap();
             (plain, sched)
         });
         for ((name, _, k, tau), &(plain, sched)) in cases.iter().zip(&optima) {

@@ -42,7 +42,8 @@ fn cyclic_workload(p: usize, wss: usize, n: usize) -> Workload {
     Workload::from_u32(seqs).unwrap()
 }
 
-const ORACLE_NODES: usize = 20_000_000;
+/// Cap on the K(t)-aware oracle's reference runs.
+const ORACLE_RUNS: usize = 20_000_000;
 
 impl Experiment for X05 {
     fn id(&self) -> &'static str {
@@ -162,7 +163,7 @@ impl Experiment for X05 {
             // so the fixed-K optimum is exactly the cold misses.
             let opt_fixed = (case.p * case.wss) as u64;
             let opt_cap = if case.oracle {
-                oracle_min_faults_with_capacity(&w, cfg, &schedule, ORACLE_NODES)
+                oracle_min_faults_with_capacity(&w, cfg, &schedule, ORACLE_RUNS)
             } else {
                 None
             };

@@ -154,9 +154,11 @@ mod tests {
     use crate::args::Args;
     use mcp_core::Workload;
 
-    fn setup() -> String {
+    /// A trace file private to the calling test: tests run in parallel
+    /// threads of one process, and each removes its file when done.
+    fn setup(test: &str) -> String {
         let path = std::env::temp_dir()
-            .join(format!("mcp_cli_pif_{}.json", std::process::id()))
+            .join(format!("mcp_cli_pif_{}_{test}.json", std::process::id()))
             .to_string_lossy()
             .into_owned();
         let w = Workload::from_u32([vec![1, 2, 1, 2], vec![9, 8, 9, 8]]).unwrap();
@@ -170,7 +172,7 @@ mod tests {
 
     #[test]
     fn decides_both_ways() {
-        let path = setup();
+        let path = setup("decides_both_ways");
         let yes = run(&parse(&format!(
             "pif --trace {path} --k 3 --tau 1 --at 30 --bounds 8,8"
         )))
@@ -186,7 +188,7 @@ mod tests {
 
     #[test]
     fn witness_schedule_is_printed() {
-        let path = setup();
+        let path = setup("witness_schedule_is_printed");
         let out = run(&parse(&format!(
             "pif --trace {path} --k 3 --tau 1 --at 30 --bounds 8,8 --schedule"
         )))
@@ -203,7 +205,7 @@ mod tests {
 
     #[test]
     fn stats_flags_do_not_disturb_the_decision() {
-        let path = setup();
+        let path = setup("stats_flags_do_not_disturb_the_decision");
         let plain = run(&parse(&format!(
             "pif --trace {path} --k 3 --tau 1 --at 30 --bounds 8,8"
         )))
@@ -218,7 +220,7 @@ mod tests {
 
     #[test]
     fn validates_bounds_arity() {
-        let path = setup();
+        let path = setup("validates_bounds_arity");
         let err = run(&parse(&format!(
             "pif --trace {path} --k 3 --at 10 --bounds 1,2,3"
         )))

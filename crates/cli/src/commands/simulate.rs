@@ -110,9 +110,11 @@ mod tests {
     use crate::args::Args;
     use mcp_core::Workload;
 
-    fn setup() -> String {
+    /// A trace file private to the calling test: tests run in parallel
+    /// threads of one process, and each removes its file when done.
+    fn setup(test: &str) -> String {
         let path = std::env::temp_dir()
-            .join(format!("mcp_cli_sim_{}.json", std::process::id()))
+            .join(format!("mcp_cli_sim_{}_{test}.json", std::process::id()))
             .to_string_lossy()
             .into_owned();
         let w = Workload::from_u32([vec![1, 2, 3, 1, 2, 3], vec![9, 9, 9, 9, 9, 9]]).unwrap();
@@ -122,7 +124,7 @@ mod tests {
 
     #[test]
     fn simulates_with_fairness_and_checkpoint() {
-        let path = setup();
+        let path = setup("simulates_with_fairness_and_checkpoint");
         let a = Args::parse(
             format!("simulate --trace {path} --k 4 --tau 2 --strategy lru --fairness --at 5")
                 .split_whitespace()
@@ -139,7 +141,7 @@ mod tests {
 
     #[test]
     fn capacity_schedule_changes_the_fault_count() {
-        let path = setup();
+        let path = setup("capacity_schedule_changes_the_fault_count");
         let base = format!("simulate --trace {path} --k 4 --strategy lru");
         let fixed = run(&Args::parse(base.split_whitespace().map(String::from)).unwrap()).unwrap();
         let dropped = run(&Args::parse(
@@ -162,7 +164,7 @@ mod tests {
 
     #[test]
     fn malformed_capacity_is_an_argument_error() {
-        let path = setup();
+        let path = setup("malformed_capacity_is_an_argument_error");
         for spec in ["nope", "4,2@", "8,2@3"] {
             let a = Args::parse(
                 format!("simulate --trace {path} --k 4 --capacity {spec}")

@@ -20,7 +20,10 @@
 //!   and makes DP optima exactly achievable by the engine. Pins are placed
 //!   before the strategy's voluntary evictions run, so a voluntary
 //!   eviction of a currently requested page is rejected too.
-//! * Strategies cannot delay or reorder requests.
+//! * Strategies cannot reorder requests, and cannot delay them unless they
+//!   opt into [`crate::CacheStrategy::defers`] (the offline stall model
+//!   only): a deferred core is neither served nor pinned, and re-issues
+//!   the same request at `t + 1`.
 //! * The engine fast-forwards over timesteps at which no request is due,
 //!   except those a strategy declares via
 //!   [`crate::CacheStrategy::next_voluntary_time`]: the paper's model
@@ -267,8 +270,9 @@ pub struct Simulator<'w, S: CacheStrategy, W: Borrow<Workload> = &'w Workload> {
     ready: Vec<Time>,
     /// Request-issue wake-ups, keyed [`pack`]`(issue_time, core)`.
     /// Invariant: exactly one live entry per core with an unserved
-    /// request — an entry is popped only when its core is served at that
-    /// time, serving pushes the core's next wake-up (if any remain), and
+    /// request — an entry is popped only when its core is due at that
+    /// time, serving pushes the core's next wake-up (if any remain),
+    /// deferring pushes the same request's at `t + 1`, and
     /// [`Simulator::push`] re-arms a starved core — so no entry is ever
     /// stale.
     issue: BinaryHeap<Reverse<u128>>,
@@ -302,6 +306,10 @@ pub struct Simulator<'w, S: CacheStrategy, W: Borrow<Workload> = &'w Workload> {
     /// core's last admitted request (no wake-up yet) goes through the
     /// [`Simulator::completions`] heap.
     pending_promote: Vec<u32>,
+    /// [`CacheStrategy::defers`], read once at construction: only then is
+    /// [`CacheStrategy::defer`] consulted, so the serve path of every
+    /// other strategy pays one branch per step for the stall model.
+    defers: bool,
     /// `due_slot[core]`: the cache slot ([`Cache::intern`]) of the page
     /// the core requests in the step being served, set by the pin loop.
     due_slot: Vec<usize>,
@@ -450,6 +458,7 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
         }
         let mut cache = Cache::new(capacity.max_k(), p);
         cache.set_limit(cfg.cache_size);
+        let defers = strategy.defers();
         Ok(Simulator {
             workload: storage,
             borrow: PhantomData,
@@ -464,6 +473,7 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
             issue_next: Vec::with_capacity(p),
             completions: BinaryHeap::with_capacity(p),
             pending_promote: vec![u32::MAX; p],
+            defers,
             due_slot: vec![0; p],
             closed: vec![!open; p],
             open: if open { p } else { 0 },
@@ -684,6 +694,10 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
             self.issue_next.clear();
         }
 
+        if self.defers {
+            self.defer_due(t);
+        }
+
         // Pin every page requested this parallel step *before* the strategy
         // gets to evict voluntarily: parallel reads require `R(x) ⊆ C'`
         // (Algorithms 1 and 2), so evicting a page that is requested at `t`
@@ -844,6 +858,36 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
         }
         self.cache.clear_pins();
         Ok(Some(t))
+    }
+
+    /// Ask the strategy, in core order, whether to defer each due core
+    /// (stall-model strategies only). Every fetch due by `t` completes
+    /// first, so the strategy sees the cache the step will serve from.
+    /// A deferred core leaves the due set before pins, and its issue
+    /// wake-up moves to `t + 1`.
+    #[cold]
+    #[inline(never)]
+    fn defer_due(&mut self, t: Time) {
+        for &core in &self.due_buf {
+            let pending = std::mem::replace(&mut self.pending_promote[core as usize], u32::MAX);
+            if pending != u32::MAX {
+                self.cache.promote_cell(pending as usize, t);
+            }
+        }
+        let workload: &Workload = self.workload.borrow();
+        let mut kept = 0;
+        for i in 0..self.due_buf.len() {
+            let core = self.due_buf[i] as usize;
+            let page = workload.sequence(core)[self.pos[core]];
+            if self.strategy.defer(core, page, t, &self.cache) {
+                self.ready[core] = t + 1;
+                self.issue.push(Reverse(pack(t + 1, core as u32)));
+            } else {
+                self.due_buf[kept] = core as u32;
+                kept += 1;
+            }
+        }
+        self.due_buf.truncate(kept);
     }
 
     /// Run to completion and return the aggregate result.
@@ -1088,9 +1132,11 @@ mod tests {
     }
 
     /// Voluntarily evicts page 1 at `at`, wherever it is resident (a
-    /// dishonest strategy used to probe voluntary-eviction semantics).
+    /// dishonest strategy used to probe voluntary-eviction semantics);
+    /// with `defer`, also defers the request for page 1 due at `at`.
     struct ForcingEvict {
         at: Time,
+        defer: bool,
     }
     impl CacheStrategy for ForcingEvict {
         fn name(&self) -> String {
@@ -1113,6 +1159,12 @@ mod tests {
                 Vec::new()
             }
         }
+        fn defers(&self) -> bool {
+            self.defer
+        }
+        fn defer(&mut self, _core: usize, page: PageId, time: Time, _cache: &Cache) -> bool {
+            page == PageId(1) && time == self.at
+        }
     }
 
     #[test]
@@ -1120,7 +1172,11 @@ mod tests {
         // [1, 2, 1] K=3 tau=0: honest would fault twice; evicting page 1
         // at t=2 (while page 2 is being served) forces a third fault at t=3.
         let wl = w(&[&[1, 2, 1]]);
-        let r = simulate(&wl, SimConfig::new(3, 0), ForcingEvict { at: 2 }).unwrap();
+        let forcing = ForcingEvict {
+            at: 2,
+            defer: false,
+        };
+        let r = simulate(&wl, SimConfig::new(3, 0), forcing).unwrap();
         assert_eq!(r.total_faults(), 3);
     }
 
@@ -1130,8 +1186,31 @@ mod tests {
         // that very step would violate R(x) ⊆ C', so the engine pins due
         // pages first and surfaces the attempt as EvictPinned.
         let wl = w(&[&[1, 2, 1]]);
-        let err = simulate(&wl, SimConfig::new(3, 0), ForcingEvict { at: 3 }).unwrap_err();
+        let forcing = ForcingEvict {
+            at: 3,
+            defer: false,
+        };
+        let err = simulate(&wl, SimConfig::new(3, 0), forcing).unwrap_err();
         assert_eq!(err, SimError::Cache(CacheError::EvictPinned { cell: 0 }));
+    }
+
+    #[test]
+    fn deferred_core_leaves_its_page_unpinned() {
+        // Page 1 is resident at t=2, when core 1 requests it again. Served,
+        // core 1 would pin it and the voluntary eviction would fail (as in
+        // the test above); deferred, it pins nothing, the eviction goes
+        // through, and the request re-issues at t=3 as a fault.
+        let wl = w(&[&[2, 2, 2], &[1, 1]]);
+        let forcing = ForcingEvict { at: 2, defer: true };
+        let mut sim = Simulator::new(&wl, SimConfig::new(3, 0), forcing).unwrap();
+        sim.step().unwrap();
+        let step2 = sim.step().unwrap().unwrap();
+        assert_eq!(step2.voluntary, vec![(1, PageId(1))]);
+        assert_eq!(step2.served.len(), 1, "only core 0 is served at t=2");
+        assert_eq!(sim.ready_times()[1], 3);
+        let r = sim.run().unwrap();
+        assert_eq!((r.faults, r.hits), (vec![1, 2], vec![2, 0]));
+        assert_eq!(r.fault_times[1], vec![1, 3]);
     }
 
     #[test]

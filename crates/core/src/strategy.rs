@@ -11,6 +11,13 @@
 //!   honesty is WLOG for disjoint sequences);
 //! * [`CacheStrategy::begin`] hands offline strategies the whole input
 //!   before the run starts (online strategies simply ignore it).
+//!
+//! One hook steps outside the paper's model on purpose:
+//! [`CacheStrategy::defer`] stalls a due core for one timestep, the
+//! scheduling power of Hassidim's model. It exists only for the offline
+//! stall-model comparison (experiment X04, `mcp_offline::sched_min`) and
+//! its naive oracle; no online family defers, and a strategy that does
+//! not opt in through [`CacheStrategy::defers`] costs the engine no call.
 
 use crate::cache::Cache;
 use crate::types::{PageId, SimConfig, Time, Workload};
@@ -143,6 +150,25 @@ pub trait CacheStrategy {
     fn next_voluntary_time(&self) -> Option<Time> {
         None
     }
+
+    /// Whether [`CacheStrategy::defer`] may ever return `true`. The engine
+    /// reads this once, when it is built, and never calls `defer` on a
+    /// strategy that answers `false` (the default).
+    fn defers(&self) -> bool {
+        false
+    }
+
+    /// Stall `core`, whose request for `page` is due at `time`, for one
+    /// timestep instead of serving it. A deferred core is not served at
+    /// `time` and its page is not pinned there; the same request issues
+    /// again at `time + 1`. Called for each due core in core order, after
+    /// the fetches due by `time` completed and before pins, and only when
+    /// [`CacheStrategy::defers`] is `true`. A strategy that defers a core
+    /// forever never finishes the run.
+    fn defer(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) -> bool {
+        let _ = (core, page, time, cache);
+        false
+    }
 }
 
 /// Blanket forwarding so `&mut S` and boxed strategies are strategies too.
@@ -180,6 +206,12 @@ impl<S: CacheStrategy + ?Sized> CacheStrategy for &mut S {
     fn next_voluntary_time(&self) -> Option<Time> {
         (**self).next_voluntary_time()
     }
+    fn defers(&self) -> bool {
+        (**self).defers()
+    }
+    fn defer(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) -> bool {
+        (**self).defer(core, page, time, cache)
+    }
 }
 
 impl<S: CacheStrategy + ?Sized> CacheStrategy for Box<S> {
@@ -215,5 +247,11 @@ impl<S: CacheStrategy + ?Sized> CacheStrategy for Box<S> {
     }
     fn next_voluntary_time(&self) -> Option<Time> {
         (**self).next_voluntary_time()
+    }
+    fn defers(&self) -> bool {
+        (**self).defers()
+    }
+    fn defer(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) -> bool {
+        (**self).defer(core, page, time, cache)
     }
 }

@@ -12,9 +12,11 @@
 //!   lexicographic objectives) and Theorem 5's restricted sequence-FITF
 //!   search, as cross-checks that replay decision prefixes on the
 //!   production engine.
-//! * [`sched_search`] — exhaustive optima in Hassidim's
+//!   [`sched_min`] runs the same driver in Hassidim's
 //!   *scheduling-capable* model (sequences may be stalled), quantifying
 //!   the gap between the two papers' models.
+//! * [`sched_search`] — joint cache partition and job assignment, the
+//!   other scheduling knob this paper's model lacks.
 //! * [`belady_seq`] / [`miss_curve`] — sequential OPT and LRU oracles
 //!   (stack distances, miss curves, Lemma 1 phase decompositions).
 //! * [`checkpoint`] — versioned on-disk snapshots for the budget-governed
@@ -52,13 +54,10 @@ pub use pif_dp::{
     max_pif, pif_decide, pif_decide_governed, pif_decide_governed_with_stats,
     pif_decide_with_stats, pif_fingerprint, pif_witness, PifOptions, PifOutcome, PifTruncated,
 };
-pub use sched_search::{
-    evaluate_assignment, joint_exhaustive, joint_greedy, sched_min, sched_min_governed,
-    JointSolution,
-};
+pub use sched_search::{evaluate_assignment, joint_exhaustive, joint_greedy, JointSolution};
 pub use search::{
     brute_force_faults_then_makespan, brute_force_makespan_then_faults, brute_force_min_faults,
     brute_force_min_faults_governed, brute_force_min_makespan, fitf_restricted_min_faults,
-    Objective, SearchOutcome,
+    sched_min, sched_min_governed, Objective, SearchOutcome,
 };
 pub use state::{min_parallel_tasks, DpError, DpInstance, DpStats};

@@ -1,14 +1,13 @@
-//! Branch-and-bound search over eviction schedules, run on the production
-//! engine.
+//! Branch-and-bound search over schedules, run on the production engine.
 //!
 //! The search never re-implements the step rule: every schedule it
 //! scores is one run of [`mcp_core::Simulator`] under a scripted strategy
-//! that replays a prefix of forced-eviction choices and takes the first
-//! candidate past it. The driver walks the choices depth-first, one
-//! engine run per leaf, so every optimum here runs the same step rule
-//! that `engine_equivalence` pins against the naive reference.
+//! that replays a prefix of decisions and takes the first option past it.
+//! The driver walks the decisions depth-first, one engine run per leaf,
+//! so every optimum here runs the same step rule that
+//! `engine_equivalence` pins against the naive reference.
 //!
-//! Two candidate rules:
+//! Three decision rules:
 //!
 //! * [`brute_force_min_faults`] — honest exhaustive optimum: on each fault
 //!   with a full cache, branch over *every* evictable resident page. An
@@ -18,6 +17,12 @@
 //!   furthest-in-the-future evictable page the chosen sequence brought
 //!   in. Theorem 5 asserts this class contains an optimal algorithm for
 //!   disjoint workloads; tests assert equality with the DP optimum.
+//! * [`sched_min`] — Hassidim's *scheduling-capable* model, for contrast:
+//!   besides every victim, branch on every due core over serving it or
+//!   deferring it one timestep ([`CacheStrategy::defer`]). The paper's
+//!   central modeling decision is that the paging algorithm has no such
+//!   power; comparing the two optima measures what it is worth
+//!   (experiment X04).
 
 use crate::state::{DpError, DpInstance};
 use mcp_core::{
@@ -40,32 +45,27 @@ pub enum SearchOutcome {
         reason: TripReason,
         /// Best achievable score found before the trip.
         incumbent: Option<u64>,
-        /// Search nodes expanded before the trip: engine runs for the
-        /// searches in this module, DFS nodes for [`crate::sched_search`].
+        /// Engine runs (one per explored schedule) before the trip.
         nodes: usize,
     },
 }
 
-/// Internal unwind marker: the budget tripped somewhere down the DFS.
-pub(crate) struct BudgetTripped(pub(crate) TripReason);
+/// How many engine runs between full budget checks (a full check costs
+/// an `Instant::now()`); the state cap is still enforced on every run.
+const CHECK_MASK: usize = 0xFFF;
 
-/// How many node expansions between full budget checks (a full check
-/// costs an `Instant::now()`); the state cap is still enforced on every
-/// node.
-pub(crate) const CHECK_MASK: usize = 0xFFF;
-
-/// Shared per-node governance for the searches: exact state-cap
-/// enforcement, periodic deadline/cancellation checks.
-pub(crate) fn check_node(budget: &Budget, nodes: usize) -> Result<(), BudgetTripped> {
+/// Per-run governance: exact state-cap enforcement, periodic
+/// deadline/cancellation checks.
+fn check_node(budget: &Budget, nodes: usize) -> Result<(), TripReason> {
     if let Some(cap) = budget.max_states() {
         if nodes > cap {
-            return Err(BudgetTripped(TripReason::StateCap { states: nodes, cap }));
+            return Err(TripReason::StateCap { states: nodes, cap });
         }
     }
-    // Fire on the first node (so tiny searches still observe deadlines
-    // and cancellation), then every CHECK_MASK + 1 nodes.
+    // Fire on the first run (so tiny searches still observe deadlines
+    // and cancellation), then every CHECK_MASK + 1 runs.
     if nodes & CHECK_MASK == 1 {
-        budget.check(nodes, 0).map_err(BudgetTripped)?;
+        budget.check(nodes, 0)?;
     }
     Ok(())
 }
@@ -92,7 +92,7 @@ impl Objective {
     /// Score of a (partial) schedule with `faults` faults whose served
     /// requests complete by `completion`. Monotone along a schedule, so
     /// bound-pruning on it is sound.
-    pub(crate) fn score(self, faults: u64, completion: Time) -> u64 {
+    fn score(self, faults: u64, completion: Time) -> u64 {
         match self {
             Objective::Faults => faults,
             Objective::Makespan => completion,
@@ -102,28 +102,43 @@ impl Objective {
     }
 }
 
-/// A forced eviction with more than one candidate victim.
+/// A decision with more than one option: a forced eviction with several
+/// candidate victims, or (stall model) a due core that may be deferred.
 #[derive(Clone, Copy, Debug)]
 struct Branch {
-    /// Index of the candidate the script takes.
+    /// Index of the option the script takes.
     choice: usize,
-    /// Number of candidates.
+    /// Number of options.
     options: usize,
-    /// The run's score once this fault is charged; every sibling shares it.
+    /// The run's score at the decision; every sibling shares it.
     score: u64,
 }
 
+/// Option 0 of a stall decision defers the core, so the first schedule
+/// tried time-slices the cache: each core runs while the others wait.
+const DEFER: usize = 0;
+
+/// The stall model's per-run state.
+struct Stall {
+    /// No step may be served after this time.
+    horizon: Time,
+    /// The step at which each core was last deferred (0: never).
+    deferred_at: Vec<Time>,
+}
+
 /// The strategy one engine run replays: lazy and honest (an empty cell
-/// is always used first), following the decision stack at forced
-/// evictions and extending it with candidate 0 past its end.
+/// is always used first), following the decision stack and extending it
+/// with option 0 past its end.
 struct Scripted<'a> {
     workload: &'a Workload,
     tau: Time,
     objective: Objective,
     /// Theorem 5's class instead of every evictable page.
     restricted: bool,
-    /// Forced choices: the first `depth` were taken this run, and entries
-    /// past `depth` are still to be replayed.
+    /// The stall model: due cores may be deferred.
+    stall: Option<Stall>,
+    /// Decisions: the first `depth` were taken this run, and entries past
+    /// `depth` are still to be replayed.
     branches: Vec<Branch>,
     depth: usize,
     /// Requests served so far, per core (origin of next-use distances).
@@ -142,17 +157,25 @@ impl<'a> Scripted<'a> {
         workload: &'a Workload,
         cfg: SimConfig,
         objective: Objective,
-        restricted: bool,
+        rule: Rule,
         score: &'a Cell<u64>,
     ) -> Self {
+        let p = workload.num_cores();
         Scripted {
             workload,
             tau: cfg.tau,
             objective,
-            restricted,
+            restricted: matches!(rule, Rule::Restricted),
+            stall: match rule {
+                Rule::Stall { horizon } => Some(Stall {
+                    horizon,
+                    deferred_at: vec![0; p],
+                }),
+                _ => None,
+            },
             branches: Vec::new(),
             depth: 0,
-            pos: vec![0; workload.num_cores()],
+            pos: vec![0; p],
             faults: 0,
             completion: 0,
             score,
@@ -166,6 +189,9 @@ impl<'a> Scripted<'a> {
         self.faults = 0;
         self.completion = 0;
         self.score.set(0);
+        if let Some(stall) = &mut self.stall {
+            stall.deferred_at.fill(0);
+        }
     }
 
     /// Charge one served request of `core`, completing at `done`.
@@ -175,6 +201,26 @@ impl<'a> Scripted<'a> {
         self.completion = self.completion.max(done);
         self.score
             .set(self.objective.score(self.faults, self.completion));
+    }
+
+    /// The option taken at the next decision among `options`: the
+    /// script's choice, or option 0, recorded, past the script's end.
+    /// Past the stall horizon the run is discarded, so nothing branches.
+    fn decide(&mut self, options: usize, time: Time) -> usize {
+        if options == 1 || self.stall.as_ref().is_some_and(|s| time > s.horizon) {
+            return 0;
+        }
+        if self.depth == self.branches.len() {
+            self.branches.push(Branch {
+                choice: 0,
+                options,
+                score: self.score.get(),
+            });
+        }
+        let branch = self.branches[self.depth];
+        debug_assert_eq!(branch.options, options, "replay diverged from its script");
+        self.depth += 1;
+        branch.choice
     }
 
     /// Fill `candidates` with the victim cells this rule may choose.
@@ -217,28 +263,49 @@ impl CacheStrategy for Scripted<'_> {
             return cell;
         }
         self.collect_candidates(cache);
-        let options = self.candidates.len();
-        assert!(options > 0, "K >= p guarantees a victim");
-        if options == 1 {
-            return self.candidates[0];
+        assert!(!self.candidates.is_empty(), "K >= p guarantees a victim");
+        let choice = self.decide(self.candidates.len(), time);
+        self.candidates[choice]
+    }
+
+    fn defers(&self) -> bool {
+        self.stall.is_some()
+    }
+
+    fn defer(&mut self, core: usize, _page: PageId, time: Time, _cache: &Cache) -> bool {
+        let stall = self.stall.as_ref().expect("only the stall model defers");
+        // Never defer every unfinished core at once: that shifts them all
+        // by a step. On disjoint workloads the naive stall oracle, which
+        // has no such cut, agrees on every instance checked. On shared
+        // pages it can cut the optimum — waiting out another core's final
+        // fetch turns a join into a hit (`[[0], [0]]`, K = 2, τ = 1: 2
+        // faults here, 1 in the oracle).
+        let others_deferred = (0..self.pos.len()).all(|c| {
+            c == core || self.pos[c] == self.workload.len(c) || stall.deferred_at[c] == time
+        });
+        if time > stall.horizon || others_deferred || self.decide(2, time) != DEFER {
+            return false;
         }
-        if self.depth == self.branches.len() {
-            self.branches.push(Branch {
-                choice: 0,
-                options,
-                score: self.score.get(),
-            });
-        }
-        let branch = self.branches[self.depth];
-        debug_assert_eq!(branch.options, options, "replay diverged from its script");
-        self.depth += 1;
-        self.candidates[branch.choice]
+        self.stall.as_mut().expect("stall model").deferred_at[core] = time;
+        true
     }
 }
 
+/// Which decisions the search branches on.
+#[derive(Clone, Copy)]
+enum Rule {
+    /// Every evictable victim.
+    Honest,
+    /// Theorem 5's per-sequence furthest-in-the-future victims.
+    Restricted,
+    /// Every victim, and serve-or-defer for every due core; no step may
+    /// be served after `horizon`.
+    Stall { horizon: Time },
+}
+
 /// Run the engine once under `strategy`'s current script. Returns `true`
-/// iff the schedule completed with a score below `best`; a run stops as
-/// soon as its score reaches `best`.
+/// iff the schedule completed within the stall horizon with a score below
+/// `best`; a run stops as soon as its score reaches `best`.
 fn replay(
     workload: &Workload,
     cfg: SimConfig,
@@ -247,10 +314,11 @@ fn replay(
 ) -> Result<bool, DpError> {
     strategy.restart();
     let score = strategy.score;
+    let horizon = strategy.stall.as_ref().map_or(Time::MAX, |s| s.horizon);
     let model = |e: mcp_core::SimError| DpError::Model(e.to_string());
     let mut sim = Simulator::new(workload, cfg, strategy).map_err(model)?;
-    while sim.step().map_err(model)?.is_some() {
-        if score.get() >= best {
+    while let Some(step) = sim.step().map_err(model)? {
+        if score.get() >= best || step.time > horizon {
             return Ok(false);
         }
     }
@@ -259,12 +327,14 @@ fn replay(
 
 /// Governed core: run the search under `budget`, returning either the
 /// exact optimum or a truncated outcome with the incumbent found so far.
-/// The budget's state cap counts engine runs.
+/// Only schedules scoring below `bound` count. The budget's state cap
+/// counts engine runs.
 fn run_governed(
     workload: &Workload,
     cfg: SimConfig,
-    restricted: bool,
+    rule: Rule,
     objective: Objective,
+    bound: u64,
     budget: &Budget,
 ) -> Result<SearchOutcome, DpError> {
     // Validates the model and the instance limits shared with the DPs.
@@ -273,15 +343,15 @@ fn run_governed(
         return Ok(SearchOutcome::Complete(0));
     }
     let score = Cell::new(0);
-    let mut strategy = Scripted::new(workload, cfg, objective, restricted, &score);
-    let mut best = u64::MAX;
+    let mut strategy = Scripted::new(workload, cfg, objective, rule, &score);
+    let mut best = bound;
     let mut runs = 0;
     loop {
         runs += 1;
-        if let Err(BudgetTripped(reason)) = check_node(budget, runs) {
+        if let Err(reason) = check_node(budget, runs) {
             return Ok(SearchOutcome::Truncated {
                 reason,
-                incumbent: (best < u64::MAX).then_some(best),
+                incumbent: (best < bound).then_some(best),
                 nodes: runs,
             });
         }
@@ -308,12 +378,12 @@ fn run_governed(
 fn run(
     workload: &Workload,
     cfg: SimConfig,
-    restricted: bool,
+    rule: Rule,
     objective: Objective,
     max_nodes: usize,
 ) -> Result<u64, DpError> {
     let budget = Budget::unlimited().with_max_states(max_nodes);
-    match run_governed(workload, cfg, restricted, objective, &budget)? {
+    match run_governed(workload, cfg, rule, objective, u64::MAX, &budget)? {
         SearchOutcome::Complete(v) => Ok(v),
         SearchOutcome::Truncated {
             incumbent, nodes, ..
@@ -333,7 +403,7 @@ pub fn brute_force_min_faults(
     cfg: SimConfig,
     max_nodes: usize,
 ) -> Result<u64, DpError> {
-    run(workload, cfg, false, Objective::Faults, max_nodes)
+    run(workload, cfg, Rule::Honest, Objective::Faults, max_nodes)
 }
 
 /// Budget-governed [`brute_force_min_faults`]: instead of erroring when a
@@ -345,7 +415,14 @@ pub fn brute_force_min_faults_governed(
     cfg: SimConfig,
     budget: &Budget,
 ) -> Result<SearchOutcome, DpError> {
-    run_governed(workload, cfg, false, Objective::Faults, budget)
+    run_governed(
+        workload,
+        cfg,
+        Rule::Honest,
+        Objective::Faults,
+        u64::MAX,
+        budget,
+    )
 }
 
 /// Honest exhaustive minimum *makespan* (Hassidim's objective, but within
@@ -357,7 +434,7 @@ pub fn brute_force_min_makespan(
     cfg: SimConfig,
     max_nodes: usize,
 ) -> Result<u64, DpError> {
-    run(workload, cfg, false, Objective::Makespan, max_nodes)
+    run(workload, cfg, Rule::Honest, Objective::Makespan, max_nodes)
 }
 
 fn lex_weight(workload: &Workload, cfg: SimConfig) -> u64 {
@@ -376,7 +453,7 @@ pub fn brute_force_faults_then_makespan(
     let score = run(
         workload,
         cfg,
-        false,
+        Rule::Honest,
         Objective::FaultsThenMakespan { weight },
         max_nodes,
     )?;
@@ -395,7 +472,7 @@ pub fn brute_force_makespan_then_faults(
     let score = run(
         workload,
         cfg,
-        false,
+        Rule::Honest,
         Objective::MakespanThenFaults { weight },
         max_nodes,
     )?;
@@ -411,7 +488,75 @@ pub fn fitf_restricted_min_faults(
     cfg: SimConfig,
     max_nodes: usize,
 ) -> Result<u64, DpError> {
-    run(workload, cfg, true, Objective::Faults, max_nodes)
+    run(
+        workload,
+        cfg,
+        Rule::Restricted,
+        Objective::Faults,
+        max_nodes,
+    )
+}
+
+/// Exhaustive optimum of `objective` in the scheduling-capable model: the
+/// algorithm may also defer any due core at any timestep, though never
+/// every unfinished core at once (exact on disjoint workloads as far as
+/// checked; on shared pages that cut can miss the optimum).
+///
+/// `horizon` bounds how late the schedule may run (stalls make schedules
+/// unboundedly long otherwise): a schedule serving any step after
+/// `horizon` does not count. A safe horizon for fault minimization is
+/// `n(τ+1) + slack`. `initial_bound`, if given, seeds branch-and-bound
+/// with a known achievable score (e.g. the no-scheduling optimum, which
+/// scheduling can only match or beat). `max_nodes` caps the number of
+/// engine runs.
+pub fn sched_min(
+    workload: &Workload,
+    cfg: SimConfig,
+    objective: Objective,
+    horizon: Time,
+    initial_bound: Option<u64>,
+    max_nodes: usize,
+) -> Result<u64, DpError> {
+    let budget = Budget::unlimited().with_max_states(max_nodes);
+    match sched_min_governed(workload, cfg, objective, horizon, initial_bound, &budget)? {
+        SearchOutcome::Complete(v) => Ok(v),
+        SearchOutcome::Truncated {
+            incumbent, nodes, ..
+        } => Err(DpError::TooLarge {
+            states: nodes,
+            cap: max_nodes,
+            incumbent,
+        }),
+    }
+}
+
+/// Budget-governed [`sched_min`]: instead of erroring when a limit
+/// trips, returns [`SearchOutcome::Truncated`] whose `incumbent` is the
+/// best score the search itself achieved before the trip (the seeded
+/// `initial_bound`, never achieved by this search, is not reported).
+pub fn sched_min_governed(
+    workload: &Workload,
+    cfg: SimConfig,
+    objective: Objective,
+    horizon: Time,
+    initial_bound: Option<u64>,
+    budget: &Budget,
+) -> Result<SearchOutcome, DpError> {
+    let bound = initial_bound.map_or(u64::MAX, |b| b.saturating_add(1));
+    let outcome = run_governed(
+        workload,
+        cfg,
+        Rule::Stall { horizon },
+        objective,
+        bound,
+        budget,
+    )?;
+    if outcome == SearchOutcome::Complete(bound) {
+        return Err(DpError::Model(format!(
+            "no schedule completed within horizon {horizon} under the given bound; raise them"
+        )));
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -577,6 +722,93 @@ mod tests {
         // Unlimited governed search completes with the exact optimum.
         let full = brute_force_min_faults_governed(&w, cfg, &Budget::unlimited()).unwrap();
         assert_eq!(full, SearchOutcome::Complete(opt));
+    }
+
+    fn horizon(w: &Workload, cfg: SimConfig) -> Time {
+        (w.total_len() as u64 + 4) * (cfg.tau + 1) + 4
+    }
+
+    #[test]
+    fn scheduling_never_hurts_either_objective() {
+        let cases: Vec<Vec<Vec<u32>>> = vec![
+            vec![vec![1, 2, 1, 2], vec![7, 8, 7, 8]],
+            vec![vec![1, 2, 3], vec![7, 7, 7]],
+        ];
+        for seqs in cases {
+            let w = Workload::from_u32(seqs.clone()).unwrap();
+            for tau in [0u64, 1] {
+                let cfg = SimConfig::new(2, tau);
+                let h = horizon(&w, cfg);
+                let plain_f = brute_force_min_faults(&w, cfg, NODES).unwrap();
+                let sched_f =
+                    sched_min(&w, cfg, Objective::Faults, h, Some(plain_f), NODES).unwrap();
+                assert!(
+                    sched_f <= plain_f,
+                    "{seqs:?} tau={tau}: faults {sched_f} > {plain_f}"
+                );
+                let plain_m = brute_force_min_makespan(&w, cfg, NODES).unwrap();
+                let sched_m =
+                    sched_min(&w, cfg, Objective::Makespan, h, Some(plain_m), NODES).unwrap();
+                assert!(
+                    sched_m <= plain_m,
+                    "{seqs:?} tau={tau}: makespan {sched_m} > {plain_m}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scheduling_strictly_helps_on_aligned_thrash() {
+        // K = 2, both cores alternate 2 private pages, perfectly aligned:
+        // without scheduling every request faults; with scheduling,
+        // stalling core 1 lets core 0 keep both pages, then they swap —
+        // strictly fewer faults.
+        let w = wl(&[&[1, 2, 1, 2], &[7, 8, 7, 8]]);
+        let cfg = SimConfig::new(2, 1);
+        let plain = brute_force_min_faults(&w, cfg, NODES).unwrap();
+        assert_eq!(plain, 8);
+        let h = horizon(&w, cfg) + 10;
+        let sched = sched_min(&w, cfg, Objective::Faults, h, Some(plain), NODES).unwrap();
+        assert_eq!(sched, 4, "each core faults its two pages in once");
+    }
+
+    #[test]
+    fn single_core_gains_nothing() {
+        // With p = 1 stalling only wastes time: fault optimum unchanged.
+        let w = wl(&[&[1, 2, 3, 1, 2]]);
+        let cfg = SimConfig::new(2, 1);
+        let h = horizon(&w, cfg);
+        let plain = brute_force_min_faults(&w, cfg, NODES).unwrap();
+        let sched = sched_min(&w, cfg, Objective::Faults, h, None, NODES).unwrap();
+        assert_eq!(plain, sched);
+    }
+
+    #[test]
+    fn sched_governed_deadline_truncates_with_reason() {
+        use mcp_core::{Budget, TripReason};
+        use std::time::Duration;
+        let w = wl(&[&[1, 2, 1, 2], &[7, 8, 7, 8]]);
+        let cfg = SimConfig::new(2, 1);
+        let h = horizon(&w, cfg);
+        let budget = Budget::unlimited().with_deadline(Duration::ZERO);
+        let out = sched_min_governed(&w, cfg, Objective::Faults, h, None, &budget).unwrap();
+        let SearchOutcome::Truncated { reason, .. } = out else {
+            panic!("zero deadline must truncate")
+        };
+        assert_eq!(reason, TripReason::Deadline);
+        // And an unlimited governed run agrees with the ungoverned one.
+        let plain = sched_min(&w, cfg, Objective::Faults, h, None, NODES).unwrap();
+        let full =
+            sched_min_governed(&w, cfg, Objective::Faults, h, None, &Budget::unlimited()).unwrap();
+        assert_eq!(full, SearchOutcome::Complete(plain));
+    }
+
+    #[test]
+    fn horizon_too_small_errors() {
+        let w = wl(&[&[1, 2, 3]]);
+        let cfg = SimConfig::new(1, 2);
+        let err = sched_min(&w, cfg, Objective::Faults, 2, None, NODES).unwrap_err();
+        assert!(matches!(err, DpError::Model(_)));
     }
 
     #[test]

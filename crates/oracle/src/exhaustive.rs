@@ -1,580 +1,428 @@
-//! Tiny-scale exhaustive offline oracles: brute-force searches over every
-//! eviction (and, for PIF, voluntary-eviction; for the scheduling model,
-//! stalling) choice, written with cloned `Vec`/`HashSet` states and zero
-//! cleverness. They re-derive the answers of `mcp_offline`'s `ftf_dp`,
-//! `pif_decide`, `sched_min` and engine-driven brute-force searches from
-//! nothing but the model rules, so the dynamic programs and searches are
-//! checked against an independent transcription instead of their own
-//! recorded fingerprints.
+//! Tiny-scale exhaustive offline oracles: naive enumeration of every
+//! decision, one run of the naive reference engine ([`crate::reference`])
+//! per schedule. Decisions go through the strategy hooks — victims
+//! through `choose_cell`, K(t) shed sets through `shrink_victims`, PIF
+//! drops through `voluntary_evictions`, stalls through `defer` — so the
+//! oracles carry no step rule of their own. They re-derive the answers of
+//! `mcp_offline`'s DPs (Algorithms 1 and 2) and of its searches on the
+//! production engine, as a third independent path.
+//!
+//! The enumeration is an odometer over the decision script: a run replays
+//! the script and takes option 0 at every decision past its end; the next
+//! script advances the deepest decision that has an untried option. The
+//! only cuts are the incumbent (a run that can no longer beat the best
+//! schedule found stops branching, its faults counted with one for every
+//! page nobody has requested yet) and PIF's stop at the first witness.
 //!
 //! Exponential in every direction — feed these single-digit-length
-//! instances only. Every entry point takes a node cap and returns `None`
-//! when it trips, so callers simply skip the cross-check on instances that
-//! turn out too large.
+//! instances only. Every entry point takes a cap on reference runs and
+//! returns `None` when it trips, so callers simply skip the cross-check on
+//! instances that turn out too large.
 
-use mcp_core::{CapacitySchedule, PageId, SimConfig, Time, Workload};
-use std::collections::HashSet;
+use crate::reference::reference_simulate_with_capacity;
+use mcp_core::{Cache, CacheStrategy, CapacitySchedule, PageId, SimConfig, Time, Workload};
 
-/// The full model state between timesteps, cloned at every branch.
-#[derive(Clone, Debug)]
-struct State {
+/// The four honest optima: over every victim (and K(t) shed) choice of a
+/// lazy, honest strategy — the class `mcp_offline`'s brute-force searches
+/// explore. Honest service is optimal for total faults (Theorem 4).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HonestOptima {
+    /// Minimum total faults (FINAL-TOTAL-FAULTS).
+    pub faults: u64,
+    /// Minimum makespan (completion time of the last request).
+    pub makespan: u64,
+    /// Lexicographic optimum `(faults, makespan)`.
+    pub faults_then_makespan: (u64, u64),
+    /// Lexicographic optimum `(makespan, faults)`.
+    pub makespan_then_faults: (u64, u64),
+}
+
+/// A run's decisions, replayed by the next run up to the one it advances.
+#[derive(Default)]
+struct Script {
+    /// `(taken, options)` per decision, in the order the run meets them.
+    decisions: Vec<(usize, usize)>,
+    /// Decisions the current run has met.
+    depth: usize,
+    /// The run can no longer matter: it takes option 0 everywhere from
+    /// here on and records nothing.
+    frozen: bool,
+}
+
+impl Script {
+    /// The option taken at the next decision among `options`.
+    fn choose(&mut self, options: usize) -> usize {
+        if self.frozen || options < 2 {
+            return 0;
+        }
+        if self.depth == self.decisions.len() {
+            self.decisions.push((0, options));
+        }
+        let (taken, recorded) = self.decisions[self.depth];
+        assert_eq!(recorded, options, "replay diverged from its script");
+        self.depth += 1;
+        taken
+    }
+
+    /// Stop branching: no schedule below the decisions taken so far can
+    /// change the answer, so the run takes option 0 from here on.
+    fn freeze(&mut self) {
+        self.frozen = true;
+        self.decisions.truncate(self.depth);
+    }
+
+    /// Advance to the next script; `false` once every one was run.
+    fn advance(&mut self) -> bool {
+        self.depth = 0;
+        self.frozen = false;
+        while let Some((taken, options)) = self.decisions.pop() {
+            if taken + 1 < options {
+                self.decisions.push((taken + 1, options));
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// What the enumeration decides and what it looks for.
+enum Goal<'a> {
+    /// Victims and K(t) shed sets; the best `(faults, makespan)` in both
+    /// lexicographic orders.
+    Honest {
+        best_fm: (u64, u64),
+        best_mf: (u64, u64),
+    },
+    /// Victims and voluntary drops up to the checkpoint; a schedule whose
+    /// per-core faults issued by `checkpoint` stay within `bounds`.
+    Pif {
+        checkpoint: Time,
+        bounds: &'a [u64],
+        found: bool,
+    },
+    /// Victims and serve-or-defer for every due core; the fewest faults
+    /// of a schedule serving no step after `horizon`.
+    Stall { horizon: Time, best: u64 },
+}
+
+/// The scripted strategy: lazy (an empty cell first), and otherwise the
+/// script's choice at every decision.
+struct Enumeration<'a> {
+    w: &'a Workload,
+    tau: Time,
+    goal: Goal<'a>,
+    script: Script,
     /// Next request index per core.
     pos: Vec<usize>,
-    /// Issue time of each core's next request.
-    ready: Vec<Time>,
-    /// Resident pages (readable by every core).
-    resident: Vec<PageId>,
-    /// In-flight fetches: `(page, time at which it becomes resident)`.
-    in_flight: Vec<(PageId, Time)>,
-    /// Total faults so far.
     faults: u64,
     /// Completion time of the last request served so far: a hit at `t`
-    /// completes at `t`, a fault at `t + τ` (read by [`Goal`] only).
+    /// completes at `t`, a fault at `t + τ`.
     completion: Time,
     /// Per-core faults issued at or before the PIF checkpoint.
     faults_at_cp: Vec<u64>,
-    /// Capacity limit currently in force (`K(t)` after the changes applied
-    /// so far; constant `cfg.cache_size` for fixed-capacity searches).
-    limit: usize,
-    /// Number of capacity-schedule changes already applied.
-    cap_idx: usize,
+    /// The run served a step past the stall horizon: it does not count.
+    void: bool,
 }
 
-impl State {
-    fn initial(p: usize, limit: usize) -> State {
-        State {
-            pos: vec![0; p],
-            ready: vec![1; p],
-            resident: Vec::new(),
-            in_flight: Vec::new(),
+impl<'a> Enumeration<'a> {
+    fn new(w: &'a Workload, cfg: SimConfig, goal: Goal<'a>) -> Self {
+        Enumeration {
+            w,
+            tau: cfg.tau,
+            goal,
+            script: Script::default(),
+            pos: vec![0; w.num_cores()],
             faults: 0,
             completion: 0,
-            faults_at_cp: vec![0; p],
-            limit,
-            cap_idx: 0,
+            faults_at_cp: vec![0; w.num_cores()],
+            void: false,
         }
     }
 
-    /// Earliest time any unfinished core issues, if any.
-    fn next_event(&self, w: &Workload) -> Option<Time> {
-        (0..w.num_cores())
-            .filter(|&c| self.pos[c] < w.len(c))
-            .map(|c| self.ready[c])
-            .min()
-    }
-
-    /// Make every fetch completed by `now` resident.
-    fn promote(&mut self, now: Time) {
-        let (done, pending): (Vec<_>, Vec<_>) = self.in_flight.iter().partition(|(_, r)| *r <= now);
-        self.resident.extend(done.into_iter().map(|(p, _)| p));
-        self.in_flight = pending;
-    }
-
-    /// Cores issuing a request at `t`, in increasing core order.
-    fn due(&self, w: &Workload, t: Time) -> Vec<usize> {
-        (0..w.num_cores())
-            .filter(|&c| self.pos[c] < w.len(c) && self.ready[c] == t)
-            .collect()
-    }
-
-    /// Pages requested by the due cores at `t` (the pinned set `R(t)`).
-    fn requested(&self, w: &Workload, due: &[usize]) -> HashSet<PageId> {
-        due.iter().map(|&c| w.sequence(c)[self.pos[c]]).collect()
-    }
-
-    fn occupied(&self) -> usize {
-        self.resident.len() + self.in_flight.len()
-    }
-
-    /// `true` iff `page` appears in some core's remaining requests.
-    fn requested_later(&self, w: &Workload, page: PageId) -> bool {
-        (0..w.num_cores()).any(|c| w.sequence(c)[self.pos[c]..].contains(&page))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FINAL-TOTAL-FAULTS: minimum total faults over all victim choices.
-// Honest (lazy) service is optimal for this objective (paper, Theorem 4),
-// so the search branches over victims only. The same search minimizes
-// makespan and the two lexicographic orders over the honest lazy
-// schedules, the class `mcp_offline`'s brute-force searches explore.
-// ---------------------------------------------------------------------------
-
-/// What [`MinScore`] minimizes, compared as a `(primary, secondary)` pair.
-#[derive(Clone, Copy)]
-enum Goal {
-    Faults,
-    Makespan,
-    FaultsThenMakespan,
-    MakespanThenFaults,
-}
-
-impl Goal {
-    fn key(self, st: &State) -> (u64, u64) {
-        match self {
-            Goal::Faults => (st.faults, 0),
-            Goal::Makespan => (st.completion, 0),
-            Goal::FaultsThenMakespan => (st.faults, st.completion),
-            Goal::MakespanThenFaults => (st.completion, st.faults),
-        }
-    }
-}
-
-struct MinScore<'w> {
-    w: &'w Workload,
-    cfg: SimConfig,
-    capacity: &'w CapacitySchedule,
-    goal: Goal,
-    best: (u64, u64),
-    nodes: usize,
-    cap: usize,
-    tripped: bool,
-}
-
-impl MinScore<'_> {
-    /// `true` iff `st` can no longer beat the incumbent (both objectives
-    /// only grow along a schedule).
-    fn pruned(&self, st: &State) -> bool {
-        self.tripped || self.goal.key(st) >= self.best
-    }
-
-    fn at_time(&mut self, mut st: State) {
-        if self.pruned(&st) {
-            return;
-        }
-        let Some(mut t) = st.next_event(self.w) else {
-            self.best = self.best.min(self.goal.key(&st));
-            return;
-        };
-        // A capacity change before the next request is itself an event:
-        // the forced shrink evictions happen at the change time, not when
-        // the next request arrives.
-        let changes = self.capacity.changes();
-        if let Some(&(ct, _)) = changes.get(st.cap_idx) {
-            if ct < t {
-                t = ct;
-            }
-        }
-        st.promote(t);
-        while st.cap_idx < changes.len() && changes[st.cap_idx].0 <= t {
-            st.limit = changes[st.cap_idx].1;
-            st.cap_idx += 1;
-        }
-        let due = st.due(self.w, t);
-        let pinned = st.requested(self.w, &due);
-        self.shrink(st, t, &due, &pinned, 0);
-    }
-
-    /// Branch over every way of evicting down to the limit after a
-    /// capacity drop (the offline algorithm chooses the shrink victims
-    /// too). `start` enforces increasing-index victim choice so each
-    /// victim *set* is tried exactly once. No-op when within the limit.
-    fn shrink(
-        &mut self,
-        st: State,
-        t: Time,
-        due: &[usize],
-        pinned: &HashSet<PageId>,
-        start: usize,
-    ) {
-        if self.pruned(&st) {
-            return;
-        }
-        if st.occupied() <= st.limit {
-            self.serve(st, t, due, 0, pinned);
-            return;
-        }
-        for v in start..st.resident.len() {
-            if pinned.contains(&st.resident[v]) {
-                continue;
-            }
-            let mut next = st.clone();
-            next.resident.remove(v);
-            self.shrink(next, t, due, pinned, v);
-        }
-        // Over the limit with nothing evictable (all pinned/in-flight)
-        // cannot happen while K(t) ≥ p; falling through prunes the branch.
-    }
-
-    fn serve(&mut self, mut st: State, t: Time, due: &[usize], i: usize, pinned: &HashSet<PageId>) {
-        self.nodes += 1;
-        if self.nodes > self.cap {
-            self.tripped = true;
-        }
-        if self.pruned(&st) {
-            return;
-        }
-        let Some(&core) = due.get(i) else {
-            self.at_time(st);
-            return;
-        };
-        let page = self.w.sequence(core)[st.pos[core]];
-        st.pos[core] += 1;
-        if st.resident.contains(&page) {
-            st.ready[core] = t + 1; // hit
-            st.completion = st.completion.max(t);
-            self.serve(st, t, due, i + 1, pinned);
-        } else if st.in_flight.iter().any(|(p, _)| *p == page) {
-            st.faults += 1; // shared-fetch join: fault, no new cell
-            st.ready[core] = t + self.cfg.tau + 1;
-            st.completion = st.completion.max(t + self.cfg.tau);
-            self.serve(st, t, due, i + 1, pinned);
-        } else {
-            st.faults += 1;
-            st.ready[core] = t + self.cfg.tau + 1;
-            st.completion = st.completion.max(t + self.cfg.tau);
-            if st.occupied() < st.limit {
-                st.in_flight.push((page, t + self.cfg.tau + 1));
-                self.serve(st, t, due, i + 1, pinned);
-            } else {
-                // Branch over every legal victim: resident and not read
-                // this parallel step. In-flight cells are never victims.
-                for v in 0..st.resident.len() {
-                    if pinned.contains(&st.resident[v]) {
-                        continue;
+    /// Run the reference once per script until the scripts run out, the
+    /// goal is met (a PIF witness), or `max_runs` runs were spent (`None`).
+    fn explore(
+        mut self,
+        cfg: SimConfig,
+        capacity: &CapacitySchedule,
+        max_runs: usize,
+    ) -> Option<Goal<'a>> {
+        let w = self.w;
+        for _ in 0..max_runs {
+            self.pos.fill(0);
+            self.faults = 0;
+            self.completion = 0;
+            self.faults_at_cp.fill(0);
+            self.void = false;
+            let result = reference_simulate_with_capacity(w, cfg, capacity.clone(), &mut self)
+                .expect("a valid schedule, and scripted decisions are legal");
+            let (faults, makespan) = (result.total_faults(), result.makespan);
+            match &mut self.goal {
+                Goal::Honest { best_fm, best_mf } => {
+                    *best_fm = (*best_fm).min((faults, makespan));
+                    *best_mf = (*best_mf).min((makespan, faults));
+                }
+                Goal::Pif {
+                    checkpoint,
+                    bounds,
+                    found,
+                } => {
+                    let at = result.fault_vector_at(*checkpoint);
+                    *found = at.iter().zip(bounds.iter()).all(|(f, b)| f <= b);
+                    if *found {
+                        return Some(self.goal);
                     }
-                    let mut next = st.clone();
-                    next.resident.swap_remove(v);
-                    next.in_flight.push((page, t + self.cfg.tau + 1));
-                    self.serve(next, t, due, i + 1, pinned);
+                }
+                Goal::Stall { best, .. } => {
+                    if !self.void {
+                        *best = (*best).min(faults);
+                    }
+                }
+            }
+            if !self.script.advance() {
+                return Some(self.goal);
+            }
+        }
+        None
+    }
+
+    /// Freeze the run at a decision at `time` if it can no longer matter.
+    fn cut(&mut self, time: Time) {
+        let hopeless = match &self.goal {
+            Goal::Honest { best_fm, best_mf } => {
+                let faults = self.faults + self.cold_pages();
+                (faults, self.completion) >= *best_fm && (self.completion, faults) >= *best_mf
+            }
+            Goal::Pif {
+                checkpoint, bounds, ..
+            } => {
+                time > *checkpoint
+                    || self
+                        .faults_at_cp
+                        .iter()
+                        .zip(bounds.iter())
+                        .any(|(f, b)| f > b)
+            }
+            Goal::Stall { best, .. } => self.faults + self.cold_pages() >= *best,
+        };
+        if hopeless {
+            self.script.freeze();
+        }
+    }
+
+    /// Distinct pages no core has requested yet: a lazy cache holds only
+    /// pages requested before, so each of them faults at least once more.
+    fn cold_pages(&self) -> u64 {
+        let seqs = self.w.sequences();
+        let requested =
+            |page: &PageId| (0..seqs.len()).any(|c| seqs[c][..self.pos[c]].contains(page));
+        let mut cold: Vec<PageId> = Vec::new();
+        for (seq, &pos) in seqs.iter().zip(&self.pos) {
+            for &page in &seq[pos..] {
+                if !cold.contains(&page) && !requested(&page) {
+                    cold.push(page);
                 }
             }
         }
+        cold.len() as u64
+    }
+
+    /// Charge one served request of `core` at `time`.
+    fn serve(&mut self, core: usize, time: Time, fault: bool) {
+        self.pos[core] += 1;
+        if fault {
+            self.faults += 1;
+            self.completion = self.completion.max(time + self.tau);
+            if matches!(self.goal, Goal::Pif { checkpoint, .. } if time <= checkpoint) {
+                self.faults_at_cp[core] += 1;
+            }
+        } else {
+            self.completion = self.completion.max(time);
+        }
     }
 }
 
-/// Exhaustive minimum total faults, or `None` if the search exceeded
-/// `max_nodes`. Cross-checks [`mcp_offline::ftf_min_faults`].
-pub fn oracle_min_faults(w: &Workload, cfg: SimConfig, max_nodes: usize) -> Option<u64> {
-    let capacity = CapacitySchedule::fixed(cfg.cache_size);
-    oracle_min_faults_with_capacity(w, cfg, &capacity, max_nodes)
+/// Every `size`-subset of `cells`.
+fn subsets(cells: &[usize], size: usize) -> Vec<Vec<usize>> {
+    if size == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for (i, &cell) in cells.iter().enumerate() {
+        for mut rest in subsets(&cells[i + 1..], size - 1) {
+            rest.insert(0, cell);
+            out.push(rest);
+        }
+    }
+    out
+}
+
+impl CacheStrategy for Enumeration<'_> {
+    fn name(&self) -> String {
+        "enumeration".into()
+    }
+
+    fn on_hit(&mut self, core: usize, _page: PageId, time: Time, _cache: &Cache) {
+        self.serve(core, time, false);
+    }
+
+    fn on_shared_fetch_miss(&mut self, core: usize, _page: PageId, time: Time, _cache: &Cache) {
+        self.serve(core, time, true);
+    }
+
+    fn choose_cell(&mut self, core: usize, _page: PageId, time: Time, cache: &Cache) -> usize {
+        self.serve(core, time, true);
+        if let Some(cell) = cache.empty_cell() {
+            return cell;
+        }
+        let victims: Vec<usize> = cache.evictable_cells().map(|(cell, _, _)| cell).collect();
+        self.cut(time);
+        victims[self.script.choose(victims.len())]
+    }
+
+    fn shrink_victims(&mut self, need: usize, time: Time, cache: &Cache) -> Vec<usize> {
+        let evictable: Vec<usize> = cache.evictable_cells().map(|(cell, _, _)| cell).collect();
+        let mut sets = subsets(&evictable, need.min(evictable.len()));
+        self.cut(time);
+        let choice = self.script.choose(sets.len());
+        sets.swap_remove(choice)
+    }
+
+    fn voluntary_evictions(&mut self, time: Time, cache: &Cache) -> Vec<usize> {
+        if !matches!(self.goal, Goal::Pif { .. }) {
+            return Vec::new();
+        }
+        // Dropping a page nobody requests again changes nothing.
+        let requested_later = |page: PageId| {
+            (0..self.w.num_cores()).any(|c| self.w.sequence(c)[self.pos[c]..].contains(&page))
+        };
+        let droppable: Vec<usize> = cache
+            .evictable_cells()
+            .filter(|&(_, page, _)| requested_later(page))
+            .map(|(cell, _, _)| cell)
+            .collect();
+        self.cut(time);
+        let mask = self.script.choose(1 << droppable.len());
+        (0..droppable.len())
+            .filter(|bit| mask >> bit & 1 == 1)
+            .map(|bit| droppable[bit])
+            .collect()
+    }
+
+    fn defers(&self) -> bool {
+        matches!(self.goal, Goal::Stall { .. })
+    }
+
+    fn defer(&mut self, _core: usize, _page: PageId, time: Time, _cache: &Cache) -> bool {
+        if matches!(self.goal, Goal::Stall { horizon, .. } if time > horizon) {
+            self.void = true;
+            self.script.freeze();
+        }
+        self.cut(time);
+        self.script.choose(2) == 1
+    }
+}
+
+/// Exhaustive minimum total faults, or `None` if the enumeration took
+/// more than `max_runs` reference runs. Cross-checks
+/// [`mcp_offline::ftf_min_faults`].
+pub fn oracle_min_faults(w: &Workload, cfg: SimConfig, max_runs: usize) -> Option<u64> {
+    oracle_optima(w, cfg, max_runs).map(|optima| optima.faults)
+}
+
+/// All four honest optima in one enumeration, or `None` if it took more
+/// than `max_runs` reference runs. Cross-checks `mcp_offline`'s
+/// `brute_force_min_faults`, `brute_force_min_makespan`,
+/// `brute_force_faults_then_makespan` and
+/// `brute_force_makespan_then_faults`.
+pub fn oracle_optima(w: &Workload, cfg: SimConfig, max_runs: usize) -> Option<HonestOptima> {
+    honest(w, cfg, &CapacitySchedule::fixed(cfg.cache_size), max_runs)
 }
 
 /// Exhaustive minimum total faults under a dynamic capacity schedule
-/// `K(t)`, or `None` if the search exceeded `max_nodes`. The search
-/// branches over fault victims *and* over which pages to shed at each
-/// capacity drop, so it lower-bounds every honest strategy under the
+/// `K(t)`, or `None` if the enumeration took more than `max_runs`
+/// reference runs. It enumerates fault victims *and* the pages to shed at
+/// each capacity drop, so it lower-bounds every honest strategy under the
 /// schedule — the K(t)-aware ground truth behind experiment X05.
 pub fn oracle_min_faults_with_capacity(
     w: &Workload,
     cfg: SimConfig,
     capacity: &CapacitySchedule,
-    max_nodes: usize,
+    max_runs: usize,
 ) -> Option<u64> {
-    assert_eq!(
-        capacity.initial_k(),
-        cfg.cache_size,
-        "capacity schedule must start at the configured cache size"
-    );
-    assert!(
-        capacity.min_k() >= w.num_cores(),
-        "capacity schedule must keep K(t) >= p"
-    );
-    optimum(w, cfg, capacity, Goal::Faults, max_nodes).map(|(faults, _)| faults)
+    honest(w, cfg, capacity, max_runs).map(|optima| optima.faults)
 }
 
-/// Exhaustive minimum makespan (completion time of the last request) over
-/// honest lazy schedules, or `None` if the search exceeded `max_nodes`.
-/// Cross-checks [`mcp_offline::brute_force_min_makespan`].
-pub fn oracle_min_makespan(w: &Workload, cfg: SimConfig, max_nodes: usize) -> Option<u64> {
-    let capacity = CapacitySchedule::fixed(cfg.cache_size);
-    optimum(w, cfg, &capacity, Goal::Makespan, max_nodes).map(|(makespan, _)| makespan)
-}
-
-/// Exhaustive lexicographic optimum `(faults, makespan)`, or `None` if the
-/// search exceeded `max_nodes`. Cross-checks
-/// [`mcp_offline::brute_force_faults_then_makespan`].
-pub fn oracle_faults_then_makespan(
-    w: &Workload,
-    cfg: SimConfig,
-    max_nodes: usize,
-) -> Option<(u64, u64)> {
-    let capacity = CapacitySchedule::fixed(cfg.cache_size);
-    optimum(w, cfg, &capacity, Goal::FaultsThenMakespan, max_nodes)
-}
-
-/// Exhaustive lexicographic optimum `(makespan, faults)`, or `None` if the
-/// search exceeded `max_nodes`. Cross-checks
-/// [`mcp_offline::brute_force_makespan_then_faults`].
-pub fn oracle_makespan_then_faults(
-    w: &Workload,
-    cfg: SimConfig,
-    max_nodes: usize,
-) -> Option<(u64, u64)> {
-    let capacity = CapacitySchedule::fixed(cfg.cache_size);
-    optimum(w, cfg, &capacity, Goal::MakespanThenFaults, max_nodes)
-}
-
-fn optimum(
+fn honest(
     w: &Workload,
     cfg: SimConfig,
     capacity: &CapacitySchedule,
-    goal: Goal,
-    max_nodes: usize,
-) -> Option<(u64, u64)> {
-    let mut search = MinScore {
-        w,
-        cfg,
-        capacity,
-        goal,
-        best: (u64::MAX, u64::MAX),
-        nodes: 0,
-        cap: max_nodes,
-        tripped: false,
+    max_runs: usize,
+) -> Option<HonestOptima> {
+    let goal = Goal::Honest {
+        best_fm: (u64::MAX, u64::MAX),
+        best_mf: (u64::MAX, u64::MAX),
     };
-    search.at_time(State::initial(w.num_cores(), cfg.cache_size));
-    (!search.tripped).then_some(search.best)
-}
-
-// ---------------------------------------------------------------------------
-// PARTIAL-INDIVIDUAL-FAULTS: can the workload be served so that core j has
-// faulted at most bounds[j] times by the checkpoint? Unlike FTF, honesty is
-// NOT known to be WLOG here — deliberately evicting a page (slowing one
-// core within its bound) can save another core a fault. Every voluntary
-// eviction is equivalent to dropping pages in the transition into the next
-// event step (contents are unobservable between events), so the search
-// additionally branches over drop subsets before serving each step.
-// ---------------------------------------------------------------------------
-
-struct Pif<'w> {
-    w: &'w Workload,
-    cfg: SimConfig,
-    checkpoint: Time,
-    bounds: &'w [u64],
-    found: bool,
-    nodes: usize,
-    cap: usize,
-    tripped: bool,
-}
-
-impl Pif<'_> {
-    fn at_time(&mut self, mut st: State) {
-        if self.found || self.tripped {
-            return;
-        }
-        let Some(t) = st.next_event(self.w) else {
-            self.found = true; // everything served within bounds
-            return;
-        };
-        if t > self.checkpoint {
-            self.found = true; // no fault at ≤ checkpoint can still occur
-            return;
-        }
-        st.promote(t);
-        let due = st.due(self.w, t);
-        let pinned = st.requested(self.w, &due);
-        // Droppable pages: resident, not requested this step, and requested
-        // again later (dropping a never-reused page changes nothing).
-        let droppable: Vec<usize> = (0..st.resident.len())
-            .filter(|&v| {
-                !pinned.contains(&st.resident[v]) && st.requested_later(self.w, st.resident[v])
-            })
-            .collect();
-        for mask in 0..(1usize << droppable.len()) {
-            let mut next = st.clone();
-            // Remove highest indices first so earlier indices stay valid.
-            for (bit, &v) in droppable.iter().enumerate().rev() {
-                if mask >> bit & 1 == 1 {
-                    next.resident.swap_remove(v);
-                }
-            }
-            self.serve(next, t, &due, 0, &pinned);
-            if self.found || self.tripped {
-                return;
-            }
-        }
-    }
-
-    fn serve(&mut self, mut st: State, t: Time, due: &[usize], i: usize, pinned: &HashSet<PageId>) {
-        self.nodes += 1;
-        if self.nodes > self.cap {
-            self.tripped = true;
-        }
-        if self.found || self.tripped {
-            return;
-        }
-        let Some(&core) = due.get(i) else {
-            self.at_time(st);
-            return;
-        };
-        let page = self.w.sequence(core)[st.pos[core]];
-        st.pos[core] += 1;
-        let fault = |st: &mut State| -> bool {
-            st.faults += 1;
-            if t <= self.checkpoint {
-                st.faults_at_cp[core] += 1;
-            }
-            st.ready[core] = t + self.cfg.tau + 1;
-            st.faults_at_cp[core] <= self.bounds[core]
-        };
-        if st.resident.contains(&page) {
-            st.ready[core] = t + 1;
-            self.serve(st, t, due, i + 1, pinned);
-        } else if st.in_flight.iter().any(|(p, _)| *p == page) {
-            if fault(&mut st) {
-                self.serve(st, t, due, i + 1, pinned);
-            }
-        } else {
-            if !fault(&mut st) {
-                return;
-            }
-            if st.occupied() < self.cfg.cache_size {
-                st.in_flight.push((page, t + self.cfg.tau + 1));
-                self.serve(st, t, due, i + 1, pinned);
-            } else {
-                for v in 0..st.resident.len() {
-                    if pinned.contains(&st.resident[v]) {
-                        continue;
-                    }
-                    let mut next = st.clone();
-                    next.resident.swap_remove(v);
-                    next.in_flight.push((page, t + self.cfg.tau + 1));
-                    self.serve(next, t, due, i + 1, pinned);
-                    if self.found || self.tripped {
-                        return;
-                    }
-                }
-            }
-        }
+    match Enumeration::new(w, cfg, goal).explore(cfg, capacity, max_runs)? {
+        Goal::Honest { best_fm, best_mf } => Some(HonestOptima {
+            faults: best_fm.0,
+            makespan: best_mf.0,
+            faults_then_makespan: best_fm,
+            makespan_then_faults: best_mf,
+        }),
+        _ => unreachable!("the goal is kept"),
     }
 }
 
-/// Exhaustive PARTIAL-INDIVIDUAL-FAULTS decision, or `None` if the search
-/// exceeded `max_nodes`. Cross-checks [`mcp_offline::pif_decide`].
+/// Exhaustive PARTIAL-INDIVIDUAL-FAULTS decision: can the workload be
+/// served so that core `j` has faulted at most `bounds[j]` times by
+/// `checkpoint`? Honesty is not known to be WLOG here — deliberately
+/// evicting a page can save another core a fault — so besides victims the
+/// enumeration tries every subset of droppable pages (resident, not read
+/// this step, requested again later) at every step up to the checkpoint:
+/// contents are unobservable between steps, so any voluntary eviction is
+/// one of these drops. `None` if no witness turned up within `max_runs`
+/// reference runs. Cross-checks [`mcp_offline::pif_decide`].
 pub fn oracle_pif_feasible(
     w: &Workload,
     cfg: SimConfig,
     checkpoint: Time,
     bounds: &[u64],
-    max_nodes: usize,
+    max_runs: usize,
 ) -> Option<bool> {
     assert_eq!(bounds.len(), w.num_cores());
-    let mut search = Pif {
-        w,
-        cfg,
+    let goal = Goal::Pif {
         checkpoint,
         bounds,
         found: false,
-        nodes: 0,
-        cap: max_nodes,
-        tripped: false,
     };
-    search.at_time(State::initial(w.num_cores(), cfg.cache_size));
-    if search.found {
-        Some(true) // a witness is a witness, even if the cap tripped later
-    } else {
-        (!search.tripped).then_some(false)
+    let capacity = CapacitySchedule::fixed(cfg.cache_size);
+    match Enumeration::new(w, cfg, goal).explore(cfg, &capacity, max_runs)? {
+        Goal::Pif { found, .. } => Some(found),
+        _ => unreachable!("the goal is kept"),
     }
 }
 
-// ---------------------------------------------------------------------------
-// The scheduling-capable model (Hassidim's): at every timestep any due core
-// may be stalled for one tick instead of served. Mirrors the model of
-// `mcp_offline::sched_min`: pins accumulate in serve order (a page is
-// protected once a core already chose to read it this step), in-flight
-// cells are never victims.
-// ---------------------------------------------------------------------------
-
-struct Sched<'w> {
-    w: &'w Workload,
-    cfg: SimConfig,
-    horizon: Time,
-    best: u64,
-    nodes: usize,
-    cap: usize,
-    tripped: bool,
-}
-
-impl Sched<'_> {
-    fn at_time(&mut self, mut st: State) {
-        if self.tripped || st.faults >= self.best {
-            return;
-        }
-        let Some(t) = st.next_event(self.w) else {
-            self.best = self.best.min(st.faults);
-            return;
-        };
-        if t > self.horizon {
-            return;
-        }
-        st.promote(t);
-        let due = st.due(self.w, t);
-        self.serve(st, t, &due, 0, HashSet::new());
-    }
-
-    fn serve(&mut self, mut st: State, t: Time, due: &[usize], i: usize, pinned: HashSet<PageId>) {
-        self.nodes += 1;
-        if self.nodes > self.cap {
-            self.tripped = true;
-        }
-        if self.tripped || st.faults >= self.best {
-            return;
-        }
-        let Some(&core) = due.get(i) else {
-            self.at_time(st);
-            return;
-        };
-
-        // Option A: stall this core for one timestep (the scheduling power).
-        let mut stalled = st.clone();
-        stalled.ready[core] = t + 1;
-        self.serve(stalled, t, due, i + 1, pinned.clone());
-
-        // Option B: serve it.
-        let page = self.w.sequence(core)[st.pos[core]];
-        st.pos[core] += 1;
-        if st.resident.contains(&page) {
-            st.ready[core] = t + 1;
-            let mut pinned = pinned;
-            pinned.insert(page);
-            self.serve(st, t, due, i + 1, pinned);
-        } else if st.in_flight.iter().any(|(p, _)| *p == page) {
-            st.faults += 1; // join the in-flight fetch (it cannot be evicted)
-            st.ready[core] = t + self.cfg.tau + 1;
-            self.serve(st, t, due, i + 1, pinned);
-        } else {
-            st.faults += 1;
-            st.ready[core] = t + self.cfg.tau + 1;
-            let mut pinned = pinned;
-            pinned.insert(page);
-            if st.occupied() < self.cfg.cache_size {
-                st.in_flight.push((page, t + self.cfg.tau + 1));
-                self.serve(st, t, due, i + 1, pinned);
-            } else {
-                for v in 0..st.resident.len() {
-                    if pinned.contains(&st.resident[v]) {
-                        continue;
-                    }
-                    let mut next = st.clone();
-                    next.resident.swap_remove(v);
-                    next.in_flight.push((page, t + self.cfg.tau + 1));
-                    self.serve(next, t, due, i + 1, pinned.clone());
-                }
-            }
-        }
-    }
-}
-
-/// Exhaustive minimum total faults in the scheduling-capable model, or
-/// `None` if the search exceeded `max_nodes` or no schedule completed
-/// within `horizon`. Cross-checks [`mcp_offline::sched_min`].
+/// Exhaustive minimum total faults in the scheduling-capable model, where
+/// any due core may be deferred one timestep at every step; or `None` if
+/// the enumeration took more than `max_runs` reference runs or no
+/// schedule served its last step by `horizon`. Cross-checks
+/// [`mcp_offline::sched_min`].
 pub fn oracle_sched_min_faults(
     w: &Workload,
     cfg: SimConfig,
     horizon: Time,
-    max_nodes: usize,
+    max_runs: usize,
 ) -> Option<u64> {
-    let mut search = Sched {
-        w,
-        cfg,
+    let goal = Goal::Stall {
         horizon,
         best: u64::MAX,
-        nodes: 0,
-        cap: max_nodes,
-        tripped: false,
     };
-    search.at_time(State::initial(w.num_cores(), cfg.cache_size));
-    (!search.tripped && search.best != u64::MAX).then_some(search.best)
+    let capacity = CapacitySchedule::fixed(cfg.cache_size);
+    match Enumeration::new(w, cfg, goal).explore(cfg, &capacity, max_runs)? {
+        Goal::Stall { best, .. } => (best != u64::MAX).then_some(best),
+        _ => unreachable!("the goal is kept"),
+    }
 }
 
 #[cfg(test)]
@@ -604,13 +452,14 @@ mod tests {
     fn makespan_objectives_on_known_instances() {
         // Fault at t=1 completes at 4; hits at 5, 6, 7.
         let wl = w(&[&[1, 1, 1, 1]]);
-        assert_eq!(oracle_min_makespan(&wl, SimConfig::new(1, 3), CAP), Some(7));
+        let optima = oracle_optima(&wl, SimConfig::new(1, 3), CAP).unwrap();
+        assert_eq!(optima.makespan, 7);
         // Aligned thrash: all 8 requests fault, each core issuing at
         // t = 1, 3, 5, 7, so the last completes at 8 on every schedule.
         let wl = w(&[&[1, 2, 1, 2], &[7, 8, 7, 8]]);
-        let cfg = SimConfig::new(2, 1);
-        assert_eq!(oracle_faults_then_makespan(&wl, cfg, CAP), Some((8, 8)));
-        assert_eq!(oracle_makespan_then_faults(&wl, cfg, CAP), Some((8, 8)));
+        let optima = oracle_optima(&wl, SimConfig::new(2, 1), CAP).unwrap();
+        assert_eq!(optima.faults_then_makespan, (8, 8));
+        assert_eq!(optima.makespan_then_faults, (8, 8));
     }
 
     #[test]
@@ -632,6 +481,19 @@ mod tests {
             oracle_sched_min_faults(&wl, cfg, horizon, CAP),
             oracle_min_faults(&wl, cfg, CAP)
         );
+    }
+
+    #[test]
+    fn stalling_waits_out_a_shared_fetch() {
+        // Core 1 wants the page core 0 is fetching: served at once it
+        // joins the fetch (a fault); deferred until the fetch lands, it
+        // hits. Without stalls both cores fault.
+        let wl = w(&[&[1], &[1]]);
+        let cfg = SimConfig::new(2, 1);
+        assert_eq!(oracle_min_faults(&wl, cfg, CAP), Some(2));
+        assert_eq!(oracle_sched_min_faults(&wl, cfg, 10, CAP), Some(1));
+        // ... unless the horizon forbids the wait.
+        assert_eq!(oracle_sched_min_faults(&wl, cfg, 2, CAP), Some(2));
     }
 
     #[test]
@@ -686,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    fn node_cap_trips_to_none() {
+    fn run_cap_trips_to_none() {
         let wl = w(&[&[1, 2, 3, 4, 1, 2, 3, 4], &[7, 8, 9, 7, 8, 9]]);
         assert_eq!(oracle_min_faults(&wl, SimConfig::new(3, 1), 10), None);
     }

@@ -32,10 +32,10 @@ use mcp_policies::{shared_lru, static_partition_lru, LruMimicPartition, Partitio
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 
-/// Node cap for the exhaustive offline oracles; a cross-check whose search
-/// outgrows this is silently skipped (the instance was too large, not
-/// wrong).
-const ORACLE_NODE_CAP: usize = 2_000_000;
+/// Run cap for the exhaustive offline oracles and searches (one engine or
+/// reference run per schedule); a cross-check whose search outgrows this
+/// is silently skipped (the instance was too large, not wrong).
+const ORACLE_RUN_CAP: usize = 2_000_000;
 
 /// Instance-shape profile for the generator.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -132,7 +132,7 @@ pub struct FuzzReport {
     /// Metamorphic invariants checked.
     pub metamorphic_checks: u64,
     /// Exhaustive-oracle cross-checks of the offline DPs performed
-    /// (skipped checks — node cap tripped — are not counted).
+    /// (skipped checks — run cap tripped — are not counted).
     pub dp_checks: u64,
     /// Contained divergences, in instance order.
     pub divergences: Vec<Divergence>,
@@ -779,7 +779,7 @@ fn metamorphic(instance: &Instance) -> u64 {
 /// Cross-check the offline dynamic programs against the naive exhaustive
 /// oracles on a tiny instance derived from the run seed. Panics with the
 /// algorithm's name on any mismatch; returns the number of checks that
-/// actually ran (a tripped node cap skips, it does not fail).
+/// actually ran (a tripped run cap skips, it does not fail).
 fn dp_cross_check(i: usize, master: u64) -> u64 {
     let seed = derive_seed(master, 1_000_000 + i as u64);
     let w = mcp_workloads::random_disjoint(seed, 2, 4, 3);
@@ -788,7 +788,7 @@ fn dp_cross_check(i: usize, master: u64) -> u64 {
     let mut checked = 0;
 
     // FINAL-TOTAL-FAULTS: Algorithm 1's DP vs. brute force.
-    if let Some(brute) = oracle_min_faults(&w, cfg, ORACLE_NODE_CAP) {
+    if let Some(brute) = oracle_min_faults(&w, cfg, ORACLE_RUN_CAP) {
         let dp = ftf_min_faults(&w, cfg).expect("tiny instance");
         assert_eq!(
             dp,
@@ -805,7 +805,7 @@ fn dp_cross_check(i: usize, master: u64) -> u64 {
     let checkpoint = (lru.makespan / 2).max(1);
     let bounds = lru.fault_vector_at(checkpoint);
     for bounds in pif_bound_variants(&bounds) {
-        if let Some(brute) = oracle_pif_feasible(&w, cfg, checkpoint, &bounds, ORACLE_NODE_CAP) {
+        if let Some(brute) = oracle_pif_feasible(&w, cfg, checkpoint, &bounds, ORACLE_RUN_CAP) {
             let dp = pif_decide(&w, cfg, checkpoint, &bounds, PifOptions::default())
                 .expect("tiny instance");
             assert_eq!(
@@ -823,7 +823,7 @@ fn dp_cross_check(i: usize, master: u64) -> u64 {
     // online strategy run under the same schedule.
     let horizon = (w.total_len() as u64 + 2) * (cfg.tau + 1);
     let schedule = capacity_schedule(derive_seed(seed, 0xD0), p, cfg.cache_size, horizon);
-    if let Some(brute) = oracle_min_faults_with_capacity(&w, cfg, &schedule, ORACLE_NODE_CAP) {
+    if let Some(brute) = oracle_min_faults_with_capacity(&w, cfg, &schedule, ORACLE_RUN_CAP) {
         let lru =
             simulate_with_capacity(&w, cfg, schedule.clone(), shared_lru()).expect("tiny instance");
         assert!(
@@ -838,8 +838,8 @@ fn dp_cross_check(i: usize, master: u64) -> u64 {
     // The scheduling-capable model: branch-and-bound vs. brute force.
     if w.total_len() <= 6 {
         let horizon = (w.total_len() as u64 + 4) * (cfg.tau + 1) + 4;
-        if let Some(brute) = oracle_sched_min_faults(&w, cfg, horizon, ORACLE_NODE_CAP) {
-            match sched_min(&w, cfg, Objective::Faults, horizon, None, ORACLE_NODE_CAP) {
+        if let Some(brute) = oracle_sched_min_faults(&w, cfg, horizon, ORACLE_RUN_CAP) {
+            match sched_min(&w, cfg, Objective::Faults, horizon, None, ORACLE_RUN_CAP) {
                 Ok(dp) => {
                     assert_eq!(
                         dp,

@@ -8,9 +8,9 @@
 //!   line-by-line from the paper's Section 3 model — tick-by-tick time, a
 //!   cloned `HashMap` cache picture, no intrusive structures.
 //! - [`exhaustive`]: tiny-scale brute-force offline oracles that re-derive
-//!   the answers of `ftf_dp`, `pif_dp`, `sched_search` and the
-//!   brute-force searches of `mcp_offline::search` by trying every
-//!   eviction (and voluntary-eviction, and stall) choice.
+//!   the answers of `ftf_dp`, `pif_dp`, `sched_min` and the brute-force
+//!   searches of `mcp_offline::search` by running the reference engine
+//!   once per eviction (and voluntary-eviction, and stall) choice.
 //! - [`instance`]: fuzz instances, the strategy-family registry, and the
 //!   replayable fixture format used by `tests/corpus/`.
 //! - [`fuzz`]: the seeded differential harness behind `mcp fuzz` —
@@ -28,9 +28,8 @@ pub mod reference;
 
 pub use chaos::{run_torture, ChaosOptions, ChaosReport};
 pub use exhaustive::{
-    oracle_faults_then_makespan, oracle_makespan_then_faults, oracle_min_faults,
-    oracle_min_faults_with_capacity, oracle_min_makespan, oracle_pif_feasible,
-    oracle_sched_min_faults,
+    oracle_min_faults, oracle_min_faults_with_capacity, oracle_optima, oracle_pif_feasible,
+    oracle_sched_min_faults, HonestOptima,
 };
 pub use fuzz::{run_fuzz, Divergence, FuzzOptions, FuzzProfile, FuzzReport};
 pub use instance::{build_family, family_applicable, Fixture, FixtureError, Instance, FAMILIES};

@@ -30,6 +30,10 @@
 //! 7. A quiet tick (no request due) is served only when the strategy
 //!    declares it via [`CacheStrategy::next_voluntary_time`]; otherwise
 //!    nothing can change and the tick is skipped.
+//! 8. A strategy that declares [`CacheStrategy::defers`] may stall any
+//!    due core for one tick (the offline stall model only): the core is
+//!    asked about in core order before the pins of rule 6, is then neither
+//!    served nor pinned, and issues the same request again at `t + 1`.
 
 use mcp_core::{
     Cache, CacheError, CacheStrategy, CapacitySchedule, CellState, Lookup, ModelError, Outcome,
@@ -128,6 +132,7 @@ pub fn reference_simulate_traced<S: CacheStrategy>(
         .into());
     }
     strategy.begin(workload, &cfg);
+    let may_defer = strategy.defers();
 
     let mut cache = Cache::new(capacity.max_k(), p);
     cache.set_limit(cfg.cache_size);
@@ -166,7 +171,7 @@ pub fn reference_simulate_traced<S: CacheStrategy>(
         cache.promote_due(t);
 
         // Who issues a request at this tick? Re-scan every core.
-        let due: Vec<usize> = (0..p)
+        let mut due: Vec<usize> = (0..p)
             .filter(|&c| pos[c] < workload.len(c) && ready[c] == t)
             .collect();
 
@@ -183,6 +188,16 @@ pub fn reference_simulate_traced<S: CacheStrategy>(
         // the order they happen, and the served requests.
         let mut evicted: Vec<(usize, PageId)> = Vec::new();
         let mut served: Vec<Served> = Vec::new();
+
+        // Rule 8: deferred cores drop out of this tick altogether.
+        due.retain(|&core| {
+            let page = workload.sequence(core)[pos[core]];
+            let deferred = may_defer && strategy.defer(core, page, t, &cache);
+            if deferred {
+                ready[core] = t + 1;
+            }
+            !deferred
+        });
 
         // Rule 6: pin every page requested this parallel step before the
         // strategy may evict voluntarily.

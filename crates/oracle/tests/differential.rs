@@ -4,15 +4,17 @@
 //! exhaustive offline oracles must agree with the dynamic programs and
 //! the engine-driven brute-force searches.
 
-use mcp_core::{simulate, PageId, SimConfig, Workload};
+use mcp_core::{
+    simulate, Cache, CacheStrategy, CapacitySchedule, PageId, SimConfig, Simulator, Time, Workload,
+};
 use mcp_offline::{
     brute_force_faults_then_makespan, brute_force_makespan_then_faults, brute_force_min_faults,
     brute_force_min_makespan, ftf_min_faults, pif_decide, sched_min, Objective, PifOptions,
 };
 use mcp_oracle::{build_family, instance::family_applicable, Instance, FAMILIES};
 use mcp_oracle::{
-    oracle_faults_then_makespan, oracle_makespan_then_faults, oracle_min_faults,
-    oracle_min_makespan, oracle_pif_feasible, oracle_sched_min_faults, reference_simulate,
+    oracle_min_faults, oracle_optima, oracle_pif_feasible, oracle_sched_min_faults,
+    reference_simulate, reference_simulate_traced,
 };
 use mcp_policies::shared_lru;
 use proptest::prelude::*;
@@ -75,21 +77,98 @@ fn assert_engines_agree(w: &Workload, k: usize, tau: u64, seed: u64) {
     }
 }
 
+/// A seeded strategy that defers due cores, picks victims and drops
+/// resident pages on a coin — the decisions the defer path meets. Both
+/// engines call it in the same order on the same cache, so the coin falls
+/// the same way on each. At most `defers` deferrals, so every run ends.
+struct Coin {
+    state: u64,
+    defers: usize,
+}
+
+impl Coin {
+    /// One of `0..n`, xorshift64*.
+    fn flip(&mut self, n: usize) -> usize {
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        (self.state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % n
+    }
+}
+
+impl CacheStrategy for Coin {
+    fn name(&self) -> String {
+        "coin".into()
+    }
+    fn choose_cell(&mut self, _core: usize, _page: PageId, _time: Time, cache: &Cache) -> usize {
+        let victims: Vec<usize> = cache.evictable_cells().map(|(cell, _, _)| cell).collect();
+        cache
+            .empty_cell()
+            .unwrap_or_else(|| victims[self.flip(victims.len())])
+    }
+    fn voluntary_evictions(&mut self, _time: Time, cache: &Cache) -> Vec<usize> {
+        let cells: Vec<usize> = cache.evictable_cells().map(|(cell, _, _)| cell).collect();
+        cells.into_iter().filter(|_| self.flip(4) == 0).collect()
+    }
+    fn defers(&self) -> bool {
+        true
+    }
+    fn defer(&mut self, _core: usize, _page: PageId, _time: Time, _cache: &Cache) -> bool {
+        let defer = self.defers > 0 && self.flip(3) == 0;
+        self.defers -= usize::from(defer);
+        defer
+    }
+}
+
+/// [`Coin`] on the production engine and the reference: equal results
+/// and equal step traces.
+fn assert_defer_paths_agree(w: &Workload, cfg: SimConfig, capacity: CapacitySchedule, seed: u64) {
+    let coin = || Coin {
+        state: seed | 1,
+        defers: 2 * w.total_len(),
+    };
+    let fast = Simulator::with_capacity(w, cfg, capacity.clone(), coin())
+        .and_then(|sim| sim.run_with_trace());
+    let slow = reference_simulate_traced(w, cfg, capacity.clone(), coin());
+    assert_eq!(
+        fast, slow,
+        "diverged under {capacity} on {w:?} K={} tau={}",
+        cfg.cache_size, cfg.tau
+    );
+}
+
+/// A capacity schedule from `steps` of `(gap, k above p)`, kept at or
+/// above the core count.
+fn schedule(k: usize, p: usize, steps: &[(Time, usize)]) -> CapacitySchedule {
+    let mut t = 0;
+    let steps = steps
+        .iter()
+        .map(|&(gap, above)| {
+            t += gap;
+            (t, p + above)
+        })
+        .collect();
+    CapacitySchedule::new(k, steps).unwrap()
+}
+
 /// All four objectives: the naive oracle against the brute-force search
 /// that runs on the production engine.
 fn assert_objectives_agree(w: &Workload, cfg: SimConfig) {
     const CAP: usize = 3_000_000;
-    if let Some(f) = oracle_min_faults(w, cfg, CAP) {
-        assert_eq!(brute_force_min_faults(w, cfg, CAP).unwrap(), f);
-    }
-    if let Some(m) = oracle_min_makespan(w, cfg, CAP) {
-        assert_eq!(brute_force_min_makespan(w, cfg, CAP).unwrap(), m);
-    }
-    if let Some(fm) = oracle_faults_then_makespan(w, cfg, CAP) {
-        assert_eq!(brute_force_faults_then_makespan(w, cfg, CAP).unwrap(), fm);
-    }
-    if let Some(mf) = oracle_makespan_then_faults(w, cfg, CAP) {
-        assert_eq!(brute_force_makespan_then_faults(w, cfg, CAP).unwrap(), mf);
+    if let Some(optima) = oracle_optima(w, cfg, CAP) {
+        assert_eq!(brute_force_min_faults(w, cfg, CAP).unwrap(), optima.faults);
+        assert_eq!(
+            brute_force_min_makespan(w, cfg, CAP).unwrap(),
+            optima.makespan
+        );
+        assert_eq!(
+            brute_force_faults_then_makespan(w, cfg, CAP).unwrap(),
+            optima.faults_then_makespan
+        );
+        assert_eq!(
+            brute_force_makespan_then_faults(w, cfg, CAP).unwrap(),
+            optima.makespan_then_faults
+        );
     }
 }
 
@@ -114,6 +193,20 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         assert_engines_agree(&w, w.num_cores() + extra, tau, seed);
+    }
+
+    #[test]
+    fn deferring_strategy_agrees_on_both_engines(
+        w in small_overlapping(),
+        extra in 0usize..3,
+        tau in 0u64..4,
+        seed in 0u64..u64::MAX,
+        steps in prop::collection::vec((1u64..6, 0usize..4), 0..4),
+    ) {
+        let cfg = SimConfig::new(w.num_cores() + extra, tau);
+        let p = w.num_cores();
+        assert_defer_paths_agree(&w, cfg, CapacitySchedule::fixed(cfg.cache_size), seed);
+        assert_defer_paths_agree(&w, cfg, schedule(cfg.cache_size, p, &steps), seed);
     }
 
     #[test]

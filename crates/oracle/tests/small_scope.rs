@@ -22,10 +22,7 @@ use mcp_offline::{
     brute_force_faults_then_makespan, brute_force_makespan_then_faults, brute_force_min_faults,
     brute_force_min_makespan, fitf_restricted_min_faults, ftf_min_faults,
 };
-use mcp_oracle::{
-    oracle_faults_then_makespan, oracle_makespan_then_faults, oracle_min_faults,
-    oracle_min_makespan,
-};
+use mcp_oracle::oracle_optima;
 
 const CAP: usize = 50_000_000;
 
@@ -96,7 +93,8 @@ fn check_up_to(bound: usize) -> usize {
 
 fn check(w: &Workload, cfg: SimConfig) {
     let at = || format!("{:?} K={} tau={}", w.sequences(), cfg.cache_size, cfg.tau);
-    let oracle = oracle_min_faults(w, cfg, CAP).expect("oracle node cap");
+    let optima = oracle_optima(w, cfg, CAP).expect("oracle run cap");
+    let oracle = optima.faults;
     let brute = brute_force_min_faults(w, cfg, CAP).unwrap();
     assert_eq!(brute, oracle, "brute force vs oracle on {}", at());
     if w.is_disjoint() {
@@ -112,19 +110,19 @@ fn check(w: &Workload, cfg: SimConfig) {
     }
     assert_eq!(
         brute_force_min_makespan(w, cfg, CAP).unwrap(),
-        oracle_min_makespan(w, cfg, CAP).expect("oracle node cap"),
+        optima.makespan,
         "makespan on {}",
         at()
     );
     assert_eq!(
         brute_force_faults_then_makespan(w, cfg, CAP).unwrap(),
-        oracle_faults_then_makespan(w, cfg, CAP).expect("oracle node cap"),
+        optima.faults_then_makespan,
         "(faults, makespan) on {}",
         at()
     );
     assert_eq!(
         brute_force_makespan_then_faults(w, cfg, CAP).unwrap(),
-        oracle_makespan_then_faults(w, cfg, CAP).expect("oracle node cap"),
+        optima.makespan_then_faults,
         "(makespan, faults) on {}",
         at()
     );
