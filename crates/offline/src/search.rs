@@ -272,18 +272,19 @@ impl CacheStrategy for Scripted<'_> {
         self.stall.is_some()
     }
 
-    fn defer(&mut self, core: usize, _page: PageId, time: Time, _cache: &Cache) -> bool {
+    fn defer(&mut self, core: usize, _page: PageId, time: Time, cache: &Cache) -> bool {
         let stall = self.stall.as_ref().expect("only the stall model defers");
-        // Never defer every unfinished core at once: that shifts them all
-        // by a step. On disjoint workloads the naive stall oracle, which
-        // has no such cut, agrees on every instance checked. On shared
-        // pages it can cut the optimum — waiting out another core's final
-        // fetch turns a join into a hit (`[[0], [0]]`, K = 2, τ = 1: 2
-        // faults here, 1 in the oracle).
-        let others_deferred = (0..self.pos.len()).all(|c| {
-            c == core || self.pos[c] == self.workload.len(c) || stall.deferred_at[c] == time
-        });
-        if time > stall.horizon || others_deferred || self.decide(2, time) != DEFER {
+        // Never defer every unfinished core at once while no fetch is in
+        // flight: the step would change nothing but the clock, so any
+        // schedule through it is matched one step earlier. An in-flight
+        // fetch (a finished core's last, since every unfinished core is
+        // due) lands during the wait, so then the wait is a real option:
+        // it can turn a join into a hit (`[[0], [0]]`, K = 2, τ = 1).
+        let shift_only = cache.fetches_in_flight() == 0
+            && (0..self.pos.len()).all(|c| {
+                c == core || self.pos[c] == self.workload.len(c) || stall.deferred_at[c] == time
+            });
+        if time > stall.horizon || shift_only || self.decide(2, time) != DEFER {
             return false;
         }
         self.stall.as_mut().expect("stall model").deferred_at[core] = time;
@@ -498,9 +499,10 @@ pub fn fitf_restricted_min_faults(
 }
 
 /// Exhaustive optimum of `objective` in the scheduling-capable model: the
-/// algorithm may also defer any due core at any timestep, though never
-/// every unfinished core at once (exact on disjoint workloads as far as
-/// checked; on shared pages that cut can miss the optimum).
+/// algorithm may also defer any due core at any timestep. The search
+/// never defers every unfinished core at once while no fetch is in
+/// flight — that step would only shift the clock — so it is exact on
+/// shared pages as well as disjoint ones.
 ///
 /// `horizon` bounds how late the schedule may run (stalls make schedules
 /// unboundedly long otherwise): a schedule serving any step after

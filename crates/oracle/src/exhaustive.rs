@@ -428,6 +428,7 @@ pub fn oracle_sched_min_faults(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcp_offline::Objective;
 
     const CAP: usize = 5_000_000;
 
@@ -487,13 +488,18 @@ mod tests {
     fn stalling_waits_out_a_shared_fetch() {
         // Core 1 wants the page core 0 is fetching: served at once it
         // joins the fetch (a fault); deferred until the fetch lands, it
-        // hits. Without stalls both cores fault.
+        // hits. Without stalls both cores fault. The engine-driven search
+        // must find the wait although core 0 has nothing left to serve.
         let wl = w(&[&[1], &[1]]);
         let cfg = SimConfig::new(2, 1);
         assert_eq!(oracle_min_faults(&wl, cfg, CAP), Some(2));
         assert_eq!(oracle_sched_min_faults(&wl, cfg, 10, CAP), Some(1));
+        let search = mcp_offline::sched_min(&wl, cfg, Objective::Faults, 10, None, CAP);
+        assert_eq!(search, Ok(1));
         // ... unless the horizon forbids the wait.
         assert_eq!(oracle_sched_min_faults(&wl, cfg, 2, CAP), Some(2));
+        let search = mcp_offline::sched_min(&wl, cfg, Objective::Faults, 2, None, CAP);
+        assert_eq!(search, Ok(2));
     }
 
     #[test]

@@ -270,6 +270,7 @@ fn fuzz_one(i: usize, options: &FuzzOptions) -> InstanceStats {
 
     stats.metamorphic += metamorphic(&instance);
     stats.dp_checks += dp_cross_check(i, options.seed);
+    stats.dp_checks += stall_cross_check(i, options.seed);
     stats
 }
 
@@ -838,23 +839,40 @@ fn dp_cross_check(i: usize, master: u64) -> u64 {
     // The scheduling-capable model: branch-and-bound vs. brute force.
     if w.total_len() <= 6 {
         let horizon = (w.total_len() as u64 + 4) * (cfg.tau + 1) + 4;
-        if let Some(brute) = oracle_sched_min_faults(&w, cfg, horizon, ORACLE_RUN_CAP) {
-            match sched_min(&w, cfg, Objective::Faults, horizon, None, ORACLE_RUN_CAP) {
-                Ok(dp) => {
-                    assert_eq!(
-                        dp,
-                        brute,
-                        "dp-cross-check: sched_min disagrees with exhaustive oracle on\n{}",
-                        Instance::new(w.clone(), cfg)
-                    );
-                    checked += 1;
-                }
-                Err(DpError::TooLarge { .. }) => {}
-                Err(e) => panic!("dp-cross-check: sched_min failed: {e:?}"),
-            }
-        }
+        checked += stall_check(&w, cfg, horizon);
     }
     checked
+}
+
+/// The stall model on a tiny instance whose two cores draw from one
+/// three-page universe, so a wait can turn a join into a hit.
+/// (`dp_cross_check` draws disjoint instances for the DPs.)
+fn stall_cross_check(i: usize, master: u64) -> u64 {
+    let seed = derive_seed(master, 2_000_000 + i as u64);
+    let w = mcp_workloads::zipf_shared(2, 1 + (seed % 3) as usize, 3, 0.5, seed);
+    let cfg = SimConfig::new(2 + ((seed >> 4) % 2) as usize, (seed >> 8) % 3);
+    stall_check(&w, cfg, w.total_len() as u64 * (cfg.tau + 1) + cfg.tau + 2)
+}
+
+/// `sched_min` against the naive stall oracle at `horizon`. Panics on a
+/// mismatch; returns 1 if the check ran (a tripped run cap skips it).
+fn stall_check(w: &Workload, cfg: SimConfig, horizon: Time) -> u64 {
+    let Some(brute) = oracle_sched_min_faults(w, cfg, horizon, ORACLE_RUN_CAP) else {
+        return 0;
+    };
+    match sched_min(w, cfg, Objective::Faults, horizon, None, ORACLE_RUN_CAP) {
+        Ok(search) => {
+            assert_eq!(
+                search,
+                brute,
+                "dp-cross-check: sched_min disagrees with exhaustive oracle on\n{}",
+                Instance::new(w.clone(), cfg)
+            );
+            1
+        }
+        Err(DpError::TooLarge { .. }) => 0,
+        Err(e) => panic!("dp-cross-check: sched_min failed: {e:?}"),
+    }
 }
 
 /// The S_LRU-achieved bound vector plus a one-tighter variant (largest

@@ -16,13 +16,20 @@
 //!   are compared on disjoint instances only.)
 //! * the engine-driven searches and the naive oracle agree on the
 //!   makespan optimum and both lexicographic optima.
+//!
+//! A second pass checks the scheduling-capable model on every instance
+//! whose cores share a page (Σnᵢ ≤ 5 by default, ≤ 6 under `--ignored`):
+//! `sched_min` and the naive stall oracle agree on the minimum total
+//! faults. There a wait can turn a join into a hit, which is what the
+//! search's "never defer everyone" cut once missed. (Disjoint instances
+//! are sampled by `differential.rs` and the fuzz suite.)
 
 use mcp_core::{PageId, SimConfig, Workload};
 use mcp_offline::{
     brute_force_faults_then_makespan, brute_force_makespan_then_faults, brute_force_min_faults,
-    brute_force_min_makespan, fitf_restricted_min_faults, ftf_min_faults,
+    brute_force_min_makespan, fitf_restricted_min_faults, ftf_min_faults, sched_min, Objective,
 };
-use mcp_oracle::oracle_optima;
+use mcp_oracle::{oracle_optima, oracle_sched_min_faults};
 
 const CAP: usize = 50_000_000;
 
@@ -71,9 +78,9 @@ fn instances(cores: usize, total: usize) -> Vec<Workload> {
     out
 }
 
-/// Check every instance with `1 ≤ Σnᵢ ≤ bound`; returns how many
-/// `(instance, K, τ)` configurations were checked.
-fn check_up_to(bound: usize) -> usize {
+/// Check every instance with `1 ≤ Σnᵢ ≤ bound` with `check`; returns
+/// how many `(instance, K, τ)` configurations were checked.
+fn check_up_to(bound: usize, check: fn(&Workload, SimConfig)) -> usize {
     let mut checked = 0;
     for cores in 1..=2 {
         for total in 1..=bound {
@@ -128,6 +135,27 @@ fn check(w: &Workload, cfg: SimConfig) {
     );
 }
 
+/// `sched_min` against the naive stall oracle on a shared instance. The
+/// horizon leaves every no-stall schedule (done by `n(τ+1)`) `τ + 2`
+/// steps of slack for waits; both sides optimise under the same horizon,
+/// and the naive oracle's enumeration grows steeply with it.
+fn check_stall(w: &Workload, cfg: SimConfig) {
+    if w.is_disjoint() {
+        return;
+    }
+    let horizon = w.total_len() as u64 * (cfg.tau + 1) + cfg.tau + 2;
+    let oracle = oracle_sched_min_faults(w, cfg, horizon, CAP).expect("oracle run cap");
+    let search = sched_min(w, cfg, Objective::Faults, horizon, None, CAP).unwrap();
+    assert_eq!(
+        search,
+        oracle,
+        "stall model on {:?} K={} tau={}",
+        w.sequences(),
+        cfg.cache_size,
+        cfg.tau
+    );
+}
+
 #[test]
 fn restricted_growth_strings_are_counted_by_bell_numbers() {
     let bell = [1, 1, 2, 5, 15, 52, 203];
@@ -138,7 +166,12 @@ fn restricted_growth_strings_are_counted_by_bell_numbers() {
 
 #[test]
 fn every_instance_up_to_six_requests() {
-    assert!(check_up_to(6) > 0);
+    assert!(check_up_to(6, check) > 0);
+}
+
+#[test]
+fn every_shared_instance_up_to_five_requests_in_the_stall_model() {
+    assert!(check_up_to(5, check_stall) > 0);
 }
 
 /// The larger bound: run with `cargo test --release -p mcp-oracle --test
@@ -146,5 +179,13 @@ fn every_instance_up_to_six_requests() {
 #[test]
 #[ignore]
 fn every_instance_up_to_eight_requests() {
-    assert!(check_up_to(8) > 0);
+    assert!(check_up_to(8, check) > 0);
+}
+
+/// The stall model's larger bound (about four minutes in release, nearly
+/// all of it in the naive oracle).
+#[test]
+#[ignore]
+fn every_shared_instance_up_to_six_requests_in_the_stall_model() {
+    assert!(check_up_to(6, check_stall) > 0);
 }

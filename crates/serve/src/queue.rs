@@ -172,43 +172,60 @@ impl QueueSet {
                 && s.closed[core as usize].load(Ordering::Acquire))
     }
 
-    /// Push one request into its ring if routable, ungated and not full.
-    /// Counts nothing but queue-full drops per ring.
-    fn try_admit(&self, core: u32, page: u32) -> bool {
-        let s = &*self.inner;
-        let Some(ring) = self.ring_of(core) else {
-            return false;
-        };
-        if self.gate_closed(core) {
-            return false;
-        }
-        if s.rings[ring].try_push(Msg::Req { core, page }).is_ok() {
-            return true;
-        }
-        s.ring_dropped[ring].fetch_add(1, Ordering::Relaxed);
-        false
-    }
-
     /// Offer a batch of `(core, page)` requests in order — one decoded
     /// `REQS` frame. Returns how many were admitted; the rest dropped
-    /// (full queue, unroutable core, or core already closed). Costs two
-    /// counter updates per batch (one when nothing drops) plus the
-    /// ring's per-request CAS.
+    /// (full queue, unroutable core, or core already closed).
+    ///
+    /// The frame is admitted in runs that map to one ring, never
+    /// reordered: under cFCFS the whole frame is one run, under dFCFS a
+    /// run is consecutive requests of one core. A run costs one
+    /// routability check, one gate check and one ring reservation
+    /// ([`Ring::push_run`]); the part of a run that does not fit drops
+    /// and is counted against its ring. The frame costs two counter
+    /// updates (one when nothing drops).
     pub fn offer_many(&self, reqs: &[(u32, u32)]) -> usize {
         if reqs.is_empty() {
             return 0;
         }
         let s = &*self.inner;
         s.offered.fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        let admitted = reqs
-            .iter()
-            .filter(|&&(core, page)| self.try_admit(core, page))
-            .count();
+        let mut admitted = 0;
+        let mut rest = reqs;
+        while let Some(&(core, _)) = rest.first() {
+            let len = match s.discipline {
+                Discipline::Cfcfs => rest.len(),
+                Discipline::Dfcfs => rest
+                    .iter()
+                    .position(|&(c, _)| c != core)
+                    .unwrap_or(rest.len()),
+            };
+            let (run, tail) = rest.split_at(len);
+            admitted += self.admit_run(core, run);
+            rest = tail;
+        }
         let dropped = (reqs.len() - admitted) as u64;
         if dropped > 0 {
             s.dropped.fetch_add(dropped, Ordering::Release);
         }
         admitted
+    }
+
+    /// Push the longest prefix of `run` that fits into `core`'s ring, if
+    /// `core` is routable and ungated; returns the prefix length. Counts
+    /// nothing but the run's queue-full drops against its ring.
+    fn admit_run(&self, core: u32, run: &[(u32, u32)]) -> usize {
+        let s = &*self.inner;
+        let Some(ring) = self.ring_of(core) else {
+            return 0;
+        };
+        if self.gate_closed(core) {
+            return 0;
+        }
+        let pushed = s.rings[ring].push_run(run, |&(core, page)| Msg::Req { core, page });
+        if pushed < run.len() {
+            s.ring_dropped[ring].fetch_add((run.len() - pushed) as u64, Ordering::Relaxed);
+        }
+        pushed
     }
 
     /// Offer one request. Returns `true` when admitted, `false` when
@@ -509,5 +526,180 @@ mod tests {
             vec![0],
             "a give-up is not a queue-full drop"
         );
+    }
+
+    fn drain_all(c: &mut Consumer) -> Vec<Msg> {
+        let mut msgs = Vec::new();
+        c.drain(usize::MAX, |m| msgs.push(m));
+        msgs
+    }
+
+    fn frame(core: u32, pages: std::ops::Range<u32>) -> Vec<(u32, u32)> {
+        pages.map(|page| (core, page)).collect()
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_free_space_admits_its_prefix() {
+        let (q, mut c) = QueueSet::new(Discipline::Cfcfs, 4, 8);
+        assert_eq!(q.offer_many(&frame(0, 0..3)), 3);
+        // One run for the whole cFCFS frame, whatever its cores.
+        let big: Vec<(u32, u32)> = (0..20).map(|i| (i % 4, 100 + i)).collect();
+        assert_eq!(q.offer_many(&big), 5);
+        let t = q.totals();
+        assert_eq!((t.offered, t.admitted, t.dropped), (23, 8, 15));
+        assert_eq!(t.ring_dropped, vec![15]);
+        let want: Vec<Msg> = frame(0, 0..3)
+            .into_iter()
+            .chain(big[..5].iter().copied())
+            .map(|(core, page)| Msg::Req { core, page })
+            .collect();
+        assert_eq!(drain_all(&mut c), want);
+        // A frame longer than the whole ring fills it and no more.
+        assert_eq!(q.offer_many(&frame(1, 0..100)), 8);
+        assert_eq!(q.totals().ring_dropped, vec![15 + 92]);
+    }
+
+    #[test]
+    fn gates_closed_mid_stream_drop_whole_runs() {
+        let (q, mut c) = QueueSet::new(Discipline::Dfcfs, 3, 16);
+        let mixed = |base: u32| -> Vec<(u32, u32)> {
+            [
+                (0, base),
+                (0, base + 1),
+                (1, base + 2),
+                (2, base + 3),
+                (1, base + 4),
+            ]
+            .into()
+        };
+        assert_eq!(q.offer_many(&mixed(0)), 5);
+        q.close(Some(1));
+        assert_eq!(
+            q.offer_many(&mixed(10)),
+            3,
+            "core 1's two runs drop at the gate"
+        );
+        q.close(None);
+        assert_eq!(q.offer_many(&mixed(20)), 0, "close-all gates every run");
+        let t = q.totals();
+        assert_eq!((t.offered, t.admitted, t.dropped), (15, 8, 7));
+        assert_eq!(t.ring_dropped, vec![0, 0, 0], "gate drops have no ring");
+        let msgs = drain_all(&mut c);
+        assert_eq!(
+            msgs.len(),
+            8 + 1 + 3,
+            "requests, core 1's close, close-all's"
+        );
+        assert_eq!(
+            msgs.iter()
+                .filter(|m| **m == Msg::Close { core: 1 })
+                .count(),
+            2,
+            "core 1's own close, then close-all's marker"
+        );
+
+        let (q, mut c) = QueueSet::new(Discipline::Cfcfs, 3, 16);
+        assert_eq!(q.offer_many(&mixed(0)), 5);
+        q.close(Some(2));
+        assert_eq!(
+            q.offer_many(&mixed(10)),
+            0,
+            "any close ends the cFCFS stream"
+        );
+        assert_eq!(drain_all(&mut c).last(), Some(&Msg::Close { core: 2 }));
+    }
+
+    #[test]
+    fn unroutable_cores_inside_a_dfcfs_frame_drop_alone() {
+        let (q, mut c) = QueueSet::new(Discipline::Dfcfs, 2, 4);
+        let batch = [
+            (0, 1),
+            (0, 2),
+            (7, 3),
+            (7, 4),
+            (1, 5),
+            (2, 6),
+            (0, 7),
+            (9, 8),
+        ];
+        assert_eq!(q.offer_many(&batch), 4);
+        let t = q.totals();
+        assert_eq!((t.offered, t.admitted, t.dropped), (8, 4, 4));
+        assert_eq!(t.ring_dropped, vec![0, 0], "unroutable drops have no ring");
+        let want: Vec<Msg> = [(0, 1), (0, 2), (0, 7), (1, 5)]
+            .into_iter()
+            .map(|(core, page)| Msg::Req { core, page })
+            .collect();
+        assert_eq!(drain_all(&mut c), want);
+    }
+
+    #[test]
+    fn ring_drops_sum_to_the_drops_when_every_core_routes() {
+        let (q, mut c) = QueueSet::new(Discipline::Dfcfs, 3, 4);
+        for round in 0..20u32 {
+            // Runs of varying length, so each ring overflows part way
+            // through some run.
+            let batch: Vec<(u32, u32)> = (0..12)
+                .map(|i| ((i / (1 + round % 4)) % 3, round * 100 + i))
+                .collect();
+            q.offer_many(&batch);
+            if round % 3 == 0 {
+                drain_all(&mut c);
+            }
+            let t = q.totals();
+            assert_eq!(t.offered, t.admitted + t.dropped);
+            assert_eq!(
+                t.ring_dropped.iter().sum::<u64>(),
+                t.dropped,
+                "round {round}"
+            );
+        }
+        assert!(q.totals().dropped > 0, "depth 4 must overflow");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// On a quiescent queue set, offering a frame whole leaves the
+        /// rings and the counters exactly as offering its requests one by
+        /// one does, across both disciplines, full rings, closes,
+        /// unroutable cores and partial drains.
+        #[test]
+        fn offer_many_matches_per_request_offers(
+            dfcfs in 0u32..2,
+            cores in 1usize..4,
+            depth in 1usize..12,
+            ops in proptest::collection::vec(
+                (0u32..10, proptest::collection::vec((0u32..5, 0u32..50), 0..24), 0u32..12),
+                1..40,
+            ),
+        ) {
+            let discipline = if dfcfs == 1 { Discipline::Dfcfs } else { Discipline::Cfcfs };
+            let (whole, mut whole_c) = QueueSet::new(discipline, cores, depth);
+            let (single, mut single_c) = QueueSet::new(discipline, cores, depth);
+            for (kind, reqs, arg) in ops {
+                match kind {
+                    // A close spins its marker in, so make room first.
+                    9 => {
+                        proptest::prop_assert_eq!(drain_all(&mut whole_c), drain_all(&mut single_c));
+                        let core = (arg > 0).then_some(arg % (cores as u32 + 1));
+                        whole.close(core);
+                        single.close(core);
+                    }
+                    7 | 8 => {
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        whole_c.drain(arg as usize, |m| a.push(m));
+                        single_c.drain(arg as usize, |m| b.push(m));
+                        proptest::prop_assert_eq!(a, b);
+                    }
+                    _ => {
+                        let admitted = reqs.iter().filter(|&&(c, p)| single.offer(c, p)).count();
+                        proptest::prop_assert_eq!(whole.offer_many(&reqs), admitted);
+                    }
+                }
+                proptest::prop_assert_eq!(whole.totals(), single.totals());
+            }
+            proptest::prop_assert_eq!(drain_all(&mut whole_c), drain_all(&mut single_c));
+        }
     }
 }

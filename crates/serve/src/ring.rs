@@ -3,9 +3,10 @@
 //! admission messages.
 //!
 //! Producers are connection decoder threads and in-process clients;
-//! the single consumer is the driver thread. `try_push` never blocks —
-//! a full ring reports failure so the caller can account an explicit
-//! *drop* (backpressure is observable, never silent). Slots carry
+//! the single consumer is the driver thread. Pushes never block — a full
+//! ring reports failure so the caller can account an explicit *drop*
+//! (backpressure is observable, never silent). `push_run` claims a run
+//! of slots with one CAS on `tail`; `try_push` is a run of one. Slots carry
 //! per-slot sequence numbers, so producers and the consumer synchronize
 //! per cell rather than through a shared lock; with a single producer
 //! the queue degenerates to a plain SPSC ring with no contended CAS.
@@ -66,7 +67,7 @@ pub struct Ring {
 }
 
 // SAFETY: slots are only written by the producer that claimed them via
-// the tail CAS and only read by the single consumer after observing the
+// a tail CAS and only read by the single consumer after observing the
 // slot's published sequence number (acquire/release pairs below).
 unsafe impl Send for Ring {}
 unsafe impl Sync for Ring {}
@@ -99,33 +100,71 @@ impl Ring {
     /// Push without blocking. `Err(msg)` means the ring is full — the
     /// caller decides whether that is a drop or a retry.
     pub fn try_push(&self, msg: Msg) -> Result<(), Msg> {
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[tail & self.mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let dif = seq as isize - tail as isize;
-            if dif == 0 {
-                match self.tail.compare_exchange_weak(
-                    tail,
-                    tail.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS gave this producer exclusive
-                        // ownership of the slot until the seq store below.
-                        unsafe { *slot.value.get() = msg };
-                        slot.seq.store(tail.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(t) => tail = t,
-                }
-            } else if dif < 0 {
-                return Err(msg); // full: consumer has not freed this slot
-            } else {
-                tail = self.tail.load(Ordering::Relaxed);
-            }
+        match self.push_run(&[msg], |&m| m) {
+            1 => Ok(()),
+            _ => Err(msg),
         }
+    }
+
+    /// Push the longest prefix of `items` that fits, as `msg(item)`, with
+    /// one reservation: read `tail`, count the next slots that are free on
+    /// this lap (sequence number equal to their position), and claim them
+    /// all with a single CAS of `tail`. Returns the prefix length; the
+    /// rest did not fit. Only the single consumer frees slots, and it
+    /// frees them in order, so the CAS that validates `tail` also makes
+    /// the counted slots this producer's alone. A slot the consumer frees
+    /// after the count is not waited for: the run stops where the count
+    /// did.
+    pub fn push_run<T>(&self, items: &[T], msg: impl Fn(&T) -> Msg) -> usize {
+        let want = items.len().min(self.slots.len());
+        if want == 0 {
+            return 0;
+        }
+        let is_free = |pos: usize| self.slots[pos & self.mask].seq.load(Ordering::Acquire) == pos;
+        let mut tail = self.tail.load(Ordering::Relaxed);
+        let free = loop {
+            // Freed in order: if the run's last slot is free on this lap,
+            // so is every slot before it, and the acquire load of its
+            // sequence orders this producer's writes after the consumer's
+            // reads of all of them. (A slot another producer claimed since
+            // moved `tail`, so the CAS fails.) Only a run that does not
+            // fit is counted slot by slot.
+            let free = if is_free(tail.wrapping_add(want - 1)) {
+                want
+            } else {
+                (0..want)
+                    .take_while(|&i| is_free(tail.wrapping_add(i)))
+                    .count()
+            };
+            if free == 0 {
+                let seq = self.slots[tail & self.mask].seq.load(Ordering::Acquire);
+                if (seq as isize) - (tail as isize) < 0 {
+                    return 0; // full: consumer has not freed this slot
+                }
+                // Another producer claimed this position: catch up.
+                tail = self.tail.load(Ordering::Relaxed);
+                continue;
+            }
+            match self.tail.compare_exchange_weak(
+                tail,
+                tail.wrapping_add(free),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break free,
+                Err(t) => tail = t,
+            }
+        };
+        let mut pos = tail;
+        for item in &items[..free] {
+            let slot = &self.slots[pos & self.mask];
+            // SAFETY: the CAS gave this producer exclusive ownership of
+            // the slot until the seq store below.
+            unsafe { *slot.value.get() = msg(item) };
+            pos = pos.wrapping_add(1);
+            slot.seq.store(pos, Ordering::Release);
+        }
+        free
     }
 
     /// Pop one message. **Single-consumer**: callers must guarantee only
@@ -186,6 +225,90 @@ mod tests {
             }
             assert_eq!(ring.pop(), None);
         }
+    }
+
+    fn reqs(core: u32, pages: std::ops::Range<u32>) -> Vec<(u32, u32)> {
+        pages.map(|page| (core, page)).collect()
+    }
+
+    fn push_reqs(ring: &Ring, reqs: &[(u32, u32)]) -> usize {
+        ring.push_run(reqs, |&(core, page)| Msg::Req { core, page })
+    }
+
+    fn pop_all(ring: &Ring) -> Vec<Msg> {
+        std::iter::from_fn(|| ring.pop()).collect()
+    }
+
+    #[test]
+    fn run_admits_exactly_the_prefix_that_fits() {
+        let ring = Ring::new(8);
+        assert_eq!(push_reqs(&ring, &reqs(0, 0..3)), 3);
+        assert_eq!(push_reqs(&ring, &reqs(1, 0..10)), 5, "five slots were free");
+        assert_eq!(ring.len(), 8);
+        assert_eq!(
+            push_reqs(&ring, &reqs(2, 0..4)),
+            0,
+            "full ring admits nothing"
+        );
+        let want: Vec<Msg> = (0..3)
+            .map(|p| req(0, p))
+            .chain((0..5).map(|p| req(1, p)))
+            .collect();
+        assert_eq!(pop_all(&ring), want);
+        assert_eq!(push_reqs(&ring, &[]), 0);
+        assert!(ring.is_empty());
+    }
+
+    #[test]
+    fn run_longer_than_the_capacity_fills_the_ring() {
+        let ring = Ring::new(4);
+        assert_eq!(push_reqs(&ring, &reqs(0, 0..100)), 4);
+        assert_eq!(
+            pop_all(&ring),
+            (0..4).map(|p| req(0, p)).collect::<Vec<_>>()
+        );
+        // One freed slot admits one more, from the run's start.
+        assert_eq!(push_reqs(&ring, &reqs(0, 50..100)), 4);
+        assert_eq!(ring.pop(), Some(req(0, 50)));
+        assert_eq!(push_reqs(&ring, &reqs(0, 7..100)), 1);
+        let want: Vec<Msg> = (51..54).map(|p| req(0, p)).chain([req(0, 7)]).collect();
+        assert_eq!(pop_all(&ring), want);
+    }
+
+    #[test]
+    fn runs_wrap_around_across_laps() {
+        // Runs of 5 into 8 slots with 3 popped between them: runs start at
+        // every offset, straddle the end of the slot array and often fit
+        // only in part, over many laps of the sequence numbers.
+        let ring = Ring::new(8);
+        let mut next_push = 0u32;
+        let mut next_pop = 0u32;
+        for _ in 0..200 {
+            let free = (8 - ring.len()) as u32;
+            let pushed = push_reqs(&ring, &reqs(0, next_push..next_push + 5)) as u32;
+            assert_eq!(pushed, free.min(5));
+            next_push += pushed;
+            for _ in 0..3 {
+                match ring.pop() {
+                    Some(msg) => {
+                        assert_eq!(msg, req(0, next_pop));
+                        next_pop += 1;
+                    }
+                    None => assert_eq!(next_pop, next_push),
+                }
+            }
+        }
+        assert!(next_push > 3 * 8 * 8, "many laps: {next_push}");
+        assert_eq!(pop_all(&ring).len() as u32, next_push - next_pop);
+    }
+
+    #[test]
+    fn try_push_is_a_run_of_one() {
+        let ring = Ring::new(2);
+        assert_eq!(ring.try_push(req(0, 1)), Ok(()));
+        assert_eq!(push_reqs(&ring, &reqs(0, 2..9)), 1);
+        assert_eq!(ring.try_push(req(0, 3)), Err(req(0, 3)));
+        assert_eq!(pop_all(&ring), vec![req(0, 1), req(0, 2)]);
     }
 
     #[test]
