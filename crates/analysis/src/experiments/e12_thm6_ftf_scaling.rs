@@ -4,11 +4,12 @@
 //! sweeping `n` (and `τ`), and fits the growth exponent: it must look
 //! polynomial (bounded exponent), not exponential (exploding exponent).
 //!
-//! The "raw" columns run Algorithm 1 as published (no pruning, no lower
-//! bound); the "pruned" columns run the default solver, whose admissible
-//! lower bound cuts edges that provably lie on no optimal path. The K = 2
-//! family is degenerate (states grow like n), so a Zipf sweep at p = 3,
-//! K = 6 shows what the bound buys where Theorem 6's n^{K+p} bites.
+//! The "raw" columns run Algorithm 1 as published (no lower bound); the
+//! "pruned" columns run the default witness-free solver, whose admissible
+//! lower bound cuts every edge that cannot beat a feasible upper bound.
+//! The K = 2 family is degenerate (states grow like n), so a Zipf sweep
+//! at p = 3, K = 6 shows what the bound buys where Theorem 6's n^{K+p}
+//! bites.
 
 use super::{Experiment, Scale};
 use crate::report::{Report, Table, Verdict};
@@ -17,10 +18,9 @@ use crate::timing::Stopwatch;
 use mcp_core::{Budget, SimConfig, Workload};
 use mcp_offline::{ftf_dp, ftf_dp_governed_with_stats, FtfOptions, FtfOutcome};
 
-/// Algorithm 1 as published: no incumbent pruning, no lower bound.
+/// Algorithm 1 as published: no lower bound.
 fn published() -> FtfOptions {
     FtfOptions {
-        prune: false,
         bound: false,
         ..Default::default()
     }

@@ -1,8 +1,7 @@
 //! Design-choice ablations called out in DESIGN.md:
 //!
-//! * branch-and-bound pruning in Algorithm 1: the default solver
-//!   (incumbent pruning plus the admissible lower bound) against the raw
-//!   DP as published;
+//! * branch-and-bound pruning in Algorithm 1: the default solver (the
+//!   admissible lower bound) against the raw DP as published;
 //! * honest (lazy) vs full transition relation in both DPs;
 //! * schedule reconstruction cost;
 //! * the Theorem-5 restriction (p-way branching) vs full brute force.
@@ -29,7 +28,6 @@ fn bench_pruning(c: &mut Criterion) {
                     &w,
                     cfg,
                     FtfOptions {
-                        prune: false,
                         bound: false,
                         ..Default::default()
                     },

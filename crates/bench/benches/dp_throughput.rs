@@ -16,10 +16,13 @@
 //! and `pif_full_pair` (a feasible and an infeasible decision on either
 //! side of the optimum, fault-vector expansions/s).
 //!
-//! Both DPs are pinned to `jobs = 1` and run without their admissible
-//! lower bound (`bound: false`): this measures the engine on Algorithms 1
-//! and 2 as published, not the pool or the pruning, so the state and
-//! expansion counts stay comparable with earlier baselines.
+//! Both DPs are pinned to `jobs = 1` and, except in one group, run without
+//! their admissible lower bound (`bound: false`): this measures the engine
+//! on Algorithms 1 and 2 as published, not the pool or the pruning, so the
+//! state and expansion counts stay comparable with earlier baselines. The
+//! exception, `ftf_bounded_large`, times the default FTF solver on the
+//! `offline-dp` instance, once without a witness (`proof`: only the
+//! optimum is proved) and once with one (`witness`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcp_bench::dp_family;
@@ -85,18 +88,19 @@ fn bench_ftf(c: &mut Criterion) {
         });
         group.finish();
     }
-    // Raw (unpruned) Algorithm 1 — the exact object Theorem 6 bounds.
-    {
-        let w = dp_family(48);
-        let cfg = SimConfig::new(2, 1);
+    // The default solver, lower bound on, on the `offline-dp` instance:
+    // proving the optimum against finding a witness for it.
+    for (name, reconstruct) in [("proof", false), ("witness", true)] {
+        let (w, cfg) = offline_dp_instance(371);
         let opts = FtfOptions {
-            prune: false,
-            ..ftf_opts()
+            jobs: 1,
+            reconstruct,
+            ..Default::default()
         };
         let states = ftf_dp(&w, cfg, opts).unwrap().states;
-        let mut group = c.benchmark_group("dp_throughput/ftf_states_raw");
+        let mut group = c.benchmark_group("dp_throughput/ftf_bounded_large");
         group.throughput(Throughput::Elements(states as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(48), &48, |b, _| {
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let r = ftf_dp(black_box(&w), cfg, opts).unwrap();
                 black_box(r.min_faults)

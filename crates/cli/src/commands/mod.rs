@@ -207,6 +207,20 @@ pub fn load_instance(args: &Args) -> Result<(Workload, SimConfig), CliError> {
     Ok((workload, cfg))
 }
 
+/// Warn on stderr when cores share a page. The exact DPs count a step's
+/// faults once per page and treat another core's request for a page in
+/// flight as a hit, while the engine charges that core a fault (DESIGN
+/// §1), so on shared pages the printed value may not be reachable.
+pub fn warn_if_shared(workload: &Workload) {
+    if !workload.is_disjoint() {
+        eprintln!(
+            "warning: cores share pages; the DP counts a step's faults once per page and \
+             treats an in-flight page as present, so the engine may not reach the printed \
+             value (DESIGN §1)"
+        );
+    }
+}
+
 /// Load a `--checkpoint` resume file under the recovery policy
 /// (DESIGN §13): a missing file starts fresh; a corrupt snapshot or one
 /// whose fingerprint does not match `expected` (stale: different trace,

@@ -11,9 +11,11 @@
 //! re-running the same command resumes from the snapshot (the file is
 //! removed on completion). `--stats` prints DP engine statistics
 //! (states, expansions, peak arena bytes, dedup-table load factor,
-//! states/sec) to stderr; `--json` makes that line machine-readable.
+//! states/sec) to stderr; `--json` makes that line machine-readable. A
+//! trace whose cores share a page also gets a one-line warning on
+//! stderr: the engine may not reach the printed optimum there.
 
-use super::{budget_from, emit_stats, load_instance, CliError};
+use super::{budget_from, emit_stats, load_instance, warn_if_shared, CliError};
 use crate::args::Args;
 use mcp_core::Budget;
 use mcp_offline::{ftf_dp_governed_with_stats, FtfCheckpoint, FtfOptions, FtfOutcome, FtfResult};
@@ -21,6 +23,7 @@ use mcp_offline::{ftf_dp_governed_with_stats, FtfCheckpoint, FtfOptions, FtfOutc
 /// Run `mcp opt`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let (workload, cfg) = load_instance(args)?;
+    warn_if_shared(&workload);
     let reconstruct = args.flag("schedule");
     let max_states: usize = args.parse_or("max-states", 4_000_000usize)?;
     let want_stats = args.flag("stats") || args.flag("json");

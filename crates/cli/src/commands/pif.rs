@@ -11,9 +11,11 @@
 //! snapshot (the file is removed on completion). `--stats` prints DP
 //! engine statistics (peak live states, vector expansions, peak arena
 //! bytes, dedup-table load factor, states/sec) to stderr on the decision
-//! path; `--json` makes that line machine-readable.
+//! path; `--json` makes that line machine-readable. A trace whose cores
+//! share a page also gets a one-line warning on stderr: the DP's answer
+//! may not hold on the engine there.
 
-use super::{budget_from, emit_stats, load_instance, CliError};
+use super::{budget_from, emit_stats, load_instance, warn_if_shared, CliError};
 use crate::args::Args;
 use mcp_offline::{
     pif_decide_governed_with_stats, pif_decide_with_stats, pif_witness, PifCheckpoint, PifOptions,
@@ -23,6 +25,7 @@ use mcp_offline::{
 /// Run `mcp pif`.
 pub fn run(args: &Args) -> Result<String, CliError> {
     let (workload, cfg) = load_instance(args)?;
+    warn_if_shared(&workload);
     let checkpoint: u64 = args.parse_required("at")?;
     let bounds = args
         .parse_list("bounds")?

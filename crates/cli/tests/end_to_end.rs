@@ -305,6 +305,83 @@ fn opt_deadline_truncates_with_bracket_then_resumes_to_the_exact_answer() {
 }
 
 #[test]
+fn witness_free_checkpoint_restarts_a_schedule_run() {
+    let trace = tmp("witness_ckpt.json");
+    let (ok, _, stderr) = mcp(&[
+        "gen", "cycles", "--cores", "2", "--k", "4", "--n", "10", "--out", &trace,
+    ]);
+    assert!(ok, "{stderr}");
+    let base = ["opt", "--trace", &trace, "--k", "4", "--tau", "1"];
+    let (ok, full, _) = mcp(&[&base[..], &["--schedule"]].concat());
+    assert!(ok);
+
+    // A witness-free run's snapshot carries its own fingerprint, so a
+    // `--schedule` run warns, starts fresh and still prints the witness.
+    let ckpt = tmp("witness_ckpt.ckpt");
+    let (code, _, stderr) =
+        mcp_code(&[&base[..], &["--deadline", "0s", "--checkpoint", &ckpt]].concat());
+    assert_eq!(code, Some(3), "truncated run must exit 3: {stderr}");
+    let (code, resumed, stderr) = mcp_code(
+        &[
+            &base[..],
+            &["--schedule", "--deadline", "5m", "--checkpoint", &ckpt],
+        ]
+        .concat(),
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stderr.contains("ignoring checkpoint") && stderr.contains("restarting from scratch"),
+        "{stderr}"
+    );
+    assert_eq!(resumed, full);
+
+    std::fs::remove_file(&trace).ok();
+    std::fs::remove_file(&ckpt).ok();
+}
+
+#[test]
+fn exact_solvers_warn_on_shared_pages_only() {
+    let shared = tmp("shared_pages.json");
+    let disjoint = tmp("disjoint_pages.json");
+    std::fs::write(&shared, "{\"sequences\": [[0], [0]]}").unwrap();
+    std::fs::write(&disjoint, "{\"sequences\": [[0], [1]]}").unwrap();
+    let warning = "warning: cores share pages";
+    for (trace, warns) in [(&shared, true), (&disjoint, false)] {
+        let (ok, stdout, stderr) = mcp(&["opt", "--trace", trace, "--k", "2", "--tau", "1"]);
+        assert!(ok, "{stderr}");
+        assert_eq!(stderr.contains(warning), warns, "opt on {trace}: {stderr}");
+        // stdout stays the answer: on `[[0], [0]]` the DP prints 1 while
+        // the engine faults 2 (below), which is what the warning is for.
+        let answer = if warns { 1 } else { 2 };
+        assert!(
+            stdout.starts_with(&format!("exact minimum total faults: {answer} (")),
+            "{stdout}"
+        );
+        let pif = [
+            "pif", "--trace", trace, "--k", "2", "--tau", "1", "--at", "5", "--bounds", "1,1",
+        ];
+        let (ok, _, stderr) = mcp(&pif);
+        assert!(ok, "{stderr}");
+        assert_eq!(stderr.contains(warning), warns, "pif on {trace}: {stderr}");
+    }
+    let (_, stdout, _) = mcp(&[
+        "simulate",
+        "--trace",
+        &shared,
+        "--k",
+        "2",
+        "--tau",
+        "1",
+        "--strategy",
+        "fitf",
+    ]);
+    assert!(stdout.contains("total: 2 faults"), "{stdout}");
+
+    std::fs::remove_file(&shared).ok();
+    std::fs::remove_file(&disjoint).ok();
+}
+
+#[test]
 fn pif_deadline_truncates_then_resumes_to_the_same_decision() {
     let trace = tmp("pif_anytime.json");
     let (ok, _, stderr) = mcp(&[

@@ -10,16 +10,17 @@
 //! simulator to the same fault count. With [`FtfOptions::bound`] (the
 //! default) a successor edge is cut when the faults so far plus an
 //! admissible lower bound exceed a feasible upper bound, so the search
-//! skips states that provably lie on no optimal path.
+//! skips states that provably lie on no optimal path. A run that wants no
+//! witness also cuts the edges that can at best tie the upper bound: it
+//! only has to prove the optimum, and the upper bound is achievable.
 //!
 //! Successor expansion within a bucket fans out over the [`mcp_exec`]
 //! pool. The result is deterministic and identical for every worker
-//! count: states expand against a per-bucket incumbent snapshot (all
-//! terminals in the bucket are scanned first, in canonical [`StateKey`]
-//! order), and the expansions merge back sequentially in that same
-//! canonical order. A successor's position sum strictly exceeds its
-//! parent's, so no expansion in a bucket can affect another state of the
-//! same bucket — the parallel fan-out is dependency-free by construction.
+//! count: every cut depends only on a state's final fault count, and the
+//! expansions merge back sequentially in canonical [`StateKey`] order. A
+//! successor's position sum strictly exceeds its parent's, so no
+//! expansion in a bucket can affect another state of the same bucket —
+//! the parallel fan-out is dependency-free by construction.
 
 use crate::checkpoint::{instance_fingerprint, FtfCheckpoint};
 use crate::intern::{Dedup, StateArena, StateId, NO_STATE};
@@ -42,16 +43,14 @@ pub struct FtfOptions {
     pub lazy: bool,
     /// Reconstruct a replayable optimal schedule.
     pub reconstruct: bool,
-    /// Branch-and-bound pruning against the incumbent terminal value.
-    /// Disable to measure the raw state space of Algorithm 1 as published
-    /// (the Theorem 6 complexity ablation).
-    pub prune: bool,
     /// Cut every successor edge that provably lies on no optimal path:
     /// faults so far plus an admissible lower bound on the faults still
     /// to come exceed a feasible upper bound computed once per solve (see
-    /// DESIGN §9). The optimum and the reconstructed witness are the same
-    /// either way; only the explored state space shrinks. Disable to
-    /// measure Algorithm 1 as published.
+    /// DESIGN §9). Without `reconstruct` the cut also takes the edges that
+    /// can at best reach the upper bound, which is then the optimum when
+    /// no terminal survives. The optimum and the reconstructed witness
+    /// are the same either way; only the explored state space shrinks.
+    /// Disable to measure Algorithm 1 as published.
     pub bound: bool,
     /// Abort with [`DpError::TooLarge`] beyond this many states.
     pub max_states: usize,
@@ -73,7 +72,6 @@ impl Default for FtfOptions {
         FtfOptions {
             lazy: true,
             reconstruct: false,
-            prune: true,
             bound: true,
             max_states: 4_000_000,
             jobs: 0,
@@ -138,10 +136,16 @@ pub struct FtfTruncated {
     pub checkpoint: FtfCheckpoint,
 }
 
-/// Fingerprint option bits for FTF snapshots: the three options that
-/// shape the explored state space.
+/// Fingerprint option bits for FTF snapshots: the options that shape the
+/// explored state space. Bit 1 held an incumbent-pruning option that
+/// could never fire and was on by default; it stays set so snapshots
+/// taken before its removal still resume. Bit 3 marks the witness-free
+/// cut, so such a snapshot never resumes a witness run.
 fn ftf_option_bits(options: &FtfOptions) -> u64 {
-    u64::from(options.lazy) | (u64::from(options.prune) << 1) | (u64::from(options.bound) << 2)
+    u64::from(options.lazy)
+        | (1 << 1)
+        | (u64::from(options.bound) << 2)
+        | (u64::from(options.bound && !options.reconstruct) << 3)
 }
 
 /// The admissible lower bound of the FTF search and, when the bound is
@@ -161,11 +165,14 @@ struct FtfBound {
     /// workloads only, one S_FITF engine run — there every engine run is
     /// a lazy DP path.
     ub: Option<u64>,
+    /// Cut the edges that can at best tie `ub` too: set when no witness
+    /// is wanted, so only a path that beats `ub` needs to survive.
+    strict: bool,
 }
 
 impl FtfBound {
-    fn new(workload: &Workload, cfg: SimConfig, inst: &DpInstance, bound: bool) -> Self {
-        let ub = bound.then(|| {
+    fn new(workload: &Workload, cfg: SimConfig, inst: &DpInstance, options: &FtfOptions) -> Self {
+        let ub = options.bound.then(|| {
             let greedy = greedy_completion_faults(inst, &(0, inst.start_positions()));
             let fitf = workload
                 .is_disjoint()
@@ -177,6 +184,7 @@ impl FtfBound {
         FtfBound {
             suffix: suffix_masks(inst),
             ub,
+            strict: !options.reconstruct,
         }
     }
 
@@ -210,17 +218,19 @@ impl FtfBound {
         let Some(ub) = self.ub else {
             return Some(EdgeCut::NONE);
         };
+        let limit = ub.checked_sub(u64::from(self.strict))?;
         let cut = EdgeCut {
             needed: self.needed(inst, next),
-            slack: ub.checked_sub(next_faults)?,
+            slack: limit.checked_sub(next_faults)?,
         };
         (!cut.cuts(base)).then_some(cut)
     }
 }
 
-/// One step's cut: an edge into configuration `C'` lies on no optimal
-/// path when `|needed \ C'|` exceeds the faults the upper bound leaves.
-/// The comparison is strict, so every optimal path survives.
+/// One step's cut: an edge into configuration `C'` is dropped when
+/// `|needed \ C'|` exceeds the faults the bound leaves. A witness run
+/// leaves `UB − faults`, so every optimal path survives; a witness-free
+/// run leaves one fault fewer, so every path that beats `UB` survives.
 #[derive(Clone, Copy)]
 struct EdgeCut {
     needed: u64,
@@ -330,7 +340,7 @@ pub fn ftf_dp_governed_with_stats(
     let p = inst.num_cores();
     let end_sum: u64 = (0..p).map(|i| inst.end_pos(i)).sum();
     let max_pos = (0..p).map(|i| inst.end_pos(i)).max().unwrap_or(1);
-    let bound = FtfBound::new(workload, cfg, &inst, options.bound);
+    let bound = FtfBound::new(workload, cfg, &inst, &options);
 
     // The interned state engine: every state lives once in the arena and
     // is referenced by StateId everywhere else — the per-state tables
@@ -432,7 +442,7 @@ pub fn ftf_dp_governed_with_stats(
         // Terminals live exclusively in the final bucket: positions never
         // exceed their end positions, so sum == end_sum forces every
         // sequence to its end. Scanning them in canonical order keeps the
-        // incumbent independent of hash order and worker count.
+        // best terminal independent of hash order and worker count.
         if s as u64 == end_sum {
             for &id in &ids {
                 let f = faults[id as usize];
@@ -442,7 +452,6 @@ pub fn ftf_dp_governed_with_stats(
             }
             continue; // terminal states have no successors
         }
-        let incumbent = best_terminal.map(|(f, _)| f);
         stats.expansions += ids.len();
 
         // Successors live in strictly later buckets, so the expansions are
@@ -462,9 +471,6 @@ pub fn ftf_dp_governed_with_stats(
                     debug_assert!(!inst.all_finished(pos), "terminals are never expanded");
                     let (rx, fault_mask) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
                     let next_faults = faults[id as usize] + u64::from(fault_mask.count_ones());
-                    if options.prune && incumbent.map(|i| next_faults >= i).unwrap_or(false) {
-                        continue;
-                    }
                     let Some(cut) = bound.edge_cut(&inst, next, next_faults, cfg_bits | rx) else {
                         stats.bound_pruned += successor_count(&inst, cfg_bits, rx, options.lazy);
                         continue;
@@ -500,11 +506,6 @@ pub fn ftf_dp_governed_with_stats(
                 debug_assert!(!inst.all_finished(pos), "terminals are never expanded");
                 let (rx, fault_mask) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
                 let next_faults = faults[id as usize] + u64::from(fault_mask.count_ones());
-                // Prune paths that cannot strictly beat the incumbent
-                // terminal (fault counts only grow along a path).
-                if options.prune && incumbent.map(|i| next_faults >= i).unwrap_or(false) {
-                    return (0, None);
-                }
                 let Some(cut) = bound.edge_cut(&inst, next, next_faults, cfg_bits | rx) else {
                     return (successor_count(&inst, cfg_bits, rx, options.lazy), None);
                 };
@@ -544,14 +545,20 @@ pub fn ftf_dp_governed_with_stats(
         }
     }
 
-    // With the bound on, a missing terminal means the upper bound was
-    // below the optimum: every optimal path was cut.
-    let (min_faults, terminal) = best_terminal.expect("every instance reaches a terminal state");
-    let schedule = if options.reconstruct {
-        Some(reconstruct(&inst, &arena, &parent, terminal))
-    } else {
-        None
-    };
+    // A witness-free run cuts every path that only ties the upper bound,
+    // so when no terminal survives, the achievable upper bound is the
+    // optimum. A witness run keeps every optimal path and always ends on
+    // a terminal.
+    let min_faults = best_terminal
+        .map(|(f, _)| f)
+        .into_iter()
+        .chain(bound.ub)
+        .min()
+        .expect("a run without the bound reaches a terminal state");
+    let schedule = options.reconstruct.then(|| {
+        let (_, terminal) = best_terminal.expect("a witness run keeps every optimal path");
+        reconstruct(&inst, &arena, &parent, terminal)
+    });
     finish_stats(&mut stats, &arena, &ring);
     Ok((
         FtfOutcome::Complete(FtfResult {
@@ -693,8 +700,9 @@ fn truncate_ftf(
         .expect("truncated with empty frontier and no terminal");
     // Every optimal path either passes a frontier state — costing at
     // least its faults so far plus the admissible lower bound from it —
-    // or was cut against a bound no smaller than the optimum, so OPT is
-    // at least the cheapest of those, capped by the incumbent.
+    // or was cut, which takes `UB ≤ OPT`; then the incumbent, which is at
+    // most `UB` and achievable, is the optimum. Either way OPT is at least
+    // the cheapest frontier bound capped by the incumbent.
     let mut pos = Vec::new();
     let frontier_min = frontier_ids
         .iter()
@@ -944,32 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn pruning_is_an_optimization_not_a_semantic() {
-        let cases: Vec<Vec<Vec<u32>>> = vec![
-            vec![vec![1, 2, 3, 1, 2], vec![7, 8, 7, 8, 7]],
-            vec![vec![1, 2, 1, 2], vec![7, 8, 7, 8]],
-        ];
-        for seqs in cases {
-            let w = Workload::from_u32(seqs.clone()).unwrap();
-            for k in [2usize, 3] {
-                let cfg = SimConfig::new(k, 1);
-                let pruned = ftf_dp(&w, cfg, FtfOptions::default()).unwrap();
-                let raw = ftf_dp(
-                    &w,
-                    cfg,
-                    FtfOptions {
-                        prune: false,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(pruned.min_faults, raw.min_faults, "{seqs:?} k={k}");
-                assert!(pruned.states <= raw.states, "pruning cannot add states");
-            }
-        }
-    }
-
-    #[test]
     fn empty_workload() {
         let w = wl(&[&[], &[]]);
         assert_eq!(ftf_min_faults(&w, SimConfig::new(2, 1)).unwrap(), 0);
@@ -1043,11 +1025,11 @@ mod tests {
         use mcp_core::Budget;
         let w = wl(&[&[1, 2, 3, 1, 2, 3], &[7, 8, 7, 8, 7, 8]]);
         let cfg = SimConfig::new(3, 1);
-        let capped = Budget::unlimited().with_max_states(20);
+        let capped = Budget::unlimited().with_max_states(8);
         let FtfOutcome::Truncated(t) =
             ftf_dp_governed(&w, cfg, FtfOptions::default(), &capped, None).unwrap()
         else {
-            panic!("cap 20 must truncate")
+            panic!("cap 8 must truncate")
         };
         let resume = |ck: &FtfCheckpoint| {
             ftf_dp_governed(

@@ -3,7 +3,9 @@
 //! incumbent]` contains the true optimum; a truncated run resumed from
 //! its checkpoint — through on-disk bytes, at any worker count, even
 //! chained through several trips — reproduces the uninterrupted result
-//! bit for bit (min faults, state counts, witness schedule).
+//! bit for bit (min faults, state counts, witness schedule). Witness-free
+//! runs, whose cut is strict, keep the same contract for the optimum and
+//! the state count, and their snapshots never resume a witness run.
 
 use mcp_core::budget::{request_cancel, reset_cancel};
 use mcp_core::{Budget, SimConfig, TripReason, Workload};
@@ -34,15 +36,29 @@ fn opts(jobs: usize) -> FtfOptions {
     }
 }
 
+/// The default options: the lower bound on and no witness, so the cut
+/// also takes the edges that can only tie the upper bound.
+fn proof_opts(jobs: usize) -> FtfOptions {
+    FtfOptions {
+        jobs,
+        ..Default::default()
+    }
+}
+
 fn full_run(w: &Workload, cfg: SimConfig) -> FtfResult {
     ftf_dp(w, cfg, opts(1)).unwrap()
 }
 
 /// Run governed to completion, resuming through serialized checkpoint
 /// bytes every time the state cap trips; returns the final result and
-/// the number of trips taken.
-fn run_chained(w: &Workload, cfg: SimConfig, jobs: usize, cap_step: usize) -> (FtfResult, usize) {
-    let mut trips = 0;
+/// the bracket `(lower_bound, incumbent)` of every trip taken.
+fn run_chained(
+    w: &Workload,
+    cfg: SimConfig,
+    options: FtfOptions,
+    cap_step: usize,
+) -> (FtfResult, Vec<(u64, u64)>) {
+    let mut brackets = Vec::new();
     let mut cap = cap_step;
     let mut snapshot: Option<Vec<u8>> = None;
     loop {
@@ -50,12 +66,12 @@ fn run_chained(w: &Workload, cfg: SimConfig, jobs: usize, cap_step: usize) -> (F
         let resume = snapshot
             .as_ref()
             .map(|bytes| FtfCheckpoint::from_bytes(bytes).expect("roundtrip"));
-        match ftf_dp_governed(w, cfg, opts(jobs), &budget, resume.as_ref()).unwrap() {
-            FtfOutcome::Complete(r) => return (r, trips),
+        match ftf_dp_governed(w, cfg, options, &budget, resume.as_ref()).unwrap() {
+            FtfOutcome::Complete(r) => return (r, brackets),
             FtfOutcome::Truncated(t) => {
                 assert!(matches!(t.reason, TripReason::StateCap { .. }));
-                trips += 1;
-                assert!(trips < 100, "must converge");
+                brackets.push((t.lower_bound, t.incumbent));
+                assert!(brackets.len() < 100, "must converge");
                 cap += cap_step;
                 snapshot = Some(t.checkpoint.to_bytes());
             }
@@ -137,7 +153,8 @@ fn chained_checkpoints_converge_to_the_same_answer() {
     let cfg = SimConfig::new(3, 1);
     let full = full_run(&w, cfg);
     for jobs in [1usize, 4] {
-        let (r, trips) = run_chained(&w, cfg, jobs, 25);
+        let (r, brackets) = run_chained(&w, cfg, opts(jobs), 25);
+        let trips = brackets.len();
         assert!(trips >= 2, "step 25 must trip several times (got {trips})");
         assert_eq!(r.min_faults, full.min_faults);
         assert_eq!(r.states, full.states);
@@ -330,4 +347,117 @@ fn resume_with_several_pending_buckets_is_bit_identical() {
         assert_eq!(a.decisions, b.decisions, "jobs={jobs}");
         assert_eq!(a.voluntary, b.voluntary, "jobs={jobs}");
     }
+}
+
+/// The `offline-dp` benchmark's FTF instance: its upper bound is already
+/// the optimum (24), so a witness-free run keeps no terminal at all.
+fn offline_dp() -> (Workload, SimConfig) {
+    (
+        mcp_workloads::zipf(3, 20, 6, 0.9, 371),
+        SimConfig::new(6, 2),
+    )
+}
+
+#[test]
+fn witness_free_chained_resume_reproduces_the_full_run() {
+    let cases = [
+        (contended(12), SimConfig::new(3, 1), 25),
+        (three_core(), SimConfig::new(5, 2), 300),
+        (offline_dp().0, offline_dp().1, 600),
+    ];
+    for (w, cfg, cap_step) in &cases {
+        let opt = ftf_dp(
+            w,
+            *cfg,
+            FtfOptions {
+                bound: false,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .min_faults;
+        let full = ftf_dp(w, *cfg, proof_opts(1)).unwrap();
+        assert_eq!(full.min_faults, opt);
+        for jobs in [1usize, 2, 4] {
+            let (r, brackets) = run_chained(w, *cfg, proof_opts(jobs), *cap_step);
+            assert!(
+                brackets.len() >= 2,
+                "step {cap_step} must trip several times"
+            );
+            assert_eq!(
+                (r.min_faults, r.states),
+                (full.min_faults, full.states),
+                "jobs={jobs} on {w:?}"
+            );
+            for (lower, incumbent) in brackets {
+                assert!(
+                    lower <= opt && opt <= incumbent,
+                    "[{lower}, {incumbent}] misses {opt}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn witness_free_trip_after_the_last_discovery_still_brackets_the_optimum() {
+    let (w, cfg) = offline_dp();
+    let full = ftf_dp(&w, cfg, proof_opts(1)).unwrap();
+    assert_eq!(full.min_faults, 24);
+    // The cap trips at the first boundary after the last state is found.
+    // Its frontier is not empty, yet the strict cut drops every successor
+    // from there on: no terminal is ever reached.
+    let budget = Budget::unlimited().with_max_states(full.states - 1);
+    let FtfOutcome::Truncated(t) = ftf_dp_governed(&w, cfg, proof_opts(1), &budget, None).unwrap()
+    else {
+        panic!("cap {} must trip", full.states - 1)
+    };
+    assert_eq!(t.states, full.states);
+    assert!(t.frontier_states > 0);
+    assert!(t.checkpoint.best_terminal.is_none());
+    assert!(
+        t.lower_bound <= 24 && 24 <= t.incumbent,
+        "[{}, {}] misses 24",
+        t.lower_bound,
+        t.incumbent
+    );
+    let bytes = t.checkpoint.to_bytes();
+    for jobs in [1usize, 2, 4] {
+        let resume = FtfCheckpoint::from_bytes(&bytes).unwrap();
+        let FtfOutcome::Complete(r) = ftf_dp_governed(
+            &w,
+            cfg,
+            proof_opts(jobs),
+            &Budget::unlimited(),
+            Some(&resume),
+        )
+        .unwrap() else {
+            panic!("unlimited resume must complete")
+        };
+        assert_eq!((r.min_faults, r.states), (24, full.states), "jobs={jobs}");
+    }
+}
+
+#[test]
+fn witness_free_snapshots_never_resume_a_witness_run() {
+    let w = contended(12);
+    let cfg = SimConfig::new(3, 1);
+    let budget = Budget::unlimited().with_max_states(10);
+    let FtfOutcome::Truncated(t) = ftf_dp_governed(&w, cfg, proof_opts(1), &budget, None).unwrap()
+    else {
+        panic!("cap 10 must trip")
+    };
+    assert_eq!(
+        t.checkpoint.fingerprint,
+        mcp_offline::ftf_fingerprint(&w, cfg, &proof_opts(1)).unwrap()
+    );
+    assert_ne!(
+        t.checkpoint.fingerprint,
+        mcp_offline::ftf_fingerprint(&w, cfg, &opts(1)).unwrap()
+    );
+    let err = ftf_dp_governed(&w, cfg, opts(1), &Budget::unlimited(), Some(&t.checkpoint));
+    assert!(
+        matches!(err, Err(mcp_offline::DpError::Model(_))),
+        "a witness run must refuse a witness-free snapshot"
+    );
 }

@@ -3,8 +3,10 @@
 //! explored space. The FTF optimum and its reconstructed witness, the PIF
 //! decision and the PIF witness must come out identical — on disjoint and
 //! shared-page instances, lazy and full transitions, at every worker
-//! count. Also checked here: the upper bounds the FTF cut relies on are
-//! feasible, the anytime bracket only tightens, and truncate → resume
+//! count. A witness-free FTF solve, whose cut also drops the edges that
+//! can only tie the upper bound, must report the same optimum over no
+//! more states. Also checked here: the upper bounds the FTF cut relies on
+//! are feasible, the anytime bracket only tightens, and truncate → resume
 //! with the bound on reproduces the uninterrupted run.
 
 use mcp_core::{Budget, PageId, SimConfig, Workload};
@@ -59,6 +61,22 @@ fn ftf(w: &Workload, cfg: SimConfig, lazy: bool, bound: bool, jobs: usize) -> (u
     (r.min_faults, flat(r.schedule.as_ref().unwrap()))
 }
 
+/// The optimum and state count of a solve with the bound on and no
+/// witness (the default).
+fn proof(w: &Workload, cfg: SimConfig, lazy: bool, jobs: usize) -> (u64, usize) {
+    let r = ftf_dp(
+        w,
+        cfg,
+        FtfOptions {
+            lazy,
+            jobs,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    (r.min_faults, r.states)
+}
+
 fn pif_opts(full_transitions: bool, bound: bool, jobs: usize) -> PifOptions {
     PifOptions {
         full_transitions,
@@ -81,6 +99,30 @@ proptest! {
         let raw = ftf(&w, cfg, lazy, false, 1);
         for jobs in [1usize, 2, 4] {
             prop_assert_eq!(&ftf(&w, cfg, lazy, true, jobs), &raw, "jobs={}", jobs);
+        }
+    }
+
+    #[test]
+    fn witness_free_ftf_equals_unbounded(
+        seqs in seqs(),
+        (disjoint, extra, tau, lazy) in (0u8..2, 0usize..3, 0u64..3, 0u8..2),
+    ) {
+        let (w, lazy) = (workload(&seqs, disjoint == 1), lazy == 1);
+        let cfg = SimConfig::new(w.num_cores() + extra, tau);
+        let raw = ftf_dp(&w, cfg, FtfOptions { lazy, bound: false, ..Default::default() })
+            .unwrap();
+        let witness = ftf_dp(&w, cfg, FtfOptions { lazy, reconstruct: true, ..Default::default() })
+            .unwrap();
+        prop_assert_eq!(witness.min_faults, raw.min_faults);
+        prop_assert!(witness.states <= raw.states, "the bound cannot add states");
+        let base = proof(&w, cfg, lazy, 1);
+        prop_assert_eq!(base.0, raw.min_faults);
+        prop_assert!(
+            base.1 <= witness.states,
+            "witness-free {} states, witness run {}", base.1, witness.states
+        );
+        for jobs in [2usize, 4] {
+            prop_assert_eq!(proof(&w, cfg, lazy, jobs), base, "jobs={}", jobs);
         }
     }
 
@@ -181,6 +223,25 @@ fn mid_size_bounded_equals_unbounded() {
                 .map(|s| flat(&s));
             assert_eq!(witness, raw_witness, "PIF witness jobs={jobs} on {w:?}");
         }
+    }
+}
+
+#[test]
+fn witness_free_solve_of_the_offline_dp_instance_is_pinned() {
+    let (w, cfg) = large();
+    let witness = ftf_dp(
+        &w,
+        cfg,
+        FtfOptions {
+            reconstruct: true,
+            jobs: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!((witness.min_faults, witness.states), (24, 9967));
+    for jobs in [1usize, 2, 4] {
+        assert_eq!(proof(&w, cfg, true, jobs), (24, 4953), "jobs={jobs}");
     }
 }
 

@@ -46,35 +46,28 @@ fn ftf_results_are_worker_count_invariant() {
     ];
     for w in &workloads {
         for k in [2usize, 3] {
-            for prune in [true, false] {
-                let cfg = SimConfig::new(k, 1);
-                let base = ftf_dp(
+            let cfg = SimConfig::new(k, 1);
+            let base = ftf_dp(
+                w,
+                cfg,
+                FtfOptions {
+                    jobs: 1,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            for jobs in [2usize, 4, 7] {
+                let r = ftf_dp(
                     w,
                     cfg,
                     FtfOptions {
-                        prune,
-                        jobs: 1,
+                        jobs,
                         ..Default::default()
                     },
                 )
                 .unwrap();
-                for jobs in [2usize, 4, 7] {
-                    let r = ftf_dp(
-                        w,
-                        cfg,
-                        FtfOptions {
-                            prune,
-                            jobs,
-                            ..Default::default()
-                        },
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        r.min_faults, base.min_faults,
-                        "k={k} prune={prune} jobs={jobs}"
-                    );
-                    assert_eq!(r.states, base.states, "k={k} prune={prune} jobs={jobs}");
-                }
+                assert_eq!(r.min_faults, base.min_faults, "k={k} jobs={jobs}");
+                assert_eq!(r.states, base.states, "k={k} jobs={jobs}");
             }
         }
     }
@@ -161,19 +154,13 @@ fn contended4(n: usize) -> Workload {
 
 /// Fingerprints of the FTF results from `ftf_results_are_worker_count_
 /// invariant`'s sweep, recorded on the seed implementation. Order:
-/// workload-major, then k in {2, 3}, then prune in {true, false}.
-const FTF_RESULT_FPS: [u64; 12] = [
-    0xef8b7345d02845b0,
+/// workload-major, then k in {2, 3}.
+const FTF_RESULT_FPS: [u64; 6] = [
     0xef8b7345d02845b0,
     0xf102521877be981f,
-    0xf102521877be981f,
-    0xd1328977a87fcc9e,
     0xd1328977a87fcc9e,
     0x45534ee2d4164eac,
-    0x45534ee2d4164eac,
     0xf63aab8967aac82e,
-    0xf63aab8967aac82e,
-    0x454c5ee2d4104b2e,
     0x454c5ee2d4104b2e,
 ];
 const FTF_WITNESS_FP: u64 = 0xad00b31aca813c22;
@@ -182,28 +169,33 @@ const PIF_WITNESS_FP: u64 = 0x839e35b1621a5c60;
 const FTF_CKPT_FP: u64 = 0xc7da23591bda9bf1;
 const PIF_CKPT_FP: u64 = 0xd283ef6e9e98eed4;
 
-/// `FTF_RESULT_FPS`' sweep with the lower bound on (the default): the
-/// same minima over fewer states.
-const FTF_BOUNDED_RESULT_FPS: [u64; 12] = [
-    0xef8b7345d02845b0,
+/// `FTF_RESULT_FPS`' sweep with the lower bound on and a witness: the
+/// same minima over fewer states. A run without a witness recorded these
+/// too, before its cut took the edges that can only tie the upper bound.
+const FTF_WITNESS_RUN_RESULT_FPS: [u64; 6] = [
     0xef8b7345d02845b0,
     0xf10c521877c6eca4,
-    0xf10c521877c6eca4,
-    0xd1328977a87fcc9e,
     0xd1328977a87fcc9e,
     0x4556cde2d4195c50,
-    0x4556cde2d4195c50,
-    0xf63aab8967aac82e,
     0xf63aab8967aac82e,
     0x4548dce2d40d3871,
-    0x4548dce2d40d3871,
+];
+/// `FTF_RESULT_FPS`' sweep with the lower bound on and no witness (the
+/// default): the same minima over fewer states still.
+const FTF_BOUNDED_RESULT_FPS: [u64; 6] = [
+    0xef8b7d45d02856ae,
+    0x6bb2ac00397c89f3,
+    0x0e69e8f0f953500d,
+    0x35d674180fc9e52b,
+    0x207b30f103c501c1,
+    0x4559dee2d41baf0a,
 ];
 const FTF_BOUNDED_CKPT_FP: u64 = 0x19b58a7d9758b651;
 const PIF_BOUNDED_CKPT_FP: u64 = 0xe41fbd8ac255ca9f;
 
 /// The FTF result fingerprints of `FTF_RESULT_FPS`' sweep at one setting
-/// of the lower bound.
-fn ftf_result_fps(bound: bool, jobs: usize) -> Vec<u64> {
+/// of the lower bound and the witness.
+fn ftf_result_fps(bound: bool, reconstruct: bool, jobs: usize) -> Vec<u64> {
     let workloads = [
         contended(24),
         wl(&[&[1, 2, 3, 1, 2], &[7, 8, 7, 8, 7]]),
@@ -212,20 +204,18 @@ fn ftf_result_fps(bound: bool, jobs: usize) -> Vec<u64> {
     let mut fps = Vec::new();
     for w in &workloads {
         for k in [2usize, 3] {
-            for prune in [true, false] {
-                let r = ftf_dp(
-                    w,
-                    SimConfig::new(k, 1),
-                    FtfOptions {
-                        prune,
-                        bound,
-                        jobs,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-                fps.push(fnv(format!("{}|{}", r.min_faults, r.states).as_bytes()));
-            }
+            let r = ftf_dp(
+                w,
+                SimConfig::new(k, 1),
+                FtfOptions {
+                    bound,
+                    reconstruct,
+                    jobs,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            fps.push(fnv(format!("{}|{}", r.min_faults, r.states).as_bytes()));
         }
     }
     fps
@@ -234,9 +224,20 @@ fn ftf_result_fps(bound: bool, jobs: usize) -> Vec<u64> {
 #[test]
 fn ftf_results_match_recorded_fingerprints() {
     for jobs in [1usize, 2, 4] {
-        assert_eq!(ftf_result_fps(false, jobs), FTF_RESULT_FPS, "jobs={jobs}");
+        for reconstruct in [false, true] {
+            assert_eq!(
+                ftf_result_fps(false, reconstruct, jobs),
+                FTF_RESULT_FPS,
+                "reconstruct={reconstruct} jobs={jobs}"
+            );
+        }
         assert_eq!(
-            ftf_result_fps(true, jobs),
+            ftf_result_fps(true, true, jobs),
+            FTF_WITNESS_RUN_RESULT_FPS,
+            "bounded witness run, jobs={jobs}"
+        );
+        assert_eq!(
+            ftf_result_fps(true, false, jobs),
             FTF_BOUNDED_RESULT_FPS,
             "bounded, jobs={jobs}"
         );
