@@ -10,6 +10,11 @@
 //! The K = 2 family is degenerate (states grow like n), so a Zipf sweep
 //! at p = 3, K = 6 shows what the bound buys where Theorem 6's n^{K+p}
 //! bites.
+//!
+//! Rows run one after another, each solve on one thread, so the time
+//! and rate columns measure the solve alone at every `--jobs`: rows run
+//! side by side on the pool would time their contention for memory
+//! bandwidth as well.
 
 use super::{Experiment, Scale};
 use crate::report::{Report, Table, Verdict};
@@ -18,11 +23,19 @@ use crate::timing::Stopwatch;
 use mcp_core::{Budget, SimConfig, Workload};
 use mcp_offline::{ftf_dp, ftf_dp_governed_with_stats, FtfOptions, FtfOutcome};
 
-/// Algorithm 1 as published: no lower bound.
+/// The default witness-free solver, on one thread.
+fn pruned() -> FtfOptions {
+    FtfOptions {
+        jobs: 1,
+        ..Default::default()
+    }
+}
+
+/// Algorithm 1 as published: no lower bound, on one thread.
 fn published() -> FtfOptions {
     FtfOptions {
         bound: false,
-        ..Default::default()
+        ..pruned()
     }
 }
 
@@ -70,16 +83,19 @@ impl Experiment for E12 {
                 ],
             );
             let mut points = Vec::new();
-            let rows = mcp_exec::Pool::global().par_map(&ns, |_, &n| {
-                let w = family(n);
-                let cfg = SimConfig::new(2, 1);
-                let sw = Stopwatch::start();
-                let raw = ftf_dp(&w, cfg, published()).unwrap();
-                let ms = sw.ms();
-                let pruned = ftf_dp(&w, cfg, FtfOptions::default()).unwrap();
-                assert_eq!(raw.min_faults, pruned.min_faults);
-                (raw.min_faults, raw.states, pruned.states, ms)
-            });
+            let rows: Vec<_> = ns
+                .iter()
+                .map(|&n| {
+                    let w = family(n);
+                    let cfg = SimConfig::new(2, 1);
+                    let sw = Stopwatch::start();
+                    let raw = ftf_dp(&w, cfg, published()).unwrap();
+                    let ms = sw.ms();
+                    let pruned = ftf_dp(&w, cfg, pruned()).unwrap();
+                    assert_eq!(raw.min_faults, pruned.min_faults);
+                    (raw.min_faults, raw.states, pruned.states, ms)
+                })
+                .collect();
             for (&n, &(min_faults, raw_states, pruned_states, ms)) in ns.iter().zip(&rows) {
                 // Fit the exponent on the *raw* DP — the object Theorem 6
                 // bounds; pruning is our engineering ablation on top.
@@ -109,12 +125,15 @@ impl Experiment for E12 {
                 &["tau", "states", "time (ms)"],
             );
             let taus = [0u64, 1, 2, 4, 8];
-            let rows = mcp_exec::Pool::global().par_map(&taus, |_, &tau| {
-                let w = family(16);
-                let sw = Stopwatch::start();
-                let r = ftf_dp(&w, SimConfig::new(2, tau), published()).unwrap();
-                (r.states, sw.ms())
-            });
+            let rows: Vec<_> = taus
+                .iter()
+                .map(|&tau| {
+                    let w = family(16);
+                    let sw = Stopwatch::start();
+                    let r = ftf_dp(&w, SimConfig::new(2, tau), published()).unwrap();
+                    (r.states, sw.ms())
+                })
+                .collect();
             for (&tau, &(states, ms)) in taus.iter().zip(&rows) {
                 table.row(vec![tau.to_string(), states.to_string(), fmt(ms)]);
             }
@@ -138,28 +157,26 @@ impl Experiment for E12 {
                     "pruned time (ms)",
                 ],
             );
-            let rows = mcp_exec::Pool::global().par_map(&zipf_ns, |_, &n| {
-                let w = mcp_workloads::zipf(3, n, 6, 0.9, 1);
-                let cfg = SimConfig::new(6, 2);
-                let sw = Stopwatch::start();
-                let raw = ftf_dp(&w, cfg, published()).unwrap();
-                let raw_ms = sw.ms();
-                let sw = Stopwatch::start();
-                let (outcome, stats) = ftf_dp_governed_with_stats(
-                    &w,
-                    cfg,
-                    FtfOptions::default(),
-                    &Budget::unlimited(),
-                    None,
-                )
-                .unwrap();
-                let ms = sw.ms();
-                let FtfOutcome::Complete(pruned) = outcome else {
-                    unreachable!("an unlimited budget completes")
-                };
-                assert_eq!(raw.min_faults, pruned.min_faults);
-                (raw.min_faults, raw.states, stats, raw_ms, ms)
-            });
+            let rows: Vec<_> = zipf_ns
+                .iter()
+                .map(|&n| {
+                    let w = mcp_workloads::zipf(3, n, 6, 0.9, 1);
+                    let cfg = SimConfig::new(6, 2);
+                    let sw = Stopwatch::start();
+                    let raw = ftf_dp(&w, cfg, published()).unwrap();
+                    let raw_ms = sw.ms();
+                    let sw = Stopwatch::start();
+                    let (outcome, stats) =
+                        ftf_dp_governed_with_stats(&w, cfg, pruned(), &Budget::unlimited(), None)
+                            .unwrap();
+                    let ms = sw.ms();
+                    let FtfOutcome::Complete(pruned) = outcome else {
+                        unreachable!("an unlimited budget completes")
+                    };
+                    assert_eq!(raw.min_faults, pruned.min_faults);
+                    (raw.min_faults, raw.states, stats, raw_ms, ms)
+                })
+                .collect();
             for (&n, (min_faults, raw_states, stats, raw_ms, ms)) in zipf_ns.iter().zip(&rows) {
                 bound_ratio = bound_ratio.max(*raw_states as f64 / stats.states as f64);
                 table.row(vec![

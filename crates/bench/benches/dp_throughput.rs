@@ -16,13 +16,14 @@
 //! and `pif_full_pair` (a feasible and an infeasible decision on either
 //! side of the optimum, fault-vector expansions/s).
 //!
-//! Both DPs are pinned to `jobs = 1` and, except in one group, run without
+//! Both DPs are pinned to `jobs = 1` and, except in two rows, run without
 //! their admissible lower bound (`bound: false`): this measures the engine
 //! on Algorithms 1 and 2 as published, not the pool or the pruning, so the
 //! state and expansion counts stay comparable with earlier baselines. The
-//! exception, `ftf_bounded_large`, times the default FTF solver on the
-//! `offline-dp` instance, once without a witness (`proof`: only the
-//! optimum is proved) and once with one (`witness`).
+//! exceptions time the default solvers on the `offline-dp` instances:
+//! `ftf_bounded_large`, once without a witness (`proof`: only the optimum
+//! is proved) and once with one (`witness`), and `pif_bounded_pair`, the
+//! PIF pair with the lower bound on and voluntary evictions delayed.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mcp_bench::dp_family;
@@ -185,27 +186,35 @@ fn bench_pif(c: &mut Criterion) {
             .unwrap();
         infeasible[j] -= 1;
         let horizon = (0..w.num_cores()).map(|j| w.len(j) as u64).max().unwrap() * (cfg.tau + 1);
-        let opts = pif_opts(true);
-        let expansions: usize = [&feasible, &infeasible]
-            .iter()
-            .map(|b| {
-                pif_decide_with_stats(&w, cfg, horizon, b, opts)
-                    .unwrap()
-                    .1
-                    .expansions
-            })
-            .sum();
-        let mut group = c.benchmark_group("dp_throughput");
-        group.throughput(Throughput::Elements(expansions as u64));
-        group.bench_function("pif_full_pair", |b| {
-            b.iter(|| {
-                let yes = pif_decide(black_box(&w), cfg, horizon, &feasible, opts).unwrap();
-                let no = pif_decide(black_box(&w), cfg, horizon, &infeasible, opts).unwrap();
-                assert!(yes && !no, "the pair straddles the optimum");
-                black_box((yes, no))
-            })
-        });
-        group.finish();
+        let bounded = PifOptions {
+            jobs: 1,
+            ..Default::default()
+        };
+        for (name, opts) in [
+            ("pif_full_pair", pif_opts(true)),
+            ("pif_bounded_pair", bounded),
+        ] {
+            let expansions: usize = [&feasible, &infeasible]
+                .iter()
+                .map(|b| {
+                    pif_decide_with_stats(&w, cfg, horizon, b, opts)
+                        .unwrap()
+                        .1
+                        .expansions
+                })
+                .sum();
+            let mut group = c.benchmark_group("dp_throughput");
+            group.throughput(Throughput::Elements(expansions as u64));
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    let yes = pif_decide(black_box(&w), cfg, horizon, &feasible, opts).unwrap();
+                    let no = pif_decide(black_box(&w), cfg, horizon, &infeasible, opts).unwrap();
+                    assert!(yes && !no, "the pair straddles the optimum");
+                    black_box((yes, no))
+                })
+            });
+            group.finish();
+        }
     }
 }
 

@@ -26,8 +26,8 @@ use crate::checkpoint::{instance_fingerprint, FtfCheckpoint};
 use crate::intern::{Dedup, StateArena, StateId, NO_STATE};
 use crate::state::{
     for_each_successor_config_rx, greedy_completion_faults, pool_for, step_effect,
-    step_effect_into, successor_count, suffix_masks, with_scratch, DpError, DpInstance, DpStats,
-    StateKey, StepScratch,
+    step_effect_into, successor_count, suffix_masks, voluntary_mask, with_scratch, DpError,
+    DpInstance, DpStats, StateKey, StepScratch,
 };
 use mcp_core::{Budget, PageId, SimConfig, Time, TripReason, Workload};
 use mcp_policies::{ReplayDecision, SharedFitf};
@@ -341,6 +341,7 @@ pub fn ftf_dp_governed_with_stats(
     let end_sum: u64 = (0..p).map(|i| inst.end_pos(i)).sum();
     let max_pos = (0..p).map(|i| inst.end_pos(i)).max().unwrap_or(1);
     let bound = FtfBound::new(workload, cfg, &inst, &options);
+    let voluntary = voluntary_mask(options.lazy);
 
     // The interned state engine: every state lives once in the arena and
     // is referenced by StateId everywhere else — the per-state tables
@@ -472,13 +473,13 @@ pub fn ftf_dp_governed_with_stats(
                     let (rx, fault_mask) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
                     let next_faults = faults[id as usize] + u64::from(fault_mask.count_ones());
                     let Some(cut) = bound.edge_cut(&inst, next, next_faults, cfg_bits | rx) else {
-                        stats.bound_pruned += successor_count(&inst, cfg_bits, rx, options.lazy);
+                        stats.bound_pruned += successor_count(&inst, cfg_bits, rx, voluntary);
                         continue;
                     };
                     let next_sum: usize = next.iter().map(|&x| x as usize).sum();
                     let pp = arena.pack(next);
                     let table = &mut ring[next_sum % ring_size];
-                    for_each_successor_config_rx(&inst, cfg_bits, rx, options.lazy, |next_cfg| {
+                    for_each_successor_config_rx(&inst, cfg_bits, rx, voluntary, |next_cfg| {
                         if cut.cuts(next_cfg) {
                             stats.bound_pruned += 1;
                             return;
@@ -507,12 +508,12 @@ pub fn ftf_dp_governed_with_stats(
                 let (rx, fault_mask) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
                 let next_faults = faults[id as usize] + u64::from(fault_mask.count_ones());
                 let Some(cut) = bound.edge_cut(&inst, next, next_faults, cfg_bits | rx) else {
-                    return (successor_count(&inst, cfg_bits, rx, options.lazy), None);
+                    return (successor_count(&inst, cfg_bits, rx, voluntary), None);
                 };
                 let next_sum: usize = next.iter().map(|&x| x as usize).sum();
                 let pp = arena.pack(next);
                 let (mut cfgs, mut cut_edges) = (Vec::new(), 0);
-                for_each_successor_config_rx(&inst, cfg_bits, rx, options.lazy, |next_cfg| {
+                for_each_successor_config_rx(&inst, cfg_bits, rx, voluntary, |next_cfg| {
                     if cut.cuts(next_cfg) {
                         cut_edges += 1;
                     } else {

@@ -27,9 +27,9 @@ use crate::pareto::{
     MAX_LANE,
 };
 use crate::state::{
-    for_each_successor_config, for_each_successor_config_rx, pool_for, step_effect,
-    step_effect_into, with_scratch, DpError, DpInstance, DpStats, RangeUnion, StateKey,
-    StepScratch,
+    for_each_successor_config, for_each_successor_config_rx, pointed_pages, pool_for, step_effect,
+    step_effect_into, voluntary_mask, with_scratch, DpError, DpInstance, DpStats, RangeUnion,
+    StateKey, StepScratch,
 };
 use mcp_core::{Budget, SimConfig, Time, TripReason, Workload};
 
@@ -40,7 +40,11 @@ pub struct PifOptions {
     /// evictions). The default is `true` for exactness — unlike FTF
     /// (Theorem 4), the paper states no honesty WLOG for the *fairness*
     /// objective, so the decision procedure conservatively explores all
-    /// schedules. Set to `false` for a faster honest-only search.
+    /// schedules. With [`bound`](Self::bound) on, the decision explores
+    /// only the voluntary evictions of pages the next step reads:
+    /// evicting any other page one step later reaches the same fault
+    /// vectors (DESIGN §9, "Delayed voluntary evictions"). Set to
+    /// `false` for a faster honest-only search.
     pub full_transitions: bool,
     /// Abort with [`DpError::TooLarge`] beyond this many state-vector
     /// expansions.
@@ -51,8 +55,11 @@ pub struct PifOptions {
     /// Drop every fault row that provably cannot meet its bounds: the
     /// faults a core has plus the private-page faults it must still
     /// issue by the checkpoint exceed `min(b_i, n_i)` (see DESIGN §9).
-    /// The decision and the witness are the same either way; only the
-    /// explored rows and states shrink.
+    /// On the full relation the decision also delays every voluntary
+    /// eviction of a page the next step does not read; [`pif_witness`]
+    /// keeps the full relation. The decision and the witness are the
+    /// same either way; only the explored rows and states shrink. `false`
+    /// runs the paper's literal relation.
     pub bound: bool,
     /// Force the state arena onto its spilled (unpacked) representation
     /// even when the instance fits the inline `u128` packing. Testing
@@ -298,9 +305,15 @@ pub struct PifTruncated {
 /// Fingerprint option bits for PIF snapshots: everything beyond the
 /// instance that shapes the layer sequence — transition relation,
 /// horizon, the lower bound's switch, and the fault bounds themselves
-/// (they prune vectors).
+/// (they prune vectors). Bit 3 marks the full relation with delayed
+/// voluntary evictions (`bound ∧ full_transitions`), so snapshots taken
+/// before the search delayed them are refused.
 fn pif_option_bits(options: &PifOptions, checkpoint: Time, bounds_u16: &[u16]) -> u64 {
-    let mut h: u64 = 2 | u64::from(options.full_transitions) | (u64::from(options.bound) << 2);
+    let delayed = options.bound && options.full_transitions;
+    let mut h: u64 = 2
+        | u64::from(options.full_transitions)
+        | (u64::from(options.bound) << 2)
+        | (u64::from(delayed) << 3);
     h = h.wrapping_mul(0x100_0000_01b3) ^ checkpoint;
     for &b in bounds_u16 {
         h = h.wrapping_mul(0x100_0000_01b3) ^ u64::from(b);
@@ -542,7 +555,7 @@ pub fn pif_decide_governed_with_stats(
                         &inst,
                         cfg_bits,
                         rx,
-                        !options.full_transitions,
+                        decide_voluntary(&inst, &options, next),
                         |next_cfg| {
                             let (rows, tags, dropped) =
                                 bound.admit(&forced, next_cfg, &advanced, &units, &mut admitted);
@@ -586,7 +599,7 @@ pub fn pif_decide_governed_with_stats(
                         &inst,
                         cfg_bits,
                         rx,
-                        !options.full_transitions,
+                        decide_voluntary(&inst, &options, next),
                         |next_cfg| cfgs.push(next_cfg),
                     );
                     Some((advanced, forced, pp, cfgs))
@@ -621,6 +634,20 @@ pub fn pif_decide_governed_with_stats(
     track_layer(&mut stats, &arena, &dedup);
     stats.expansions = expansions;
     Ok((PifOutcome::Decided(true), stats))
+}
+
+/// The voluntary evictions a decision step to positions `next` explores
+/// (the mask of [`for_each_successor_config_rx`]): none on the honest
+/// relation, every page on the paper's literal one (`bound: false`), and
+/// with the bound on only the pages the next step reads. Evicting any
+/// other page one step later reaches the same fault vectors, so the
+/// decision is the same (DESIGN §9, "Delayed voluntary evictions").
+fn decide_voluntary(inst: &DpInstance, options: &PifOptions, next: &[u32]) -> u64 {
+    if options.full_transitions && options.bound {
+        pointed_pages(inst, next)
+    } else {
+        voluntary_mask(!options.full_transitions)
+    }
 }
 
 /// Fold the current layer (its arena and dedup table) into the
@@ -739,7 +766,7 @@ pub fn pif_witness(
                     &inst,
                     cfg_bits,
                     rx,
-                    !options.full_transitions,
+                    voluntary_mask(!options.full_transitions),
                     |next_cfg| cfgs.push(next_cfg),
                 );
                 Some((advanced, sources, forced, pp, cfgs))

@@ -317,18 +317,27 @@ pub fn for_each_successor_config(
     lazy: bool,
     f: impl FnMut(u64),
 ) {
-    for_each_successor_config_rx(inst, config, effect.rx, lazy, f)
+    for_each_successor_config_rx(inst, config, effect.rx, voluntary_mask(lazy), f)
 }
 
 /// [`for_each_successor_config`] for the DP hot loops: takes the step's
 /// `rx` directly and enumerates eviction sets as bitmasks, allocating
-/// nothing. Sets are visited by size, and within a size in lexicographic
-/// order of their ascending page indices.
+/// nothing.
+///
+/// Every step evicts at least its overflow `m = |C ∪ rx| − K` (floored
+/// at 0). The eviction sets of exactly `m` pages are drawn from all the
+/// evictable pages `free = (C ∪ rx) \ rx`; the larger ones — voluntary
+/// evictions — only from `free ∩ voluntary`. So `voluntary = 0` is the
+/// lazy relation, `u64::MAX` the paper's full relation, and the PIF
+/// search passes the pages the next step reads (see
+/// [`pointed_pages`]). Sets are visited by size, and within a size in
+/// lexicographic order of their ascending page indices: the visited sets
+/// are exactly the full relation's filtered by the mask, in its order.
 pub(crate) fn for_each_successor_config_rx(
     inst: &DpInstance,
     config: u64,
     rx: u64,
-    lazy: bool,
+    voluntary: u64,
     mut f: impl FnMut(u64),
 ) {
     let base = config | rx;
@@ -338,7 +347,6 @@ pub(crate) fn for_each_successor_config_rx(
         min_evict <= free.count_ones(),
         "rx alone must fit in the cache"
     );
-    let max_evict = if lazy { min_evict } else { free.count_ones() };
 
     /// Call `f(base & !(evicted | S))` for every `remaining`-subset `S`
     /// of `avail`, lowest page first.
@@ -354,21 +362,47 @@ pub(crate) fn for_each_successor_config_rx(
             combos(rest, remaining - 1, evicted | low, base, f);
         }
     }
-    for e in min_evict..=max_evict {
-        combos(free, e, 0, base, &mut f);
+    combos(free, min_evict, 0, base, &mut f);
+    let extra = free & voluntary;
+    for e in min_evict + 1..=extra.count_ones() {
+        combos(extra, e, 0, base, &mut f);
     }
 }
 
+/// The voluntary-eviction mask of the lazy (`true`) or full (`false`)
+/// transition relation, for [`for_each_successor_config_rx`].
+pub(crate) fn voluntary_mask(lazy: bool) -> u64 {
+    if lazy {
+        0
+    } else {
+        u64::MAX
+    }
+}
+
+/// The pages the step from `positions` reads: those the unfinished cores
+/// point at (the `R(x)` of the paper).
+pub(crate) fn pointed_pages(inst: &DpInstance, positions: &[u32]) -> u64 {
+    positions
+        .iter()
+        .enumerate()
+        .filter(|&(i, &x)| u64::from(x) != inst.end_pos(i))
+        .fold(0, |m, (i, &x)| {
+            m | (1u64 << inst.pointed_page(i, u64::from(x)))
+        })
+}
+
 /// The number of successor configurations
-/// [`for_each_successor_config_rx`] visits for `(config, rx)`, without
-/// enumerating them: the eviction sets of each admissible size, counted
-/// as binomials over the evictable pages.
-pub(crate) fn successor_count(inst: &DpInstance, config: u64, rx: u64, lazy: bool) -> usize {
+/// [`for_each_successor_config_rx`] visits for `(config, rx, voluntary)`,
+/// without enumerating them: the eviction sets of each admissible size,
+/// counted as binomials over the pages they are drawn from.
+pub(crate) fn successor_count(inst: &DpInstance, config: u64, rx: u64, voluntary: u64) -> usize {
     let base = config | rx;
-    let free = (base & !rx).count_ones() as usize;
+    let free = base & !rx;
     let min_evict = (base.count_ones() as usize).saturating_sub(inst.k);
-    let max_evict = if lazy { min_evict } else { free };
-    (min_evict..=max_evict).fold(0, |acc, e| acc.saturating_add(binomial(free, e)))
+    let extra = (free & voluntary).count_ones() as usize;
+    (min_evict + 1..=extra).fold(binomial(free.count_ones() as usize, min_evict), |acc, e| {
+        acc.saturating_add(binomial(extra, e))
+    })
 }
 
 /// `n choose k` for `n ≤ 64` (exact in `u128`, saturated to `usize`).
@@ -575,14 +609,68 @@ mod tests {
                     if rx.count_ones() as usize > k {
                         continue;
                     }
-                    for lazy in [true, false] {
+                    for voluntary in [0, u64::MAX, 0b010110, 0b101010] {
                         let mut n = 0;
-                        for_each_successor_config_rx(&inst, config, rx, lazy, |_| n += 1);
-                        assert_eq!(successor_count(&inst, config, rx, lazy), n);
+                        for_each_successor_config_rx(&inst, config, rx, voluntary, |_| n += 1);
+                        assert_eq!(successor_count(&inst, config, rx, voluntary), n);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    fn voluntary_mask_filters_the_full_relation_in_order() {
+        // The enumerator under a mask `reads` visits exactly the full
+        // relation's successors whose eviction set has the overflow's size
+        // or lies inside `reads`, in the full relation's order.
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        let w = wl(&[&(0..12).collect::<Vec<u32>>()]);
+        for _ in 0..2_000 {
+            let k = rng.gen_range(1..=8usize);
+            let inst = DpInstance::build(&w, &SimConfig::new(k, 0)).unwrap();
+            let universe = (1u64 << 12) - 1;
+            let rx = loop {
+                let rx = rng.next_u64() & rng.next_u64() & universe;
+                if rx.count_ones() as usize <= k {
+                    break rx;
+                }
+            };
+            let config = loop {
+                let c = rng.next_u64() & universe;
+                if c.count_ones() as usize <= k {
+                    break c;
+                }
+            };
+            let reads = rng.next_u64() & universe;
+            let base = config | rx;
+            let overflow = (base.count_ones() as usize).saturating_sub(k) as u32;
+            let mut expected = Vec::new();
+            for_each_successor_config_rx(&inst, config, rx, u64::MAX, |c| {
+                let evicted = base & !c;
+                if evicted.count_ones() == overflow || evicted & !reads == 0 {
+                    expected.push(c);
+                }
+            });
+            let mut got = Vec::new();
+            for_each_successor_config_rx(&inst, config, rx, reads, |c| got.push(c));
+            assert_eq!(
+                got, expected,
+                "config={config:#b} rx={rx:#b} reads={reads:#b} k={k}"
+            );
+        }
+    }
+
+    #[test]
+    fn pointed_pages_skip_finished_cores() {
+        let w = wl(&[&[1, 2], &[7]]);
+        let inst = DpInstance::build(&w, &SimConfig::new(2, 1)).unwrap();
+        // Dense pages: 1 -> bit 0, 2 -> bit 1, 7 -> bit 2.
+        assert_eq!(pointed_pages(&inst, &[1, 1]), 0b101);
+        // Mid-fetch of page 2; core 1 finished (end position 3).
+        assert_eq!(pointed_pages(&inst, &[4, 3]), 0b010);
+        assert_eq!(pointed_pages(&inst, &[5, 3]), 0);
     }
 
     #[test]

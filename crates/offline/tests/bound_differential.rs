@@ -5,9 +5,12 @@
 //! shared-page instances, lazy and full transitions, at every worker
 //! count. A witness-free FTF solve, whose cut also drops the edges that
 //! can only tie the upper bound, must report the same optimum over no
-//! more states. Also checked here: the upper bounds the FTF cut relies on
-//! are feasible, the anytime bracket only tightens, and truncate → resume
-//! with the bound on reproduces the uninterrupted run.
+//! more states. A bounded PIF decision, which on the full relation also
+//! delays voluntary evictions of pages the next step does not read, must
+//! advance no more fault rows than the unbounded one. Also checked here:
+//! the upper bounds the FTF cut relies on are feasible, the anytime
+//! bracket only tightens, and truncate → resume with the bound on
+//! reproduces the uninterrupted run.
 
 use mcp_core::{Budget, PageId, SimConfig, Workload};
 use mcp_offline::state::{greedy_completion_faults, StateKey};
@@ -138,14 +141,20 @@ proptest! {
         let bounds: Vec<u64> = (0..w.num_cores())
             .map(|i| slack[i].min(w.len(i) as u64))
             .collect();
-        let raw = pif_decide(&w, cfg, at, &bounds, pif_opts(full, false, 1)).unwrap();
+        let (raw, raw_stats) =
+            pif_decide_with_stats(&w, cfg, at, &bounds, pif_opts(full, false, 1)).unwrap();
         let raw_witness = pif_witness(&w, cfg, at, &bounds, pif_opts(full, false, 1))
             .unwrap()
             .map(|s| flat(&s));
         prop_assert_eq!(raw, raw_witness.is_some());
         for jobs in [1usize, 2, 4] {
             let opts = pif_opts(full, true, jobs);
-            prop_assert_eq!(pif_decide(&w, cfg, at, &bounds, opts).unwrap(), raw, "jobs={}", jobs);
+            let (ans, stats) = pif_decide_with_stats(&w, cfg, at, &bounds, opts).unwrap();
+            prop_assert_eq!(ans, raw, "jobs={}", jobs);
+            prop_assert!(
+                stats.expansions <= raw_stats.expansions,
+                "bounded {} expansions, unbounded {}", stats.expansions, raw_stats.expansions
+            );
             let witness = pif_witness(&w, cfg, at, &bounds, opts).unwrap().map(|s| flat(&s));
             prop_assert_eq!(&witness, &raw_witness, "jobs={}", jobs);
         }
@@ -242,6 +251,32 @@ fn witness_free_solve_of_the_offline_dp_instance_is_pinned() {
     assert_eq!((witness.min_faults, witness.states), (24, 9967));
     for jobs in [1usize, 2, 4] {
         assert_eq!(proof(&w, cfg, true, jobs), (24, 4953), "jobs={jobs}");
+    }
+}
+
+/// The `offline-dp` benchmark's PIF pair, before its relabelling: the
+/// bounds of an optimal schedule's per-core faults, then one fault fewer
+/// on the most-faulting core. Delaying the voluntary evictions of pages
+/// the next step does not read took the pair from 9,334 + 4,636 advanced
+/// rows (228 peak states) to the pinned counts; the answers are those of
+/// the literal relation.
+#[test]
+fn delayed_evictions_on_the_offline_dp_pif_pair_are_pinned() {
+    let w = mcp_workloads::zipf(3, 20, 6, 0.9, 0);
+    let cfg = SimConfig::new(6, 2);
+    for (bounds, answer, expansions, states) in [
+        ([6u64, 8, 5], true, 2_113, 154),
+        ([6, 7, 5], false, 1_455, 150),
+    ] {
+        for jobs in [1usize, 2, 4] {
+            let (got, stats) =
+                pif_decide_with_stats(&w, cfg, 60, &bounds, pif_opts(true, true, jobs)).unwrap();
+            assert_eq!(
+                (got, stats.expansions, stats.states),
+                (answer, expansions, states),
+                "bounds={bounds:?} jobs={jobs}"
+            );
+        }
     }
 }
 

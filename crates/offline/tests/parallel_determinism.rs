@@ -191,7 +191,10 @@ const FTF_BOUNDED_RESULT_FPS: [u64; 6] = [
     0x4559dee2d41baf0a,
 ];
 const FTF_BOUNDED_CKPT_FP: u64 = 0x19b58a7d9758b651;
-const PIF_BOUNDED_CKPT_FP: u64 = 0xe41fbd8ac255ca9f;
+/// The bounded PIF snapshot: the search delays voluntary evictions of
+/// pages the next step does not read, so its cap-40 run trips one layer
+/// later than the literal relation's (at `t_done` 8, not 7).
+const PIF_BOUNDED_CKPT_FP: u64 = 0x50e9884cddabf003;
 
 /// The FTF result fingerprints of `FTF_RESULT_FPS`' sweep at one setting
 /// of the lower bound and the witness.
@@ -361,7 +364,7 @@ fn pif_checkpoint_bytes_match_recorded_fingerprint() {
     let w = contended4(12);
     let budget = Budget::unlimited().with_max_states(40);
     for jobs in [1usize, 2, 4] {
-        for (bound, pin) in [(false, PIF_CKPT_FP), (true, PIF_BOUNDED_CKPT_FP)] {
+        for (bound, t_done, pin) in [(false, 7, PIF_CKPT_FP), (true, 8, PIF_BOUNDED_CKPT_FP)] {
             let opts = PifOptions {
                 bound,
                 jobs,
@@ -371,7 +374,7 @@ fn pif_checkpoint_bytes_match_recorded_fingerprint() {
                 .unwrap()
             {
                 PifOutcome::Truncated(t) => {
-                    assert_eq!(t.t_done, 7, "bound={bound} jobs={jobs}");
+                    assert_eq!(t.t_done, t_done, "bound={bound} jobs={jobs}");
                     assert_eq!(
                         fnv(&t.checkpoint.to_bytes()),
                         pin,
@@ -383,6 +386,33 @@ fn pif_checkpoint_bytes_match_recorded_fingerprint() {
                 }
             }
         }
+    }
+}
+
+/// `pif_fingerprint` of the checkpoint test's query, per `(full_transitions,
+/// bound)`. The literal relation and both honest ones keep the values they
+/// had before the bounded search delayed voluntary evictions; the delayed
+/// search (fingerprint bit 3) no longer matches its old value
+/// `0x234a75d6c93eb852`, so snapshots of the old search are refused.
+const PIF_FINGERPRINTS: [((bool, bool), u64); 4] = [
+    ((true, false), 0xe5f1153de2d2d6bc),
+    ((false, false), 0xde2b4d3e05367255),
+    ((false, true), 0xfdf483a916816401),
+    ((true, true), 0x12a049ef75f27aa4),
+];
+
+#[test]
+fn pif_fingerprint_marks_only_the_delayed_search() {
+    let w = contended4(12);
+    let cfg = SimConfig::new(3, 1);
+    for ((full_transitions, bound), pin) in PIF_FINGERPRINTS {
+        let opts = PifOptions {
+            full_transitions,
+            bound,
+            ..Default::default()
+        };
+        let fp = mcp_offline::pif_fingerprint(&w, cfg, 16, &[8, 8], &opts).unwrap();
+        assert_eq!(fp, pin, "full={full_transitions} bound={bound}");
     }
 }
 

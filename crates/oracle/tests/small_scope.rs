@@ -17,7 +17,15 @@
 //! * the engine-driven searches and the naive oracle agree on the
 //!   makespan optimum and both lexicographic optima.
 //!
-//! A second pass checks the scheduling-capable model on every instance
+//! A second pass checks Algorithm 2 (PARTIAL-INDIVIDUAL-FAULTS) on every
+//! instance up to Σnᵢ ≤ 5 (≤ 7 under `--ignored`), at the horizons `1`,
+//! `⌊n_max(τ+1)/2⌋` and `n_max(τ+1)` and every bound vector
+//! `0 ≤ bᵢ ≤ nᵢ`: the default `pif_decide`, which delays the voluntary
+//! evictions of pages the next step does not read, decides like the
+//! paper's literal relation (`bound: false`) everywhere, and on disjoint
+//! instances both decide like `oracle_pif_feasible`.
+//!
+//! A third pass checks the scheduling-capable model on every instance
 //! whose cores share a page (Σnᵢ ≤ 5 by default, ≤ 6 under `--ignored`):
 //! `sched_min` and the naive stall oracle agree on the minimum total
 //! faults. There a wait can turn a join into a hit, which is what the
@@ -27,9 +35,11 @@
 use mcp_core::{PageId, SimConfig, Workload};
 use mcp_offline::{
     brute_force_faults_then_makespan, brute_force_makespan_then_faults, brute_force_min_faults,
-    brute_force_min_makespan, fitf_restricted_min_faults, ftf_min_faults, sched_min, Objective,
+    brute_force_min_makespan, fitf_restricted_min_faults, ftf_min_faults, pif_decide, sched_min,
+    Objective, PifOptions,
 };
-use mcp_oracle::{oracle_optima, oracle_sched_min_faults};
+use mcp_oracle::{oracle_optima, oracle_pif_feasible, oracle_sched_min_faults};
+use std::collections::BTreeSet;
 
 const CAP: usize = 50_000_000;
 
@@ -156,6 +166,55 @@ fn check_stall(w: &Workload, cfg: SimConfig) {
     );
 }
 
+/// Every bound vector `b` with `0 ≤ b_i ≤ n_i`.
+fn bound_vectors(w: &Workload) -> Vec<Vec<u64>> {
+    (0..w.num_cores()).fold(vec![Vec::new()], |prefixes, i| {
+        prefixes
+            .iter()
+            .flat_map(|prefix| {
+                (0..=w.len(i) as u64).map(move |b| {
+                    let mut v = prefix.clone();
+                    v.push(b);
+                    v
+                })
+            })
+            .collect()
+    })
+}
+
+/// Algorithm 2 on every bound vector at the horizons `1`,
+/// `⌊n_max(τ+1)/2⌋` and `n_max(τ+1)`: the default search (lower bound on,
+/// voluntary evictions of pages the next step does not read delayed)
+/// decides like the paper's literal relation (`bound: false`) on every
+/// instance, and on disjoint instances both decide like the naive oracle.
+fn check_pif(w: &Workload, cfg: SimConfig) {
+    let n_max = (0..w.num_cores()).map(|i| w.len(i)).max().unwrap_or(0) as u64;
+    let last = n_max * (cfg.tau + 1);
+    let literal = PifOptions {
+        bound: false,
+        ..Default::default()
+    };
+    for t in BTreeSet::from([1, last / 2, last]) {
+        for bounds in bound_vectors(w) {
+            let at = || {
+                format!(
+                    "{:?} K={} tau={} t={t} b={bounds:?}",
+                    w.sequences(),
+                    cfg.cache_size,
+                    cfg.tau
+                )
+            };
+            let delayed = pif_decide(w, cfg, t, &bounds, PifOptions::default()).unwrap();
+            let raw = pif_decide(w, cfg, t, &bounds, literal).unwrap();
+            assert_eq!(delayed, raw, "default vs literal PIF on {}", at());
+            if w.is_disjoint() {
+                let oracle = oracle_pif_feasible(w, cfg, t, &bounds, CAP).expect("oracle run cap");
+                assert_eq!(raw, oracle, "Algorithm 2 vs oracle on {}", at());
+            }
+        }
+    }
+}
+
 #[test]
 fn restricted_growth_strings_are_counted_by_bell_numbers() {
     let bell = [1, 1, 2, 5, 15, 52, 203];
@@ -170,6 +229,11 @@ fn every_instance_up_to_six_requests() {
 }
 
 #[test]
+fn every_instance_up_to_five_requests_decides_pif_alike() {
+    assert!(check_up_to(5, check_pif) > 0);
+}
+
+#[test]
 fn every_shared_instance_up_to_five_requests_in_the_stall_model() {
     assert!(check_up_to(5, check_stall) > 0);
 }
@@ -180,6 +244,13 @@ fn every_shared_instance_up_to_five_requests_in_the_stall_model() {
 #[ignore]
 fn every_instance_up_to_eight_requests() {
     assert!(check_up_to(8, check) > 0);
+}
+
+/// Algorithm 2's larger bound (about forty seconds in release).
+#[test]
+#[ignore]
+fn every_instance_up_to_seven_requests_decides_pif_alike() {
+    assert!(check_up_to(7, check_pif) > 0);
 }
 
 /// The stall model's larger bound (about four minutes in release, nearly
