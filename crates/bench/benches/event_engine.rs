@@ -8,8 +8,8 @@
 //! gap between the two is the cost of owning a growing workload plus the
 //! gate. The sparse large-τ rows use `staggered_thrash`: after warm-up
 //! every core faults with period `τ + 1` and the cores occupy distinct
-//! phases, so each timestep serves ≈ 1 core: the engine pays `O(log p)`
-//! heap traffic per step where a per-step core scan would pay `O(p)`. The
+//! phases, so each timestep serves ≈ 1 core: the engine pays `O(1)`
+//! queue work per step where a per-step core scan would pay `O(p)`. The
 //! dense small-τ rows are the parity guard: with every core due almost
 //! every step the event queue stays cheap.
 
@@ -49,8 +49,8 @@ fn bench_sparse_large_tau(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_engine/sparse");
     // p ≤ τ + 1 keeps the staggered phases distinct: ≈ 1 due core/step.
     // The rows use large p because that is where a per-step core scan
-    // would cost the most; the event engine's per-request heap traffic
-    // grows only as log p.
+    // would cost the most; the event engine's per-request queue work
+    // does not grow with p.
     for (p, tau, n) in [
         (512usize, 512u64, 600usize),
         (768, 1_024, 850),
@@ -76,7 +76,7 @@ fn bench_bursty(c: &mut Criterion) {
 
 fn bench_dense_parity(c: &mut Criterion) {
     // Dense small-τ Zipf traffic, where every core is usually due: the
-    // deferred-list fast path keeps the event queue off the heap.
+    // due list is reused as the next step's wake-up list by one swap.
     let mut group = c.benchmark_group("event_engine/dense");
     let w = throughput_workload(4, 20_000, 9);
     engine_pair(&mut group, "zipf_p4_tau0", &w, SimConfig::new(64, 0));

@@ -414,6 +414,104 @@ mod tests {
         assert!(eng.finished());
     }
 
+    /// Drain `eng` and assert its result equals the offline run on its
+    /// admitted log.
+    fn drains_to_offline<S: CacheStrategy>(
+        mut eng: OnlineSimulator<S>,
+        cfg: SimConfig,
+        offline: S,
+    ) {
+        eng.close_all();
+        eng.advance().unwrap();
+        assert!(eng.finished());
+        let (got, log) = eng.finish();
+        assert_eq!(got, simulate(&log, cfg, offline).unwrap());
+    }
+
+    #[test]
+    fn core_whose_last_request_faults_is_refilled_after_its_fetch() {
+        // τ = 2. Core 0's only admitted request faults at t = 1; its
+        // wake-up stays queued at t = 4 and holds the horizon there.
+        let mut eng = OnlineSimulator::new(2, SimConfig::new(3, 2), FirstFit).unwrap();
+        eng.push(0, PageId(1)).unwrap();
+        for _ in 0..5 {
+            eng.push(1, PageId(7)).unwrap();
+        }
+        eng.advance().unwrap();
+        assert_eq!(eng.positions(), &[1, 1], "t = 4 waits for core 0");
+        // The refill issues at t = 4, after the fetch completed: a hit.
+        eng.push(0, PageId(1)).unwrap();
+        eng.advance().unwrap();
+        assert_eq!(eng.positions(), &[2, 2], "t = 5 waits for core 0 again");
+        assert_eq!((eng.faults()[0], eng.hits()[0]), (1, 1));
+        drains_to_offline(eng, SimConfig::new(3, 2), FirstFit);
+    }
+
+    #[test]
+    fn core_whose_last_request_hits_is_refilled() {
+        // τ = 2. Core 0's last admitted request hits at t = 4, so its
+        // wake-up waits at t = 5 in the next-step list.
+        let mut eng = OnlineSimulator::new(2, SimConfig::new(3, 2), FirstFit).unwrap();
+        eng.push(0, PageId(1)).unwrap();
+        eng.push(0, PageId(1)).unwrap();
+        for _ in 0..6 {
+            eng.push(1, PageId(7)).unwrap();
+        }
+        eng.advance().unwrap();
+        assert_eq!(eng.positions(), &[2, 2], "t = 5 waits for core 0");
+        // The refill faults at t = 5; core 0 then holds the horizon at 8.
+        eng.push(0, PageId(2)).unwrap();
+        eng.advance().unwrap();
+        assert_eq!(eng.positions(), &[3, 5]);
+        assert_eq!(eng.fault_times()[0], vec![1, 5]);
+        drains_to_offline(eng, SimConfig::new(3, 2), FirstFit);
+    }
+
+    #[test]
+    fn starved_core_closed_with_its_wake_up_queued() {
+        // τ = 2. Core 0's fetch of page 1 (t = 1) rides its wake-up at
+        // t = 4, where core 0 is starved. Closed, the wake-up is dead: it
+        // releases the horizon and still completes the fetch, so core 1's
+        // request for page 1 at t = 5 hits.
+        let mut eng = OnlineSimulator::new(2, SimConfig::new(3, 2), FirstFit).unwrap();
+        eng.push(0, PageId(1)).unwrap();
+        for page in [5, 5, 1] {
+            eng.push(1, PageId(page)).unwrap();
+        }
+        assert_eq!(eng.advance().unwrap(), 2);
+        eng.close(0).unwrap();
+        assert_eq!(eng.advance().unwrap(), 2);
+        assert_eq!(eng.hits(), &[0, 2]);
+        assert_eq!(eng.fault_times(), &[vec![1], vec![1]]);
+        drains_to_offline(eng, SimConfig::new(3, 2), FirstFit);
+    }
+
+    #[test]
+    fn voluntary_time_before_a_starved_core_commits_and_at_it_waits() {
+        // τ = 2. Core 0 faults at t = 1 and t = 4, then is starved with
+        // its wake-up at t = 7. Core 1 hits at 4, faults at 5 and has no
+        // work before t = 8. Pages 1 and 2 are resident from t = 4.
+        // Today's gate is kept exactly: a voluntary step before t = 7
+        // commits (no request pushed later can issue before 7); one at
+        // t = 7 waits, since core 0 may yet be served in that step.
+        for (at, committed) in [(6, true), (7, false)] {
+            let mut eng = OnlineSimulator::new(2, SimConfig::new(4, 2), Flusher { at }).unwrap();
+            for page in [1, 4] {
+                eng.push(0, PageId(page)).unwrap();
+            }
+            for page in [2, 2, 3, 2] {
+                eng.push(1, PageId(page)).unwrap();
+            }
+            assert_eq!(eng.advance().unwrap(), 5);
+            // The flush at 6 evicts pages 1 and 2; pages 4 and 3 are still
+            // in flight.
+            let occupied = if committed { 2 } else { 4 };
+            assert_eq!(eng.sim.cache().occupied(), occupied, "flush at {at}");
+            eng.push(0, PageId(1)).unwrap();
+            drains_to_offline(eng, SimConfig::new(4, 2), Flusher { at });
+        }
+    }
+
     #[test]
     fn partial_commits_are_prefixes() {
         // Serving as input arrives must never overcommit: after each

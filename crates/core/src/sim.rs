@@ -33,33 +33,35 @@
 //! # The event engine
 //!
 //! [`Simulator`] realizes these semantics as a discrete-event scheduler
-//! rather than a per-step core scan (DESIGN §11). Wake-ups live in
-//! min-queues keyed by `(next_time, component_id)`:
+//! rather than a per-step core scan (DESIGN §11). Every core has exactly
+//! one queued **wake-up** `(time, core)` — the time its next request
+//! issues — until it is closed with nothing left to serve. A served
+//! request re-issues its core at exactly `t + 1` (a hit, or a fault when
+//! `τ = 0`) or `t + τ + 1` (a fault), so the engine *creates* its
+//! wake-ups already sorted and keeps them in two plain lists:
 //!
-//! * **request-issue events** — exactly one live entry per unfinished
-//!   core, keyed by the core's clock (the time its next request issues);
-//! * **fetch-completion events** — drained at the start of each served
-//!   step so every fetch due by `t` reads as `Present` before pins,
-//!   voluntary evictions, and service (exactly the old lazy
-//!   `promote_due`). A fetch completes exactly when its core's next
-//!   request issues, so for non-final requests the completion rides the
-//!   core's own issue wake-up (`pending_promote`); only fetches started
-//!   by a core's final request get their own heap entry;
-//! * **strategy-declared voluntary times** — consulted from
-//!   [`crate::CacheStrategy::next_voluntary_time`] before each step (the
-//!   declaration may move after every step, so it is re-read rather than
-//!   queued; the boundary contract is documented on the trait method).
+//! * `issue_next` — the cores due at `last_time + 1`, in core order;
+//! * `issue_later` — a FIFO of the `t + τ + 1` wake-ups. Each step appends
+//!   its faulting cores in core order at one time, and step times
+//!   increase, so the FIFO stays sorted by `(time, core)` with no
+//!   comparisons.
 //!
-//! Popping `(time, core)` pairs from a min-heap yields, for a given
-//! timestep, exactly the due cores in increasing core order — the model's
+//! The due set of step `t` is `issue_next` merged with the FIFO's run at
+//! `t` — exactly the due cores in increasing core order, the model's
 //! fixed logical order — so within-step semantics (promote due fetches,
 //! then pins, then voluntary evictions, then service in core order with
 //! shared-fetch-miss charging) are preserved *by construction*, and the
 //! engine is bit-identical to the oracle crate's naive tick-by-tick
-//! reference. Cost is `O(events · log p)` instead of a per-step core
-//! scan's `O(steps · p)` — on sparse or large-τ workloads, where most
-//! timesteps are idle and served steps touch one core, that is the
-//! difference between `O(n·p)` and `O(n·log p)` total.
+//! reference. A fetch completes exactly when the faulting core's next
+//! wake-up fires, so its completion rides that wake-up
+//! (`pending_promote`) and is applied when the core enters a due run,
+//! still before pins. Strategy-declared voluntary times
+//! ([`crate::CacheStrategy::next_voluntary_time`]) and capacity changes
+//! are re-read before each step rather than queued. Cost is `O(events)`
+//! instead of a per-step core scan's `O(steps · p)` — on sparse or
+//! large-τ workloads, where most timesteps are idle and served steps
+//! touch one core, that is the difference between `O(n·p)` and `O(n)`
+//! total.
 //!
 //! # Incremental runs and the safe-horizon rule
 //!
@@ -78,9 +80,12 @@
 //! always a prefix of the offline run on whatever the final log turns out
 //! to be, and a drained run is bit-identical to [`simulate`] on it.
 //!
-//! Starved cores wait in a min-queue keyed `(ready, core)` with lazy
-//! deletion, so the gate costs `O(log p)` amortized; offline runs close
-//! every core up front, and the gate is one branch.
+//! A served core queues its wake-up also after its last admitted request,
+//! so a starved core is simply a queued core with no unserved request:
+//! the gate is a check of the due run at `t`, and a push touches no
+//! queue. A closed core with nothing left to serve has a *dead* wake-up,
+//! which is dropped when it reaches the front (completing the fetch it
+//! carries) and never creates a step.
 
 use crate::cache::{Cache, CacheError, Lookup};
 use crate::capacity::CapacitySchedule;
@@ -88,32 +93,12 @@ use crate::online::OnlineError;
 use crate::strategy::CacheStrategy;
 use crate::types::{ModelError, PageId, SimConfig, Time, Workload};
 use std::borrow::Borrow;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 
-/// Pack a `(time, component_id)` wake-up into one `u128` heap key:
-/// time in the high 96 bits, id in the low 32. Integer order on the
-/// packed key is exactly lexicographic `(time, id)` order, so a min-heap
-/// of packed keys pops wake-ups time-ascending and, within a timestep,
-/// id-ascending — while comparisons and sift moves touch a single
-/// scalar instead of a two-field tuple.
-#[inline]
-fn pack(time: Time, id: u32) -> u128 {
-    ((time as u128) << 32) | id as u128
-}
-
-/// The `time` half of a packed wake-up key.
-#[inline]
-fn key_time(key: u128) -> Time {
-    (key >> 32) as Time
-}
-
-/// The `component_id` half of a packed wake-up key.
-#[inline]
-fn key_id(key: u128) -> u32 {
-    key as u32
-}
+/// Tags a due-run entry whose core has no unserved request: starved if
+/// the core is open, dead if it is closed.
+const IDLE: u32 = 1 << 31;
 
 /// Errors surfaced by a simulation run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -243,8 +228,8 @@ impl SimResult {
 /// completion with [`Simulator::run`] / the [`simulate`] convenience.
 ///
 /// This is the event-driven engine (see the module docs): per-core clocks
-/// live in a min-queue of `(next_time, core)` wake-ups, fetch completions
-/// are first-class events, and idle time is skipped outright.
+/// live in two sorted lists of `(next_time, core)` wake-ups, fetch
+/// completions ride them, and idle time is skipped outright.
 pub struct Simulator<'w, S: CacheStrategy, W: Borrow<Workload> = &'w Workload> {
     /// Borrowed (`&'w Workload`) for offline runs; owned, and growing at
     /// the tail, for incremental ones ([`crate::online::OnlineSimulator`]).
@@ -258,9 +243,9 @@ pub struct Simulator<'w, S: CacheStrategy, W: Borrow<Workload> = &'w Workload> {
     /// constant-K runs — then `cap_idx` never advances and every
     /// capacity branch is a no-op, so the fixed path is the pre-capacity
     /// engine verbatim). Capacity-change times are first-class events:
-    /// [`Simulator::next_event_time_with`] mins the next change into the
-    /// step time, so idle-gap skipping stays exact and shrink evictions
-    /// land exactly at the change time.
+    /// [`Simulator::next_step`] mins the next change into the step time,
+    /// so idle-gap skipping stays exact and shrink evictions land exactly
+    /// at the change time.
     capacity: CapacitySchedule,
     /// Cursor into `capacity.changes()`: changes before it are applied.
     cap_idx: usize,
@@ -268,43 +253,30 @@ pub struct Simulator<'w, S: CacheStrategy, W: Borrow<Workload> = &'w Workload> {
     cache: Cache,
     pos: Vec<usize>,
     ready: Vec<Time>,
-    /// Request-issue wake-ups, keyed [`pack`]`(issue_time, core)`.
-    /// Invariant: exactly one live entry per core with an unserved
-    /// request — an entry is popped only when its core is due at that
-    /// time, serving pushes the core's next wake-up (if any remain),
-    /// deferring pushes the same request's at `t + 1`, and
-    /// [`Simulator::push`] re-arms a starved core — so no entry is ever
-    /// stale.
-    issue: BinaryHeap<Reverse<u128>>,
-    /// Cores whose next request issues at exactly `last_time + 1` — the
-    /// dense fast path. A hit (and any fault when `τ = 0`) re-arms for
-    /// the immediately following timestep, so in dense regimes every
-    /// wake-up would be pushed and re-popped with the same key; instead
-    /// such cores are appended here (in serve order, hence ascending core
-    /// order) and merged with the heap's due entries at the next step.
-    /// Invariant: non-empty only until the next served step, which (see
-    /// [`Simulator::next_event_time_with`]) is then exactly
-    /// `last_time + 1` and drains it entirely.
+    /// Cores whose wake-up is at exactly `last_time + 1`, in core order:
+    /// every hit, every fault when `τ = 0`, and every deferred core
+    /// re-arms here. A non-empty list makes the next step exactly
+    /// `last_time + 1` (see [`Simulator::next_step`]), which drains it.
     issue_next: Vec<u32>,
-    /// Fetch-completion wake-ups, keyed [`pack`]`(ready_at, cell)` — one
-    /// per in-flight fetch started by a core's last admitted request (all
-    /// others ride the core's own issue wake-up, see
-    /// [`Simulator::pending_promote`]). A fetching cell cannot be
-    /// evicted, and a cell is re-fetched only after its previous
-    /// completion was drained (residency precedes eviction), so no entry
-    /// is ever stale here either.
-    completions: BinaryHeap<Reverse<u128>>,
+    /// Whether every core in `issue_next` has an unserved request (it had
+    /// one when queued, and requests are never taken back). Then the
+    /// list, when no FIFO wake-up coincides, *is* the next due set.
+    issue_next_live: bool,
+    /// The wake-ups later than `last_time + 1`, as `(time, core)` — one
+    /// per fault at `t + τ + 1`, appended in core order by each step, so
+    /// sorted. With `issue_next`, exactly one wake-up per core that is
+    /// open or has an unserved request; a closed core's wake-up may
+    /// outlive its last request (it is dead, and dropped when due).
+    issue_later: VecDeque<(Time, u32)>,
     /// `pending_promote[core]` is the cell whose fetch — started by this
-    /// core's *non-final* request — completes exactly when the core's
-    /// next request issues (`u32::MAX` when none). Such a completion
-    /// needs no heap entry: the core is in the due set of the first
-    /// served step at or past its ready time (that is what its issue
-    /// wake-up means), which is precisely the step where the heap drain
-    /// would have promoted the cell, so promoting when the core enters
-    /// the due set — still ahead of pins, voluntary evictions, and
-    /// service — is observably identical. Only a fetch started by a
-    /// core's last admitted request (no wake-up yet) goes through the
-    /// [`Simulator::completions`] heap.
+    /// core's last served request — completes exactly when the core's
+    /// next wake-up fires (`u32::MAX` when none). The completion needs no
+    /// event of its own: the core is in the due run of the first step at
+    /// or past its ready time, which is precisely where a completion
+    /// event would have promoted the cell, so promoting when the core
+    /// enters the due set — still ahead of pins, voluntary evictions, and
+    /// service — is observably identical. A dead wake-up promotes its
+    /// cell when it is dropped.
     pending_promote: Vec<u32>,
     /// [`CacheStrategy::defers`], read once at construction: only then is
     /// [`CacheStrategy::defer`] consulted, so the serve path of every
@@ -316,14 +288,10 @@ pub struct Simulator<'w, S: CacheStrategy, W: Borrow<Workload> = &'w Workload> {
     /// `closed[core]`: no more requests may arrive for `core`. Offline
     /// runs close every core up front.
     closed: Vec<bool>,
-    /// Number of open cores; while it is zero the safe-horizon gate is
-    /// skipped outright.
+    /// Number of open cores.
     open: usize,
-    /// Starved open cores (module docs), keyed [`pack`]`(ready, core)`.
-    /// An entry goes stale once its core is closed, receives a request,
-    /// or is served again (which moves `ready`); stale entries are popped
-    /// when they reach the top, see [`Simulator::horizon_blocked`].
-    starved: BinaryHeap<Reverse<u128>>,
+    /// Requests admitted so far, all cores (the offline workload's length).
+    admitted: usize,
     faults: Vec<u64>,
     hits: Vec<u64>,
     fault_times: Vec<Vec<Time>>,
@@ -352,9 +320,10 @@ impl<S: CacheStrategy> Simulator<'static, S, Workload> {
         Simulator::build(empty, cfg, capacity, strategy, true)
     }
 
-    /// Admit one request at the tail of open core `core`'s sequence. A
-    /// starved core gets its issue wake-up back at its ready time, which
-    /// the safe-horizon gate keeps strictly after every committed step.
+    /// Admit one request at the tail of open core `core`'s sequence. The
+    /// core's wake-up is already queued at its ready time (a starved core
+    /// keeps it), and the safe-horizon gate kept every committed step
+    /// strictly before it, so no queue changes.
     #[inline]
     pub(crate) fn push(&mut self, core: usize, page: PageId) -> Result<(), OnlineError> {
         let cores = self.closed.len();
@@ -364,11 +333,8 @@ impl<S: CacheStrategy> Simulator<'static, S, Workload> {
         if self.closed[core] {
             return Err(OnlineError::CoreClosed { core });
         }
-        let index = self.workload.push(core, page);
-        if self.pos[core] == index {
-            self.issue
-                .push(Reverse(pack(self.ready[core], core as u32)));
-        }
+        self.workload.push(core, page);
+        self.admitted += 1;
         Ok(())
     }
 
@@ -390,7 +356,6 @@ impl<S: CacheStrategy> Simulator<'static, S, Workload> {
     pub(crate) fn close_all(&mut self) {
         self.closed.fill(true);
         self.open = 0;
-        self.starved.clear();
     }
 }
 
@@ -447,15 +412,7 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
         }
         strategy.begin(workload, &cfg);
         let p = workload.num_cores();
-        let mut issue = BinaryHeap::with_capacity(p);
-        let mut starved = BinaryHeap::new();
-        for core in 0..p {
-            if workload.len(core) > 0 {
-                issue.push(Reverse(pack(1, core as u32)));
-            } else if open {
-                starved.push(Reverse(pack(1, core as u32)));
-            }
-        }
+        let admitted = workload.total_len();
         let mut cache = Cache::new(capacity.max_k(), p);
         cache.set_limit(cfg.cache_size);
         let defers = strategy.defers();
@@ -469,15 +426,17 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
             cache,
             pos: vec![0; p],
             ready: vec![1; p],
-            issue,
-            issue_next: Vec::with_capacity(p),
-            completions: BinaryHeap::with_capacity(p),
+            // Every core's first request issues at t = 1. Cores with none
+            // are starved (open) or dead (closed) there.
+            issue_next: (0..p as u32).collect(),
+            issue_next_live: false,
+            issue_later: VecDeque::with_capacity(p),
             pending_promote: vec![u32::MAX; p],
             defers,
             due_slot: vec![0; p],
             closed: vec![!open; p],
             open: if open { p } else { 0 },
-            starved,
+            admitted,
             faults: vec![0; p],
             hits: vec![0; p],
             fault_times: vec![Vec::new(); p],
@@ -533,12 +492,7 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
     /// `true` once every core is closed and every sequence has been fully
     /// served (offline runs close every core up front).
     pub fn finished(&self) -> bool {
-        self.open == 0
-            && self
-                .pos
-                .iter()
-                .zip(self.workload().sequences())
-                .all(|(&pos, seq)| pos >= seq.len())
+        self.open == 0 && self.served == self.admitted
     }
 
     /// Whether `core` is closed.
@@ -554,64 +508,134 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
         Ok(self.served - before)
     }
 
-    /// Would committing a step at `t` be unsafe, because a starved open
-    /// core could still receive a request issuing at or before `t`?
-    /// Stale entries met on the way are dropped.
-    fn horizon_blocked(&mut self, t: Time) -> bool {
-        while let Some(&Reverse(key)) = self.starved.peek() {
-            let (ready, core) = (key_time(key), key_id(key) as usize);
-            if ready > t {
-                return false;
-            }
-            if !self.closed[core]
-                && self.pos[core] == self.workload().len(core)
-                && self.ready[core] == ready
-            {
-                return true;
-            }
-            self.starved.pop();
-        }
-        false
-    }
-
-    /// The next timestep to serve: the earliest queued request-issue
-    /// wake-up, unless the strategy declares an earlier non-stale
-    /// voluntary time. `heap_min` is the already-peeked issue-heap top
-    /// (an `O(1)` peek — no core scan), passed in so
-    /// [`Simulator::step_inner`] reads the heap top once per step and
-    /// reuses it for due-event collection.
+    /// Pick the next timestep to serve and gather its due cores, in core
+    /// order, into `due_buf`. `None` when every admitted request has been
+    /// served, or when the safe horizon blocks the step.
     ///
-    /// This implements the boundary contract documented on
+    /// The step time is the earliest queued wake-up, unless the strategy
+    /// declares an earlier non-stale voluntary time or a capacity change
+    /// comes first. This implements the boundary contract documented on
     /// [`CacheStrategy::next_voluntary_time`]: stale declarations (at or
     /// before the last served timestep) are ignored so each step strictly
-    /// advances time; a declaration coinciding with `next_request` folds
-    /// into that step; and once the issue queue is empty (every sequence
-    /// finished) any declaration is dropped and the run ends.
-    fn next_event_time_with(&self, heap_min: Option<u128>) -> Option<Time> {
-        // A deferred core is due at `last_time + 1`, which no queued heap
-        // entry beats (every entry's time is strictly past its push step),
-        // so the deferred list short-circuits the peek.
-        let next_request = if self.issue_next.is_empty() {
-            key_time(heap_min?)
-        } else {
-            self.last_time + 1
-        };
-        let mut t = next_request;
+    /// advances time; a declaration coinciding with the next request folds
+    /// into that step; and once no admitted request is left any
+    /// declaration is dropped and the run ends.
+    ///
+    /// A starved core's wake-up takes part in the minimum, which gives
+    /// the safe-horizon gate exactly: if it is due no later than the next
+    /// request and the other events, the step time reaches it and the
+    /// step is blocked; if an earlier event comes first, that event is
+    /// the step, as it would be without the starved core.
+    fn next_step(&mut self) -> Option<Time> {
+        if self.served == self.admitted {
+            return None;
+        }
+        let mut other = Time::MAX;
         if let Some(vt) = self.strategy.next_voluntary_time() {
-            if vt > self.last_time && vt < t {
-                t = vt;
+            if vt > self.last_time {
+                other = vt;
             }
         }
-        // A capacity change is a first-class event: serve a (possibly
-        // quiet) step at the change time so shrink evictions land exactly
-        // there. The `heap_min?` above already dropped post-final changes:
-        // once every sequence is finished the run ends.
         if let Some((ct, _)) = self.capacity.next_change_after(self.last_time) {
-            if ct < t {
-                t = ct;
+            other = other.min(ct);
+        }
+        loop {
+            // Every FIFO wake-up lies past `last_time`, so a non-empty
+            // `issue_next` holds the earliest ones.
+            let wake = if self.issue_next.is_empty() {
+                self.issue_later
+                    .front()
+                    .map_or(Time::MAX, |&(time, _)| time)
+            } else {
+                self.last_time + 1
+            };
+            let t = wake.min(other);
+            debug_assert!(t != Time::MAX, "an unserved request has a wake-up");
+            if !self.collect_due(t) {
+                return None;
+            }
+            if !self.due_buf.is_empty() || t == other {
+                return Some(t);
+            }
+            // Only dead wake-ups were due at `t`: they create no step.
+        }
+    }
+
+    /// Gather the wake-ups due at `t` into `due_buf`, in core order:
+    /// `issue_next` (due iff `t == last_time + 1`, and then entirely)
+    /// merged with the FIFO's run at `t`. Returns `false`, and consumes
+    /// nothing, when a starved open core is due: the safe horizon blocks
+    /// the step.
+    fn collect_due(&mut self, t: Time) -> bool {
+        self.due_buf.clear();
+        let later_due = matches!(self.issue_later.front(), Some(&(time, _)) if time == t);
+        if self.issue_next_live && !later_due {
+            // The due set is `issue_next` verbatim. `due_buf` was just
+            // cleared, so the swap leaves `issue_next` empty.
+            std::mem::swap(&mut self.due_buf, &mut self.issue_next);
+            return true;
+        }
+        let workload: &Workload = self.workload.borrow();
+        let (mut next, mut later) = (0, 0);
+        let mut idle = false;
+        loop {
+            let from_later = match self.issue_later.get(later) {
+                Some(&(time, core)) if time == t => Some(core),
+                _ => None,
+            };
+            let core = match (self.issue_next.get(next), from_later) {
+                (Some(&a), Some(b)) if a < b => {
+                    next += 1;
+                    a
+                }
+                (_, Some(b)) => {
+                    later += 1;
+                    b
+                }
+                (Some(&a), None) => {
+                    next += 1;
+                    a
+                }
+                (None, None) => break,
+            };
+            if self.pos[core as usize] < workload.len(core as usize) {
+                self.due_buf.push(core);
+            } else {
+                idle = true;
+                self.due_buf.push(core | IDLE);
             }
         }
-        Some(t)
+        if idle && !self.settle_idle(t) {
+            return false;
+        }
+        self.issue_next.clear();
+        self.issue_later.drain(..later);
+        true
+    }
+
+    /// Sort the [`IDLE`] cores out of a due run. A starved one blocks the
+    /// step (the run is discarded); otherwise every one is dead, and its
+    /// wake-up is dropped after completing the fetch riding it.
+    #[cold]
+    #[inline(never)]
+    fn settle_idle(&mut self, t: Time) -> bool {
+        let closed = &self.closed;
+        let starved = |core: u32| core & IDLE != 0 && !closed[(core & !IDLE) as usize];
+        if self.due_buf.iter().any(|&core| starved(core)) {
+            self.due_buf.clear();
+            return false;
+        }
+        for &core in &self.due_buf {
+            if core & IDLE != 0 {
+                let pending = &mut self.pending_promote[(core & !IDLE) as usize];
+                if *pending != u32::MAX {
+                    self.cache.promote_cell(*pending as usize, t);
+                    *pending = u32::MAX;
+                }
+            }
+        }
+        self.due_buf.retain(|&core| core & IDLE == 0);
+        true
     }
 
     /// Serve one timestep (the next time at which any request is due).
@@ -637,61 +661,13 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
     /// never read them, and on dense traffic writing one per request cost
     /// about 1.5 ns of a ~27 ns request.
     fn step_inner<const TRACE: bool>(&mut self) -> Result<Option<Time>, SimError> {
-        let heap_min = self.issue.peek().map(|&Reverse(key)| key);
-        let Some(t) = self.next_event_time_with(heap_min) else {
+        let Some(t) = self.next_step() else {
             return Ok(None);
         };
-        if self.open > 0 && self.horizon_blocked(t) {
-            return Ok(None);
-        }
         self.last_time = t;
-        // Fetch completions are first-class events: drain every completion
-        // due by `t` so the strategy and the serve loop observe those
-        // pages as `Present` — exactly what the lazy `promote_due(t)` scan
-        // produced, but in O(completions due · log K).
-        while let Some(&Reverse(key)) = self.completions.peek() {
-            if key_time(key) > t {
-                break;
-            }
-            self.completions.pop();
-            self.cache.promote_cell(key_id(key) as usize, t);
-        }
         self.voluntary_buf.clear();
         if TRACE {
             self.served_buf.clear();
-        }
-
-        // Collect this step's request-issue events. Every queued heap
-        // entry has time ≥ t (ready times are always pushed strictly in
-        // the future and t is the queue minimum or earlier), so popping
-        // while time = t yields exactly the due heap cores in increasing
-        // core order. Deferred cores (`issue_next`) are all due too — a
-        // non-empty deferred list forces t = last step + 1 — and are
-        // already core-ascending (they were appended in serve order), so
-        // a two-way merge restores the model's fixed logical order. A
-        // core is never in both (one live wake-up per unfinished core).
-        self.due_buf.clear();
-        if !matches!(heap_min, Some(key) if key_time(key) <= t) {
-            // Nothing due in the heap: the due set is the deferred list
-            // verbatim, so take it wholesale (due_buf was just cleared,
-            // so the swap leaves issue_next empty, as draining requires).
-            std::mem::swap(&mut self.due_buf, &mut self.issue_next);
-        } else {
-            let mut deferred = 0;
-            while let Some(&Reverse(key)) = self.issue.peek() {
-                if key_time(key) > t {
-                    break;
-                }
-                let core = key_id(key);
-                while deferred < self.issue_next.len() && self.issue_next[deferred] < core {
-                    self.due_buf.push(self.issue_next[deferred]);
-                    deferred += 1;
-                }
-                self.issue.pop();
-                self.due_buf.push(core);
-            }
-            self.due_buf.extend_from_slice(&self.issue_next[deferred..]);
-            self.issue_next.clear();
         }
 
         if self.defers {
@@ -747,15 +723,18 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
             self.voluntary_buf.push((cell, page));
         }
 
-        // Serve in due (= increasing core) order. Re-arming for `t + 1` —
-        // every hit, and every fault when τ = 0 — is the overwhelmingly
-        // common case on dense workloads, so it is not pushed per core:
-        // if EVERY due core re-armed for `t + 1`, the next deferred list
-        // is the due list verbatim (same cores, same order) and is
-        // installed by one swap after the loop; only heap-bound re-arms
-        // (ready later than `t + 1`) are pushed inline, and the mixed /
-        // finished cases rebuild the deferred list by filtering `due`.
-        let mut all_deferred = true;
+        // Serve in due (= increasing core) order. Every served core
+        // queues its wake-up, also after its last admitted request (a
+        // starved core waits in the queue; a dead one is dropped when
+        // due). Re-arming for `t + 1` — every hit, and every fault when
+        // τ = 0 — is the overwhelmingly common case on dense workloads,
+        // so it is not queued per core: if EVERY due core re-armed for
+        // `t + 1`, the next `issue_next` is the due list verbatim (same
+        // cores, same order) and is installed by one swap after the loop;
+        // only `t + τ + 1` wake-ups are appended inline, and the mixed
+        // case rebuilds `issue_next` by filtering `due`.
+        let mut all_next = true;
+        let mut all_live = true;
         for &core in &due {
             let core = core as usize;
             let seq = workload.sequence(core);
@@ -798,15 +777,9 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
                     };
                     self.cache
                         .start_fetch_slot(cell, slot, core, t + self.cfg.tau + 1)?;
-                    if index + 1 < seq.len() {
-                        // The completion coincides with this core's next
-                        // wake-up: let it ride that event instead of
-                        // paying for a heap entry.
-                        self.pending_promote[core] = cell as u32;
-                    } else {
-                        self.completions
-                            .push(Reverse(pack(t + self.cfg.tau + 1, cell as u32)));
-                    }
+                    // The completion coincides with this core's next
+                    // wake-up, which is always queued: it rides that.
+                    self.pending_promote[core] = cell as u32;
                     self.strategy.on_fault(core, page, t, cell, &self.cache);
                     self.ready[core] = t + self.cfg.tau + 1;
                     self.makespan = self.makespan.max(t + self.cfg.tau);
@@ -814,24 +787,20 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
                 }
             };
             self.pos[core] += 1;
-            if self.pos[core] < seq.len() {
-                // Re-arm the core's clock: its next request issues at the
-                // just-computed ready time (t + 1 on a hit, t + τ + 1 on
-                // either kind of fault), always strictly after t. The
-                // t + 1 case defers to `issue_next` (installed after the
-                // loop): it is served at the very next step, so a heap
-                // push/re-pop with the same key would be pure churn.
-                if self.ready[core] != t + 1 {
-                    all_deferred = false;
-                    self.issue
-                        .push(Reverse(pack(self.ready[core], core as u32)));
-                }
-            } else {
-                all_deferred = false;
-                if !self.closed[core] {
-                    self.starved
-                        .push(Reverse(pack(self.ready[core], core as u32)));
-                }
+            all_live &= index + 1 < seq.len();
+            // Re-arm the core's clock: its next request issues at the
+            // just-computed ready time (t + 1 on a hit, t + τ + 1 on
+            // either kind of fault), always strictly after t. Every step
+            // appends its `t + τ + 1` wake-ups in core order, and step
+            // times increase, so the FIFO stays sorted.
+            let ready = self.ready[core];
+            if ready != t + 1 {
+                all_next = false;
+                debug_assert!(
+                    self.issue_later.back() <= Some(&(ready, core as u32)),
+                    "wake-up FIFO out of order"
+                );
+                self.issue_later.push_back((ready, core as u32));
             }
             if TRACE {
                 self.served_buf.push(Served {
@@ -843,19 +812,24 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
             }
         }
         self.served += due.len();
-        if all_deferred {
-            // `issue_next` was drained during due collection, so the swap
-            // leaves `due_buf` empty for the next step.
+        // Deferred cores (stall model only) already wait in `issue_next`;
+        // otherwise it was drained by due collection.
+        let deferred = !self.issue_next.is_empty();
+        if all_next && !deferred {
+            // The swap leaves `due_buf` empty for the next step.
             self.due_buf = std::mem::replace(&mut self.issue_next, due);
         } else {
             for &core in &due {
-                let c = core as usize;
-                if self.pos[c] < workload.len(c) && self.ready[c] == t + 1 {
+                if self.ready[core as usize] == t + 1 {
                     self.issue_next.push(core);
                 }
             }
+            if deferred {
+                self.issue_next.sort_unstable();
+            }
             self.due_buf = due;
         }
+        self.issue_next_live = all_live;
         self.cache.clear_pins();
         Ok(Some(t))
     }
@@ -863,8 +837,8 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
     /// Ask the strategy, in core order, whether to defer each due core
     /// (stall-model strategies only). Every fetch due by `t` completes
     /// first, so the strategy sees the cache the step will serve from.
-    /// A deferred core leaves the due set before pins, and its issue
-    /// wake-up moves to `t + 1`.
+    /// A deferred core leaves the due set before pins, and its wake-up
+    /// moves to `t + 1`: into `issue_next`, in core order.
     #[cold]
     #[inline(never)]
     fn defer_due(&mut self, t: Time) {
@@ -881,7 +855,7 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
             let page = workload.sequence(core)[self.pos[core]];
             if self.strategy.defer(core, page, t, &self.cache) {
                 self.ready[core] = t + 1;
-                self.issue.push(Reverse(pack(t + 1, core as u32)));
+                self.issue_next.push(core as u32);
             } else {
                 self.due_buf[kept] = core as u32;
                 kept += 1;
@@ -1271,6 +1245,33 @@ mod tests {
             .filter(|s| !matches!(s.outcome, Outcome::Hit))
             .count() as u64;
         assert_eq!(traced_faults, result.total_faults());
+    }
+
+    #[test]
+    fn finished_cores_wake_ups_create_no_step() {
+        // τ = 2. Core 0's last request hits at t = 4, so its wake-up at
+        // t = 5 is dead: no step at 5. Core 1 is next due at 7.
+        let wl = w(&[&[1, 1], &[2, 3, 2]]);
+        let (r, trace) = Simulator::new(&wl, SimConfig::new(3, 2), FirstFit)
+            .unwrap()
+            .run_with_trace()
+            .unwrap();
+        let times: Vec<Time> = trace.iter().map(|s| s.time).collect();
+        assert_eq!(times, vec![1, 4, 7]);
+        assert_eq!((r.faults, r.hits), (vec![1, 2], vec![1, 1]));
+
+        // Core 0's last request faults at t = 4 on page 5; the fetch rides
+        // its dead wake-up at t = 7, which creates no step but completes
+        // the fetch, so core 1's request for page 5 at t = 8 hits.
+        let wl = w(&[&[1, 5], &[2, 2, 3, 5]]);
+        let (r, trace) = Simulator::new(&wl, SimConfig::new(4, 2), FirstFit)
+            .unwrap()
+            .run_with_trace()
+            .unwrap();
+        let times: Vec<Time> = trace.iter().map(|s| s.time).collect();
+        assert_eq!(times, vec![1, 4, 5, 8]);
+        assert_eq!(trace[3].served[0].outcome, Outcome::Hit);
+        assert_eq!((r.faults, r.hits), (vec![2, 2], vec![0, 2]));
     }
 
     #[test]

@@ -5,39 +5,57 @@
 //! The standard Belady trick, cf. the offline `belady_seq` module: every
 //! page gets a dense index, one backward scan per sequence links each
 //! position to the next occurrence of its page, and each served request
-//! moves one `upcoming` slot forward in O(1). A page's dense index is
+//! moves one `upcoming` slot forward in O(1). The tables keep one slot
+//! per (page, sequence requesting it) pair, packed by page, so they grow
+//! with the trace, not with pages × sequences. A page's slot range is
 //! resolved once, when it enters a cache cell ([`NextUse::place`]), and
 //! kept in a cell-indexed array, so a next-use or distance query during
-//! victim choice is array reads only.
+//! victim choice is array reads only, and a distance query reads only
+//! the page's *sharers* — one on disjoint traffic.
 
 use mcp_core::{FxHashMap, PageId};
 
 /// "No further occurrence" in the `u32` position tables.
 const NEVER: u32 = u32::MAX;
 
+/// The distance of a page no sequence uses again: above every finite
+/// distance (those stay below `2^31`, see [`NextUse::distance_of`]).
+const NEVER_AGAIN: u32 = 1 << 31;
+
 /// Next-use bookkeeping over one or more request sequences, each with its
 /// own cursor (requests served so far).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NextUse {
     /// Dense index of every page occurring in any sequence. Pages that
-    /// occur nowhere share the extra index `page_index.len()`, whose row
-    /// is all `NEVER`.
+    /// occur nowhere share the extra index `page_index.len()`, which has
+    /// no sharers.
     page_index: FxHashMap<PageId, u32>,
-    /// seq_ids[seq][pos] = dense page index of that request.
-    seq_ids: Vec<Vec<u32>>,
+    /// The slots of dense index `i` are `sharer_start[i]..sharer_start[i
+    /// + 1]`: one per sequence requesting that page, in sequence order.
+    sharer_start: Vec<u32>,
+    /// One [`Sharer`] per slot.
+    sharers: Vec<Sharer>,
+    /// `seq_slots[seq][pos]`: the slot of that request's page in `seq`.
+    seq_slots: Vec<Vec<u32>>,
     /// next_pos[seq][pos] = next position of the same page strictly after
     /// `pos` in that sequence (`NEVER` if none).
     next_pos: Vec<Vec<u32>>,
-    /// upcoming[page_idx * seqs + seq] = first position `>= cursor[seq]`
-    /// at which the page occurs in that sequence (`NEVER` if none). One
-    /// page's slots are adjacent, so a distance query reads one row.
-    upcoming: Vec<u32>,
     /// Requests served so far, per sequence. Sequences are shorter than
     /// `2^31` (asserted), so cursors and positions fit `u32` with room
     /// for the distance trick in [`NextUse::distance_of`].
     cursor: Vec<u32>,
-    /// `cell_row[cell]`: dense index of the page placed in `cell`.
-    cell_row: Vec<u32>,
+    /// `cell_slots[cell]`: the slot range of the page placed in `cell`.
+    cell_slots: Vec<(u32, u32)>,
+}
+
+/// One (page, sequence requesting it) slot.
+#[derive(Clone, Copy, Debug, Default)]
+struct Sharer {
+    /// The sequence.
+    seq: u32,
+    /// First position `>= cursor[seq]` at which the slot's page occurs in
+    /// `seq` (`NEVER` if none).
+    upcoming: u32,
 }
 
 impl NextUse {
@@ -57,16 +75,51 @@ impl NextUse {
                     .collect()
             })
             .collect();
-        let seqs = seq_ids.len();
-        let mut next_pos = Vec::with_capacity(seqs);
-        // One extra all-`NEVER` row for pages that occur nowhere.
-        let mut upcoming = vec![NEVER; (page_index.len() + 1) * seqs];
-        // Backward scan: next occurrence of each position's page, and (once
-        // the scan completes) each page's first occurrence overall.
+        let pages = page_index.len();
+        // `seen[pid]`: the last sequence (plus one) that requested the
+        // page. Counting pass: sharers per page, then their slot ranges.
+        let mut seen = vec![0u32; pages];
+        let mut sharer_start = vec![0u32; pages + 2];
         for (seq, ids) in seq_ids.iter().enumerate() {
-            let mut next = vec![NEVER; ids.len()];
-            for (pos, &pid) in ids.iter().enumerate().rev() {
-                let first = &mut upcoming[pid as usize * seqs + seq];
+            for &pid in ids {
+                if seen[pid as usize] != seq as u32 + 1 {
+                    seen[pid as usize] = seq as u32 + 1;
+                    sharer_start[pid as usize + 1] += 1;
+                }
+            }
+        }
+        for i in 0..=pages {
+            sharer_start[i + 1] += sharer_start[i];
+        }
+        // Fill pass, sequences in order, so each page's sharers ascend.
+        let total = sharer_start[pages] as usize;
+        let mut sharers = vec![
+            Sharer {
+                seq: 0,
+                upcoming: NEVER
+            };
+            total
+        ];
+        let mut filled = sharer_start[..pages].to_vec();
+        seen.fill(0);
+        let mut seq_slots = seq_ids;
+        let mut next_pos = Vec::with_capacity(seq_slots.len());
+        for (seq, slots) in seq_slots.iter_mut().enumerate() {
+            // Each request's page index becomes its slot in this sequence.
+            for slot in slots.iter_mut() {
+                let pid = *slot as usize;
+                if seen[pid] != seq as u32 + 1 {
+                    seen[pid] = seq as u32 + 1;
+                    sharers[filled[pid] as usize].seq = seq as u32;
+                    filled[pid] += 1;
+                }
+                *slot = filled[pid] - 1;
+            }
+            // Backward scan: next occurrence of each position's page, and
+            // (once the scan completes) each slot's first occurrence.
+            let mut next = vec![NEVER; slots.len()];
+            for (pos, &slot) in slots.iter().enumerate().rev() {
+                let first = &mut sharers[slot as usize].upcoming;
                 next[pos] = *first;
                 *first = pos as u32;
             }
@@ -74,21 +127,30 @@ impl NextUse {
         }
         NextUse {
             page_index,
-            cursor: vec![0; seqs],
-            seq_ids,
+            sharer_start,
+            sharers,
+            cursor: vec![0; seq_slots.len()],
+            seq_slots,
             next_pos,
-            upcoming,
-            cell_row: Vec::new(),
+            cell_slots: Vec::new(),
         }
     }
 
-    /// The dense index of `page`: its row in the tables. Pages that occur
-    /// in no sequence get the shared never-used row.
-    fn index_of(&self, page: PageId) -> u32 {
-        self.page_index
+    /// The slot range of `page`. Pages that occur in no sequence get the
+    /// shared never-used row, which has none.
+    fn slots_of(&self, page: PageId) -> (u32, u32) {
+        let row = self
+            .page_index
             .get(&page)
             .copied()
-            .unwrap_or(self.page_index.len() as u32)
+            .unwrap_or(self.page_index.len() as u32) as usize;
+        (self.sharer_start[row], self.sharer_start[row + 1])
+    }
+
+    /// The slots of a range.
+    #[inline]
+    fn sharers(&self, (start, end): (u32, u32)) -> &[Sharer] {
+        &self.sharers[start as usize..end as usize]
     }
 
     /// Requests of sequence `seq` served so far.
@@ -101,9 +163,8 @@ impl NextUse {
     /// the sequence only the cursor moves.
     pub(crate) fn advance(&mut self, seq: usize) {
         let pos = self.cursor[seq] as usize;
-        if let Some(&pid) = self.seq_ids[seq].get(pos) {
-            let seqs = self.cursor.len();
-            self.upcoming[pid as usize * seqs + seq] = self.next_pos[seq][pos];
+        if let Some(&slot) = self.seq_slots[seq].get(pos) {
+            self.sharers[slot as usize].upcoming = self.next_pos[seq][pos];
         }
         self.cursor[seq] += 1;
     }
@@ -111,48 +172,51 @@ impl NextUse {
     /// Record that `page` now occupies `cell`, for the cell-keyed
     /// queries below.
     pub(crate) fn place(&mut self, cell: usize, page: PageId) {
-        if cell >= self.cell_row.len() {
-            self.cell_row.resize(cell + 1, 0);
+        if cell >= self.cell_slots.len() {
+            self.cell_slots.resize(cell + 1, (0, 0));
         }
-        self.cell_row[cell] = self.index_of(page);
+        self.cell_slots[cell] = self.slots_of(page);
     }
 
     /// Position of the first use of `page` in sequence `seq` at or after
     /// its cursor; `u32::MAX` if it is never used again.
     pub(crate) fn next_use(&self, seq: usize, page: PageId) -> u32 {
-        self.next_use_at(seq, self.index_of(page))
+        self.next_use_in(seq, self.slots_of(page))
     }
 
     /// [`NextUse::next_use`] of the page placed in `cell`.
     #[inline]
     pub(crate) fn next_use_of(&self, seq: usize, cell: usize) -> u32 {
-        self.next_use_at(seq, self.cell_row[cell])
+        self.next_use_in(seq, self.cell_slots[cell])
     }
 
     #[inline]
-    fn next_use_at(&self, seq: usize, row: u32) -> u32 {
-        self.upcoming[row as usize * self.cursor.len() + seq]
+    fn next_use_in(&self, seq: usize, slots: (u32, u32)) -> u32 {
+        let sharers = self.sharers(slots);
+        match sharers.binary_search_by_key(&(seq as u32), |s| s.seq) {
+            Ok(i) => sharers[i].upcoming,
+            Err(_) => NEVER,
+        }
     }
 
     /// Requests until the next use of the page placed in `cell` by any
     /// sequence, assuming no further delays: the minimum over sequences
-    /// of `next_use - cursor`.
+    /// of `next_use - cursor`. Only the page's sharers are read: every
+    /// other sequence never uses it.
     ///
-    /// Branch-free: a sequence that never uses the page again contributes
-    /// `NEVER - cursor` (wrapping `u32` subtraction), which exceeds every
-    /// finite distance because positions and cursors stay below `2^31`.
-    /// So a page no sequence uses again gets `NEVER - max cursor`, above
-    /// every page with a finite distance and equal for all such pages —
-    /// the same order as a `u64::MAX` sentinel.
+    /// A sharer that never uses the page again contributes
+    /// `NEVER - cursor` (wrapping `u32` subtraction), which is at least
+    /// [`NEVER_AGAIN`] because positions and cursors stay below `2^31`,
+    /// while every finite distance is below it. Clamping to
+    /// [`NEVER_AGAIN`] gives every page no sequence uses again one
+    /// distance, above every finite one — the same order as a `u64::MAX`
+    /// sentinel.
     #[inline]
     pub(crate) fn distance_of(&self, cell: usize) -> u32 {
-        let seqs = self.cursor.len();
-        let row = &self.upcoming[self.cell_row[cell] as usize * seqs..][..seqs];
-        row.iter()
-            .zip(&self.cursor)
-            .map(|(&pos, &cursor)| pos.wrapping_sub(cursor))
-            .min()
-            .unwrap_or(NEVER)
+        self.sharers(self.cell_slots[cell])
+            .iter()
+            .map(|s| s.upcoming.wrapping_sub(self.cursor[s.seq as usize]))
+            .fold(NEVER_AGAIN, u32::min)
     }
 
     /// Run `f` with the request at `cursor[seq]` counted as served for
@@ -214,6 +278,40 @@ mod tests {
         assert_eq!(n.distance_of(seven), n.distance_of(one));
         assert_eq!(n.distance_of(seven), n.distance_of(three));
         assert!(n.distance_of(seven) > 1 << 30);
+    }
+
+    #[test]
+    fn distance_reads_sharers_only_and_matches_every_sequence() {
+        // Page 1 is shared by sequences 0 and 2, page 2 is private to
+        // sequence 1, page 9 occurs nowhere.
+        let seqs = [seq(&[1, 3, 1, 4]), seq(&[2, 2, 5]), seq(&[6, 1])];
+        let mut n = NextUse::new(&seqs);
+        let sharers_of = |n: &NextUse, page| {
+            let sharers = n.sharers(n.slots_of(PageId(page)));
+            sharers.iter().map(|s| s.seq).collect::<Vec<_>>()
+        };
+        assert_eq!(sharers_of(&n, 1), vec![0, 2]);
+        assert_eq!(sharers_of(&n, 2), vec![1]);
+        assert!(sharers_of(&n, 9).is_empty());
+        for (cell, page) in [1, 2, 3, 4, 5, 6, 9].into_iter().enumerate() {
+            n.place(cell, PageId(page));
+        }
+        // The minimum over every sequence, clamped as `distance_of` does.
+        let naive = |n: &NextUse, cell: usize| {
+            (0..seqs.len())
+                .map(|s| n.next_use_of(s, cell).wrapping_sub(n.cursor[s]))
+                .fold(NEVER_AGAIN, u32::min)
+        };
+        for step in 0..9 {
+            for cell in 0..7 {
+                assert_eq!(
+                    n.distance_of(cell),
+                    naive(&n, cell),
+                    "step {step} cell {cell}"
+                );
+            }
+            n.advance(step % seqs.len());
+        }
     }
 
     #[test]

@@ -95,8 +95,9 @@ impl<P: EvictionPolicy> CacheStrategy for Shared<P> {
 /// Distances are answered from precomputed next-occurrence tables (the
 /// standard Belady trick, shared with [`crate::Belady`] and
 /// [`crate::SacrificeOffline`]): each served request updates one slot in
-/// O(1), each cell records its page's dense table index when the fetch
-/// starts, and a distance query is `p` array reads with no hash probe.
+/// O(1), each cell records its page's table slots when the fetch starts,
+/// and a distance query reads only the sequences that request the page
+/// (one on disjoint traffic), with no hash probe.
 #[derive(Clone, Debug, Default)]
 pub struct SharedFitf {
     /// One sequence per core, captured in [`CacheStrategy::begin`].
@@ -130,13 +131,16 @@ impl CacheStrategy for SharedFitf {
         // The faulting request is still unserved while we choose; count it
         // as served for distance queries so "next use" looks strictly
         // ahead. (The faulting page itself is absent, so only the cursor
-        // offset matters.)
+        // offset matters.) The key `(distance, cell)` is packed into one
+        // `u64`, in the same order: a tuple key cost ~2.5x per victim.
         self.next.looking_past(core, |next| {
-            cache
+            let key = cache
                 .victims()
                 .iter()
-                .max_by_key(|&cell| (next.distance_of(cell), cell))
-                .expect("cache full implies a resident page")
+                .map(|cell| (u64::from(next.distance_of(cell)) << 32) | cell as u64)
+                .max()
+                .expect("cache full implies a resident page");
+            key as u32 as usize
         })
     }
 

@@ -296,3 +296,39 @@ fn completions_inside_skipped_gaps_are_drained() {
         }
     }
 }
+
+#[test]
+fn finished_cores_wake_ups_create_no_step() {
+    // A core's wake-up outlives its last request, so a fetch started by
+    // that request can ride it. Once the core is finished the wake-up is
+    // dead: it must not create a step of its own, on either list the
+    // engine keeps. τ = 2 throughout.
+    //
+    // Core 0's last request hits at t = 4, so its dead wake-up is at
+    // t = 5; core 1 is next due at t = 7.
+    let wl = w(&[&[1, 1], &[2, 3, 2]]);
+    let (_, trace) = both_engines(&wl, SimConfig::new(3, 2), Declare::none());
+    let times: Vec<Time> = trace.iter().map(|s| s.time).collect();
+    assert_eq!(times, vec![1, 4, 7]);
+
+    // Core 0's last request faults at t = 4 on page 5, so its dead
+    // wake-up at t = 7 carries the fetch: no step at 7, yet page 5 is
+    // resident for core 1's request at t = 8.
+    let wl = w(&[&[1, 5], &[2, 2, 3, 5]]);
+    let cfg = SimConfig::new(4, 2);
+    let (result, trace) = both_engines(&wl, cfg, Declare::none());
+    let times: Vec<Time> = trace.iter().map(|s| s.time).collect();
+    assert_eq!(times, vec![1, 4, 5, 8]);
+    assert_eq!(trace[3].served[0].outcome, Outcome::Hit);
+    assert_eq!(result.hits, vec![0, 2]);
+
+    // A declared voluntary time at a dead wake-up is a step of its own:
+    // the fetch completes first, so the declaration may evict page 5.
+    let (result, trace) = both_engines(&wl, cfg, Declare::at(&[(7, &[5])]));
+    let times: Vec<Time> = trace.iter().map(|s| s.time).collect();
+    assert_eq!(times, vec![1, 4, 5, 7, 8]);
+    assert!(trace[3].served.is_empty());
+    assert_eq!(trace[3].voluntary.len(), 1);
+    assert!(matches!(trace[4].served[0].outcome, Outcome::Fault { .. }));
+    assert_eq!(result.hits, vec![0, 1]);
+}
