@@ -231,13 +231,20 @@ mod tests {
         fn name(&self) -> String {
             "MiniLru".into()
         }
-        fn on_hit(&mut self, _c: usize, page: PageId, _t: Time, _cache: &Cache) {
+        fn on_hit(&mut self, _c: usize, page: PageId, _t: Time, _cell: usize, _cache: &Cache) {
             self.touch(page);
         }
         fn on_fault(&mut self, _c: usize, page: PageId, _t: Time, _cell: usize, _cache: &Cache) {
             self.touch(page);
         }
-        fn on_shared_fetch_miss(&mut self, _c: usize, page: PageId, _t: Time, _cache: &Cache) {
+        fn on_shared_fetch_miss(
+            &mut self,
+            _c: usize,
+            page: PageId,
+            _t: Time,
+            _cell: usize,
+            _cache: &Cache,
+        ) {
             self.touch(page);
         }
         fn on_evict(&mut self, page: PageId, _cell: usize) {

@@ -550,7 +550,7 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
                 self.last_time + 1
             };
             let t = wake.min(other);
-            debug_assert!(t != Time::MAX, "an unserved request has a wake-up");
+            assert!(t != Time::MAX, "an unserved request has a wake-up");
             if !self.collect_due(t) {
                 return None;
             }
@@ -742,20 +742,22 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
             let page = seq[index];
             let slot = self.due_slot[core];
             let outcome = match self.cache.lookup_slot(slot) {
-                Lookup::Present { .. } => {
+                Lookup::Present { cell } => {
                     self.hits[core] += 1;
-                    self.strategy.on_hit(core, page, t, &self.cache);
+                    debug_assert_eq!(self.cache.cell_of(page), Some(cell));
+                    self.strategy.on_hit(core, page, t, cell, &self.cache);
                     self.ready[core] = t + 1;
                     self.makespan = self.makespan.max(t);
                     Outcome::Hit
                 }
-                Lookup::Fetching { .. } => {
+                Lookup::Fetching { cell, .. } => {
                     // In flight for another core (same core cannot be
                     // mid-fetch while issuing). Fault, no new cell.
                     self.faults[core] += 1;
                     self.fault_times[core].push(t);
+                    debug_assert_eq!(self.cache.cell_of(page), Some(cell));
                     self.strategy
-                        .on_shared_fetch_miss(core, page, t, &self.cache);
+                        .on_shared_fetch_miss(core, page, t, cell, &self.cache);
                     self.ready[core] = t + self.cfg.tau + 1;
                     self.makespan = self.makespan.max(t + self.cfg.tau);
                     Outcome::SharedFetchMiss

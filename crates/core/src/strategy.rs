@@ -29,6 +29,14 @@ use crate::types::{PageId, SimConfig, Time, Workload};
 /// one timestep, cores are served in increasing core index (the model's
 /// fixed logical order), so a strategy that maintains its own recency
 /// counter observes a deterministic total order of events.
+///
+/// Every hook about a cell receives it: [`CacheStrategy::on_hit`] and
+/// [`CacheStrategy::on_shared_fetch_miss`] get the cell the engine
+/// resolved for the request, [`CacheStrategy::on_fault`] the cell the
+/// fetch went into, [`CacheStrategy::on_evict`] the cell just emptied.
+/// Strategies must not re-probe the cache (`cache.cell_of(page)`) for a
+/// cell they were handed: the engine resolves each request once, and on
+/// hit-heavy traffic the hit hook runs on almost every request.
 pub trait CacheStrategy {
     /// Human-readable name, e.g. `"S_LRU"` or `"sP[2,2]_FIFO"`.
     fn name(&self) -> String;
@@ -39,9 +47,11 @@ pub trait CacheStrategy {
         let _ = (workload, cfg);
     }
 
-    /// `core` requested `page` at `time` and it was resident.
-    fn on_hit(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) {
-        let _ = (core, page, time, cache);
+    /// `core` requested `page` at `time` and it was resident in `cell`,
+    /// the cell the engine's lookup resolved (`cache.cell_of(page) ==
+    /// Some(cell)`).
+    fn on_hit(&mut self, core: usize, page: PageId, time: Time, cell: usize, cache: &Cache) {
+        let _ = (core, page, time, cell, cache);
     }
 
     /// `core` requested `page` at `time` and it was absent: return the cell
@@ -62,11 +72,19 @@ pub trait CacheStrategy {
     }
 
     /// `core` requested `page` at `time` while `page` was already being
-    /// fetched for another core (non-disjoint workloads only). The request
-    /// counts as a fault for `core` and the core is delayed by `τ`, but no
-    /// new cell is consumed.
-    fn on_shared_fetch_miss(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) {
-        let _ = (core, page, time, cache);
+    /// fetched into `cell` for another core (non-disjoint workloads only).
+    /// The request counts as a fault for `core` and the core is delayed by
+    /// `τ`, but no new cell is consumed. As in [`CacheStrategy::on_hit`],
+    /// `cell` is the engine's own lookup result.
+    fn on_shared_fetch_miss(
+        &mut self,
+        core: usize,
+        page: PageId,
+        time: Time,
+        cell: usize,
+        cache: &Cache,
+    ) {
+        let _ = (core, page, time, cell, cache);
     }
 
     /// Cells to evict voluntarily at the start of timestep `time`, before
@@ -179,8 +197,8 @@ impl<S: CacheStrategy + ?Sized> CacheStrategy for &mut S {
     fn begin(&mut self, workload: &Workload, cfg: &SimConfig) {
         (**self).begin(workload, cfg)
     }
-    fn on_hit(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) {
-        (**self).on_hit(core, page, time, cache)
+    fn on_hit(&mut self, core: usize, page: PageId, time: Time, cell: usize, cache: &Cache) {
+        (**self).on_hit(core, page, time, cell, cache)
     }
     fn choose_cell(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) -> usize {
         (**self).choose_cell(core, page, time, cache)
@@ -191,8 +209,15 @@ impl<S: CacheStrategy + ?Sized> CacheStrategy for &mut S {
     fn on_evict(&mut self, page: PageId, cell: usize) {
         (**self).on_evict(page, cell)
     }
-    fn on_shared_fetch_miss(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) {
-        (**self).on_shared_fetch_miss(core, page, time, cache)
+    fn on_shared_fetch_miss(
+        &mut self,
+        core: usize,
+        page: PageId,
+        time: Time,
+        cell: usize,
+        cache: &Cache,
+    ) {
+        (**self).on_shared_fetch_miss(core, page, time, cell, cache)
     }
     fn voluntary_evictions(&mut self, time: Time, cache: &Cache) -> Vec<usize> {
         (**self).voluntary_evictions(time, cache)
@@ -221,8 +246,8 @@ impl<S: CacheStrategy + ?Sized> CacheStrategy for Box<S> {
     fn begin(&mut self, workload: &Workload, cfg: &SimConfig) {
         (**self).begin(workload, cfg)
     }
-    fn on_hit(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) {
-        (**self).on_hit(core, page, time, cache)
+    fn on_hit(&mut self, core: usize, page: PageId, time: Time, cell: usize, cache: &Cache) {
+        (**self).on_hit(core, page, time, cell, cache)
     }
     fn choose_cell(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) -> usize {
         (**self).choose_cell(core, page, time, cache)
@@ -233,8 +258,15 @@ impl<S: CacheStrategy + ?Sized> CacheStrategy for Box<S> {
     fn on_evict(&mut self, page: PageId, cell: usize) {
         (**self).on_evict(page, cell)
     }
-    fn on_shared_fetch_miss(&mut self, core: usize, page: PageId, time: Time, cache: &Cache) {
-        (**self).on_shared_fetch_miss(core, page, time, cache)
+    fn on_shared_fetch_miss(
+        &mut self,
+        core: usize,
+        page: PageId,
+        time: Time,
+        cell: usize,
+        cache: &Cache,
+    ) {
+        (**self).on_shared_fetch_miss(core, page, time, cell, cache)
     }
     fn voluntary_evictions(&mut self, time: Time, cache: &Cache) -> Vec<usize> {
         (**self).voluntary_evictions(time, cache)

@@ -6,7 +6,7 @@
 //! parallel request is served in one parallel step; a miss delays the
 //! remaining requests of the faulting core by an additive `τ`.
 
-use std::collections::HashSet;
+use crate::hash::{FxHashMap, FxHashSet};
 use std::fmt;
 
 /// Discrete simulation time. The first requests issue at `t = 1`.
@@ -231,7 +231,7 @@ impl Workload {
             .iter()
             .flatten()
             .copied()
-            .collect::<HashSet<_>>()
+            .collect::<FxHashSet<_>>()
             .into_iter()
             .collect();
         pages.sort_unstable();
@@ -244,18 +244,19 @@ impl Workload {
             .iter()
             .flatten()
             .copied()
-            .collect::<HashSet<_>>()
+            .collect::<FxHashSet<_>>()
             .len()
     }
 
     /// `true` iff the per-core sequences are pairwise disjoint
     /// (`∩_j R_j = ∅` pairwise, the paper's "disjoint request" condition).
+    ///
+    /// One pass over the requests, remembering each page's first core.
     pub fn is_disjoint(&self) -> bool {
-        let mut seen: HashSet<PageId> = HashSet::new();
-        for seq in &self.sequences {
-            let own: HashSet<PageId> = seq.iter().copied().collect();
-            for page in &own {
-                if !seen.insert(*page) {
+        let mut owner: FxHashMap<PageId, usize> = FxHashMap::default();
+        for (core, seq) in self.sequences.iter().enumerate() {
+            for &page in seq {
+                if *owner.entry(page).or_insert(core) != core {
                     return false;
                 }
             }
@@ -287,7 +288,7 @@ impl Workload {
         let mut pages: Vec<PageId> = self.sequences[core]
             .iter()
             .copied()
-            .collect::<HashSet<_>>()
+            .collect::<FxHashSet<_>>()
             .into_iter()
             .collect();
         pages.sort_unstable();

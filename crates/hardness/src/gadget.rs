@@ -104,7 +104,7 @@ impl CacheStrategy for GadgetStrategy {
         self.cursor = vec![0; workload.num_cores()];
     }
 
-    fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
+    fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
         self.cursor[core] += 1;
         let (g, rank) = self.membership[core];
         let state = &mut self.groups[g];
@@ -156,7 +156,14 @@ impl CacheStrategy for GadgetStrategy {
         self.cursor[core] += 1;
     }
 
-    fn on_shared_fetch_miss(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
+    fn on_shared_fetch_miss(
+        &mut self,
+        core: usize,
+        _page: PageId,
+        _time: Time,
+        _cell: usize,
+        _cache: &Cache,
+    ) {
         self.cursor[core] += 1;
     }
 }

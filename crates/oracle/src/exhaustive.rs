@@ -262,11 +262,18 @@ impl CacheStrategy for Enumeration<'_> {
         "enumeration".into()
     }
 
-    fn on_hit(&mut self, core: usize, _page: PageId, time: Time, _cache: &Cache) {
+    fn on_hit(&mut self, core: usize, _page: PageId, time: Time, _cell: usize, _cache: &Cache) {
         self.serve(core, time, false);
     }
 
-    fn on_shared_fetch_miss(&mut self, core: usize, _page: PageId, time: Time, _cache: &Cache) {
+    fn on_shared_fetch_miss(
+        &mut self,
+        core: usize,
+        _page: PageId,
+        time: Time,
+        _cell: usize,
+        _cache: &Cache,
+    ) {
         self.serve(core, time, true);
     }
 

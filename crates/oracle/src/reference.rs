@@ -262,19 +262,19 @@ pub fn reference_simulate_traced<S: CacheStrategy>(
         for &core in &due {
             let page = workload.sequence(core)[pos[core]];
             let outcome = match cache.lookup(page) {
-                Lookup::Present { .. } => {
+                Lookup::Present { cell } => {
                     // Rule 3: a hit completes at t.
                     hits[core] += 1;
-                    strategy.on_hit(core, page, t, &cache);
+                    strategy.on_hit(core, page, t, cell, &cache);
                     ready[core] = t + 1;
                     makespan = makespan.max(t);
                     Outcome::Hit
                 }
-                Lookup::Fetching { .. } => {
+                Lookup::Fetching { cell, .. } => {
                     // Rule 5: mid-fetch for another core — fault, no cell.
                     faults[core] += 1;
                     fault_times[core].push(t);
-                    strategy.on_shared_fetch_miss(core, page, t, &cache);
+                    strategy.on_shared_fetch_miss(core, page, t, cell, &cache);
                     ready[core] = t + cfg.tau + 1;
                     makespan = makespan.max(t + cfg.tau);
                     Outcome::SharedFetchMiss

@@ -58,9 +58,8 @@ impl CacheStrategy for LruMimicPartition {
         "dP[LRU-mimic]_LRU".into()
     }
 
-    fn on_hit(&mut self, _core: usize, page: PageId, _time: Time, cache: &Cache) {
+    fn on_hit(&mut self, _core: usize, _page: PageId, _time: Time, cell: usize, _cache: &Cache) {
         let stamp = self.next_stamp();
-        let cell = cache.cell_of(page).expect("a hit page is resident");
         self.recency.touch(cell, stamp);
     }
 
@@ -195,9 +194,8 @@ impl<P: EvictionPolicy> CacheStrategy for StagedPartition<P> {
         evictions
     }
 
-    fn on_hit(&mut self, core: usize, page: PageId, _time: Time, cache: &Cache) {
+    fn on_hit(&mut self, core: usize, page: PageId, _time: Time, cell: usize, cache: &Cache) {
         let stamp = self.next_stamp();
-        let cell = cache.cell_of(page).expect("a hit page is resident");
         let part = cache.owner(cell).unwrap_or(core);
         self.policies[part].on_access(cell, page, stamp);
     }

@@ -60,7 +60,7 @@ impl CacheStrategy for SacrificeOffline {
         self.seq_len = workload.sequences().iter().map(Vec::len).collect();
     }
 
-    fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
+    fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
         self.next.advance(core);
     }
 
@@ -111,7 +111,14 @@ impl CacheStrategy for SacrificeOffline {
         self.next.advance(core);
     }
 
-    fn on_shared_fetch_miss(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
+    fn on_shared_fetch_miss(
+        &mut self,
+        core: usize,
+        _page: PageId,
+        _time: Time,
+        _cell: usize,
+        _cache: &Cache,
+    ) {
         self.next.advance(core);
     }
 }
@@ -187,7 +194,7 @@ impl CacheStrategy for Replay {
         self.voluntary.keys().next().copied()
     }
 
-    fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
+    fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
         self.pos[core] += 1;
     }
 
@@ -210,7 +217,14 @@ impl CacheStrategy for Replay {
         self.pos[core] += 1;
     }
 
-    fn on_shared_fetch_miss(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
+    fn on_shared_fetch_miss(
+        &mut self,
+        core: usize,
+        _page: PageId,
+        _time: Time,
+        _cell: usize,
+        _cache: &Cache,
+    ) {
         self.pos[core] += 1;
     }
 }

@@ -36,9 +36,8 @@ impl<P: EvictionPolicy> CacheStrategy for Shared<P> {
         format!("S_{}", self.policy.name())
     }
 
-    fn on_hit(&mut self, _core: usize, page: PageId, _time: Time, cache: &Cache) {
+    fn on_hit(&mut self, _core: usize, page: PageId, _time: Time, cell: usize, _cache: &Cache) {
         let stamp = self.next_stamp();
-        let cell = cache.cell_of(page).expect("a hit page is resident");
         self.policy.on_access(cell, page, stamp);
     }
 
@@ -57,12 +56,18 @@ impl<P: EvictionPolicy> CacheStrategy for Shared<P> {
         self.policy.on_insert(cell, page, stamp);
     }
 
-    fn on_shared_fetch_miss(&mut self, _core: usize, page: PageId, _time: Time, cache: &Cache) {
+    fn on_shared_fetch_miss(
+        &mut self,
+        _core: usize,
+        page: PageId,
+        _time: Time,
+        cell: usize,
+        _cache: &Cache,
+    ) {
         // The page is mid-fetch for another core but this request *is* an
         // access to it: refresh the policy's recency/frequency state, as a
         // hit would. (Only reachable on non-disjoint workloads.)
         let stamp = self.next_stamp();
-        let cell = cache.cell_of(page).expect("a page in flight has a cell");
         self.policy.on_access(cell, page, stamp);
     }
 
@@ -120,7 +125,7 @@ impl CacheStrategy for SharedFitf {
         self.next = NextUse::new(workload.sequences());
     }
 
-    fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
+    fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
         self.next.advance(core);
     }
 
@@ -149,7 +154,14 @@ impl CacheStrategy for SharedFitf {
         self.next.advance(core);
     }
 
-    fn on_shared_fetch_miss(&mut self, core: usize, _page: PageId, _time: Time, _cache: &Cache) {
+    fn on_shared_fetch_miss(
+        &mut self,
+        core: usize,
+        _page: PageId,
+        _time: Time,
+        _cell: usize,
+        _cache: &Cache,
+    ) {
         self.next.advance(core);
     }
 

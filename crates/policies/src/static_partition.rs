@@ -86,10 +86,9 @@ impl<P: EvictionPolicy> CacheStrategy for StaticPartition<P> {
         self.stamp = 0;
     }
 
-    fn on_hit(&mut self, core: usize, page: PageId, _time: Time, cache: &Cache) {
+    fn on_hit(&mut self, core: usize, page: PageId, _time: Time, cell: usize, cache: &Cache) {
         let stamp = self.next_stamp();
         // Route to the part that holds the page (== `core` when disjoint).
-        let cell = cache.cell_of(page).expect("a hit page is resident");
         let part = cache.owner(cell).unwrap_or(core);
         self.policies[part].on_access(cell, page, stamp);
     }
