@@ -15,7 +15,7 @@
 //! resuming against the wrong workload, changed options, or a corrupt
 //! file is a typed error, not silent wrong answers.
 
-use crate::state::{DpInstance, StateKey};
+use crate::state::{DpError, DpInstance, StateKey};
 use mcp_core::Time;
 use std::fmt;
 use std::io;
@@ -65,6 +65,17 @@ impl std::error::Error for CheckpointError {}
 impl From<io::Error> for CheckpointError {
     fn from(e: io::Error) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+/// A [`CheckpointError::Mismatch`], as a [`DpError::Model`], when a
+/// resume snapshot's fingerprint `found` is not the run's `expected` one.
+pub(crate) fn check_fingerprint(expected: u64, found: Option<u64>) -> Result<(), DpError> {
+    match found {
+        Some(found) if found != expected => Err(DpError::Model(
+            CheckpointError::Mismatch { expected, found }.to_string(),
+        )),
+        _ => Ok(()),
     }
 }
 

@@ -14,24 +14,22 @@
 //! witness also cuts the edges that can at best tie the upper bound: it
 //! only has to prove the optimum, and the upper bound is achievable.
 //!
-//! Successor expansion within a bucket fans out over the [`mcp_exec`]
-//! pool. The result is deterministic and identical for every worker
-//! count: every cut depends only on a state's final fault count, and the
-//! expansions merge back sequentially in canonical [`StateKey`] order. A
-//! successor's position sum strictly exceeds its parent's, so no
-//! expansion in a bucket can affect another state of the same bucket —
-//! the parallel fan-out is dependency-free by construction.
+//! Each position-sum bucket is one layer of the frontier driver
+//! (`crate::frontier`): a successor's position sum strictly exceeds its
+//! parent's, and every cut depends only on a state's final fault count,
+//! so the result is the same for every worker count.
 
-use crate::checkpoint::{instance_fingerprint, FtfCheckpoint};
-use crate::intern::{Dedup, StateArena, StateId, NO_STATE};
+use crate::checkpoint::{check_fingerprint, instance_fingerprint, FtfCheckpoint};
+use crate::frontier::{walk, Frontier, Step};
+use crate::intern::{Dedup, PackedPos, StateArena, StateId, NO_STATE};
 use crate::state::{
-    for_each_successor_config_rx, greedy_completion_faults, pool_for, step_effect,
-    step_effect_into, successor_count, suffix_masks, voluntary_mask, with_scratch, DpError,
-    DpInstance, DpStats, StateKey, StepScratch,
+    greedy_completion_faults, step_effect, successor_count, suffix_masks, voluntary_mask, DpError,
+    DpInstance, DpStats, StateKey,
 };
 use mcp_core::{Budget, PageId, SimConfig, Time, TripReason, Workload};
 use mcp_policies::{ReplayDecision, SharedFitf};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::ControlFlow;
 
 /// Options for the FTF dynamic program.
 #[derive(Clone, Copy, Debug)]
@@ -148,107 +146,6 @@ fn ftf_option_bits(options: &FtfOptions) -> u64 {
         | (u64::from(options.bound && !options.reconstruct) << 3)
 }
 
-/// The admissible lower bound of the FTF search and, when the bound is
-/// on, its upper bound.
-///
-/// A page enters a configuration only through a fault, and a step's
-/// faults are counted once per page, so every page that some core still
-/// requests from its position on and that is missing from the
-/// configuration costs at least one more fault: `LB(C, x) = |(∪ᵢ
-/// suffix[i][x_i]) \ C|`. This holds under the DP's own semantics, shared
-/// pages and the full transition relation included.
-struct FtfBound {
-    /// `suffix[i][j]`: the pages core `i` requests at index `j` or later.
-    suffix: Vec<Vec<u64>>,
-    /// A feasible total (so at least the optimum) when the bound is on:
-    /// the lazy greedy completion from the start and, on disjoint
-    /// workloads only, one S_FITF engine run — there every engine run is
-    /// a lazy DP path.
-    ub: Option<u64>,
-    /// Cut the edges that can at best tie `ub` too: set when no witness
-    /// is wanted, so only a path that beats `ub` needs to survive.
-    strict: bool,
-}
-
-impl FtfBound {
-    fn new(workload: &Workload, cfg: SimConfig, inst: &DpInstance, options: &FtfOptions) -> Self {
-        let ub = options.bound.then(|| {
-            let greedy = greedy_completion_faults(inst, &(0, inst.start_positions()));
-            let fitf = workload
-                .is_disjoint()
-                .then(|| mcp_core::simulate(workload, cfg, SharedFitf::new()).ok())
-                .flatten()
-                .map(|run| run.total_faults());
-            fitf.map_or(greedy, |f| f.min(greedy))
-        });
-        FtfBound {
-            suffix: suffix_masks(inst),
-            ub,
-            strict: !options.reconstruct,
-        }
-    }
-
-    /// The pages some core still requests from `positions` on.
-    fn needed(&self, inst: &DpInstance, positions: &[u32]) -> u64 {
-        positions
-            .iter()
-            .zip(&self.suffix)
-            .fold(0, |acc, (&x, masks)| {
-                acc | masks[inst.page_index(u64::from(x))]
-            })
-    }
-
-    /// The lower bound on the faults still to come from `(config,
-    /// positions)`.
-    fn lower_bound(&self, inst: &DpInstance, config: u64, positions: &[u32]) -> u64 {
-        u64::from((self.needed(inst, positions) & !config).count_ones())
-    }
-
-    /// The cut for the successors of one step, which reach `next` with
-    /// `next_faults` faults from the configurations inside `base = C ∪
-    /// rx`. `None` when every successor is cut: the bound over `base`
-    /// itself, which no successor's exceeds, already overshoots.
-    fn edge_cut(
-        &self,
-        inst: &DpInstance,
-        next: &[u32],
-        next_faults: u64,
-        base: u64,
-    ) -> Option<EdgeCut> {
-        let Some(ub) = self.ub else {
-            return Some(EdgeCut::NONE);
-        };
-        let limit = ub.checked_sub(u64::from(self.strict))?;
-        let cut = EdgeCut {
-            needed: self.needed(inst, next),
-            slack: limit.checked_sub(next_faults)?,
-        };
-        (!cut.cuts(base)).then_some(cut)
-    }
-}
-
-/// One step's cut: an edge into configuration `C'` is dropped when
-/// `|needed \ C'|` exceeds the faults the bound leaves. A witness run
-/// leaves `UB − faults`, so every optimal path survives; a witness-free
-/// run leaves one fault fewer, so every path that beats `UB` survives.
-#[derive(Clone, Copy)]
-struct EdgeCut {
-    needed: u64,
-    slack: u64,
-}
-
-impl EdgeCut {
-    /// The cut of a run without the bound: nothing.
-    const NONE: EdgeCut = EdgeCut {
-        needed: 0,
-        slack: u64::MAX,
-    };
-
-    fn cuts(&self, config: u64) -> bool {
-        u64::from((self.needed & !config).count_ones()) > self.slack
-    }
-}
-
 /// Exact minimum total faults (Algorithm 1). See [`FtfOptions`].
 ///
 /// This is the ungoverned entry point: it runs under a state-count
@@ -297,15 +194,12 @@ pub fn ftf_fingerprint(
 
 /// Budget-governed, resumable FTF (Algorithm 1, anytime form).
 ///
-/// The budget is checked at every bucket (layer) boundary — between
-/// boundaries the run is identical to the ungoverned DP, so a governed
+/// The budget is checked only at bucket (layer) boundaries, so a governed
 /// run that completes returns exactly the ungoverned result. On a trip
 /// the run stops *at the boundary* with a [`FtfOutcome::Truncated`]
 /// carrying a valid bracket `lower_bound ≤ OPT ≤ incumbent` and a
-/// checkpoint. Because buckets are processed in a canonical order that
-/// no worker count or hash seed can perturb, resuming from the
-/// checkpoint — on any `jobs` setting — reproduces the full run's
-/// result bit-for-bit.
+/// checkpoint, from which a resume — on any `jobs` setting — reproduces
+/// the full run's result bit-for-bit.
 ///
 /// `options.max_states` is ignored here; cap states via
 /// [`Budget::with_max_states`] instead. Note the state cap is enforced
@@ -337,434 +231,374 @@ pub fn ftf_dp_governed_with_stats(
 ) -> Result<(FtfOutcome, DpStats), DpError> {
     let inst = DpInstance::build(workload, &cfg)?;
     let fingerprint = instance_fingerprint(&inst, ftf_option_bits(&options));
-    let p = inst.num_cores();
-    let end_sum: u64 = (0..p).map(|i| inst.end_pos(i)).sum();
-    let max_pos = (0..p).map(|i| inst.end_pos(i)).max().unwrap_or(1);
-    let bound = FtfBound::new(workload, cfg, &inst, &options);
-    let voluntary = voluntary_mask(options.lazy);
-
-    // The interned state engine: every state lives once in the arena and
-    // is referenced by StateId everywhere else — the per-state tables
-    // below are flat Vecs indexed by id.
-    let mut arena = StateArena::new(p, max_pos, options.force_spill);
-    let mut faults: Vec<u64> = Vec::new();
-    let mut parent: Vec<StateId> = Vec::new();
-    // The bucket of position sum s holds the unexpanded states of that
-    // sum. Every transition strictly increases the sum of every
-    // unfinished sequence's position, so an ascending sweep is a
-    // topological order and each state enters exactly one bucket exactly
-    // once (it can only be improved while its bucket is still pending).
-    // Buckets are intrusive chains — `bucket_head[s]` starts a list
-    // threaded through `next_in_bucket[id]` — so enqueueing a state costs
-    // two stores and no allocation. Chain order is irrelevant: each
-    // bucket is sorted canonically before expansion.
-    let mut bucket_head: Vec<StateId> = vec![NO_STATE; end_sum as usize + 1];
-    let mut next_in_bucket: Vec<StateId> = Vec::new();
-    // Bucket-local dedup: one step advances each core by at most τ + 1
-    // positions, so a successor of a bucket-s state lands in
-    // s + 1 ..= s + p·(τ+1). Keys in different buckets differ in their
-    // position sums and never collide, so bucket s dedups through
-    // `ring[s % ring_size]` alone; while bucket s expands, the pending
-    // buckets s ..= s + p·(τ+1) own distinct tables.
-    let ring_size = p * inst.period() as usize + 1;
-    let mut ring: Vec<Dedup> = (0..ring_size).map(|_| Dedup::new()).collect();
-    let mut best_terminal: Option<(u64, StateId)> = None;
-    let mut stats = DpStats::default();
-
-    match resume {
-        None => {
-            let start = inst.start_positions();
-            let s = start.iter().map(|&x| x as usize).sum::<usize>();
-            let pp = arena.pack(&start);
-            let (id, _) = ring[s % ring_size].intern(&mut arena, 0, &pp);
-            faults.push(0);
-            parent.push(NO_STATE);
-            next_in_bucket.push(bucket_head[s]);
-            bucket_head[s] = id;
-        }
-        Some(ck) => {
-            if ck.fingerprint != fingerprint {
-                return Err(DpError::Model(format!(
-                    "checkpoint fingerprint mismatch: instance is {fingerprint:#018x}, \
-                     snapshot was taken for {:#018x} (different workload, config, or options)",
-                    ck.fingerprint
-                )));
-            }
-            best_terminal = resume_ftf(
-                &inst,
-                ck,
-                &mut arena,
-                &mut ring,
-                &mut faults,
-                &mut parent,
-                &mut bucket_head,
-                &mut next_in_bucket,
-            )?;
-        }
+    // A feasible total (so at least the optimum) when the bound is on: the
+    // lazy greedy completion from the start and, on disjoint workloads
+    // only, one S_FITF engine run — there every engine run is a lazy DP
+    // path.
+    let ub = options.bound.then(|| {
+        let greedy = greedy_completion_faults(&inst, &(0, inst.start_positions()));
+        let fitf = || mcp_core::simulate(workload, cfg, SharedFitf::new()).ok();
+        let fitf = workload.is_disjoint().then(fitf).flatten();
+        fitf.map_or(greedy, |run| run.total_faults().min(greedy))
+    });
+    let mut dp = Ftf::new(&inst, ub, &options);
+    check_fingerprint(fingerprint, resume.map(|ck| ck.fingerprint))?;
+    dp.start(resume)?;
+    let trip = walk(&inst, &mut dp, options.jobs, budget)?;
+    // The arena and the ring tables only grow within a run, so their
+    // final size is the peak.
+    dp.stats.states = dp.arena.len();
+    dp.stats.peak_arena_bytes = dp.engine_bytes();
+    dp.stats.dedup_load_factor = dp.ring.iter().map(Dedup::peak_load).fold(0.0, f64::max);
+    if let Some(reason) = trip {
+        let truncated = dp.truncate(fingerprint, reason);
+        return Ok((FtfOutcome::Truncated(truncated), dp.stats));
     }
-
-    let mut ids: Vec<StateId> = Vec::new();
-    for s in 0..bucket_head.len() {
-        if bucket_head[s] == NO_STATE {
-            continue;
-        }
-        if budget.is_limited() {
-            let mem = engine_bytes(&arena, &ring)
-                + faults.capacity() * 8
-                + (parent.capacity() + next_in_bucket.capacity()) * 4;
-            if let Err(reason) = budget.check(arena.len(), mem) {
-                let t = truncate_ftf(
-                    &inst,
-                    &bound,
-                    fingerprint,
-                    reason,
-                    &arena,
-                    &faults,
-                    &parent,
-                    &bucket_head[s..],
-                    &next_in_bucket,
-                    &best_terminal,
-                );
-                finish_stats(&mut stats, &arena, &ring);
-                return Ok((FtfOutcome::Truncated(t), stats));
-            }
-        }
-        // No state joins bucket s any more: recycle its table for bucket
-        // s + ring_size.
-        ring[s % ring_size].clear();
-        ids.clear();
-        let mut cur = bucket_head[s];
-        while cur != NO_STATE {
-            ids.push(cur);
-            cur = next_in_bucket[cur as usize];
-        }
-        arena.sort_ids(&mut ids);
-
-        // Terminals live exclusively in the final bucket: positions never
-        // exceed their end positions, so sum == end_sum forces every
-        // sequence to its end. Scanning them in canonical order keeps the
-        // best terminal independent of hash order and worker count.
-        if s as u64 == end_sum {
-            for &id in &ids {
-                let f = faults[id as usize];
-                if best_terminal.map(|(bf, _)| f < bf).unwrap_or(true) {
-                    best_terminal = Some((f, id));
-                }
-            }
-            continue; // terminal states have no successors
-        }
-        stats.expansions += ids.len();
-
-        // Successors live in strictly later buckets, so the expansions are
-        // mutually independent and can fan out over the pool. Workers read
-        // the arena immutably and ship back packed keys; only the
-        // sequential merge interns.
-        let pool = pool_for(options.jobs, ids.len());
-        if pool.jobs() <= 1 {
-            // Sequential fast path: expand and merge each state inline, in
-            // the same canonical order the parallel path merges in — no
-            // per-state successor buffer, no per-bucket result vector.
-            with_scratch(|sc| {
-                for &id in &ids {
-                    let StepScratch { pos, next, faulted } = sc;
-                    let cfg_bits = arena.cfg(id);
-                    arena.positions_into(id, pos);
-                    debug_assert!(!inst.all_finished(pos), "terminals are never expanded");
-                    let (rx, fault_mask) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
-                    let next_faults = faults[id as usize] + u64::from(fault_mask.count_ones());
-                    let Some(cut) = bound.edge_cut(&inst, next, next_faults, cfg_bits | rx) else {
-                        stats.bound_pruned += successor_count(&inst, cfg_bits, rx, voluntary);
-                        continue;
-                    };
-                    let next_sum: usize = next.iter().map(|&x| x as usize).sum();
-                    let pp = arena.pack(next);
-                    let table = &mut ring[next_sum % ring_size];
-                    for_each_successor_config_rx(&inst, cfg_bits, rx, voluntary, |next_cfg| {
-                        if cut.cuts(next_cfg) {
-                            stats.bound_pruned += 1;
-                            return;
-                        }
-                        let (nid, is_new) = table.intern(&mut arena, next_cfg, &pp);
-                        if is_new {
-                            faults.push(next_faults);
-                            parent.push(id);
-                            next_in_bucket.push(bucket_head[next_sum]);
-                            bucket_head[next_sum] = nid;
-                        } else if next_faults < faults[nid as usize] {
-                            faults[nid as usize] = next_faults;
-                            parent[nid as usize] = id;
-                        }
-                    });
-                }
-            });
-            continue;
-        }
-        let expansions = pool.par_map(&ids, |_, &id| {
-            with_scratch(|sc| {
-                let StepScratch { pos, next, faulted } = sc;
-                let cfg_bits = arena.cfg(id);
-                arena.positions_into(id, pos);
-                debug_assert!(!inst.all_finished(pos), "terminals are never expanded");
-                let (rx, fault_mask) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
-                let next_faults = faults[id as usize] + u64::from(fault_mask.count_ones());
-                let Some(cut) = bound.edge_cut(&inst, next, next_faults, cfg_bits | rx) else {
-                    return (successor_count(&inst, cfg_bits, rx, voluntary), None);
-                };
-                let next_sum: usize = next.iter().map(|&x| x as usize).sum();
-                let pp = arena.pack(next);
-                let (mut cfgs, mut cut_edges) = (Vec::new(), 0);
-                for_each_successor_config_rx(&inst, cfg_bits, rx, voluntary, |next_cfg| {
-                    if cut.cuts(next_cfg) {
-                        cut_edges += 1;
-                    } else {
-                        cfgs.push(next_cfg);
-                    }
-                });
-                (cut_edges, Some((next_faults, next_sum, pp, cfgs)))
-            })
-        });
-
-        // Merge sequentially, in the same canonical order.
-        for (&id, (cut_edges, expansion)) in ids.iter().zip(expansions) {
-            stats.bound_pruned += cut_edges;
-            let Some((next_faults, next_sum, pp, cfgs)) = expansion else {
-                continue;
-            };
-            let table = &mut ring[next_sum % ring_size];
-            for next_cfg in cfgs {
-                let (nid, is_new) = table.intern(&mut arena, next_cfg, &pp);
-                if is_new {
-                    faults.push(next_faults);
-                    parent.push(id);
-                    next_in_bucket.push(bucket_head[next_sum]);
-                    bucket_head[next_sum] = nid;
-                } else if next_faults < faults[nid as usize] {
-                    faults[nid as usize] = next_faults;
-                    parent[nid as usize] = id;
-                }
-            }
-        }
-    }
-
     // A witness-free run cuts every path that only ties the upper bound,
     // so when no terminal survives, the achievable upper bound is the
     // optimum. A witness run keeps every optimal path and always ends on
     // a terminal.
-    let min_faults = best_terminal
-        .map(|(f, _)| f)
-        .into_iter()
-        .chain(bound.ub)
-        .min()
-        .expect("a run without the bound reaches a terminal state");
+    let terminal = dp.best_terminal.map(|(f, _)| f);
+    let min_faults = terminal.into_iter().chain(ub).min();
     let schedule = options.reconstruct.then(|| {
-        let (_, terminal) = best_terminal.expect("a witness run keeps every optimal path");
-        reconstruct(&inst, &arena, &parent, terminal)
+        let (_, mut id) = dp.best_terminal.expect("a witness run ends on a terminal");
+        // Walk parents back to the start, then replay forward.
+        let mut chain = Vec::new();
+        while id != NO_STATE {
+            chain.push(dp.arena.key(id));
+            id = dp.parent[id as usize];
+        }
+        chain.reverse();
+        schedule_from_chain(&inst, &chain)
     });
-    finish_stats(&mut stats, &arena, &ring);
-    Ok((
-        FtfOutcome::Complete(FtfResult {
-            min_faults,
-            states: arena.len(),
-            schedule,
-        }),
-        stats,
-    ))
+    let result = FtfResult {
+        min_faults: min_faults.expect("a run without the bound reaches a terminal state"),
+        states: dp.arena.len(),
+        schedule,
+    };
+    Ok((FtfOutcome::Complete(result), dp.stats))
 }
 
-/// Rebuild the engine tables from a snapshot and return its best
-/// terminal. Discovered states get ids in the snapshot's canonical order;
-/// parent, frontier and terminal keys resolve by binary search over it.
-/// Frontier states join their bucket chains and their buckets' ring
-/// tables — the only states a resumed run can rediscover.
-#[allow(clippy::too_many_arguments)] // internal: the engine's flat tables
-fn resume_ftf(
-    inst: &DpInstance,
-    ck: &FtfCheckpoint,
-    arena: &mut StateArena,
-    ring: &mut [Dedup],
-    faults: &mut Vec<u64>,
-    parent: &mut Vec<StateId>,
-    bucket_head: &mut [StateId],
-    next_in_bucket: &mut Vec<StateId>,
-) -> Result<Option<(u64, StateId)>, DpError> {
-    let bad = |what: &str| DpError::Model(format!("malformed checkpoint: {what}"));
-    let in_range = |key: &StateKey| {
-        key.1.len() == inst.num_cores()
-            && key
-                .1
-                .iter()
-                .enumerate()
-                .all(|(i, &x)| x >= 1 && u64::from(x) <= inst.end_pos(i))
-    };
-    if !ck.best.iter().all(|(key, _, _)| in_range(key)) {
-        return Err(bad("a state lies outside the instance"));
+/// Algorithm 1's side of the frontier driver. Every state lives once in
+/// the arena; the per-state tables are flat `Vec`s indexed by [`StateId`].
+///
+/// With [`FtfOptions::bound`], an admissible lower bound cuts edges. A
+/// page enters a configuration only through a fault, and a step's faults
+/// are counted once per page, so every page that some core still
+/// requests from its position on and that is missing from the
+/// configuration costs at least one more fault: `LB(C, x) = |(∪ᵢ
+/// suffix[i][x_i]) \ C|`. This holds under the DP's own semantics, shared
+/// pages and the full transition relation included.
+struct Ftf<'a> {
+    inst: &'a DpInstance,
+    voluntary: u64,
+    /// `suffix[i][j]`: the pages core `i` requests at index `j` or later.
+    suffix: Vec<Vec<u64>>,
+    /// The feasible total the bound cuts against, if on.
+    ub: Option<u64>,
+    /// Cut the edges that can at best tie `ub` too: set when no witness
+    /// is wanted, so only a path that beats `ub` needs to survive.
+    strict: bool,
+    arena: StateArena,
+    faults: Vec<u64>,
+    parent: Vec<StateId>,
+    /// The bucket of position sum s holds the unexpanded states of that
+    /// sum. Every transition strictly increases the sum of every
+    /// unfinished sequence's position, so an ascending sweep is a
+    /// topological order and each state enters exactly one bucket exactly
+    /// once (it can only be improved while its bucket is still pending).
+    /// Buckets are intrusive chains — `bucket_head[s]` starts a list
+    /// threaded through `next_in_bucket[id]` — so enqueueing a state costs
+    /// two stores and no allocation. Chain order is irrelevant: the driver
+    /// sorts each bucket canonically.
+    bucket_head: Vec<StateId>,
+    next_in_bucket: Vec<StateId>,
+    /// Bucket-local dedup: one step advances each core by at most τ + 1
+    /// positions, so a successor of a bucket-s state lands in
+    /// s + 1 ..= s + p·(τ+1). Keys in different buckets differ in their
+    /// position sums and never collide, so bucket s dedups through
+    /// `ring[s % ring.len()]` alone; while bucket s expands, the pending
+    /// buckets s ..= s + p·(τ+1) own distinct tables.
+    ring: Vec<Dedup>,
+    /// The bucket after the open one.
+    next_bucket: usize,
+    best_terminal: Option<(u64, StateId)>,
+    stats: DpStats,
+}
+
+/// The edge out of one FTF state: its successors' fault count, position
+/// sum and ring slot, and the bound's cut. An edge into configuration `C'` is
+/// cut when `|needed \ C'|` exceeds the faults the bound leaves, `slack`.
+/// A witness run leaves `UB − faults`, so every optimal path survives; a
+/// witness-free run leaves one fault fewer, so every path that beats `UB`
+/// survives. Without the bound, `needed` is empty and nothing is cut.
+#[derive(Default)]
+struct FtfEdge {
+    faults: u64,
+    sum: usize,
+    slot: usize,
+    needed: u64,
+    slack: u64,
+}
+
+impl FtfEdge {
+    fn cuts(&self, config: u64) -> bool {
+        u64::from((self.needed & !config).count_ones()) > self.slack
     }
-    if !ck.best.windows(2).all(|w| w[0].0 < w[1].0) || !ck.frontier.windows(2).all(|w| w[0] < w[1])
-    {
-        return Err(bad("states are not in strict canonical order"));
-    }
-    let lookup = |key: &StateKey| {
-        ck.best
-            .binary_search_by(|(k, _, _)| k.cmp(key))
-            .map(|i| i as StateId)
-            .map_err(|_| bad("a referenced state is not among the discovered states"))
-    };
-    for (key, f, _) in &ck.best {
-        arena.push_key(key);
-        faults.push(*f);
-        parent.push(NO_STATE);
-        next_in_bucket.push(NO_STATE);
-    }
-    for (i, (_, _, par)) in ck.best.iter().enumerate() {
-        if let Some(p_key) = par {
-            parent[i] = lookup(p_key)?;
+}
+
+impl<'a> Ftf<'a> {
+    fn new(inst: &'a DpInstance, ub: Option<u64>, options: &FtfOptions) -> Self {
+        let ring = inst.num_cores() * inst.period() as usize + 1;
+        Ftf {
+            inst,
+            voluntary: voluntary_mask(options.lazy),
+            suffix: suffix_masks(inst),
+            ub,
+            strict: !options.reconstruct,
+            arena: inst.arena(options.force_spill),
+            faults: Vec::new(),
+            parent: Vec::new(),
+            bucket_head: vec![NO_STATE; inst.end_sum() as usize + 1],
+            next_in_bucket: Vec::new(),
+            ring: (0..ring).map(|_| Dedup::new()).collect(),
+            next_bucket: 0,
+            best_terminal: None,
+            stats: DpStats::default(),
         }
     }
-    let (mut lo, mut hi) = (usize::MAX, 0);
-    for key in &ck.frontier {
-        let id = lookup(key)?;
-        let s = arena.pos_sum(id) as usize;
-        (lo, hi) = (lo.min(s), hi.max(s));
-        next_in_bucket[id as usize] = bucket_head[s];
-        bucket_head[s] = id;
-        let slot = s % ring.len();
-        ring[slot].insert_id(arena, id);
-    }
-    if hi >= lo.saturating_add(ring.len()) {
-        return Err(bad("the frontier spans more buckets than one step reaches"));
-    }
-    match &ck.best_terminal {
-        Some((f, key)) => Ok(Some((*f, lookup(key)?))),
-        None => Ok(None),
-    }
-}
 
-/// Approximate engine footprint: the arena payload plus the ring tables.
-fn engine_bytes(arena: &StateArena, ring: &[Dedup]) -> usize {
-    arena.approx_bytes() + ring.iter().map(Dedup::approx_bytes).sum::<usize>()
-}
+    /// Open the walk at the start state, with no faults, or where the
+    /// snapshot `resume` stopped. Its discovered states get ids in the
+    /// snapshot's canonical order; parent, frontier and terminal keys
+    /// resolve by binary search over it. Frontier states join their
+    /// bucket chains and their buckets' ring tables — the only states a
+    /// resumed run can rediscover.
+    fn start(&mut self, resume: Option<&FtfCheckpoint>) -> Result<(), DpError> {
+        let Some(ck) = resume else {
+            let (start, mut edge) = (self.inst.start_positions(), FtfEdge::default());
+            edge.sum = start.iter().map(|&x| x as usize).sum();
+            edge.slot = edge.sum % self.ring.len();
+            let pp = self.arena.pack(&start);
+            self.merge(NO_STATE, &edge, 0, &pp);
+            return Ok(());
+        };
+        let inst = self.inst;
+        let bad = |what: &str| DpError::Model(format!("malformed checkpoint: {what}"));
+        let in_range = |key: &StateKey| {
+            let mut positions = key.1.iter().enumerate();
+            key.1.len() == inst.num_cores()
+                && positions.all(|(i, &x)| x >= 1 && u64::from(x) <= inst.end_pos(i))
+        };
+        if !ck.best.iter().all(|(key, _, _)| in_range(key)) {
+            return Err(bad("a state lies outside the instance"));
+        }
+        if !ck.best.windows(2).all(|w| w[0].0 < w[1].0)
+            || !ck.frontier.windows(2).all(|w| w[0] < w[1])
+        {
+            return Err(bad("states are not in strict canonical order"));
+        }
+        let lookup = |key: &StateKey| {
+            ck.best
+                .binary_search_by(|(k, _, _)| k.cmp(key))
+                .map(|i| i as StateId)
+                .map_err(|_| bad("a referenced state is not among the discovered states"))
+        };
+        for (key, faults, parent) in &ck.best {
+            self.arena.push_key(key);
+            self.faults.push(*faults);
+            self.parent
+                .push(parent.as_ref().map_or(Ok(NO_STATE), lookup)?);
+            self.next_in_bucket.push(NO_STATE);
+        }
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for key in &ck.frontier {
+            let id = lookup(key)?;
+            let s = self.arena.pos_sum(id) as usize;
+            (lo, hi) = (lo.min(s), hi.max(s));
+            self.next_in_bucket[id as usize] = self.bucket_head[s];
+            self.bucket_head[s] = id;
+            let slot = s % self.ring.len();
+            self.ring[slot].insert_id(&self.arena, id);
+        }
+        if hi >= lo.saturating_add(self.ring.len()) {
+            return Err(bad("the frontier spans more buckets than one step reaches"));
+        }
+        if let Some((f, key)) = &ck.best_terminal {
+            self.best_terminal = Some((*f, lookup(key)?));
+        }
+        Ok(())
+    }
 
-/// Fill the engine-side [`DpStats`] fields. The arena and the ring tables
-/// only grow within a run, so their final size is the peak.
-fn finish_stats(stats: &mut DpStats, arena: &StateArena, ring: &[Dedup]) {
-    stats.states = arena.len();
-    stats.peak_arena_bytes = engine_bytes(arena, ring);
-    stats.dedup_load_factor = ring.iter().map(Dedup::peak_load).fold(0.0, f64::max);
-}
-
-/// Assemble the anytime bracket and checkpoint for a tripped run. The
-/// checkpoint materializes canonical [`StateKey`]s from the arena, so
-/// its bytes are identical to what the unpacked engine wrote — the
-/// on-disk format is representation-independent.
-#[allow(clippy::too_many_arguments)] // internal: the engine's flat tables
-fn truncate_ftf(
-    inst: &DpInstance,
-    bound: &FtfBound,
-    fingerprint: u64,
-    reason: TripReason,
-    arena: &StateArena,
-    faults: &[u64],
-    parent: &[StateId],
-    pending_heads: &[StateId],
-    next_in_bucket: &[StateId],
-    best_terminal: &Option<(u64, StateId)>,
-) -> FtfTruncated {
-    let mut frontier_ids: Vec<StateId> = Vec::new();
-    for &head in pending_heads {
-        let mut cur = head;
+    /// Push the states of bucket `s` onto `ids`.
+    fn push_bucket(&self, s: usize, ids: &mut Vec<StateId>) {
+        let mut cur = self.bucket_head[s];
         while cur != NO_STATE {
-            frontier_ids.push(cur);
-            cur = next_in_bucket[cur as usize];
+            ids.push(cur);
+            cur = self.next_in_bucket[cur as usize];
         }
     }
-    arena.sort_ids(&mut frontier_ids);
 
-    // The cheapest frontier state in canonical (faults, key) order seeds
-    // the greedy completion (strict < over the canonically sorted
-    // frontier keeps the smallest key among ties); the incumbent is the
-    // better of that and any terminal already found.
-    let mut seed: Option<(u64, StateId)> = None;
-    for &id in &frontier_ids {
-        let f = faults[id as usize];
-        if seed.map(|(sf, _)| f < sf).unwrap_or(true) {
-            seed = Some((f, id));
-        }
+    /// The pages some core still requests from `positions` on.
+    fn needed(&self, positions: &[u32]) -> u64 {
+        let index = |x: u32| self.inst.page_index(u64::from(x));
+        let masks = positions.iter().zip(&self.suffix);
+        masks.fold(0, |acc, (&x, masks)| acc | masks[index(x)])
     }
-    let greedy_ub = seed.map(|(g, id)| g + greedy_completion_faults(inst, &arena.key(id)));
-    let terminal_ub = best_terminal.as_ref().map(|(f, _)| *f);
-    // The loop only trips while the frontier is non-empty, so at least one
-    // bound always exists.
-    let incumbent = [bound.ub, greedy_ub, terminal_ub]
-        .into_iter()
-        .flatten()
-        .min()
-        .expect("truncated with empty frontier and no terminal");
-    // Every optimal path either passes a frontier state — costing at
-    // least its faults so far plus the admissible lower bound from it —
-    // or was cut, which takes `UB ≤ OPT`; then the incumbent, which is at
-    // most `UB` and achievable, is the optimum. Either way OPT is at least
-    // the cheapest frontier bound capped by the incumbent.
-    let mut pos = Vec::new();
-    let frontier_min = frontier_ids
-        .iter()
-        .map(|&id| {
+
+    /// Approximate engine footprint: the arena payload plus the ring
+    /// tables.
+    fn engine_bytes(&self) -> usize {
+        self.arena.approx_bytes() + self.ring.iter().map(Dedup::approx_bytes).sum::<usize>()
+    }
+
+    /// Assemble the anytime bracket and checkpoint for a run tripped at
+    /// the open bucket. The checkpoint materializes canonical
+    /// [`StateKey`]s from the arena, so its bytes are identical to what
+    /// the unpacked engine wrote — the on-disk format is
+    /// representation-independent.
+    fn truncate(&self, fingerprint: u64, reason: TripReason) -> FtfTruncated {
+        let (inst, arena, faults) = (self.inst, &self.arena, &self.faults);
+        let mut frontier_ids = Vec::new();
+        for s in self.next_bucket - 1..self.bucket_head.len() {
+            self.push_bucket(s, &mut frontier_ids);
+        }
+        arena.sort_ids(&mut frontier_ids);
+        // The cheapest frontier state in canonical (faults, key) order
+        // seeds the greedy completion (the first of equals has the
+        // smallest key); the incumbent is the better of that and any
+        // terminal already found. The walk only trips while the frontier
+        // is non-empty, so at least one bound always exists.
+        let cheapest = frontier_ids.iter().map(|&id| (faults[id as usize], id));
+        let seed = cheapest.min_by_key(|&(f, _)| f);
+        let greedy_ub = seed.map(|(g, id)| g + greedy_completion_faults(inst, &arena.key(id)));
+        let terminal_ub = self.best_terminal.map(|(f, _)| f);
+        let incumbent = [self.ub, greedy_ub, terminal_ub]
+            .into_iter()
+            .flatten()
+            .min()
+            .expect("truncated with empty frontier and no terminal");
+        // Every optimal path either passes a frontier state — costing at
+        // least its faults so far plus the admissible lower bound from it —
+        // or was cut, which takes `UB ≤ OPT`; then the incumbent, which is at
+        // most `UB` and achievable, is the optimum. Either way OPT is at least
+        // the cheapest frontier bound capped by the incumbent.
+        let mut pos = Vec::new();
+        let frontier_min = frontier_ids.iter().map(|&id| {
             arena.positions_into(id, &mut pos);
-            faults[id as usize] + bound.lower_bound(inst, arena.cfg(id), &pos)
-        })
-        .min()
-        .unwrap_or(u64::MAX);
-    let lower_bound = frontier_min.min(incumbent);
+            faults[id as usize] + u64::from((self.needed(&pos) & !arena.cfg(id)).count_ones())
+        });
+        let mut all_ids: Vec<StateId> = (0..arena.len() as StateId).collect();
+        arena.sort_ids(&mut all_ids);
+        let best = all_ids.iter().map(|&id| {
+            let parent = self.parent[id as usize];
+            let parent = (parent != NO_STATE).then(|| arena.key(parent));
+            (arena.key(id), faults[id as usize], parent)
+        });
+        let frontier: Vec<StateKey> = frontier_ids.iter().map(|&id| arena.key(id)).collect();
+        FtfTruncated {
+            reason,
+            lower_bound: frontier_min.min().unwrap_or(u64::MAX).min(incumbent),
+            incumbent,
+            states: arena.len(),
+            frontier_states: frontier.len(),
+            checkpoint: FtfCheckpoint {
+                fingerprint,
+                best: best.collect(),
+                frontier,
+                best_terminal: self.best_terminal.map(|(f, id)| (f, arena.key(id))),
+            },
+        }
+    }
+}
 
-    let mut all_ids: Vec<StateId> = (0..arena.len() as StateId).collect();
-    arena.sort_ids(&mut all_ids);
-    let best_vec: Vec<(StateKey, u64, Option<StateKey>)> = all_ids
-        .iter()
-        .map(|&id| {
-            let par = parent[id as usize];
-            let par_key = (par != NO_STATE).then(|| arena.key(par));
-            (arena.key(id), faults[id as usize], par_key)
-        })
-        .collect();
-    let frontier: Vec<StateKey> = frontier_ids.iter().map(|&id| arena.key(id)).collect();
+impl Frontier for Ftf<'_> {
+    type Edge = FtfEdge;
 
-    FtfTruncated {
-        reason,
-        lower_bound,
-        incumbent,
-        states: arena.len(),
-        frontier_states: frontier.len(),
-        checkpoint: FtfCheckpoint {
-            fingerprint,
-            best: best_vec,
-            frontier,
-            best_terminal: best_terminal.as_ref().map(|&(f, id)| (f, arena.key(id))),
-        },
+    fn arena(&self) -> &StateArena {
+        &self.arena
+    }
+
+    fn open(&mut self, ids: &mut Vec<StateId>) -> bool {
+        let mut buckets = self.next_bucket..self.bucket_head.len();
+        let Some(s) = buckets.find(|&s| self.bucket_head[s] != NO_STATE) else {
+            return false;
+        };
+        self.next_bucket = s + 1;
+        // No state joins bucket s any more: recycle its table for bucket
+        // s + ring size.
+        let slot = s % self.ring.len();
+        self.ring[slot].clear();
+        self.push_bucket(s, ids);
+        true
+    }
+
+    fn usage(&self) -> (usize, usize) {
+        let tables = self.faults.capacity() * 8
+            + (self.parent.capacity() + self.next_in_bucket.capacity()) * 4;
+        (self.arena.len(), self.engine_bytes() + tables)
+    }
+
+    fn enter(&mut self, ids: &[StateId]) -> bool {
+        if self.next_bucket < self.bucket_head.len() {
+            self.stats.expansions += ids.len();
+            return false;
+        }
+        // Terminals live exclusively in the final bucket (sum == end_sum
+        // forces every sequence to its end). Scanning them in canonical
+        // order keeps the best terminal independent of the worker count.
+        let found = ids.iter().map(|&id| (self.faults[id as usize], id));
+        let best = self.best_terminal.into_iter().chain(found);
+        self.best_terminal = best.min_by_key(|&(f, _)| f);
+        true
+    }
+
+    fn edge(&self, step: &Step, edge: &mut FtfEdge) -> ControlFlow<usize, u64> {
+        let faults = self.faults[step.id as usize] + u64::from(step.fault_mask.count_ones());
+        let sum = step.next.iter().map(|&x| x as usize).sum::<usize>();
+        let slot = sum % self.ring.len();
+        (edge.faults, edge.sum, edge.slot, edge.needed, edge.slack) = (faults, sum, slot, 0, 0);
+        if let Some(ub) = self.ub {
+            // Every successor is cut when no fault is left to spend, or
+            // when the bound over `C ∪ rx` itself, which no successor's
+            // exceeds, overshoots.
+            let slack = ub.checked_sub(u64::from(self.strict));
+            let slack = slack.and_then(|limit| limit.checked_sub(faults));
+            (edge.needed, edge.slack) = (self.needed(&step.next), slack.unwrap_or(0));
+            if slack.is_none() || edge.cuts(step.cfg | step.rx) {
+                let cut = successor_count(self.inst, step.cfg, step.rx, self.voluntary);
+                return ControlFlow::Break(cut);
+            }
+        }
+        ControlFlow::Continue(self.voluntary)
+    }
+
+    fn merge(&mut self, src: StateId, edge: &FtfEdge, cfg: u64, pp: &PackedPos) {
+        if edge.cuts(cfg) {
+            self.stats.bound_pruned += 1;
+            return;
+        }
+        let (id, is_new) = self.ring[edge.slot].intern(&mut self.arena, cfg, pp);
+        if is_new {
+            self.faults.push(edge.faults);
+            self.parent.push(src);
+            self.next_in_bucket.push(self.bucket_head[edge.sum]);
+            self.bucket_head[edge.sum] = id;
+        } else if edge.faults < self.faults[id as usize] {
+            self.faults[id as usize] = edge.faults;
+            self.parent[id as usize] = src;
+        }
+    }
+
+    fn merged(&mut self, cut: usize) -> Result<(), DpError> {
+        self.stats.bound_pruned += cut;
+        Ok(())
     }
 }
 
 /// Convenience: just the number.
 pub fn ftf_min_faults(workload: &Workload, cfg: SimConfig) -> Result<u64, DpError> {
     ftf_dp(workload, cfg, FtfOptions::default()).map(|r| r.min_faults)
-}
-
-fn reconstruct(
-    inst: &DpInstance,
-    arena: &StateArena,
-    parent: &[StateId],
-    terminal: StateId,
-) -> FtfSchedule {
-    // Walk parents back to the start, then replay forward.
-    let mut ids = vec![terminal];
-    loop {
-        let par = parent[*ids.last().unwrap() as usize];
-        if par == NO_STATE {
-            break;
-        }
-        ids.push(par);
-    }
-    ids.reverse();
-    let chain: Vec<StateKey> = ids.into_iter().map(|id| arena.key(id)).collect();
-    schedule_from_chain(inst, &chain)
 }
 
 /// Convert a chain of consecutive DP states (one transition per timestep,

@@ -15,8 +15,9 @@
 //!   [`sched_min`] runs the same driver in Hassidim's
 //!   *scheduling-capable* model (sequences may be stalled), quantifying
 //!   the gap between the two papers' models.
-//! * [`sched_search`] — joint cache partition and job assignment, the
-//!   other scheduling knob this paper's model lacks.
+//! * [`joint_assignment`] — Hassidim–Kaplan–Tuval joint cache partition
+//!   and job assignment (X06), the other scheduling knob this paper's
+//!   model lacks.
 //! * [`belady_seq`] / [`miss_curve`] — sequential OPT and LRU oracles
 //!   (stack distances, miss curves, Lemma 1 phase decompositions).
 //! * [`checkpoint`] — versioned on-disk snapshots for the budget-governed
@@ -29,13 +30,14 @@
 
 pub mod belady_seq;
 pub mod checkpoint;
+mod frontier;
 pub mod ftf_dp;
 pub mod intern;
+pub mod joint_assignment;
 pub mod miss_curve;
 pub mod pareto;
 pub mod partition_opt;
 pub mod pif_dp;
-pub mod sched_search;
 pub mod search;
 pub mod state;
 
@@ -46,6 +48,7 @@ pub use ftf_dp::{
     FtfOptions, FtfOutcome, FtfResult, FtfSchedule, FtfTruncated,
 };
 pub use intern::{Dedup, PackedPos, StateArena, StateId};
+pub use joint_assignment::{evaluate_assignment, joint_exhaustive, joint_greedy, JointSolution};
 pub use miss_curve::{
     distinct_pages, lru_curve, lru_faults, lru_stack_distances, opt_curve, phase_starts,
 };
@@ -54,10 +57,9 @@ pub use pif_dp::{
     max_pif, pif_decide, pif_decide_governed, pif_decide_governed_with_stats,
     pif_decide_with_stats, pif_fingerprint, pif_witness, PifOptions, PifOutcome, PifTruncated,
 };
-pub use sched_search::{evaluate_assignment, joint_exhaustive, joint_greedy, JointSolution};
 pub use search::{
     brute_force_faults_then_makespan, brute_force_makespan_then_faults, brute_force_min_faults,
     brute_force_min_faults_governed, brute_force_min_makespan, fitf_restricted_min_faults,
     sched_min, sched_min_governed, Objective, SearchOutcome,
 };
-pub use state::{min_parallel_tasks, DpError, DpInstance, DpStats};
+pub use state::{DpError, DpInstance, DpStats};

@@ -13,25 +13,24 @@
 //! and with [`PifOptions::bound`] so are vectors that the faults each
 //! core must still issue by the checkpoint would push past its bound.
 //!
-//! States within a layer never feed each other (one transition is one
-//! timestep), so each layer expands in parallel on the [`mcp_exec`] pool;
-//! the expansions merge back sequentially in canonical [`StateKey`] order,
-//! making every Pareto set — and hence the decision, witness and expansion
-//! counts — identical for every worker count.
+//! Each timestep is one layer of the frontier driver (`crate::frontier`),
+//! which may fan it out over the [`mcp_exec`] pool: every Pareto set, and
+//! so the decision, witness and counts, is the same for every worker count.
 
-use crate::checkpoint::{instance_fingerprint, PifCheckpoint};
+use crate::checkpoint::{check_fingerprint, instance_fingerprint, PifCheckpoint};
+use crate::frontier::{walk, Frontier, Step};
 use crate::ftf_dp::{schedule_from_chain, FtfSchedule};
-use crate::intern::{Dedup, StateArena, StateId, NO_STATE};
+use crate::intern::{Dedup, PackedPos, StateArena, StateId};
 use crate::pareto::{
     advance_rows, filter_rows, pack_flags, pack_row, row_words, unpack_row, RowSets, LANES,
     MAX_LANE,
 };
 use crate::state::{
-    for_each_successor_config, for_each_successor_config_rx, pointed_pages, pool_for, step_effect,
-    step_effect_into, voluntary_mask, with_scratch, DpError, DpInstance, DpStats, RangeUnion,
-    StateKey, StepScratch,
+    lazy_completion, pointed_pages, voluntary_mask, DpError, DpInstance, DpStats, RangeUnion,
+    StateKey,
 };
 use mcp_core::{Budget, SimConfig, Time, TripReason, Workload};
+use std::ops::ControlFlow;
 
 /// Options for the PIF decision procedure.
 #[derive(Clone, Copy, Debug)]
@@ -40,11 +39,9 @@ pub struct PifOptions {
     /// evictions). The default is `true` for exactness — unlike FTF
     /// (Theorem 4), the paper states no honesty WLOG for the *fairness*
     /// objective, so the decision procedure conservatively explores all
-    /// schedules. With [`bound`](Self::bound) on, the decision explores
-    /// only the voluntary evictions of pages the next step reads:
-    /// evicting any other page one step later reaches the same fault
-    /// vectors (DESIGN §9, "Delayed voluntary evictions"). Set to
-    /// `false` for a faster honest-only search.
+    /// schedules (delaying some voluntary evictions with
+    /// [`bound`](Self::bound) on). Set to `false` for a faster
+    /// honest-only search.
     pub full_transitions: bool,
     /// Abort with [`DpError::TooLarge`] beyond this many state-vector
     /// expansions.
@@ -82,26 +79,6 @@ impl Default for PifOptions {
     }
 }
 
-/// The per-core pruning bounds `min(b_i, n_i)`. A core faults at most
-/// once per request, so capping at `n_i` prunes nothing the bound would
-/// not, and it keeps every lane of a packed row at most
-/// [`MAX_LANE`](crate::pareto::MAX_LANE). Cores with more requests than
-/// that are a [`DpError::Model`].
-fn lane_bounds(inst: &DpInstance, bounds_u16: &[u16]) -> Result<Vec<u16>, DpError> {
-    inst.seqs
-        .iter()
-        .zip(bounds_u16)
-        .enumerate()
-        .map(|(i, (seq, &b))| match u16::try_from(seq.len()) {
-            Ok(n) if n <= MAX_LANE => Ok(b.min(n)),
-            _ => Err(DpError::Model(format!(
-                "core {i} has {} requests; the PIF DP counts at most {MAX_LANE} faults per core",
-                seq.len()
-            ))),
-        })
-        .collect()
-}
-
 /// The per-core lower bound of the PIF search.
 ///
 /// After serving step `t`, `r = checkpoint − t` steps remain. Each moves
@@ -120,8 +97,9 @@ struct PifBound {
     ranges: Vec<RangeUnion>,
     /// Per core, the pages no other core requests.
     private: Vec<u64>,
-    /// The per-core bounds `min(b_i, n_i)`.
+    /// The per-core pruning bounds `min(b_i, n_i)`, and packed as a row.
     lanes: Vec<u16>,
+    row: Vec<u64>,
 }
 
 /// Scratch for [`PifBound::admit`]: the tightened bound row and the rows
@@ -134,26 +112,37 @@ struct Admitted<T> {
 }
 
 impl PifBound {
-    fn new(inst: &DpInstance, lanes: &[u16], on: bool) -> Self {
-        let masks: Vec<u64> = inst
+    /// A core faults at most once per request, so capping its bound at
+    /// `n_i` prunes nothing the bound would not, and it keeps every lane
+    /// of a packed row at most [`MAX_LANE`](crate::pareto::MAX_LANE).
+    /// Cores with more requests than that are a [`DpError::Model`].
+    fn new(inst: &DpInstance, bounds: &[u64], on: bool) -> Result<Self, DpError> {
+        let lanes = (inst.seqs.iter().zip(bounds).enumerate())
+            .map(|(i, (seq, &b))| match u16::try_from(seq.len()) {
+                Ok(n) if n <= MAX_LANE => Ok(b.min(u64::from(n)) as u16),
+                _ => Err(DpError::Model(format!(
+                    "core {i} has {} requests; the PIF DP counts at most {MAX_LANE} faults per core",
+                    seq.len()
+                ))),
+            })
+            .collect::<Result<Vec<u16>, _>>()?;
+        let masks = inst
             .seqs
             .iter()
-            .map(|seq| seq.iter().fold(0, |m, &pg| m | (1u64 << pg)))
-            .collect();
-        let private = (0..masks.len())
-            .map(|i| {
-                let others = (0..masks.len())
-                    .filter(|&j| j != i)
-                    .fold(0, |m, j| m | masks[j]);
-                masks[i] & !others
-            })
-            .collect();
-        PifBound {
+            .map(|seq| seq.iter().fold(0, |m, &pg| m | (1u64 << pg)));
+        let (mut seen, mut shared) = (0u64, 0u64);
+        for mask in masks.clone() {
+            (seen, shared) = (seen | mask, shared | (seen & mask));
+        }
+        let mut row = Vec::new();
+        pack_row(&lanes, &mut row);
+        Ok(PifBound {
             on,
             ranges: inst.seqs.iter().map(|seq| RangeUnion::new(seq)).collect(),
-            private,
-            lanes: lanes.to_vec(),
-        }
+            private: masks.map(|mask| mask & !shared).collect(),
+            lanes,
+            row,
+        })
     }
 
     /// Per core, the private pages it must request by the checkpoint from
@@ -185,7 +174,7 @@ impl PifBound {
         }
     }
 
-    /// The rows of `rows` (tagged `tags`) that successor configuration
+    /// The rows of `edge` (with their tags) that successor configuration
     /// `cfg` admits, given the step's [`forced`](Self::forced) pages, and
     /// how many it drops: row `v` is dropped when `v_i + LB_i > lane_i`
     /// for some core, `LB_i = |forced_i \ cfg|` (all rows pass when
@@ -193,19 +182,13 @@ impl PifBound {
     /// admitted rows keep their order and stay an antichain.
     fn admit<'a, T: Copy>(
         &self,
-        forced: &[u64],
+        edge: &'a PifEdge<T>,
         cfg: u64,
-        rows: &'a [u64],
-        tags: &'a [T],
         out: &'a mut Admitted<T>,
     ) -> (&'a [u64], &'a [T], usize) {
-        let Admitted {
-            bound,
-            rows: kept,
-            tags: kept_tags,
-        } = out;
-        bound.clear();
-        bound.resize(row_words(forced.len()), 0);
+        let (forced, rows, tags) = (&edge.forced, &edge.rows[..], &edge.tags[..]);
+        out.bound.clear();
+        out.bound.resize(row_words(forced.len()), 0);
         let mut tightened = false;
         for (i, (&mask, &lane)) in forced.iter().zip(&self.lanes).enumerate() {
             let lb = (mask & !cfg).count_ones() as u16;
@@ -213,15 +196,15 @@ impl PifBound {
                 return (&[], &[], tags.len());
             }
             tightened |= lb > 0;
-            bound[i / LANES] |= u64::from(lane - lb) << (16 * (i % LANES));
+            out.bound[i / LANES] |= u64::from(lane - lb) << (16 * (i % LANES));
         }
         if !tightened {
             return (rows, tags, 0);
         }
-        kept.clear();
-        kept_tags.clear();
-        let dropped = filter_rows(rows, tags, bound, kept, kept_tags);
-        (kept, kept_tags, dropped)
+        out.rows.clear();
+        out.tags.clear();
+        let dropped = filter_rows(rows, tags, &out.bound, &mut out.rows, &mut out.tags);
+        (&out.rows, &out.tags, dropped)
     }
 }
 
@@ -308,15 +291,15 @@ pub struct PifTruncated {
 /// (they prune vectors). Bit 3 marks the full relation with delayed
 /// voluntary evictions (`bound ∧ full_transitions`), so snapshots taken
 /// before the search delayed them are refused.
-fn pif_option_bits(options: &PifOptions, checkpoint: Time, bounds_u16: &[u16]) -> u64 {
+fn pif_option_bits(options: &PifOptions, checkpoint: Time, bounds: &[u64]) -> u64 {
     let delayed = options.bound && options.full_transitions;
     let mut h: u64 = 2
         | u64::from(options.full_transitions)
         | (u64::from(options.bound) << 2)
         | (u64::from(delayed) << 3);
     h = h.wrapping_mul(0x100_0000_01b3) ^ checkpoint;
-    for &b in bounds_u16 {
-        h = h.wrapping_mul(0x100_0000_01b3) ^ u64::from(b);
+    for &b in bounds {
+        h = h.wrapping_mul(0x100_0000_01b3) ^ b.min(u64::from(u16::MAX));
     }
     h
 }
@@ -332,14 +315,8 @@ pub fn pif_fingerprint(
     options: &PifOptions,
 ) -> Result<u64, DpError> {
     let inst = DpInstance::build(workload, &cfg)?;
-    let bounds_u16: Vec<u16> = bounds
-        .iter()
-        .map(|&b| b.min(u16::MAX as u64) as u16)
-        .collect();
-    Ok(instance_fingerprint(
-        &inst,
-        pif_option_bits(options, checkpoint, &bounds_u16),
-    ))
+    let bits = pif_option_bits(options, checkpoint, bounds);
+    Ok(instance_fingerprint(&inst, bits))
 }
 
 /// Budget-governed, resumable PIF decision (Algorithm 2, anytime form).
@@ -383,301 +360,285 @@ pub fn pif_decide_governed_with_stats(
 ) -> Result<(PifOutcome, DpStats), DpError> {
     assert_eq!(bounds.len(), workload.num_cores(), "one bound per sequence");
     let inst = DpInstance::build(workload, &cfg)?;
-    let mut stats = DpStats::default();
     if checkpoint == 0 {
-        return Ok((PifOutcome::Decided(true), stats)); // no request has issued yet
+        // No request has issued yet.
+        return Ok((PifOutcome::Decided(true), DpStats::default()));
     }
-    let bounds_u16: Vec<u16> = bounds
-        .iter()
-        .map(|&b| b.min(u16::MAX as u64) as u16)
-        .collect();
-    let fingerprint =
-        instance_fingerprint(&inst, pif_option_bits(&options, checkpoint, &bounds_u16));
-
-    let lanes = lane_bounds(&inst, &bounds_u16)?;
-    let p = inst.num_cores();
-    let w = row_words(p);
-    let mut bound_row = Vec::with_capacity(w);
-    pack_row(&lanes, &mut bound_row);
-    let max_pos = (0..p).map(|i| inst.end_pos(i)).max().unwrap_or(1);
-    let end_sum: u64 = (0..p).map(|i| inst.end_pos(i)).sum();
-    // Two arenas alternate: the live layer and the one being built, and
-    // `dedup` covers the newest of them. `clear` keeps every allocation,
-    // so the steady state allocates nothing: the Pareto sets (rows packed
-    // per `crate::pareto`, indexed by StateId) recycle their vectors too.
-    let mut arena = StateArena::new(p, max_pos, options.force_spill);
-    let mut next_arena = StateArena::new(p, max_pos, options.force_spill);
-    let mut dedup = Dedup::new();
-    let mut sets: RowSets<()> = RowSets::new();
-    let mut next_sets: RowSets<()> = RowSets::new();
-    let mut ids: Vec<StateId> = Vec::new();
-    // Per-state scratch of the sequential path: the fault increment row
-    // and the source state's advanced rows.
-    let mut inc: Vec<u64> = Vec::with_capacity(w);
-    let mut advanced: Vec<u64> = Vec::new();
-    // One (zero-sized) tag per advanced row.
-    let mut units: Vec<()> = Vec::new();
-    let bound = PifBound::new(&inst, &lanes, options.bound);
-    let (mut forced, mut admitted) = (Vec::new(), Admitted::default());
-
-    let mut expansions = 0usize;
-    let mut t_done: Time = 0;
-    match resume {
-        None => {
-            let pp = arena.pack(&inst.start_positions());
-            let (id, is_new) = dedup.intern(&mut arena, 0, &pp);
-            debug_assert!(is_new && id == 0);
-            sets.push(&vec![0u64; w], &[()]);
-        }
-        Some(ck) => {
-            if ck.fingerprint != fingerprint {
-                return Err(DpError::Model(format!(
-                    "checkpoint fingerprint mismatch: instance is {fingerprint:#018x}, \
-                     snapshot was taken for {:#018x} (different workload, config, \
-                     options, horizon, or bounds)",
-                    ck.fingerprint
-                )));
-            }
-            let mut row = Vec::with_capacity(w);
-            for (key, vectors) in &ck.layer {
-                let pp = arena.pack(&key.1);
-                let (id, is_new) = dedup.intern(&mut arena, key.0, &pp);
-                if is_new {
-                    debug_assert_eq!(id as usize, sets.len());
-                    sets.push(&[], &[]);
-                } else {
-                    // Duplicate key in a (checksummed) snapshot: keep the
-                    // last, matching the old map-insert semantics.
-                    sets.replace(id as usize, &[], &[]);
-                }
-                for v in vectors {
-                    if v.len() != p || v.iter().zip(&lanes).any(|(x, b)| x > b) {
-                        return Err(DpError::Model(format!(
-                            "malformed checkpoint: fault vector {v:?} exceeds the bounds {lanes:?}"
-                        )));
-                    }
-                    row.clear();
-                    pack_row(v, &mut row);
-                    sets.insert(id as usize, &row, ());
-                }
-            }
-            expansions = ck.expansions as usize;
-            t_done = ck.t_done;
-        }
-    }
-
-    for t in (t_done + 1)..=checkpoint {
-        track_layer(&mut stats, &arena, &dedup);
-        if budget.is_limited() {
-            let vectors = sets.total_rows();
-            let approx_mem = arena.len() * (24 + 8 * p) + vectors * (2 * p + 32);
-            if let Err(reason) = budget.check(expansions, approx_mem) {
-                // Materialized canonical keys in canonical order: the
-                // snapshot bytes are identical to what the unpacked
-                // engine wrote.
-                ids.clear();
-                ids.extend(0..arena.len() as StateId);
-                arena.sort_ids(&mut ids);
-                let snapshot: Vec<(StateKey, Vec<Box<[u16]>>)> = ids
-                    .iter()
-                    .map(|&id| {
-                        let rows = sets.rows(id as usize).chunks_exact(w);
-                        (arena.key(id), rows.map(|r| unpack_row(r, p)).collect())
-                    })
-                    .collect();
-                stats.expansions = expansions;
-                return Ok((
-                    PifOutcome::Truncated(PifTruncated {
-                        reason,
-                        t_done: t - 1,
-                        live_states: snapshot.len(),
-                        expansions,
-                        checkpoint: PifCheckpoint {
-                            fingerprint,
-                            t_done: t - 1,
-                            expansions: expansions as u64,
-                            layer: snapshot,
-                        },
-                    }),
-                    stats,
-                ));
-            }
-        }
-        // Canonical order: Pareto-set contents (and their order) come out
-        // identical for every worker count.
-        ids.clear();
-        ids.extend(0..arena.len() as StateId);
-        arena.sort_ids(&mut ids);
-        // Positions never exceed their end positions, so a position sum
-        // of `end_sum` is exactly "all finished": no further requests,
-        // hence no further faults — every surviving vector already
-        // satisfies the bounds.
-        if ids.iter().any(|&id| arena.pos_sum(id) == end_sum) {
-            stats.expansions = expansions;
-            return Ok((PifOutcome::Decided(true), stats));
-        }
-        next_arena.clear();
-        next_sets.clear();
-        dedup.clear();
-        let remaining = checkpoint - t;
-        // One layer is one timestep: states within it never feed each
-        // other, so the expansion fans out over the pool. Workers read
-        // the arena immutably and ship back packed keys; only the
-        // sequential merge interns.
-        let pool = pool_for(options.jobs, ids.len());
-        if pool.jobs() <= 1 {
-            // Sequential fast path: expand and merge each state inline in
-            // the same canonical order the parallel path merges in — no
-            // per-state successor buffer, no per-layer result vector.
-            with_scratch(|sc| {
-                for &id in &ids {
-                    let StepScratch { pos, next, faulted } = sc;
-                    let cfg_bits = arena.cfg(id);
-                    arena.positions_into(id, pos);
-                    let (rx, _) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
-                    inc.clear();
-                    pack_flags(faulted, &mut inc);
-                    advanced.clear();
-                    advance_rows(
-                        sets.rows(id as usize),
-                        &inc,
-                        &bound_row,
-                        &mut advanced,
-                        |_| {},
-                    );
-                    if advanced.is_empty() {
-                        continue;
-                    }
-                    units.resize(advanced.len() / w, ());
-                    bound.forced(&inst, next, remaining, &mut forced);
-                    let pp = arena.pack(next);
-                    for_each_successor_config_rx(
-                        &inst,
-                        cfg_bits,
-                        rx,
-                        decide_voluntary(&inst, &options, next),
-                        |next_cfg| {
-                            let (rows, tags, dropped) =
-                                bound.admit(&forced, next_cfg, &advanced, &units, &mut admitted);
-                            stats.bound_pruned += dropped;
-                            if tags.is_empty() {
-                                return;
-                            }
-                            let (nid, is_new) = dedup.intern(&mut next_arena, next_cfg, &pp);
-                            merge_rows(&mut next_sets, nid, is_new, rows, tags);
-                            expansions += tags.len();
-                        },
-                    );
-                }
-            });
-        } else {
-            let expanded = pool.par_map(&ids, |_, &id| {
-                with_scratch(|sc| {
-                    let StepScratch { pos, next, faulted } = sc;
-                    let cfg_bits = arena.cfg(id);
-                    arena.positions_into(id, pos);
-                    let (rx, _) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
-                    // Advance each surviving vector.
-                    let mut inc = Vec::with_capacity(w);
-                    pack_flags(faulted, &mut inc);
-                    let mut advanced = Vec::new();
-                    advance_rows(
-                        sets.rows(id as usize),
-                        &inc,
-                        &bound_row,
-                        &mut advanced,
-                        |_| {},
-                    );
-                    if advanced.is_empty() {
-                        return None;
-                    }
-                    let mut forced = Vec::new();
-                    bound.forced(&inst, next, remaining, &mut forced);
-                    let pp = arena.pack(next);
-                    let mut cfgs = Vec::new();
-                    for_each_successor_config_rx(
-                        &inst,
-                        cfg_bits,
-                        rx,
-                        decide_voluntary(&inst, &options, next),
-                        |next_cfg| cfgs.push(next_cfg),
-                    );
-                    Some((advanced, forced, pp, cfgs))
-                })
-            });
-            // Merge sequentially, in the same canonical order: the
-            // insertion sequence into each Pareto set — and hence its
-            // stored order — is identical for every worker count.
-            for (advanced, forced, pp, cfgs) in expanded.into_iter().flatten() {
-                units.resize(advanced.len() / w, ());
-                for next_cfg in cfgs {
-                    let (rows, tags, dropped) =
-                        bound.admit(&forced, next_cfg, &advanced, &units, &mut admitted);
-                    stats.bound_pruned += dropped;
-                    if tags.is_empty() {
-                        continue;
-                    }
-                    let (nid, is_new) = dedup.intern(&mut next_arena, next_cfg, &pp);
-                    merge_rows(&mut next_sets, nid, is_new, rows, tags);
-                    expansions += tags.len();
-                }
-            }
-        }
-        if next_arena.is_empty() {
-            stats.expansions = expansions;
-            return Ok((PifOutcome::Decided(false), stats));
-        }
-        std::mem::swap(&mut arena, &mut next_arena);
-        std::mem::swap(&mut sets, &mut next_sets);
-    }
-    // Survived the serving at t = checkpoint with every bound respected.
-    track_layer(&mut stats, &arena, &dedup);
-    stats.expansions = expansions;
-    Ok((PifOutcome::Decided(true), stats))
+    let fingerprint = instance_fingerprint(&inst, pif_option_bits(&options, checkpoint, bounds));
+    let mut dp = Pif::<()>::new(&inst, checkpoint, bounds, options, false)?;
+    check_fingerprint(fingerprint, resume.map(|ck| ck.fingerprint))?;
+    dp.start(resume)?;
+    let trip = walk(&inst, &mut dp, options.jobs, budget)?;
+    dp.stats.expansions = dp.expansions;
+    let outcome = match trip {
+        Some(reason) => PifOutcome::Truncated(dp.truncate(fingerprint, reason)),
+        // An empty layer refutes the bounds. Otherwise the walk reached a
+        // finished state, whose rows need no more faults, or served the
+        // checkpoint with every bound respected.
+        None => PifOutcome::Decided(!dp.arena.is_empty()),
+    };
+    Ok((outcome, dp.stats))
 }
 
-/// The voluntary evictions a decision step to positions `next` explores
-/// (the mask of [`for_each_successor_config_rx`]): none on the honest
-/// relation, every page on the paper's literal one (`bound: false`), and
-/// with the bound on only the pages the next step reads. Evicting any
-/// other page one step later reaches the same fault vectors, so the
-/// decision is the same (DESIGN §9, "Delayed voluntary evictions").
-fn decide_voluntary(inst: &DpInstance, options: &PifOptions, next: &[u32]) -> u64 {
-    if options.full_transitions && options.bound {
-        pointed_pages(inst, next)
-    } else {
-        voluntary_mask(!options.full_transitions)
-    }
-}
-
-/// Fold the current layer (its arena and dedup table) into the
-/// peak-tracking [`DpStats`] fields.
-fn track_layer(stats: &mut DpStats, arena: &StateArena, dedup: &Dedup) {
-    if arena.len() > stats.states {
-        stats.states = arena.len();
-        stats.dedup_load_factor = dedup.load_factor();
-    }
-    stats.peak_arena_bytes = stats
-        .peak_arena_bytes
-        .max(arena.approx_bytes() + dedup.approx_bytes());
-}
-
-/// Insert a source state's advanced rows, with their tags, into the
-/// Pareto set of successor `i`, opening the set if the successor is new.
-fn merge_rows<T: Copy>(sets: &mut RowSets<T>, i: StateId, is_new: bool, rows: &[u64], tags: &[T]) {
-    if is_new {
-        debug_assert_eq!(i as usize, sets.len());
-        sets.push(&[], &[]);
-    }
-    let w = rows.len() / tags.len();
-    for (row, &tag) in rows.chunks_exact(w).zip(tags) {
-        sets.insert(i as usize, row, tag);
-    }
-}
-
-/// Provenance of a witness Pareto row: the source state's id and the
-/// index of the source row in its set (`(NO_STATE, 0)` at the root).
+/// A witness row's source: the state's id and the row's index in its set.
 type Provenance = (StateId, u32);
+
+/// A Pareto row's tag: `()` for the decision, [`Provenance`] for the witness.
+trait Tag: Copy + Default + Send + Sync {
+    /// A row advanced from row `j` of state `id`.
+    fn source(id: StateId, j: usize) -> Self;
+}
+
+impl Tag for () {
+    fn source(_: StateId, _: usize) {}
+}
+
+impl Tag for Provenance {
+    fn source(id: StateId, j: usize) -> Self {
+        (id, j as u32)
+    }
+}
+
+/// Algorithm 2's side of the frontier driver: layer `t` holds the states
+/// reachable at time `t`, each with a Pareto set of fault rows (per
+/// `crate::pareto`). Two arenas alternate, the open layer and the one
+/// being built (covered by `dedup`), and `clear` keeps every allocation.
+/// The witness keeps each expanded layer in `layers` for the walk back.
+struct Pif<'a, T> {
+    inst: &'a DpInstance,
+    options: PifOptions,
+    bound: PifBound,
+    checkpoint: Time,
+    /// The time the open layer's step serves.
+    t: Time,
+    arena: StateArena,
+    next_arena: StateArena,
+    dedup: Dedup,
+    sets: RowSets<T>,
+    next_sets: RowSets<T>,
+    layers: Option<Vec<(StateArena, RowSets<T>)>>,
+    admitted: Admitted<T>,
+    /// The canonically smallest finished state of the open layer.
+    terminal: Option<StateId>,
+    expansions: usize,
+    stats: DpStats,
+}
+
+/// The edge out of one PIF state: the fault increment, the advanced rows
+/// with their tags and the private pages [`PifBound::forced`] charges.
+#[derive(Default)]
+struct PifEdge<T> {
+    inc: Vec<u64>,
+    rows: Vec<u64>,
+    tags: Vec<T>,
+    forced: Vec<u64>,
+}
+
+impl<'a, T: Tag> Pif<'a, T> {
+    fn new(
+        inst: &'a DpInstance,
+        checkpoint: Time,
+        bounds: &[u64],
+        options: PifOptions,
+        witness: bool,
+    ) -> Result<Self, DpError> {
+        Ok(Pif {
+            inst,
+            options,
+            bound: PifBound::new(inst, bounds, options.bound)?,
+            checkpoint,
+            t: 0,
+            arena: inst.arena(options.force_spill),
+            next_arena: inst.arena(options.force_spill),
+            dedup: Dedup::new(),
+            sets: RowSets::new(),
+            next_sets: RowSets::new(),
+            layers: witness.then(Vec::new),
+            admitted: Admitted::default(),
+            terminal: None,
+            expansions: 0,
+            stats: DpStats::default(),
+        })
+    }
+
+    /// Open the walk at the start state with one all-zero row, or at the
+    /// layer of the snapshot `resume`.
+    fn start(&mut self, resume: Option<&PifCheckpoint>) -> Result<(), DpError> {
+        let Some(ck) = resume else {
+            let pp = self.arena.pack(&self.inst.start_positions());
+            self.dedup.intern(&mut self.arena, 0, &pp);
+            let zero = vec![0; self.bound.row.len()];
+            self.sets.push(&zero, &[T::default()]);
+            return Ok(());
+        };
+        let (p, lanes) = (self.inst.num_cores(), &self.bound.lanes);
+        let mut row = Vec::with_capacity(self.bound.row.len());
+        for (key, vectors) in &ck.layer {
+            let pp = self.arena.pack(&key.1);
+            let (id, is_new) = self.dedup.intern(&mut self.arena, key.0, &pp);
+            if is_new {
+                debug_assert_eq!(id as usize, self.sets.len());
+                self.sets.push(&[], &[]);
+            } else {
+                // Duplicate key in a (checksummed) snapshot: keep the
+                // last, matching the old map-insert semantics.
+                self.sets.replace(id as usize, &[], &[]);
+            }
+            for v in vectors {
+                if v.len() != p || v.iter().zip(lanes).any(|(x, b)| x > b) {
+                    return Err(DpError::Model(format!(
+                        "malformed checkpoint: fault vector {v:?} exceeds the bounds {lanes:?}"
+                    )));
+                }
+                row.clear();
+                pack_row(v, &mut row);
+                self.sets.insert(id as usize, &row, T::default());
+            }
+        }
+        (self.expansions, self.t) = (ck.expansions as usize, ck.t_done);
+        Ok(())
+    }
+
+    /// The snapshot of a run tripped at the open layer. Its keys are
+    /// materialized in canonical order, so its bytes are identical to
+    /// what the unpacked engine wrote.
+    fn truncate(&self, fingerprint: u64, reason: TripReason) -> PifTruncated {
+        let mut ids: Vec<StateId> = (0..self.arena.len() as StateId).collect();
+        self.arena.sort_ids(&mut ids);
+        let (p, w) = (self.inst.num_cores(), self.bound.row.len());
+        let layer: Vec<(StateKey, Vec<Box<[u16]>>)> = ids
+            .iter()
+            .map(|&id| {
+                let rows = self.sets.rows(id as usize).chunks_exact(w);
+                (self.arena.key(id), rows.map(|r| unpack_row(r, p)).collect())
+            })
+            .collect();
+        let t_done = self.t - 1;
+        PifTruncated {
+            reason,
+            t_done,
+            live_states: layer.len(),
+            expansions: self.expansions,
+            checkpoint: PifCheckpoint {
+                fingerprint,
+                t_done,
+                expansions: self.expansions as u64,
+                layer,
+            },
+        }
+    }
+}
+
+impl<T: Tag> Frontier for Pif<'_, T> {
+    type Edge = PifEdge<T>;
+
+    fn arena(&self) -> &StateArena {
+        &self.arena
+    }
+
+    fn open(&mut self, ids: &mut Vec<StateId>) -> bool {
+        if self.arena.is_empty() {
+            return false;
+        }
+        // Fold the open layer (its arena and the table that built it)
+        // into the peak statistics.
+        let (len, stats) = (self.arena.len(), &mut self.stats);
+        if len > stats.states {
+            (stats.states, stats.dedup_load_factor) = (len, self.dedup.load_factor());
+        }
+        let bytes = self.arena.approx_bytes() + self.dedup.approx_bytes();
+        stats.peak_arena_bytes = stats.peak_arena_bytes.max(bytes);
+        if self.t >= self.checkpoint {
+            return false;
+        }
+        self.t += 1;
+        ids.extend(0..self.arena.len() as StateId);
+        self.next_arena.clear();
+        self.next_sets.clear();
+        self.dedup.clear();
+        true
+    }
+
+    fn usage(&self) -> (usize, usize) {
+        let p = self.inst.num_cores();
+        let mem = self.arena.len() * (24 + 8 * p) + self.sets.total_rows() * (2 * p + 32);
+        (self.expansions, mem)
+    }
+
+    fn enter(&mut self, ids: &[StateId]) -> bool {
+        // A position sum of `end_sum` is exactly "all finished": no further
+        // faults, so every surviving row already meets the bounds.
+        let end_sum = self.inst.end_sum();
+        let mut finished = ids.iter().filter(|&&id| self.arena.pos_sum(id) == end_sum);
+        self.terminal = finished.next().copied();
+        self.terminal.is_some()
+    }
+
+    fn edge(&self, step: &Step, edge: &mut PifEdge<T>) -> ControlFlow<usize, u64> {
+        let (source, tags) = (self.sets.rows(step.id as usize), &mut edge.tags);
+        edge.inc.clear();
+        pack_flags(&step.faulted, &mut edge.inc);
+        edge.rows.clear();
+        tags.clear();
+        let kept = |j| tags.push(T::source(step.id, j));
+        advance_rows(source, &edge.inc, &self.bound.row, &mut edge.rows, kept);
+        if tags.is_empty() {
+            return ControlFlow::Break(0);
+        }
+        let (remaining, forced) = (self.checkpoint - self.t, &mut edge.forced);
+        self.bound.forced(self.inst, &step.next, remaining, forced);
+        // The bounded decision delays the voluntary evictions of pages the
+        // next step does not read (DESIGN §9); the witness keeps them all.
+        let full = self.options.full_transitions;
+        ControlFlow::Continue(if full && self.options.bound && self.layers.is_none() {
+            pointed_pages(self.inst, &step.next)
+        } else {
+            voluntary_mask(!full)
+        })
+    }
+
+    fn merge(&mut self, _: StateId, edge: &PifEdge<T>, cfg: u64, pp: &PackedPos) {
+        let (rows, tags, dropped) = self.bound.admit(edge, cfg, &mut self.admitted);
+        self.stats.bound_pruned += dropped;
+        if tags.is_empty() {
+            return;
+        }
+        let (id, is_new) = self.dedup.intern(&mut self.next_arena, cfg, pp);
+        if is_new {
+            debug_assert_eq!(id as usize, self.next_sets.len());
+            self.next_sets.push(&[], &[]);
+        }
+        for (row, &tag) in rows.chunks_exact(self.bound.row.len()).zip(tags) {
+            self.next_sets.insert(id as usize, row, tag);
+        }
+        self.expansions += tags.len();
+    }
+
+    fn merged(&mut self, cut: usize) -> Result<(), DpError> {
+        self.stats.bound_pruned += cut;
+        // The witness's cap; the decision's is its budget's.
+        let (states, cap) = (self.expansions, self.options.max_expansions);
+        if self.layers.is_some() && states > cap {
+            return Err(DpError::TooLarge {
+                states,
+                cap,
+                incumbent: None,
+            });
+        }
+        Ok(())
+    }
+
+    fn close(&mut self) {
+        std::mem::swap(&mut self.arena, &mut self.next_arena);
+        std::mem::swap(&mut self.sets, &mut self.next_sets);
+        if let Some(layers) = &mut self.layers {
+            let arena = self.inst.arena(self.options.force_spill);
+            let arena = std::mem::replace(&mut self.next_arena, arena);
+            let sets = std::mem::replace(&mut self.next_sets, RowSets::new());
+            layers.push((arena, sets));
+        }
+    }
+}
 
 /// Like [`pif_decide`], but a "yes" comes with a **witness**: a complete,
 /// replayable eviction schedule whose fault vector at `checkpoint`
@@ -695,164 +656,36 @@ pub fn pif_witness(
 ) -> Result<Option<FtfSchedule>, DpError> {
     assert_eq!(bounds.len(), workload.num_cores(), "one bound per sequence");
     let inst = DpInstance::build(workload, &cfg)?;
-    let start: StateKey = (0u64, inst.start_positions());
-    if checkpoint == 0 {
-        // Trivially feasible: any legal schedule works.
-        let chain = complete_chain(&inst, start);
-        return Ok(Some(schedule_from_chain(&inst, &chain)));
-    }
-    let bounds_u16: Vec<u16> = bounds
-        .iter()
-        .map(|&b| b.min(u16::MAX as u64) as u16)
-        .collect();
-    let lanes = lane_bounds(&inst, &bounds_u16)?;
-    let p = inst.num_cores();
-    let w = row_words(p);
-    let mut bound_row = Vec::with_capacity(w);
-    pack_row(&lanes, &mut bound_row);
-    let max_pos = (0..p).map(|i| inst.end_pos(i)).max().unwrap_or(1);
-    let end_sum: u64 = (0..p).map(|i| inst.end_pos(i)).sum();
-    // One arena stores every layer: layer t's states are the ids
-    // `bases[t] .. bases[t] + layers[t].len()`, deduplicated by a
-    // per-layer table, and `layers[t]` holds their Pareto sets with each
-    // row's provenance in the parallel tag vector.
-    let mut arena = StateArena::new(p, max_pos, options.force_spill);
-    let mut dedup = Dedup::new();
-    let pp = arena.pack(&start.1);
-    let (start_id, _) = dedup.intern(&mut arena, start.0, &pp);
-    let mut first: RowSets<Provenance> = RowSets::new();
-    first.push(&vec![0u64; w], &[(NO_STATE, 0)]);
-    let mut layers = vec![first];
-    let mut bases = vec![start_id];
-
-    let mut expansions = 0usize;
-    let mut terminal: Option<(usize, StateId)> = None; // (layer, state)
-    let mut ids: Vec<StateId> = Vec::new();
-    let bound = PifBound::new(&inst, &lanes, options.bound);
-    let mut admitted = Admitted::default();
-    'outer: for t in 1..=checkpoint {
-        let remaining = checkpoint - t;
-        let (current, base) = (&layers[t as usize - 1], bases[t as usize - 1]);
-        ids.clear();
-        ids.extend(base..base + current.len() as StateId);
-        arena.sort_ids(&mut ids);
-        // The canonically smallest finished state, so the witness endpoint
-        // does not depend on hash order.
-        if let Some(&id) = ids.iter().find(|&&id| arena.pos_sum(id) == end_sum) {
-            terminal = Some((t as usize - 1, id));
-            break 'outer;
-        }
-        let expanded = pool_for(options.jobs, ids.len()).par_map(&ids, |_, &id| {
-            with_scratch(|sc| {
-                let StepScratch { pos, next, faulted } = sc;
-                let cfg_bits = arena.cfg(id);
-                arena.positions_into(id, pos);
-                let (rx, _) = step_effect_into(&inst, cfg_bits, pos, next, faulted);
-                let mut inc = Vec::with_capacity(w);
-                pack_flags(faulted, &mut inc);
-                let (mut advanced, mut sources) = (Vec::new(), Vec::new());
-                let rows = current.rows((id - base) as usize);
-                advance_rows(rows, &inc, &bound_row, &mut advanced, |j| {
-                    sources.push((id, j as u32))
-                });
-                if sources.is_empty() {
-                    return None;
-                }
-                let mut forced = Vec::new();
-                bound.forced(&inst, next, remaining, &mut forced);
-                let pp = arena.pack(next);
-                let mut cfgs = Vec::new();
-                for_each_successor_config_rx(
-                    &inst,
-                    cfg_bits,
-                    rx,
-                    voluntary_mask(!options.full_transitions),
-                    |next_cfg| cfgs.push(next_cfg),
-                );
-                Some((advanced, sources, forced, pp, cfgs))
-            })
-        });
-        let mut next: RowSets<Provenance> = RowSets::new();
-        let next_base = arena.len() as StateId;
-        dedup.clear();
-        for (advanced, sources, forced, pp, cfgs) in expanded.into_iter().flatten() {
-            for next_cfg in cfgs {
-                let (rows, tags, _) =
-                    bound.admit(&forced, next_cfg, &advanced, &sources, &mut admitted);
-                if tags.is_empty() {
-                    continue;
-                }
-                let (nid, is_new) = dedup.intern(&mut arena, next_cfg, &pp);
-                merge_rows(&mut next, nid - next_base, is_new, rows, tags);
-                expansions += tags.len();
-            }
-            if expansions > options.max_expansions {
-                return Err(DpError::TooLarge {
-                    states: expansions,
-                    cap: options.max_expansions,
-                    incumbent: None,
-                });
-            }
-        }
-        if next.len() == 0 {
+    let mut chain = Vec::new();
+    if checkpoint > 0 {
+        let mut dp = Pif::<Provenance>::new(&inst, checkpoint, bounds, options, true)?;
+        dp.start(None)?;
+        walk(&inst, &mut dp, options.jobs, &Budget::unlimited())?;
+        if dp.arena.is_empty() {
             return Ok(None);
         }
-        layers.push(next);
-        bases.push(next_base);
-    }
-
-    // Pick the witness endpoint: an all-finished state found early, or the
-    // canonically smallest surviving state in the final layer.
-    let (end_layer, end_id) = match terminal {
-        Some(x) => x,
-        None => {
-            let last = layers.len() - 1;
-            let id = (bases[last]..bases[last] + layers[last].len() as StateId)
-                .min_by(|&a, &b| arena.cmp_ids(a, b))
-                .expect("nonempty layer");
-            (last, id)
+        // The witness endpoint: an all-finished state found early, or the
+        // canonically smallest surviving state of the checkpoint's layer.
+        let (arena, ids) = (&dp.arena, 0..dp.arena.len() as StateId);
+        let smallest = || ids.min_by(|&a, &b| arena.cmp_ids(a, b));
+        let end = dp.terminal.or_else(smallest).expect("nonempty layer");
+        let mut layers = dp.layers.expect("the witness keeps its layers");
+        layers.push((dp.arena, dp.sets));
+        // Walk the first row's provenance back to the start, materializing
+        // canonical keys.
+        let mut cursor = (end, 0);
+        for (arena, sets) in layers.iter().rev() {
+            chain.push(arena.key(cursor.0));
+            cursor = sets.tags(cursor.0 as usize)[cursor.1 as usize];
         }
-    };
-    // Walk the first row's provenance back to layer 0, materializing
-    // canonical keys.
-    let tag_of = |layer: usize, id: StateId, idx: usize| {
-        layers[layer].tags((id - bases[layer]) as usize)[idx]
-    };
-    let mut chain: Vec<StateKey> = vec![arena.key(end_id)];
-    let mut cursor = tag_of(end_layer, end_id, 0);
-    let mut layer_idx = end_layer;
-    while cursor.0 != NO_STATE {
-        let (id, idx) = cursor;
-        layer_idx -= 1;
-        cursor = tag_of(layer_idx, id, idx as usize);
-        chain.push(arena.key(id));
+        chain.reverse();
     }
-    chain.reverse();
-    // Extend past the checkpoint with arbitrary legal (lazy) transitions
-    // so the witness replays end-to-end.
-    let tail = complete_chain(&inst, chain.last().expect("nonempty chain").clone());
-    chain.extend(tail.into_iter().skip(1));
+    // Past the checkpoint (at time 0, from the start: any legal schedule
+    // works), extend with arbitrary legal (lazy) transitions so the
+    // witness replays end-to-end.
+    let from = chain.pop().unwrap_or_else(|| (0, inst.start_positions()));
+    chain.extend(lazy_completion(&inst, from));
     Ok(Some(schedule_from_chain(&inst, &chain)))
-}
-
-/// Drive a state to completion with the first lazy successor each step.
-fn complete_chain(inst: &DpInstance, from: StateKey) -> Vec<StateKey> {
-    let mut chain = vec![from];
-    loop {
-        let state = chain.last().expect("nonempty");
-        if inst.all_finished(&state.1) {
-            return chain;
-        }
-        let effect = step_effect(inst, state.0, &state.1);
-        let mut chosen: Option<u64> = None;
-        for_each_successor_config(inst, state.0, &effect, true, |cfg| {
-            if chosen.is_none() {
-                chosen = Some(cfg);
-            }
-        });
-        let next_cfg = chosen.expect("every state has a lazy successor");
-        chain.push((next_cfg, effect.next_positions.clone()));
-    }
 }
 
 /// MAX-PIF (Theorem 3's optimization version): the maximum number of
@@ -869,25 +702,18 @@ pub fn max_pif(
     let p = workload.num_cores();
     assert_eq!(bounds.len(), p);
     for size in (1..=p).rev() {
-        // Enumerate subsets of exactly `size` sequences to protect.
+        // Enumerate subsets of exactly `size` sequences to protect, in
+        // lexicographic order.
         let mut subset: Vec<usize> = (0..size).collect();
         loop {
             let mut relaxed = vec![u64::MAX; p];
-            for &i in &subset {
-                relaxed[i] = bounds[i];
-            }
+            subset.iter().for_each(|&i| relaxed[i] = bounds[i]);
             if pif_decide(workload, cfg, checkpoint, &relaxed, options)? {
                 return Ok(size);
             }
-            // Advance to the next lexicographic combination.
-            let mut i = size as isize - 1;
-            while i >= 0 && subset[i as usize] == i as usize + p - size {
-                i -= 1;
-            }
-            if i < 0 {
+            let Some(i) = (0..size).rev().find(|&i| subset[i] != i + p - size) else {
                 break;
-            }
-            let i = i as usize;
+            };
             subset[i] += 1;
             for j in i + 1..size {
                 subset[j] = subset[j - 1] + 1;

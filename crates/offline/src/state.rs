@@ -9,44 +9,9 @@
 //! timestep; a fault steps through its fetch period one slot per timestep.
 //! One DP transition is exactly one parallel timestep.
 
+use crate::intern::StateArena;
 use mcp_core::{PageId, SimConfig, Time, Workload};
 use std::fmt;
-
-/// The sequential-fallback threshold for the DP expansion pools: layers
-/// with fewer tasks than this stay on the calling thread (the
-/// scoped-thread round trip costs more than the expansion itself on tiny
-/// layers).
-///
-/// The default of 32 was tuned for the boxed state engine; the packed
-/// engine's expansions are an order of magnitude cheaper, so mid-size
-/// layers may still not amortize the pool. Override per process with the
-/// `MCP_MIN_PARALLEL_TASKS` environment variable (read once, cached; an
-/// unset or unparsable value keeps the default; `0` forces every batch
-/// onto the pool). The threshold never affects results — expansions
-/// merge in canonical order either way.
-pub fn min_parallel_tasks() -> usize {
-    static CACHE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("MCP_MIN_PARALLEL_TASKS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(32)
-    })
-}
-
-/// The pool both DPs expand layers on: `jobs == 0` defers to the
-/// process-wide setting, and batches smaller than
-/// [`min_parallel_tasks`] stay sequential. The choice never affects
-/// results — expansions are merged in canonical order either way.
-pub(crate) fn pool_for(jobs: usize, tasks: usize) -> mcp_exec::Pool {
-    if tasks < min_parallel_tasks() {
-        mcp_exec::Pool::new(1)
-    } else if jobs == 0 {
-        mcp_exec::Pool::global()
-    } else {
-        mcp_exec::Pool::new(jobs)
-    }
-}
 
 /// Execution statistics from a DP run (the `--stats` surface of
 /// `mcp opt` / `mcp pif`). All counts are worker-count-invariant.
@@ -171,6 +136,19 @@ impl DpInstance {
         self.seqs[i].len() as u64 * self.period() + 1
     }
 
+    /// The sum of the end positions: the position sum of exactly the
+    /// all-finished states.
+    pub(crate) fn end_sum(&self) -> u64 {
+        (0..self.num_cores()).map(|i| self.end_pos(i)).sum()
+    }
+
+    /// An empty arena for this instance's states (`force_spill`: see
+    /// [`StateArena::new`]).
+    pub(crate) fn arena(&self, force_spill: bool) -> StateArena {
+        let max_pos = (0..self.num_cores()).map(|i| self.end_pos(i)).max();
+        StateArena::new(self.num_cores(), max_pos.unwrap_or(1), force_spill)
+    }
+
     /// Whether position `x` of any sequence is a page boundary.
     pub fn at_boundary(&self, x: u64) -> bool {
         (x - 1).is_multiple_of(self.period())
@@ -237,26 +215,6 @@ pub fn step_effect(inst: &DpInstance, config: u64, positions: &[u32]) -> StepEff
         seq_faulted,
         next_positions: next.into_boxed_slice(),
     }
-}
-
-/// Reusable per-thread buffers for the allocation-free DP hot path
-/// (decoded positions and step outputs). One lives in a `thread_local`
-/// per expansion worker.
-#[derive(Default)]
-pub(crate) struct StepScratch {
-    pub(crate) pos: Vec<u32>,
-    pub(crate) next: Vec<u32>,
-    pub(crate) faulted: Vec<bool>,
-}
-
-/// Run `f` with this thread's [`StepScratch`] (expansion workers reuse
-/// the buffers across calls; the pool's threads each own one).
-pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut StepScratch) -> R) -> R {
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<StepScratch> =
-            std::cell::RefCell::new(StepScratch::default());
-    }
-    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 /// Allocation-free form of [`step_effect`] for the DP hot loops: writes
@@ -463,28 +421,35 @@ impl RangeUnion {
 }
 
 /// Serve `state` to completion taking the *first* lazy successor at
-/// every step, returning the number of additional faults incurred. This
-/// is a cheap achievable completion — governed DP runs use it to turn a
-/// truncated frontier into a genuine incumbent upper bound for the
-/// anytime bracket (the completion is honest/lazy, so it is a feasible
-/// schedule in the paper's model).
-pub fn greedy_completion_faults(inst: &DpInstance, state: &StateKey) -> u64 {
-    let mut config = state.0;
-    let mut positions = state.1.clone();
-    let mut faults = 0u64;
-    while !inst.all_finished(&positions) {
-        let effect = step_effect(inst, config, &positions);
-        faults += u64::from(effect.fault_count());
+/// every step: the states visited, `state` first.
+pub(crate) fn lazy_completion(inst: &DpInstance, state: StateKey) -> Vec<StateKey> {
+    let mut chain = vec![state];
+    loop {
+        let (config, positions) = chain.last().expect("nonempty chain");
+        if inst.all_finished(positions) {
+            return chain;
+        }
+        let effect = step_effect(inst, *config, positions);
         let mut chosen = None;
-        for_each_successor_config(inst, config, &effect, true, |cfg| {
-            if chosen.is_none() {
-                chosen = Some(cfg);
-            }
+        for_each_successor_config(inst, *config, &effect, true, |cfg| {
+            chosen.get_or_insert(cfg);
         });
-        config = chosen.expect("a lazy successor always exists");
-        positions = effect.next_positions;
+        let config = chosen.expect("a lazy successor always exists");
+        chain.push((config, effect.next_positions));
     }
-    faults
+}
+
+/// The additional faults of serving `state` to completion taking the
+/// *first* lazy successor at every step: a cheap achievable completion
+/// (honest/lazy, so a feasible schedule in the paper's model). Governed
+/// DP runs use it to turn a truncated frontier into a genuine incumbent
+/// upper bound for the anytime bracket.
+pub fn greedy_completion_faults(inst: &DpInstance, state: &StateKey) -> u64 {
+    let chain = lazy_completion(inst, state.clone());
+    let faults = chain
+        .windows(2)
+        .map(|w| step_effect(inst, w[0].0, &w[0].1).fault_count());
+    faults.map(u64::from).sum()
 }
 
 /// A fully identified DP state.

@@ -169,9 +169,9 @@ fn check_engines<S: CacheStrategy>(
     }
 }
 
-/// Every registered family on all three engines, plus, on disjoint
-/// workloads, a two-stage dynamic partition (the Theorem 1.3 strategies
-/// assume disjoint sequences: a shared page can pin a whole part).
+/// Every registered family on all three engines, plus a two-stage
+/// dynamic partition, which on shared workloads must borrow a cell when a
+/// shared page pins a whole part.
 fn check_all(
     w: &Workload,
     cfg: SimConfig,
@@ -188,9 +188,6 @@ fn check_all(
         let make = || build_family(family, w, cfg, seed).unwrap();
         check_engines(w, cfg, capacity, online, chunk, make, &mut checked);
     }
-    if !w.is_disjoint() {
-        return checked;
-    }
     let p = w.num_cores();
     let staged = || {
         let mut skewed = vec![1; p];
@@ -203,7 +200,7 @@ fn check_all(
             Lru::new,
         )
     };
-    check_engines(w, cfg, capacity, false, chunk, staged, &mut checked);
+    check_engines(w, cfg, capacity, true, chunk, staged, &mut checked);
     checked
 }
 

@@ -225,7 +225,13 @@ impl<P: EvictionPolicy> CacheStrategy for StagedPartition<P> {
             }
             None => None,
         }
-        .expect("full part must have an evictable page")
+        // Non-disjoint edge case, as in `StaticPartition`: another core's
+        // simultaneous reads pin every page of both parts. Borrow any
+        // evictable cell — or an empty one, when everything Present is
+        // pinned (a part can be full by ownership while others are empty).
+        .or_else(|| cache.victims().first())
+        .or_else(|| cache.empty_cell())
+        .expect("pin discipline guarantees a free or evictable cell")
     }
 
     fn on_fault(&mut self, core: usize, page: PageId, _time: Time, cell: usize, cache: &Cache) {

@@ -88,3 +88,26 @@ fn shrink_boundary_is_honoured_even_mid_fetch() {
     // Conservation still holds.
     assert_eq!(r.faults[0] + r.hits[0], 12);
 }
+
+#[test]
+fn fully_pinned_parts_borrow_a_cell_on_shared_workloads() {
+    // Page 1 is shared, and a simultaneous read of it can pin every page
+    // a faulting core's part owns. The staged partition used to panic
+    // here for want of an evictable page; like the static partition it
+    // now borrows a cell.
+    let w = Workload::from_u32([vec![2, 1], vec![1, 0]]).unwrap();
+    let cfg = SimConfig::new(3, 1);
+    let part = Partition::equal(3, 2);
+    let staged = simulate(
+        &w,
+        cfg,
+        StagedPartition::uniform(vec![(1, part.clone())], Lru::new),
+    );
+    let staged = staged.unwrap();
+    let fixed = simulate(&w, cfg, static_partition_lru(part)).unwrap();
+    assert_eq!(staged.faults, fixed.faults);
+    assert_eq!(staged.fault_times, fixed.fault_times);
+    for core in 0..2 {
+        assert_eq!(staged.faults[core] + staged.hits[core], 2);
+    }
+}
