@@ -9,8 +9,9 @@
 //! pages).
 
 use crate::hash::FxHashMap;
-use crate::types::{PageId, Time};
+use crate::types::{PageId, PageIds, Time, Workload};
 use crate::victims::Victims;
+use std::sync::Arc;
 
 /// State of a single cache cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,6 +78,9 @@ pub enum CacheError {
     /// Attempted to start a fetch while the cache is already at (or,
     /// transiently, above) its current capacity limit `K(t)`.
     CapacityExceeded { limit: usize },
+    /// Attempted to fetch a page outside the workload whose page ids are
+    /// the cache's slots ([`Cache::for_workload`]).
+    NotInWorkload { page: PageId },
 }
 
 impl std::fmt::Display for CacheError {
@@ -104,6 +108,9 @@ impl std::fmt::Display for CacheError {
                     f,
                     "cannot start a fetch: cache is at its capacity limit {limit}"
                 )
+            }
+            CacheError::NotInWorkload { page } => {
+                write!(f, "page {page} is not in the cache's workload")
             }
         }
     }
@@ -141,12 +148,19 @@ fn bit_test(words: &[u64], i: usize) -> bool {
 /// per cell, plus one `owned` bitset per core — so the legal victims of a
 /// fault are a word mask ([`Cache::victims`]) and clearing the step's
 /// pins is a word fill. A cell that is neither free nor present is
-/// fetching. Pages are *interned*: the first time a page is seen it gets
-/// a dense slot that it keeps for the life of the cache, and the
-/// `slot → cell` / `cell → slot` arrays replace a page-keyed map, so the
-/// engine resolves a request's slot once per step ([`Cache::intern`]) and
-/// every later lookup, fetch and eviction is array work. The slot table
-/// grows with the number of distinct pages seen, not with `K`.
+/// fetching. Every page has a dense *slot*, and the `slot → cell` /
+/// `cell → slot` arrays replace a page-keyed map, so once a request's
+/// slot is known every lookup, fetch and eviction is array work. Slots
+/// come from one of two sources:
+///
+/// * a cache built [`Cache::for_workload`] (offline runs) takes the
+///   workload's [`PageIds`]: a page's slot is its id, the slot table is
+///   sized once, and the engine reads a request's slot from the table
+///   with no hash at all;
+/// * a cache built [`Cache::new`] (the incremental engine, tests)
+///   *interns* pages: the first time a page is seen it gets the next
+///   slot, which it keeps for the life of the cache ([`Cache::intern`]),
+///   so the slot table grows with the number of distinct pages seen.
 #[derive(Clone, Debug)]
 pub struct Cache {
     /// `page[cell]`: the page an occupied cell holds (stale when empty).
@@ -155,11 +169,13 @@ pub struct Cache {
     ready_at: Vec<Time>,
     /// `owner[cell]`: the core that brought the page in (`NONE` if empty).
     owner: Vec<u32>,
-    /// Page → slot, grow-only. Point lookups only (never iterated), so
-    /// the deterministic [`FxHashMap`] is safe here.
+    /// Page → slot of an interning cache, grow-only (empty when `ids` is
+    /// set). Point lookups only (never iterated), so the deterministic
+    /// [`FxHashMap`] is safe here.
     slots: FxHashMap<PageId, u32>,
-    /// `slot_page[slot]`: the page interned at `slot`.
-    slot_page: Vec<PageId>,
+    /// The workload's page table when slots are its page ids
+    /// ([`Cache::for_workload`]); shared, never copied per cache.
+    ids: Option<Arc<PageIds>>,
     /// `slot_cell[slot]`: the cell holding the slot's page, resident or in
     /// flight (`NONE` when absent).
     slot_cell: Vec<u32>,
@@ -199,8 +215,18 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Create an empty cache with `cache_size` cells serving `num_cores` cores.
+    /// Create an empty cache with `cache_size` cells serving `num_cores`
+    /// cores, interning pages as it meets them.
     pub fn new(cache_size: usize, num_cores: usize) -> Self {
+        Cache {
+            slots: FxHashMap::with_capacity_and_hasher(cache_size, Default::default()),
+            slot_cell: Vec::with_capacity(cache_size),
+            ..Cache::without_slots(cache_size, num_cores)
+        }
+    }
+
+    /// An empty cache with no slot source yet (nothing allocated for one).
+    fn without_slots(cache_size: usize, num_cores: usize) -> Self {
         let words = cache_size.div_ceil(64);
         let mut free = vec![u64::MAX; words];
         if let Some(last) = free.last_mut() {
@@ -213,9 +239,9 @@ impl Cache {
             page: vec![PageId(0); cache_size],
             ready_at: vec![0; cache_size],
             owner: vec![NONE; cache_size],
-            slots: FxHashMap::with_capacity_and_hasher(cache_size, Default::default()),
-            slot_page: Vec::with_capacity(cache_size),
-            slot_cell: Vec::with_capacity(cache_size),
+            slots: FxHashMap::default(),
+            ids: None,
+            slot_cell: Vec::new(),
             cell_slot: vec![NONE; cache_size],
             occupied: 0,
             owned_counts: vec![0; num_cores],
@@ -227,6 +253,20 @@ impl Cache {
             pinned: vec![0; words],
             owned: vec![0; words * num_cores],
             limit: cache_size,
+        }
+    }
+
+    /// Create an empty cache with `cache_size` cells serving `workload`'s
+    /// cores whose slots are the workload's page ids
+    /// ([`Workload::page_ids`], built here if it was not yet): the slot
+    /// table is sized once and nothing is interned. It holds only pages
+    /// of `workload`: [`Cache::start_fetch`] refuses any other.
+    pub fn for_workload(cache_size: usize, workload: &Workload) -> Self {
+        let ids = Arc::clone(workload.page_ids());
+        Cache {
+            slot_cell: vec![NONE; ids.len()],
+            ids: Some(ids),
+            ..Cache::without_slots(cache_size, workload.num_cores())
         }
     }
 
@@ -249,24 +289,37 @@ impl Cache {
         self.occupied.saturating_sub(self.limit)
     }
 
-    /// The dense slot of `page`, interning it on first sight. Slots are
-    /// never reused or dropped, so a slot stays valid for the cache's
-    /// lifetime.
+    /// The dense slot of `page` in an interning cache ([`Cache::new`]),
+    /// interning it on first sight. Slots are never reused or dropped, so
+    /// a slot stays valid for the cache's lifetime. A cache built
+    /// [`Cache::for_workload`] already has every slot: read it with
+    /// [`Cache::slot_of`] instead.
+    ///
+    /// # Panics
+    /// On a cache built [`Cache::for_workload`].
     #[inline]
     pub fn intern(&mut self, page: PageId) -> usize {
-        let next = self.slot_page.len() as u32;
+        let next = self.slot_cell.len() as u32;
         let slot = *self.slots.entry(page).or_insert(next);
         if slot == next {
-            self.slot_page.push(page);
+            // A dense cache's map stays empty, so a call on it always
+            // lands here, and an interning cache's hits never reach the
+            // check.
+            assert!(self.ids.is_none(), "interning into a dense cache");
             self.slot_cell.push(NONE);
         }
         slot as usize
     }
 
-    /// The slot of `page`, if it was ever interned.
+    /// The slot of `page`: its page id in a cache built
+    /// [`Cache::for_workload`], else its interned slot, if it was ever
+    /// interned.
     #[inline]
-    fn slot_of(&self, page: PageId) -> Option<usize> {
-        self.slots.get(&page).map(|&s| s as usize)
+    pub fn slot_of(&self, page: PageId) -> Option<usize> {
+        match &self.ids {
+            Some(ids) => ids.id(page),
+            None => self.slots.get(&page).map(|&s| s as usize),
+        }
     }
 
     /// The cell holding the page interned at `slot` (resident or in
@@ -541,7 +594,9 @@ impl Cache {
     }
 
     /// Begin fetching `page` for `core` into the empty cell `cell`; the page
-    /// becomes resident at `ready_at`.
+    /// becomes resident at `ready_at`. A cache built
+    /// [`Cache::for_workload`] refuses a page outside the workload
+    /// ([`CacheError::NotInWorkload`]).
     pub fn start_fetch(
         &mut self,
         cell: usize,
@@ -549,23 +604,34 @@ impl Cache {
         core: usize,
         ready_at: Time,
     ) -> Result<(), CacheError> {
-        self.check_fetch(cell, self.slot_of(page), page)?;
-        let slot = self.intern(page);
-        self.fill(cell, slot, core, ready_at);
+        let slot = self.slot_of(page);
+        self.check_fetch(cell, slot, page)?;
+        let slot = match slot {
+            Some(slot) => slot,
+            None if self.ids.is_some() => return Err(CacheError::NotInWorkload { page }),
+            None => self.intern(page),
+        };
+        self.fill(cell, slot, page, core, ready_at);
         Ok(())
     }
 
-    /// [`Cache::start_fetch`] of the page interned at `slot`.
+    /// [`Cache::start_fetch`] of `page`, whose slot is `slot`.
     #[inline]
     pub fn start_fetch_slot(
         &mut self,
         cell: usize,
         slot: usize,
+        page: PageId,
         core: usize,
         ready_at: Time,
     ) -> Result<(), CacheError> {
-        self.check_fetch(cell, Some(slot), self.slot_page[slot])?;
-        self.fill(cell, slot, core, ready_at);
+        debug_assert_eq!(
+            self.slot_of(page),
+            Some(slot),
+            "page {page} is not at slot {slot}"
+        );
+        self.check_fetch(cell, Some(slot), page)?;
+        self.fill(cell, slot, page, core, ready_at);
         Ok(())
     }
 
@@ -592,8 +658,8 @@ impl Cache {
     }
 
     #[inline]
-    fn fill(&mut self, cell: usize, slot: usize, core: usize, ready_at: Time) {
-        self.page[cell] = self.slot_page[slot];
+    fn fill(&mut self, cell: usize, slot: usize, page: PageId, core: usize, ready_at: Time) {
+        self.page[cell] = page;
         self.ready_at[cell] = ready_at;
         self.owner[cell] = core as u32;
         self.owned_counts[core] += 1;
@@ -650,20 +716,22 @@ impl Cache {
         {
             return Err("bit set past the last cell".into());
         }
-        if self.slots.len() != self.slot_page.len() || self.slot_cell.len() != self.slot_page.len()
-        {
+        let slots = match &self.ids {
+            Some(ids) => ids.len(),
+            None => self.slots.len(),
+        };
+        if slots != self.slot_cell.len() || (self.ids.is_some() && !self.slots.is_empty()) {
             return Err(format!(
-                "slot tables disagree: {} interned, {} pages, {} cells",
+                "slot tables disagree: {slots} slots, {} interned, {} cells",
                 self.slots.len(),
-                self.slot_page.len(),
                 self.slot_cell.len()
             ));
         }
-        for (&page, &slot) in &self.slots {
-            if self.slot_page.get(slot as usize) != Some(&page) {
-                return Err(format!(
-                    "page {page} interned at slot {slot}, which holds another"
-                ));
+        let mut interned = vec![false; self.slots.len()];
+        for &slot in self.slots.values() {
+            match interned.get_mut(slot as usize) {
+                Some(seen) if !*seen => *seen = true,
+                _ => return Err(format!("interned slot {slot} out of range or repeated")),
             }
         }
         let mut occupied = 0usize;
@@ -714,10 +782,10 @@ impl Cache {
                     "cell {cell} maps to slot {slot}, which maps elsewhere"
                 ));
             }
-            if self.slot_page[slot] != self.page[cell] {
+            if self.slot_of(self.page[cell]) != Some(slot) {
                 return Err(format!(
-                    "cell {cell} holds page {} but its slot {slot} is page {}",
-                    self.page[cell], self.slot_page[slot]
+                    "cell {cell} holds page {} but maps to slot {slot}",
+                    self.page[cell]
                 ));
             }
             match self.owner(cell) {
@@ -920,6 +988,28 @@ mod tests {
         c.clear_pins();
         c.evict(3).unwrap();
         c.debug_validate().unwrap();
+    }
+
+    #[test]
+    fn a_dense_cache_refuses_pages_outside_its_workload() {
+        let w = Workload::from_u32([vec![5, 3], vec![3, 8]]).unwrap();
+        let mut c = Cache::for_workload(2, &w);
+        assert_eq!(c.slot_of(p(8)), Some(2));
+        assert_eq!(c.slot_of(p(9)), None);
+        assert_eq!(
+            c.start_fetch(0, p(9), 0, 1),
+            Err(CacheError::NotInWorkload { page: p(9) })
+        );
+        c.start_fetch(0, p(8), 1, 1).unwrap();
+        assert_eq!(c.cell_of(p(8)), Some(0));
+        c.debug_validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "interning into a dense cache")]
+    fn a_dense_cache_interns_nothing() {
+        let w = Workload::from_u32([vec![5, 3]]).unwrap();
+        Cache::for_workload(2, &w).intern(p(5));
     }
 
     #[test]

@@ -66,7 +66,8 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use online::{OnlineError, OnlineSimulator};
 pub use sim::{
     simulate, simulate_with_capacity, Outcome, Served, SimError, SimResult, Simulator, StepReport,
+    Storage,
 };
 pub use strategy::CacheStrategy;
-pub use types::{ModelError, PageId, SimConfig, Time, Workload};
+pub use types::{ModelError, PageId, PageIds, SimConfig, Time, Workload};
 pub use victims::{CellSet, Victims};

@@ -91,7 +91,7 @@ use crate::cache::{Cache, CacheError, Lookup};
 use crate::capacity::CapacitySchedule;
 use crate::online::OnlineError;
 use crate::strategy::CacheStrategy;
-use crate::types::{ModelError, PageId, SimConfig, Time, Workload};
+use crate::types::{ModelError, PageId, PageIds, SimConfig, Time, Workload};
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -224,18 +224,79 @@ impl SimResult {
     }
 }
 
+/// How a [`Simulator`] holds its workload, which also fixes where a
+/// request's cache slot comes from. Implemented by the two storages:
+///
+/// * `&'w Workload`, an offline run over a complete workload that many
+///   runs may share: the cache's slots are the workload's page ids
+///   ([`Workload::page_ids`], built once per workload), so a request's
+///   slot is one array read and a run hashes no request;
+/// * an owned `Workload` growing at the tail, the incremental engine
+///   behind [`crate::online::OnlineSimulator`]: each admitted request is
+///   seen once, so a table kept up at `push` would only move the hash
+///   probe there and cost 4 B per request. The cache interns each
+///   request's page when its step is formed ([`Cache::intern`]).
+///
+/// The choice is made by type, so neither kind pays a branch per request.
+pub trait Storage<'w>: Borrow<Workload> {
+    /// What the pin loop reads slots from.
+    type Slots: Copy;
+
+    /// The cache of a run with `cells` cells, and its slot source.
+    fn cache(&self, cells: usize) -> (Cache, Self::Slots);
+
+    /// The cache slot of request `pos` of core `core`.
+    fn slot(
+        slots: Self::Slots,
+        workload: &Workload,
+        cache: &mut Cache,
+        core: usize,
+        pos: usize,
+    ) -> usize;
+}
+
+impl<'w> Storage<'w> for &'w Workload {
+    type Slots = &'w PageIds;
+
+    fn cache(&self, cells: usize) -> (Cache, &'w PageIds) {
+        let workload: &'w Workload = self;
+        (Cache::for_workload(cells, workload), workload.page_ids())
+    }
+
+    #[inline]
+    fn slot(ids: &'w PageIds, _: &Workload, _: &mut Cache, core: usize, pos: usize) -> usize {
+        ids.id_at(core, pos)
+    }
+}
+
+impl Storage<'static> for Workload {
+    type Slots = ();
+
+    fn cache(&self, cells: usize) -> (Cache, ()) {
+        (Cache::new(cells, self.num_cores()), ())
+    }
+
+    #[inline]
+    fn slot(_: (), workload: &Workload, cache: &mut Cache, core: usize, pos: usize) -> usize {
+        cache.intern(workload.sequence(core)[pos])
+    }
+}
+
 /// A stepping simulator: drive it with [`Simulator::step`] or run it to
 /// completion with [`Simulator::run`] / the [`simulate`] convenience.
 ///
 /// This is the event-driven engine (see the module docs): per-core clocks
 /// live in two sorted lists of `(next_time, core)` wake-ups, fetch
 /// completions ride them, and idle time is skipped outright.
-pub struct Simulator<'w, S: CacheStrategy, W: Borrow<Workload> = &'w Workload> {
+pub struct Simulator<'w, S: CacheStrategy, W: Storage<'w> = &'w Workload> {
     /// Borrowed (`&'w Workload`) for offline runs; owned, and growing at
     /// the tail, for incremental ones ([`crate::online::OnlineSimulator`]).
     /// A type parameter rather than a `Cow`, so neither kind pays a
-    /// branch per request to reach its sequences.
+    /// branch per request to reach its sequences or its slots (see
+    /// [`Storage`]).
     workload: W,
+    /// Where the pin loop reads each request's cache slot.
+    slots: W::Slots,
     /// Ties `'w` to the default, borrowed storage.
     borrow: PhantomData<&'w Workload>,
     cfg: SimConfig,
@@ -282,7 +343,7 @@ pub struct Simulator<'w, S: CacheStrategy, W: Borrow<Workload> = &'w Workload> {
     /// [`CacheStrategy::defer`] consulted, so the serve path of every
     /// other strategy pays one branch per step for the stall model.
     defers: bool,
-    /// `due_slot[core]`: the cache slot ([`Cache::intern`]) of the page
+    /// `due_slot[core]`: the cache slot ([`Storage::slot`]) of the page
     /// the core requests in the step being served, set by the pin loop.
     due_slot: Vec<usize>,
     /// `closed[core]`: no more requests may arrive for `core`. Offline
@@ -386,7 +447,7 @@ impl<'w, S: CacheStrategy> Simulator<'w, S> {
     }
 }
 
-impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
+impl<'w, S: CacheStrategy, W: Storage<'w>> Simulator<'w, S, W> {
     fn build(
         storage: W,
         cfg: SimConfig,
@@ -413,11 +474,12 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
         strategy.begin(workload, &cfg);
         let p = workload.num_cores();
         let admitted = workload.total_len();
-        let mut cache = Cache::new(capacity.max_k(), p);
+        let (mut cache, slots) = storage.cache(capacity.max_k());
         cache.set_limit(cfg.cache_size);
         let defers = strategy.defers();
         Ok(Simulator {
             workload: storage,
+            slots,
             borrow: PhantomData,
             cfg,
             capacity,
@@ -695,8 +757,8 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
                 self.pending_promote[core] = u32::MAX;
             }
             // Resolve the request's cache slot once: the lookup and the
-            // fetch below reuse it instead of probing the page map again.
-            let slot = self.cache.intern(workload.sequence(core)[self.pos[core]]);
+            // fetch below go through it.
+            let slot = W::slot(self.slots, workload, &mut self.cache, core, self.pos[core]);
             self.cache.pin_slot(slot);
             self.due_slot[core] = slot;
         }
@@ -778,7 +840,7 @@ impl<'w, S: CacheStrategy, W: Borrow<Workload>> Simulator<'w, S, W> {
                         }
                     };
                     self.cache
-                        .start_fetch_slot(cell, slot, core, t + self.cfg.tau + 1)?;
+                        .start_fetch_slot(cell, slot, page, core, t + self.cfg.tau + 1)?;
                     // The completion coincides with this core's next
                     // wake-up, which is always queued: it rides that.
                     self.pending_promote[core] = cell as u32;

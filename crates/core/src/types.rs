@@ -8,6 +8,7 @@
 
 use crate::hash::{FxHashMap, FxHashSet};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Discrete simulation time. The first requests issue at `t = 1`.
 pub type Time = u64;
@@ -131,10 +132,25 @@ impl std::error::Error for ModelError {}
 /// prints the same rows behind a `p = …` header on a fresh line, so
 /// assertion failures and shrunk fuzz counterexamples paste directly into
 /// a trace file.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// Equality compares the sequences only, whether or not either side has
+/// built its [`PageIds`] yet.
+#[derive(Clone)]
 pub struct Workload {
     sequences: Vec<Vec<PageId>>,
+    /// The dense page table, built on first use ([`Workload::page_ids`])
+    /// and shared by every run over the workload (one `Arc`, also across
+    /// clones: a clone has the same sequences).
+    page_ids: OnceLock<Arc<PageIds>>,
 }
+
+impl PartialEq for Workload {
+    fn eq(&self, other: &Self) -> bool {
+        self.sequences == other.sequences
+    }
+}
+
+impl Eq for Workload {}
 
 impl fmt::Display for Workload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -162,7 +178,10 @@ impl Workload {
         if sequences.is_empty() {
             return Err(ModelError::NoSequences);
         }
-        Ok(Workload { sequences })
+        Ok(Workload {
+            sequences,
+            page_ids: OnceLock::new(),
+        })
     }
 
     /// Build a workload from raw `u32` page numbers (test/dev convenience).
@@ -186,9 +205,11 @@ impl Workload {
 
     /// Append `page` at the tail of core `core`'s sequence — how the
     /// incremental engine admits a request. Returns the sequence's length
-    /// before the push, i.e. the new request's index.
+    /// before the push, i.e. the new request's index. A page table built
+    /// earlier is dropped, so [`Workload::page_ids`] never reads stale.
     #[inline]
     pub(crate) fn push(&mut self, core: usize, page: PageId) -> usize {
+        self.page_ids.take();
         let seq = &mut self.sequences[core];
         seq.push(page);
         seq.len() - 1
@@ -224,44 +245,32 @@ impl Workload {
         self.sequences.iter().map(Vec::len).max().unwrap_or(0)
     }
 
+    /// The workload's dense page table, built on first use and shared by
+    /// every later call (and every clone): clone the `Arc` to keep it.
+    /// Offline engine runs take a request's page id as its cache slot, so
+    /// they hash no request.
+    pub fn page_ids(&self) -> &Arc<PageIds> {
+        self.page_ids
+            .get_or_init(|| Arc::new(PageIds::new(&self.sequences)))
+    }
+
     /// Sorted distinct pages appearing anywhere in the workload.
     pub fn universe(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self
-            .sequences
-            .iter()
-            .flatten()
-            .copied()
-            .collect::<FxHashSet<_>>()
-            .into_iter()
-            .collect();
+        let mut pages = self.page_ids().pages().to_vec();
         pages.sort_unstable();
         pages
     }
 
     /// Number of distinct pages `w` in the workload.
     pub fn universe_size(&self) -> usize {
-        self.sequences
-            .iter()
-            .flatten()
-            .copied()
-            .collect::<FxHashSet<_>>()
-            .len()
+        self.page_ids().len()
     }
 
     /// `true` iff the per-core sequences are pairwise disjoint
     /// (`∩_j R_j = ∅` pairwise, the paper's "disjoint request" condition).
-    ///
-    /// One pass over the requests, remembering each page's first core.
+    /// Read from the page table.
     pub fn is_disjoint(&self) -> bool {
-        let mut owner: FxHashMap<PageId, usize> = FxHashMap::default();
-        for (core, seq) in self.sequences.iter().enumerate() {
-            for &page in seq {
-                if *owner.entry(page).or_insert(core) != core {
-                    return false;
-                }
-            }
-        }
-        true
+        self.page_ids().is_disjoint()
     }
 
     /// A copy with every sequence truncated to its first `n` requests —
@@ -273,6 +282,7 @@ impl Workload {
                 .iter()
                 .map(|s| s.iter().copied().take(n).collect())
                 .collect(),
+            page_ids: OnceLock::new(),
         }
     }
 
@@ -293,6 +303,106 @@ impl Workload {
             .collect();
         pages.sort_unstable();
         pages
+    }
+}
+
+/// A workload's pages numbered densely, `0..len()`, in order of first
+/// appearance (core 0's sequence first, then core 1's, ...): each
+/// request's id, the id → page list and the page → id index. Built once
+/// per workload ([`Workload::page_ids`]); offline engine runs use a
+/// request's id as its cache slot, and the offline policies index their
+/// next-use tables by it.
+#[derive(Debug)]
+pub struct PageIds {
+    /// Every request's id, core-major: core `j`'s are
+    /// `ids[starts[j]..starts[j + 1]]`.
+    ids: Vec<u32>,
+    starts: Vec<usize>,
+    /// `pages[id]`: the page numbered `id`.
+    pages: Vec<PageId>,
+    /// Page → id. Point lookups only, so the deterministic
+    /// [`FxHashMap`] is safe here.
+    index: FxHashMap<PageId, u32>,
+    /// No page is requested by two cores.
+    disjoint: bool,
+}
+
+/// The table of no requests.
+impl Default for PageIds {
+    fn default() -> Self {
+        PageIds::new(&[])
+    }
+}
+
+impl PageIds {
+    fn new(sequences: &[Vec<PageId>]) -> Self {
+        let total = sequences.iter().map(Vec::len).sum();
+        let mut ids = Vec::with_capacity(total);
+        let mut starts = Vec::with_capacity(sequences.len() + 1);
+        let mut pages = Vec::new();
+        let mut index = FxHashMap::default();
+        // `owner[id]`: the core that requested the page first.
+        let mut owner: Vec<u32> = Vec::new();
+        let mut disjoint = true;
+        for (core, seq) in sequences.iter().enumerate() {
+            starts.push(ids.len());
+            for &page in seq {
+                let next = pages.len() as u32;
+                let id = *index.entry(page).or_insert(next);
+                if id == next {
+                    pages.push(page);
+                    owner.push(core as u32);
+                } else {
+                    disjoint &= owner[id as usize] == core as u32;
+                }
+                ids.push(id);
+            }
+        }
+        starts.push(ids.len());
+        PageIds {
+            ids,
+            starts,
+            pages,
+            index,
+            disjoint,
+        }
+    }
+
+    /// Number of distinct pages.
+    pub fn len(&self) -> usize {
+        self.pages.len()
+    }
+
+    /// `true` iff the workload requests no page.
+    pub fn is_empty(&self) -> bool {
+        self.pages.is_empty()
+    }
+
+    /// The ids of core `core`'s requests, in sequence order.
+    pub fn ids(&self, core: usize) -> &[u32] {
+        &self.ids[self.starts[core]..self.starts[core + 1]]
+    }
+
+    /// The id of request `pos` of core `core`.
+    #[inline]
+    pub fn id_at(&self, core: usize, pos: usize) -> usize {
+        self.ids[self.starts[core] + pos] as usize
+    }
+
+    /// The pages, indexed by id.
+    pub fn pages(&self) -> &[PageId] {
+        &self.pages
+    }
+
+    /// The id of `page`, if the workload requests it.
+    #[inline]
+    pub fn id(&self, page: PageId) -> Option<usize> {
+        self.index.get(&page).map(|&id| id as usize)
+    }
+
+    /// `true` iff no page is requested by two cores.
+    pub fn is_disjoint(&self) -> bool {
+        self.disjoint
     }
 }
 
@@ -396,5 +506,51 @@ mod tests {
         // Empty sequences still get their row (cores are positional).
         let w = Workload::from_u32([vec![], vec![5u32]]).unwrap();
         assert_eq!(w.to_string(), "0:\n1: 5\n");
+    }
+
+    #[test]
+    fn page_ids_number_pages_in_first_appearance_order() {
+        let w = Workload::from_u32([vec![9, 4, 9], vec![], vec![4, 7]]).unwrap();
+        let ids = w.page_ids();
+        assert_eq!(ids.pages(), &[PageId(9), PageId(4), PageId(7)]);
+        assert_eq!(ids.ids(0), &[0, 1, 0]);
+        assert!(ids.ids(1).is_empty());
+        assert_eq!(ids.ids(2), &[1, 2]);
+        assert_eq!(ids.id_at(2, 1), 2);
+        assert_eq!(ids.id(PageId(4)), Some(1));
+        assert_eq!(ids.id(PageId(5)), None);
+        assert!(!ids.is_disjoint());
+        // Built once: every call, and every clone, shares the table.
+        assert!(std::ptr::eq(ids, w.page_ids()));
+        assert!(Arc::ptr_eq(w.page_ids(), w.clone().page_ids()));
+        let empty = PageIds::default();
+        assert!(empty.is_empty() && empty.is_disjoint());
+    }
+
+    #[test]
+    fn equality_ignores_whether_the_page_table_was_built() {
+        let a = Workload::from_u32([vec![1, 2], vec![3]]).unwrap();
+        let b = a.clone();
+        a.page_ids();
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        assert_ne!(a, Workload::from_u32([vec![1, 2], vec![4]]).unwrap());
+    }
+
+    #[test]
+    fn push_after_page_ids_leaves_a_correct_table() {
+        let mut w = Workload::from_u32([vec![1, 2], vec![3]]).unwrap();
+        assert!(w.is_disjoint());
+        assert_eq!(w.universe_size(), 3);
+        assert_eq!(w.push(1, PageId(2)), 1);
+        assert_eq!(w.push(0, PageId(8)), 2);
+        let fresh = Workload::from_u32([vec![1, 2, 8], vec![3, 2]]).unwrap();
+        assert_eq!(w, fresh);
+        assert!(!w.is_disjoint());
+        assert_eq!(w.universe_size(), 4);
+        for core in 0..2 {
+            assert_eq!(w.page_ids().ids(core), fresh.page_ids().ids(core));
+        }
+        assert_eq!(w.page_ids().pages(), fresh.page_ids().pages());
     }
 }

@@ -4,9 +4,12 @@
 //! `debug_validate` must pass, every operation must succeed or fail
 //! exactly as the model says, and the evictable set, the per-core
 //! evictable sets, the victim views, `owned_count`, lookups and the
-//! empty-cell choice must all match the model.
+//! empty-cell choice must all match the model. Both slot sources run: an
+//! interning cache (`Cache::new`) and a dense one (`Cache::for_workload`)
+//! whose slots are the page ids of a workload listing the pages in a
+//! random order, so a slot is never the page's number by accident.
 
-use mcp_core::{Cache, CacheError, CellState, Lookup, PageId, Time};
+use mcp_core::{Cache, CacheError, CellState, Lookup, PageId, Time, Workload};
 use proptest::prelude::*;
 
 /// Pages are drawn from `0..UNIVERSE`.
@@ -15,8 +18,8 @@ const CORES: usize = 3;
 
 #[derive(Clone, Debug)]
 enum Op {
-    /// `start_fetch`, by page or (`by_slot`) through `intern` +
-    /// `start_fetch_slot`.
+    /// `start_fetch`, by page or (`by_slot`) through the page's slot
+    /// (`intern`, or `slot_of` on a dense cache) + `start_fetch_slot`.
     Fetch {
         cell: usize,
         page: u32,
@@ -222,8 +225,31 @@ fn check(cache: &Cache, model: &Model, step: usize) {
     }
 }
 
-fn run(k: usize, ops: &[Op]) {
-    let mut cache = Cache::new(k, CORES);
+/// A `CORES`-core workload requesting every page of `0..UNIVERSE`, first
+/// in the order `order` lists them (then again in page order, so the
+/// table does not just follow the draw).
+fn dense_workload(order: &[u32]) -> Workload {
+    let mut seqs = vec![Vec::new(); CORES];
+    for (i, &v) in order
+        .iter()
+        .chain(&(0..UNIVERSE).collect::<Vec<_>>())
+        .enumerate()
+    {
+        seqs[i % CORES].push(PageId(v));
+    }
+    Workload::new(seqs).unwrap()
+}
+
+fn run(k: usize, ops: &[Op], dense: Option<&Workload>) {
+    let mut cache = match dense {
+        Some(w) => Cache::for_workload(k, w),
+        None => Cache::new(k, CORES),
+    };
+    if let Some(w) = dense {
+        for (id, &page) in w.page_ids().pages().iter().enumerate() {
+            prop_assert_eq!(cache.slot_of(page), Some(id));
+        }
+    }
     let mut model = Model::new(k);
     check(&cache, &model, 0);
     for (step, op) in ops.iter().enumerate() {
@@ -238,8 +264,11 @@ fn run(k: usize, ops: &[Op]) {
                 let page = PageId(page);
                 let want = model.start_fetch(cell, page, core, ready_at);
                 let got = if by_slot {
-                    let slot = cache.intern(page);
-                    let got = cache.start_fetch_slot(cell, slot, core, ready_at);
+                    let slot = match dense {
+                        Some(_) => cache.slot_of(page).expect("every page has a dense slot"),
+                        None => cache.intern(page),
+                    };
+                    let got = cache.start_fetch_slot(cell, slot, page, core, ready_at);
                     if got.is_ok() {
                         prop_assert_eq!(cache.lookup_slot(slot), cache.lookup(page));
                     }
@@ -307,11 +336,17 @@ proptest! {
         small in 1usize..=8,
         large in 70usize..=130,
         raw in prop::collection::vec((0u8..16, 0usize..1000, 0..UNIVERSE, 0u64..6), 0..120),
+        keys in prop::collection::vec(0u32..1000, UNIVERSE as usize),
     ) {
         // Small caches hit the capacity and pin corners; 70..=130 cells
         // cross one or two bitset word boundaries.
         let k = if wide == 1 { large } else { small };
         let ops: Vec<Op> = raw.into_iter().map(|r| decode(k, r)).collect();
-        run(k, &ops);
+        // Every case drives both slot sources: an interning cache, then a
+        // dense one whose workload lists the pages sorted by a random key.
+        run(k, &ops, None);
+        let mut order: Vec<u32> = (0..UNIVERSE).collect();
+        order.sort_by_key(|&v| (keys[v as usize], v));
+        run(k, &ops, Some(&dense_workload(&order)));
     }
 }

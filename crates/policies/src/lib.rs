@@ -48,7 +48,7 @@ use mcp_core::Workload;
 pub fn static_partition_belady(partition: Partition) -> StaticPartition<Belady> {
     StaticPartition::with_factory(
         partition,
-        Box::new(|core, w: &Workload, _| Belady::for_sequence(w.sequence(core))),
+        Box::new(|core, w: &Workload, _| Belady::for_core(w, core)),
     )
 }
 

@@ -3,17 +3,22 @@
 //! [`SacrificeOffline`](crate::SacrificeOffline)).
 //!
 //! The standard Belady trick, cf. the offline `belady_seq` module: every
-//! page gets a dense index, one backward scan per sequence links each
-//! position to the next occurrence of its page, and each served request
-//! moves one `upcoming` slot forward in O(1). The tables keep one slot
-//! per (page, sequence requesting it) pair, packed by page, so they grow
-//! with the trace, not with pages × sequences. A page's slot range is
-//! resolved once, when it enters a cache cell ([`NextUse::place`]), and
-//! kept in a cell-indexed array, so a next-use or distance query during
-//! victim choice is array reads only, and a distance query reads only
-//! the page's *sharers* — one on disjoint traffic.
+//! page has a dense index — its id in the workload's
+//! [`PageIds`](mcp_core::PageIds), built once per workload and shared by
+//! every run, so building the tables hashes nothing — one backward scan
+//! per sequence links each position to the next occurrence of its page,
+//! and each served request moves one `upcoming` slot forward in O(1).
+//! The tables keep one slot per (page, sequence requesting it) pair,
+//! packed by page, so they grow with the trace, not with pages ×
+//! sequences. A page's slot range is resolved once, when it enters a
+//! cache cell ([`NextUse::place`], or [`NextUse::place_request`] with no
+//! hash probe), and kept in a cell-indexed array, so a next-use or
+//! distance query during victim choice is array reads only, and a
+//! distance query reads only the page's *sharers* — one on disjoint
+//! traffic.
 
-use mcp_core::{FxHashMap, PageId};
+use mcp_core::{PageId, PageIds, Workload};
+use std::sync::Arc;
 
 /// "No further occurrence" in the `u32` position tables.
 const NEVER: u32 = u32::MAX;
@@ -26,10 +31,13 @@ const NEVER_AGAIN: u32 = 1 << 31;
 /// own cursor (requests served so far).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NextUse {
-    /// Dense index of every page occurring in any sequence. Pages that
-    /// occur nowhere share the extra index `page_index.len()`, which has
-    /// no sharers.
-    page_index: FxHashMap<PageId, u32>,
+    /// The workload's page table: a page's dense index is its id. Pages
+    /// that occur in no sequence share the extra index `ids.len()`, which
+    /// has no sharers (so do pages of the workload that no tracked
+    /// sequence requests).
+    ids: Arc<PageIds>,
+    /// `cores[seq]`: the workload core whose requests sequence `seq` is.
+    cores: Vec<usize>,
     /// The slots of dense index `i` are `sharer_start[i]..sharer_start[i
     /// + 1]`: one per sequence requesting that page, in sequence order.
     sharer_start: Vec<u32>,
@@ -59,29 +67,25 @@ struct Sharer {
 }
 
 impl NextUse {
-    /// Tables over `sequences`, every cursor at 0.
-    pub(crate) fn new<S: AsRef<[PageId]>>(sequences: &[S]) -> Self {
-        let mut page_index = FxHashMap::default();
-        let seq_ids: Vec<Vec<u32>> = sequences
+    /// Tables over the sequences of `workload`'s `cores` (sequence `i` is
+    /// core `cores[i]`'s), every cursor at 0.
+    pub(crate) fn new(workload: &Workload, cores: Vec<usize>) -> Self {
+        let ids = Arc::clone(workload.page_ids());
+        let seq_ids: Vec<&[u32]> = cores
             .iter()
-            .map(|seq| {
-                let seq = seq.as_ref();
+            .map(|&core| {
+                let seq = ids.ids(core);
                 assert!(seq.len() < (NEVER / 2) as usize, "sequence too long");
-                seq.iter()
-                    .map(|&p| {
-                        let next = page_index.len() as u32;
-                        *page_index.entry(p).or_insert(next)
-                    })
-                    .collect()
+                seq
             })
             .collect();
-        let pages = page_index.len();
+        let pages = ids.len();
         // `seen[pid]`: the last sequence (plus one) that requested the
         // page. Counting pass: sharers per page, then their slot ranges.
         let mut seen = vec![0u32; pages];
         let mut sharer_start = vec![0u32; pages + 2];
-        for (seq, ids) in seq_ids.iter().enumerate() {
-            for &pid in ids {
+        for (seq, pids) in seq_ids.iter().enumerate() {
+            for &pid in *pids {
                 if seen[pid as usize] != seq as u32 + 1 {
                     seen[pid as usize] = seq as u32 + 1;
                     sharer_start[pid as usize + 1] += 1;
@@ -102,19 +106,22 @@ impl NextUse {
         ];
         let mut filled = sharer_start[..pages].to_vec();
         seen.fill(0);
-        let mut seq_slots = seq_ids;
-        let mut next_pos = Vec::with_capacity(seq_slots.len());
-        for (seq, slots) in seq_slots.iter_mut().enumerate() {
+        let mut seq_slots = Vec::with_capacity(seq_ids.len());
+        let mut next_pos = Vec::with_capacity(seq_ids.len());
+        for (seq, pids) in seq_ids.iter().enumerate() {
             // Each request's page index becomes its slot in this sequence.
-            for slot in slots.iter_mut() {
-                let pid = *slot as usize;
-                if seen[pid] != seq as u32 + 1 {
-                    seen[pid] = seq as u32 + 1;
-                    sharers[filled[pid] as usize].seq = seq as u32;
-                    filled[pid] += 1;
-                }
-                *slot = filled[pid] - 1;
-            }
+            let slots: Vec<u32> = pids
+                .iter()
+                .map(|&pid| {
+                    let pid = pid as usize;
+                    if seen[pid] != seq as u32 + 1 {
+                        seen[pid] = seq as u32 + 1;
+                        sharers[filled[pid] as usize].seq = seq as u32;
+                        filled[pid] += 1;
+                    }
+                    filled[pid] - 1
+                })
+                .collect();
             // Backward scan: next occurrence of each position's page, and
             // (once the scan completes) each slot's first occurrence.
             let mut next = vec![NEVER; slots.len()];
@@ -124,12 +131,14 @@ impl NextUse {
                 *first = pos as u32;
             }
             next_pos.push(next);
+            seq_slots.push(slots);
         }
         NextUse {
-            page_index,
+            cursor: vec![0; cores.len()],
+            ids,
+            cores,
             sharer_start,
             sharers,
-            cursor: vec![0; seq_slots.len()],
             seq_slots,
             next_pos,
             cell_slots: Vec::new(),
@@ -139,11 +148,12 @@ impl NextUse {
     /// The slot range of `page`. Pages that occur in no sequence get the
     /// shared never-used row, which has none.
     fn slots_of(&self, page: PageId) -> (u32, u32) {
-        let row = self
-            .page_index
-            .get(&page)
-            .copied()
-            .unwrap_or(self.page_index.len() as u32) as usize;
+        self.row_slots(self.ids.id(page).unwrap_or(self.ids.len()))
+    }
+
+    /// The slot range of dense index `row`.
+    #[inline]
+    fn row_slots(&self, row: usize) -> (u32, u32) {
         (self.sharer_start[row], self.sharer_start[row + 1])
     }
 
@@ -172,10 +182,25 @@ impl NextUse {
     /// Record that `page` now occupies `cell`, for the cell-keyed
     /// queries below.
     pub(crate) fn place(&mut self, cell: usize, page: PageId) {
+        let slots = self.slots_of(page);
+        self.place_slots(cell, slots);
+    }
+
+    /// [`NextUse::place`] of the page sequence `seq` requests at its
+    /// cursor — the request being served — read from the page table
+    /// instead of probing it.
+    #[inline]
+    pub(crate) fn place_request(&mut self, cell: usize, seq: usize) {
+        let row = self.ids.id_at(self.cores[seq], self.cursor[seq] as usize);
+        self.place_slots(cell, self.row_slots(row));
+    }
+
+    #[inline]
+    fn place_slots(&mut self, cell: usize, slots: (u32, u32)) {
         if cell >= self.cell_slots.len() {
             self.cell_slots.resize(cell + 1, (0, 0));
         }
-        self.cell_slots[cell] = self.slots_of(page);
+        self.cell_slots[cell] = slots;
     }
 
     /// Position of the first use of `page` in sequence `seq` at or after
@@ -239,9 +264,15 @@ mod tests {
         vs.iter().copied().map(PageId).collect()
     }
 
+    /// Tables over every core of the workload `seqs`.
+    fn over(seqs: &[Vec<PageId>]) -> NextUse {
+        let w = Workload::new(seqs.to_vec()).unwrap();
+        NextUse::new(&w, (0..seqs.len()).collect())
+    }
+
     #[test]
     fn next_use_follows_the_cursor() {
-        let mut n = NextUse::new(&[seq(&[1, 2, 1, 2])]);
+        let mut n = over(&[seq(&[1, 2, 1, 2])]);
         n.place(4, PageId(1));
         assert_eq!(n.next_use(0, PageId(1)), 0);
         n.advance(0);
@@ -259,7 +290,7 @@ mod tests {
 
     #[test]
     fn distance_is_the_minimum_over_sequences() {
-        let mut n = NextUse::new(&[seq(&[1, 2, 3]), seq(&[3, 1])]);
+        let mut n = over(&[seq(&[1, 2, 3]), seq(&[3, 1])]);
         let (one, three, seven) = (0, 1, 2);
         n.place(one, PageId(1));
         n.place(three, PageId(3));
@@ -285,7 +316,7 @@ mod tests {
         // Page 1 is shared by sequences 0 and 2, page 2 is private to
         // sequence 1, page 9 occurs nowhere.
         let seqs = [seq(&[1, 3, 1, 4]), seq(&[2, 2, 5]), seq(&[6, 1])];
-        let mut n = NextUse::new(&seqs);
+        let mut n = over(&seqs);
         let sharers_of = |n: &NextUse, page| {
             let sharers = n.sharers(n.slots_of(PageId(page)));
             sharers.iter().map(|s| s.seq).collect::<Vec<_>>()
@@ -320,7 +351,7 @@ mod tests {
         // uses page 5 again. The wrapped `NEVER - cursor` of one sequence
         // must still exceed a large finite distance in the other.
         let long: Vec<u32> = (0..1000).map(|i| if i == 999 { 5 } else { 6 }).collect();
-        let mut n = NextUse::new(&[seq(&long), seq(&[5])]);
+        let mut n = over(&[seq(&long), seq(&[5])]);
         n.advance(1);
         n.place(0, PageId(5));
         n.place(1, PageId(6));
@@ -330,5 +361,24 @@ mod tests {
         }
         assert_eq!(n.distance_of(0), 0);
         assert!(n.distance_of(1) > 999);
+    }
+
+    #[test]
+    fn place_request_reads_the_cursor_page_of_the_sequences_core() {
+        // Tables over core 2 then core 0: sequence 0 is core 2's.
+        let w = Workload::new(vec![seq(&[4, 5]), seq(&[9]), seq(&[5, 4, 5])]).unwrap();
+        let mut by_page = NextUse::new(&w, vec![2, 0]);
+        let mut by_request = by_page.clone();
+        for (seq, page) in [(0, 5), (0, 4), (1, 4), (0, 5), (1, 5)] {
+            by_page.place(seq, PageId(page));
+            by_request.place_request(seq, seq);
+            assert_eq!(by_page.cell_slots[seq], by_request.cell_slots[seq]);
+            for n in [&mut by_page, &mut by_request] {
+                n.advance(seq);
+            }
+        }
+        // Page 9 is only core 1's, which neither sequence is.
+        assert_eq!(by_page.next_use(0, PageId(9)), NEVER);
+        assert_eq!(by_page.next_use(1, PageId(9)), NEVER);
     }
 }

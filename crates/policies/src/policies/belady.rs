@@ -6,7 +6,7 @@
 
 use crate::eviction::EvictionPolicy;
 use crate::next_use::NextUse;
-use mcp_core::{PageId, Victims};
+use mcp_core::{PageId, Victims, Workload};
 
 /// Furthest-in-the-future eviction over one core's request sequence.
 ///
@@ -25,10 +25,11 @@ pub struct Belady {
 }
 
 impl Belady {
-    /// Build from the owning core's full request sequence.
-    pub fn for_sequence(seq: &[PageId]) -> Self {
+    /// Build from core `core`'s sequence of `workload`, over the
+    /// workload's shared page table (no per-policy page index).
+    pub fn for_core(workload: &Workload, core: usize) -> Self {
         Belady {
-            next: NextUse::new(&[seq]),
+            next: NextUse::new(workload, vec![core]),
         }
     }
 
@@ -86,16 +87,17 @@ mod tests {
         PageId(v)
     }
 
-    fn seq(vs: &[u32]) -> Vec<PageId> {
-        vs.iter().copied().map(PageId).collect()
+    /// Belady over a one-core workload requesting `vs`.
+    fn belady(vs: &[u32]) -> Belady {
+        let w = Workload::from_u32([vs.iter().copied()]).expect("one sequence");
+        Belady::for_core(&w, 0)
     }
 
     #[test]
     fn evicts_furthest_in_future() {
         // Sequence: 1 2 3 1 2. After serving 1, 2 (inserts), serving 3
         // must evict: next use of 1 is pos 3, of 2 is pos 4 -> evict 2.
-        let s = seq(&[1, 2, 3, 1, 2]);
-        let mut b = Belady::for_sequence(&s);
+        let mut b = belady(&[1, 2, 3, 1, 2]);
         insert(&mut b, 1, 1);
         insert(&mut b, 2, 2);
         // Now serving position 2 (page 3), a fault:
@@ -104,8 +106,7 @@ mod tests {
 
     #[test]
     fn never_used_again_is_perfect_victim() {
-        let s = seq(&[1, 2, 3, 1]);
-        let mut b = Belady::for_sequence(&s);
+        let mut b = belady(&[1, 2, 3, 1]);
         insert(&mut b, 1, 1);
         insert(&mut b, 2, 2);
         // Serving position 2 (page 3): page 2 never recurs.
@@ -114,8 +115,7 @@ mod tests {
 
     #[test]
     fn next_use_tracks_cursor() {
-        let s = seq(&[1, 2, 1, 2]);
-        let mut b = Belady::for_sequence(&s);
+        let mut b = belady(&[1, 2, 1, 2]);
         assert_eq!(b.next_use(p(1)), 0);
         insert(&mut b, 1, 1);
         assert_eq!(b.next_use(p(1)), 2);

@@ -56,7 +56,7 @@ impl CacheStrategy for SacrificeOffline {
             workload.is_disjoint(),
             "SacrificeOffline assumes disjoint sequences"
         );
-        self.next = NextUse::new(workload.sequences());
+        self.next = NextUse::new(workload, (0..workload.num_cores()).collect());
         self.seq_len = workload.sequences().iter().map(Vec::len).collect();
     }
 
@@ -106,8 +106,8 @@ impl CacheStrategy for SacrificeOffline {
             .expect("full cache has a resident page")
     }
 
-    fn on_fault(&mut self, core: usize, page: PageId, _time: Time, cell: usize, _cache: &Cache) {
-        self.next.place(cell, page);
+    fn on_fault(&mut self, core: usize, _page: PageId, _time: Time, cell: usize, _cache: &Cache) {
+        self.next.place_request(cell, core);
         self.next.advance(core);
     }
 

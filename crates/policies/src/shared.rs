@@ -122,7 +122,7 @@ impl CacheStrategy for SharedFitf {
     }
 
     fn begin(&mut self, workload: &Workload, _cfg: &SimConfig) {
-        self.next = NextUse::new(workload.sequences());
+        self.next = NextUse::new(workload, (0..workload.num_cores()).collect());
     }
 
     fn on_hit(&mut self, core: usize, _page: PageId, _time: Time, _cell: usize, _cache: &Cache) {
@@ -149,8 +149,8 @@ impl CacheStrategy for SharedFitf {
         })
     }
 
-    fn on_fault(&mut self, core: usize, page: PageId, _time: Time, cell: usize, _cache: &Cache) {
-        self.next.place(cell, page);
+    fn on_fault(&mut self, core: usize, _page: PageId, _time: Time, cell: usize, _cache: &Cache) {
+        self.next.place_request(cell, core);
         self.next.advance(core);
     }
 

@@ -184,7 +184,7 @@ mod tests {
     fn sp_belady(partition: Vec<usize>) -> StaticPartition<Belady> {
         StaticPartition::with_factory(
             Partition::from_sizes(partition),
-            Box::new(|core, w, _| Belady::for_sequence(w.sequence(core))),
+            Box::new(|core, w, _| Belady::for_core(w, core)),
         )
     }
 

@@ -12,7 +12,7 @@
 
 mod naive_victim;
 
-use mcp_core::{PageId, Victims};
+use mcp_core::{PageId, Victims, Workload};
 use mcp_policies::{
     Belady, Clock, EvictionPolicy, Fifo, Fwf, Lfu, Lru, LruK, Marking, MarkingTie, Mru, RandomEvict,
 };
@@ -190,6 +190,7 @@ proptest! {
         seq in prop::collection::vec(0..UNIVERSE, 0..120),
     ) {
         let seq: Vec<PageId> = seq.into_iter().map(PageId).collect();
-        lockstep(&mut Belady::for_sequence(&seq), &mut NaiveBelady::for_sequence(&seq), &ops);
+        let w = Workload::new(vec![seq.clone()]).unwrap();
+        lockstep(&mut Belady::for_core(&w, 0), &mut NaiveBelady::for_sequence(&seq), &ops);
     }
 }
